@@ -9,6 +9,7 @@ go to stderr only.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -21,23 +22,31 @@ from .hyper_expand import (
     expand_general,
     regroup_total_degree,
 )
-from .partial_fractions import PochProductQuotient, decompose_multi
+from .partial_fractions import PochProductQuotient, decompose_multi, quotient_deriv
 from .pochhammer import (
     LinearParam,
     PochMethod,
     RecipMethod,
     poch_deriv,
-    quotient_deriv,
     recip_poch_deriv,
     recip_poch_laurent,
 )
-from .series import format_rational, parse_rational
+from .series import parse_rational
 from .specfile import parse_quotient_text, parse_spec_text
 from .verify import verify_all, verify_ids
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors reported on exit status 1 instead of 2."""
+    """argparse with usage errors reported on exit status 1 instead of 2.
+
+    A token such as `-1/2` is read as a negative rational value, not as a
+    flag, so `--num -1/2 1` works; argparse's own matcher accepts only
+    negative integers and decimals before Python 3.13.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+(/\d+)?|\d*\.\d+)$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -171,8 +180,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_poch(args) -> int:
-    value = poch_deriv(args.alpha, args.m, args.k, PochMethod(args.method))
-    print(format_rational(value))
+    print(poch_deriv(args.alpha, args.m, args.k, PochMethod(args.method)))
     return 0
 
 
@@ -184,12 +192,11 @@ def _cmd_recip(args, parser) -> int:
             parser.error("--laurent does not take --beta or -k")
         series = recip_poch_laurent(args.n, args.b, args.m, args.order)
         for e in range(series.min_exponent, series.max_exponent + 1):
-            print(f"{e},{format_rational(series.coefficient(e))}")
+            print(f"{e},{series.coefficient(e)}")
         return 0
     if args.beta is None or args.k is None:
         parser.error("recip needs --beta and -k (or --laurent)")
-    value = recip_poch_deriv(args.beta, args.m, args.k, RecipMethod(args.method))
-    print(format_rational(value))
+    print(recip_poch_deriv(args.beta, args.m, args.k, RecipMethod(args.method)))
     return 0
 
 
@@ -197,7 +204,7 @@ def _cmd_quotient(args) -> int:
     value = quotient_deriv(
         LinearParam(*args.num), args.m, LinearParam(*args.den), args.n, args.k, args.at
     )
-    print(format_rational(value))
+    print(value)
     return 0
 
 
@@ -261,10 +268,7 @@ def _cmd_verify(args, parser) -> int:
         for failure in summary.failures:
             shown = {key: str(value) for key, value in failure.params.items()}
             if hasattr(failure, "lhs"):
-                print(
-                    f"  params {shown}: lhs {format_rational(failure.lhs)}"
-                    f" rhs {format_rational(failure.rhs)}"
-                )
+                print(f"  params {shown}: lhs {failure.lhs} rhs {failure.rhs}")
             else:
                 print(
                     f"  params {shown}: first discrepancy at exponent "

@@ -39,10 +39,6 @@ class Dual:
             return NotImplemented
         return self.val == o.val and self.der == o.der
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __neg__(self):
@@ -109,11 +105,6 @@ class Dual:
             if n:
                 base = base * base
         return result
-
-
-def value_part(x) -> Fraction:
-    """The plain value of a scalar that may or may not be a Dual."""
-    return x.val if isinstance(x, Dual) else Fraction(x)
 
 
 def delta_part(x) -> Fraction:

@@ -23,16 +23,10 @@ from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirl
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError, ZeroSeries
 from .pochhammer import LinearParam, poch_eps_series, pochhammer
-from .series import EpsSeries, series_invert
+from .series import EpsSeries, _coerce, series_invert
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _coerce(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -56,15 +50,14 @@ class IndexLaw:
 class HyperTermSpec:
     """General term of a double series (see module docstring).
 
-    `laurent=True` opts into denominators that vanish at eps = 0, producing
-    negative-k table entries; otherwise such a denominator is a PoleError.
+    A denominator that vanishes at eps = 0 on some lattice point makes
+    `expand_general` raise PoleError there.
     """
 
     name: str
     numer: tuple = ()
     denom: tuple = ()
     extra_params: dict = field(default_factory=dict)
-    laurent: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "numer", tuple(self.numer))
@@ -87,9 +80,7 @@ class ExpansionTable:
 def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> ExpansionTable:
     """Expand every lattice point of the spec exactly; tabulate eps-coefficients.
 
-    Entries cover all k in [0, eps_order] (plus negative k down to the pole
-    depth when the spec opts into Laurent handling) and all m1 + m2 <=
-    degree_bound.
+    Entries cover all k in [0, eps_order] and all m1 + m2 <= degree_bound.
     """
     if eps_order < 0:
         raise DomainError("eps_order must be >= 0")
@@ -98,26 +89,20 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     entries = {}
     for m1 in range(degree_bound + 1):
         for m2 in range(degree_bound + 1 - m1):
-            depth = 0
             for idx, (param, law) in enumerate(spec.denom):
-                length = law(m1, m2)
-                constant = pochhammer(param.constant, length)
-                if constant == 0:
-                    if param.slope == 0 or not spec.laurent:
-                        raise PoleError(
-                            f"denominator factor {idx} of {spec.name or 'spec'} "
-                            f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
-                            lattice_point=(m1, m2),
-                            factor=idx,
-                        )
-                    depth += 1
-            order = eps_order + 2 * depth
-            num = EpsSeries.one(order)
+                if pochhammer(param.constant, law(m1, m2)) == 0:
+                    raise PoleError(
+                        f"denominator factor {idx} of {spec.name or 'spec'} "
+                        f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
+                        lattice_point=(m1, m2),
+                        factor=idx,
+                    )
+            num = EpsSeries.one(eps_order)
             for param, law in spec.numer:
-                num = num * poch_eps_series(param, law(m1, m2), order)
-            den = EpsSeries.one(order)
+                num = num * poch_eps_series(param, law(m1, m2), eps_order)
+            den = EpsSeries.one(eps_order)
             for param, law in spec.denom:
-                den = den * poch_eps_series(param, law(m1, m2), order)
+                den = den * poch_eps_series(param, law(m1, m2), eps_order)
             try:
                 inv = series_invert(den)
             except ZeroSeries:
@@ -129,8 +114,7 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
             term = (num * inv).scaled(
                 Fraction(1, math.factorial(m1) * math.factorial(m2))
             )
-            lowest = term.min_exponent if spec.laurent else 0
-            for k in range(min(lowest, 0), eps_order + 1):
+            for k in range(eps_order + 1):
                 entries[(k, m1, m2)] = term.coefficient(k)
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
@@ -161,39 +145,22 @@ _LAW_SUM = IndexLaw(0, 1, 1)
 _LAW_M1 = IndexLaw(0, 1, 0)
 _LAW_M2 = IndexLaw(0, 0, 1)
 
-CLOSED_EXAMPLES = (
-    "F1",
-    "F2",
-    "F3",
-    "F4",
-    "F5",
-    "F6",
-    "F6_alt",
-    "F7",
-    "dF7_ddelta",
-)
-
 _DELTA_EXAMPLES = frozenset({"F6", "F6_alt", "F7"})
 
 
-def _need_delta(example: str, extra: dict):
-    extra = extra or {}
-    if "delta" not in extra:
+def _check_example(example: str, delta):
+    """Reject an unknown example name, or a delta example given no delta."""
+    if example not in _CLOSED_ENTRIES:
+        raise DomainError(f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}")
+    if example in _DELTA_EXAMPLES and delta is None:
         raise MissingParameter(f"example {example} needs the extra parameter delta")
-    return _coerce(extra["delta"])
 
 
 def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
     """The HyperTermSpec whose general-term expansion matches expand_closed(example)."""
-    if example in ("F1", "F2", "F3", "F4", "F5"):
-        pass
-    elif example in _DELTA_EXAMPLES:
-        if delta is None:
-            raise MissingParameter(f"example {example} needs the extra parameter delta")
-    elif example == "dF7_ddelta":
+    _check_example(example, delta)
+    if example == "dF7_ddelta":
         return closed_engine_spec("F7", Dual(0 if delta is None else delta, 1))
-    else:
-        raise DomainError(f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}")
 
     LP = LinearParam
     if example == "F1":
@@ -254,6 +221,14 @@ def _inv_pow(base, exponent: int):
     return 1 / (_coerce(base) ** exponent)
 
 
+def _bracket(k, n, weight, lead=_ONE):
+    """lead*delta_{k,0} - sum_{j=1..n} (-1)**j weight(j) / j**k."""
+    acc = lead if k == 0 else _ZERO
+    for j in range(1, n + 1):
+        acc -= (-1) ** j * weight(j) * _inv_pow(j, k)
+    return acc
+
+
 def _closed_f1(k, m1, m2):
     n, m = m1, m1 + m2
     total = _ZERO
@@ -261,22 +236,15 @@ def _closed_f1(k, m1, m2):
         s = stirling_s1(m + 1, k1 + 1)
         if s == 0:
             continue
-        bracket = _ONE if k1 == k else _ZERO
-        for j in range(1, n + 1):
-            bracket -= (
-                (-1) ** j
-                * binomial(m - j, n)
-                * binomial(n, j)
-                * _inv_pow(j, k - k1)
-            )
+        bracket = _bracket(k - k1, n, lambda j: binomial(m - j, n) * binomial(n, j))
         total += 2**k1 * (-1) ** m * s * bracket
     return total / (math.factorial(n) * math.factorial(m - n))
 
 
 def _closed_f2_f3_bracketed(k, n, m):
-    bracket = Fraction((-1) ** n) if k == 0 else _ZERO
-    for j in range(1, n + 1):
-        bracket -= (-1) ** j * binomial(m + j, n) * binomial(n, j) * _inv_pow(j, k)
+    bracket = _bracket(
+        k, n, lambda j: binomial(m + j, n) * binomial(n, j), lead=Fraction((-1) ** n)
+    )
     return (-1) ** k * bracket * binomial(m, n)
 
 
@@ -290,9 +258,7 @@ def _closed_f3(k, m1, m2):
 
 def _closed_f4(k, m1, m2):
     n, m = m1, m1 + m2
-    bracket = _ONE if k == 0 else _ZERO
-    for j in range(1, n + 1):
-        bracket -= (-1) ** j * binomial(m - j, n) * binomial(n, j) * _inv_pow(j, k)
+    bracket = _bracket(k, n, lambda j: binomial(m - j, n) * binomial(n, j))
     return (-1) ** k * bracket * binomial(m, n)
 
 
@@ -355,14 +321,12 @@ def _closed_f6(delta):
         pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
         total = _ZERO
         for k1 in range(k + 1):
-            t1 = _ONE if k1 == 0 else _ZERO
-            for l in range(1, n1 + 1):
-                t1 -= (
-                    (-1) ** l
-                    * pochhammer(1 + delta - l, n1)
-                    / (math.factorial(l) * math.factorial(n1 - l))
-                    * _inv_pow(l, k1)
-                )
+            t1 = _bracket(
+                k1,
+                n1,
+                lambda l: pochhammer(1 + delta - l, n1)
+                / (math.factorial(l) * math.factorial(n1 - l)),
+            )
             t2 = Fraction((-1) ** n2) if k1 == k else _ZERO
             for j in range(n2):
                 t2 += (
@@ -380,15 +344,14 @@ def _closed_f6(delta):
 def _closed_f6_alt(delta):
     def entry(k, n1, n2):
         pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-        total = Fraction((-1) ** n2) if k == 0 else _ZERO
-        for j1 in range(1, n1 + 1):
-            total -= (
-                pochhammer(1 + delta - j1, n1 + n2)
-                / pochhammer(1 + delta + j1, n2)
-                * (-1) ** j1
-                / (math.factorial(j1) * math.factorial(n1 - j1))
-                * _inv_pow(j1, k)
-            )
+        total = _bracket(
+            k,
+            n1,
+            lambda j1: pochhammer(1 + delta - j1, n1 + n2)
+            / pochhammer(1 + delta + j1, n2)
+            / (math.factorial(j1) * math.factorial(n1 - j1)),
+            lead=Fraction((-1) ** n2),
+        )
         tail = _ZERO
         for j2 in range(n2):
             tail += (
@@ -407,14 +370,12 @@ def _closed_f6_alt(delta):
 def _closed_f7(delta):
     def entry(k, n1, n2):
         pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-        bracket = _ONE if k == 0 else _ZERO
-        for j in range(1, n1 + 1):
-            bracket -= (
-                (-1) ** j
-                * pochhammer(n2 + 1 + delta - j, n1)
-                / (math.factorial(j) * math.factorial(n1 - j))
-                * _inv_pow(j, k)
-            )
+        bracket = _bracket(
+            k,
+            n1,
+            lambda j: pochhammer(n2 + 1 + delta - j, n1)
+            / (math.factorial(j) * math.factorial(n1 - j)),
+        )
         return (-1) ** k * pref * bracket
 
     return entry
@@ -423,33 +384,41 @@ def _closed_f7(delta):
 def _closed_df7(k, n1, n2):
     piece1 = _ZERO
     if n2 > 0:
-        bracket = _ONE if k == 0 else _ZERO
-        for j in range(1, n1 + 1):
-            bracket -= (
-                (-1) ** j
-                * pochhammer(n2 + 1 - j, n1)
-                / (math.factorial(j) * math.factorial(n1 - j))
-                * _inv_pow(j, k)
-            )
+        bracket = _bracket(
+            k,
+            n1,
+            lambda j: pochhammer(n2 + 1 - j, n1) / (math.factorial(j) * math.factorial(n1 - j)),
+        )
         piece1 = (
             Fraction((-1) ** (n2 - 1) * n2)
             * gen_bernoulli_poly(n2 - 1, n2 + 1, Fraction(-n1))
             * bracket
         )
-    piece2 = _ZERO
-    if n1 > 0:
-        acc = _ZERO
-        for j in range(1, n1 + 1):
-            acc += (
-                Fraction((-1) ** j * math.comb(n1, j))
-                * _inv_pow(j, k)
-                * gen_bernoulli_poly(n1 - 1, n1 + 1, Fraction(j - n2))
-            )
-        piece2 = (
-            Fraction((-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2)
-            * acc
-        )
+    acc = -_bracket(
+        k,
+        n1,
+        lambda j: math.comb(n1, j) * gen_bernoulli_poly(n1 - 1, n1 + 1, Fraction(j - n2)),
+        lead=_ZERO,
+    )
+    piece2 = Fraction((-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2) * acc
     return Fraction((-1) ** k, math.factorial(n2)) * (piece1 + piece2)
+
+
+# Closed-form coefficient function (k, m1, m2) -> value of each built-in
+# example; a delta example maps to a factory taking delta instead.
+_CLOSED_ENTRIES = {
+    "F1": _closed_f1,
+    "F2": _closed_f2,
+    "F3": _closed_f3,
+    "F4": _closed_f4,
+    "F5": _closed_f5,
+    "F6": _closed_f6,
+    "F6_alt": _closed_f6_alt,
+    "F7": _closed_f7,
+    "dF7_ddelta": _closed_df7,
+}
+
+CLOSED_EXAMPLES = tuple(_CLOSED_ENTRIES)
 
 
 def expand_closed(
@@ -458,30 +427,13 @@ def expand_closed(
     """Closed-form coefficient table for a built-in example (lattice keying)."""
     if eps_order < 0 or degree_bound < 0:
         raise DomainError("eps_order and degree_bound must be >= 0")
-    if example not in CLOSED_EXAMPLES:
-        raise DomainError(
-            f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}"
-        )
-    extra = extra or {}
+    delta = _coerce((extra or {}).get("delta"))
+    _check_example(example, delta)
+    entry = _CLOSED_ENTRIES[example]
     if example in _DELTA_EXAMPLES:
-        delta = _need_delta(example, extra)
-        entry = {
-            "F6": _closed_f6,
-            "F6_alt": _closed_f6_alt,
-            "F7": _closed_f7,
-        }[example](delta)
-    elif example == "dF7_ddelta":
-        if "delta" in extra and _coerce(extra["delta"]) != 0:
-            raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
-        entry = _closed_df7
-    else:
-        entry = {
-            "F1": _closed_f1,
-            "F2": _closed_f2,
-            "F3": _closed_f3,
-            "F4": _closed_f4,
-            "F5": _closed_f5,
-        }[example]
+        entry = entry(delta)
+    elif example == "dF7_ddelta" and delta is not None and delta != 0:
+        raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
     entries = {}
     for m1 in range(degree_bound + 1):
         for m2 in range(degree_bound + 1 - m1):

@@ -4,7 +4,9 @@ A quotient  prod (A_p + a_p eps)_{m_p} / prod (B_q + b_q eps)_{n_q}  whose
 numerator eps-degree does not exceed its denominator eps-degree, and whose
 denominator poles are simple, splits into a constant plus simple-pole terms
 C / (B_q + j_q + b_q eps).  The k-th normalized derivative of the quotient
-is then a single finite sum over those poles.
+is then a single finite sum over those poles; `quotient_deriv` takes that
+route for a single-factor quotient, peeling off any excess numerator degree
+first.
 """
 
 from __future__ import annotations
@@ -14,16 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
-from .pochhammer import LinearParam, pochhammer
+from .pochhammer import LinearParam, poch_deriv, pochhammer
+from .series import _coerce
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _coerce(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -154,14 +151,7 @@ def decompose_single(num: LinearParam, m: int, den: LinearParam, n: int) -> Part
             f"numerator length {m} exceeds denominator length {n}; "
             "use reduce_excess first"
         )
-    ratio = num.slope / den.slope
-    constant = ratio**n if m == n else _ZERO
-    terms = []
-    for j in range(n):
-        r = Fraction((-1) ** j, math.factorial(j) * math.factorial(n - 1 - j))
-        r *= pochhammer(num.constant - ratio * (den.constant + j), m)
-        terms.append(PFTerm(r, den.constant + j, den.slope))
-    return PartialFractionForm(constant, tuple(terms), _ONE)
+    return decompose_multi(PochProductQuotient([(num, m)], [(den, n)]))
 
 
 def decompose_multi(quotient: PochProductQuotient) -> PartialFractionForm:
@@ -248,3 +238,35 @@ def reduce_excess(num: LinearParam, m: int, den: LinearParam, n: int):
         numer=[(num.shifted(m - n), n)], denom=[(den, n)]
     )
     return prefix, core
+
+
+def quotient_deriv(
+    num: LinearParam, m: int, den: LinearParam, n: int, k: int, at_eps=0
+):
+    """(1/k!) d^k/deps^k [ (num)_m / (den)_n ] evaluated at eps = at_eps."""
+    if m < 0 or n < 0 or k < 0:
+        raise DomainError("quotient_deriv needs m, n, k >= 0")
+    at_eps = _coerce(at_eps)
+    for j in range(n):
+        if den.at(at_eps) + j == 0:
+            raise PoleError(
+                f"denominator factor {den.constant + j} + {den.slope}*eps "
+                f"vanishes at eps = {at_eps}",
+                index=j,
+            )
+    if den.slope == 0:
+        # Constant denominator: differentiate the numerator polynomial directly.
+        value = num.slope**k * poch_deriv(num.at(at_eps), m, k)
+        return value / pochhammer(den.constant, n)
+    if m <= n:
+        return pf_derivative(decompose_single(num, m, den, n), k, at_eps)
+    # Excess numerator degree: peel off (num)_{m-n} and apply the product rule.
+    (prefix, length), core = reduce_excess(num, m, den, n)
+    form = decompose_multi(core)
+    acc = _ZERO
+    for k1 in range(k + 1):
+        left = prefix.slope**k1 * poch_deriv(prefix.at(at_eps), length, k1)
+        if left == 0:
+            continue
+        acc += left * pf_derivative(form, k - k1, at_eps)
+    return acc

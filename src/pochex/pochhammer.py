@@ -7,9 +7,8 @@ The two derivative families are normalized by k!:
 
 Each family has several closed forms plus a series oracle; they are kept as
 separate code paths on purpose so they can cross-check one another, and all
-of them must agree exactly.  `quotient_deriv` differentiates a quotient of
-two rising factorials with linear-in-eps arguments, and `recip_poch_laurent`
-expands a reciprocal around a simple pole in eps.
+of them must agree exactly.  `recip_poch_laurent` expands a reciprocal around
+a simple pole in eps.
 """
 
 from __future__ import annotations
@@ -21,16 +20,10 @@ from fractions import Fraction
 
 from .combinatorics import gen_bernoulli_poly, stirling_s1
 from .errors import DomainError, PoleError
-from .series import EpsSeries, polynomial_series, series_invert
+from .series import EpsSeries, _coerce, polynomial_series, series_invert
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def _coerce(value):
-    if isinstance(value, int):
-        return Fraction(value)
-    return value
 
 
 @dataclass(frozen=True)
@@ -264,51 +257,3 @@ def recip_poch_laurent(n: int, b, m: int, order: int) -> EpsSeries:
     rising = poch_eps_series(LinearParam(1, b), m - n - 1, order + 1)
     unit = series_invert(falling * rising)
     return unit.scaled(Fraction((-1) ** n) / b).shifted(-1).truncated(order)
-
-
-# -- derivatives of a quotient ------------------------------------------------
-
-
-def _quotient_pf_terms(num: LinearParam, m: int, den: LinearParam, n: int):
-    # Simple-pole coefficients of (num)_m/(den)_n for m <= n, den.slope != 0.
-    ratio = num.slope / den.slope
-    for j in range(n):
-        r = Fraction((-1) ** j, math.factorial(j) * math.factorial(n - 1 - j))
-        r *= pochhammer(num.constant - ratio * (den.constant + j), m)
-        yield j, r
-
-
-def quotient_deriv(
-    num: LinearParam, m: int, den: LinearParam, n: int, k: int, at_eps=0
-):
-    """(1/k!) d^k/deps^k [ (num)_m / (den)_n ] evaluated at eps = at_eps."""
-    if m < 0 or n < 0 or k < 0:
-        raise DomainError("quotient_deriv needs m, n, k >= 0")
-    at_eps = _coerce(at_eps)
-    for j in range(n):
-        if den.at(at_eps) + j == 0:
-            raise PoleError(
-                f"denominator factor {den.constant + j} + {den.slope}*eps "
-                f"vanishes at eps = {at_eps}",
-                index=j,
-            )
-    if den.slope == 0:
-        # Constant denominator: differentiate the numerator polynomial directly.
-        value = num.slope**k * poch_deriv(num.at(at_eps), m, k)
-        return value / pochhammer(den.constant, n)
-    if m <= n:
-        acc = _ZERO
-        if k == 0 and m == n:
-            acc += (num.slope / den.slope) ** n
-        for j, r in _quotient_pf_terms(num, m, den, n):
-            acc += r / (den.at(at_eps) + j) ** (k + 1)
-        return (-den.slope) ** k * acc
-    # Excess numerator degree: peel off (num)_{m-n} and apply the product rule.
-    core_num = num.shifted(m - n)
-    acc = _ZERO
-    for k1 in range(k + 1):
-        left = num.slope**k1 * poch_deriv(num.at(at_eps), m - n, k1)
-        if left == 0:
-            continue
-        acc += left * quotient_deriv(core_num, n, den, n, k - k1, at_eps)
-    return acc

@@ -1,9 +1,9 @@
 """Exact rational scalars and truncated Laurent series in one variable.
 
-Scalars are `fractions.Fraction` values (aliased `Rational` here); they are
-always stored reduced with a positive denominator, and `str()` renders them
-in the package's bit-exact text format (`-3/4`, `0`, `12`).  `parse_rational`
-is the strict inverse of that rendering.
+Scalars are `fractions.Fraction` values; they are always stored reduced
+with a positive denominator, and `str()` renders them in the package's
+bit-exact text format (`-3/4`, `0`, `12`).  `parse_rational` is the strict
+inverse of that rendering.
 
 `EpsSeries` is a truncated Laurent series: coefficients are known exactly
 from `min_exponent` through `max_exponent` (inclusive), are exactly zero
@@ -19,8 +19,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import DomainError, NonzeroConstantTerm, ParseError, ZeroSeries
-
-Rational = Fraction
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -39,11 +37,6 @@ def parse_rational(text: str) -> Fraction:
             raise ParseError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(num))
-
-
-def format_rational(value) -> str:
-    """Render a scalar in the bit-exact text format (inverse of parse_rational)."""
-    return str(value)
 
 
 def _coerce(value):
@@ -190,10 +183,6 @@ class EpsSeries:
             self._get(e) == other._get(e) for e in range(lo, self.max_exponent + 1)
         )
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -223,10 +212,6 @@ class EpsSeries:
     def one(order: int = 0) -> "EpsSeries":
         return EpsSeries.constant(_ONE, order)
 
-    @staticmethod
-    def zero(order: int = 0) -> "EpsSeries":
-        return EpsSeries.constant(_ZERO, order)
-
 
 def polynomial_series(coefficients: Iterable, order: int) -> EpsSeries:
     """Series for an exact polynomial (constant term first), window [0, order].
@@ -242,14 +227,6 @@ def polynomial_series(coefficients: Iterable, order: int) -> EpsSeries:
     else:
         coeffs = coeffs[: order + 1]
     return EpsSeries(coeffs, 0)
-
-
-def series_add(a: EpsSeries, b: EpsSeries) -> EpsSeries:
-    return a + b
-
-
-def series_mul(a: EpsSeries, b: EpsSeries) -> EpsSeries:
-    return a * b
 
 
 def series_invert(a: EpsSeries) -> EpsSeries:
@@ -277,23 +254,6 @@ def series_invert(a: EpsSeries) -> EpsSeries:
     return EpsSeries(v, -p)
 
 
-def series_div(a: EpsSeries, b: EpsSeries) -> EpsSeries:
-    return a * series_invert(b)
-
-
-def _list_mul_trunc(a: list, b: list, order: int) -> list:
-    out = [_ZERO] * (order + 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if i + j > order:
-                break
-            if cb != 0:
-                out[i + j] = out[i + j] + ca * cb
-    return out
-
-
 def series_compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
     """Substitute `inner` into `outer`, truncated at the common order.
 
@@ -310,13 +270,12 @@ def series_compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
             f"inner series has constant term {inner.coefficients[0]}, expected 0"
         )
     order = min(outer.max_exponent, inner.max_exponent)
-    o = [outer._get(e) for e in range(order + 1)]
-    g = [inner._get(e) for e in range(order + 1)]
-    acc = [o[order]] + [_ZERO] * order
+    inner = inner.truncated(order)
+    # Horner's rule; each product is cut back to the common order.
+    acc = EpsSeries.constant(outer._get(order), order)
     for e in range(order - 1, -1, -1):
-        acc = _list_mul_trunc(acc, g, order)
-        acc[0] = acc[0] + o[e]
-    return EpsSeries(acc, 0)
+        acc = (acc * inner).truncated(order) + EpsSeries.constant(outer._get(e), order)
+    return acc
 
 
 def series_pow(a: EpsSeries, exponent: int) -> EpsSeries:

@@ -1,8 +1,12 @@
 """Command-line front-end: output format, exit codes, error routing."""
 
+from fractions import Fraction as F
+
 import pytest
 
 from pochex.cli import main
+from pochex.pochhammer import LinearParam, poch_eps_series
+from pochex.series import series_invert
 
 
 def run(capsys, *argv):
@@ -28,6 +32,11 @@ def test_poch_value(capsys):
 
 def test_poch_negative_rational_equals_form(capsys):
     code, out, _ = run(capsys, "poch", "--alpha=-5/2", "-m", "3", "-k", "2")
+    assert (code, out) == (0, "-9/2\n")
+
+
+def test_poch_negative_fraction_as_separate_token(capsys):
+    code, out, _ = run(capsys, "poch", "--alpha", "-5/2", "-m", "3", "-k", "2")
     assert (code, out) == (0, "-9/2\n")
 
 
@@ -112,6 +121,18 @@ def test_quotient_at_evaluation_point(capsys):
         "-k", "0", "--at", "1",
     )
     assert (code, out) == (0, "6\n")  # (2)_2
+
+
+def test_quotient_negative_fractions(capsys):
+    code, out, err = run(
+        capsys,
+        "quotient", "--num", "-1/2", "1", "-m", "2", "--den", "3", "-1/3", "-n", "2",
+        "-k", "1",
+    )
+    num = poch_eps_series(LinearParam(F(-1, 2), 1), 2, 1)
+    den = poch_eps_series(LinearParam(3, F(-1, 3)), 2, 1)
+    expected = (num * series_invert(den)).coefficient(1)
+    assert (code, out, err) == (0, f"{expected}\n", "")
 
 
 def test_quotient_pole_at_evaluation_point(capsys):

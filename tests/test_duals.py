@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pochex.duals import Dual, delta_part, value_part
+from pochex.duals import Dual, delta_part
 
 
 def test_construction_coerces_to_fractions():
@@ -53,9 +53,7 @@ def test_polynomial_derivative_via_duals():
 
 
 def test_value_and_delta_part_handle_plain_scalars():
-    assert value_part(F(5, 3)) == F(5, 3)
     assert delta_part(F(5, 3)) == 0
-    assert value_part(Dual(1, 2)) == 1
     assert delta_part(Dual(1, 2)) == 2
 
 

@@ -73,32 +73,15 @@ def test_engine_rejects_bad_bounds():
 
 
 def test_vanishing_denominator_needs_laurent_opt_in():
-    spec = HyperTermSpec(
-        "pole", denom=[(LinearParam(0, 1), IndexLaw(1, 0, 0))], laurent=False
-    )
+    spec = HyperTermSpec("pole", denom=[(LinearParam(0, 1), IndexLaw(1, 0, 0))])
     with pytest.raises(PoleError) as exc_info:
         expand_general(spec, 2, 2)
     assert exc_info.value.lattice_point == (0, 0)
     assert exc_info.value.factor == 0
 
 
-def test_laurent_spec_produces_negative_k_entries():
-    # general term 1/((eps)_1 m1! m2!) = eps^{-1}/(m1! m2!)
-    spec = HyperTermSpec(
-        "pole", denom=[(LinearParam(0, 1), IndexLaw(1, 0, 0))], laurent=True
-    )
-    table = expand_general(spec, 1, 2)
-    for m1 in range(3):
-        for m2 in range(3 - m1):
-            assert table.get(-1, m1, m2) == F(1, math.factorial(m1) * math.factorial(m2))
-            assert table.get(0, m1, m2) == 0
-            assert table.get(1, m1, m2) == 0
-
-
 def test_zero_slope_vanishing_denominator_is_always_a_pole():
-    spec = HyperTermSpec(
-        "hard-pole", denom=[(LinearParam(0, 0), IndexLaw(1, 0, 0))], laurent=True
-    )
+    spec = HyperTermSpec("hard-pole", denom=[(LinearParam(0, 0), IndexLaw(1, 0, 0))])
     with pytest.raises(PoleError):
         expand_general(spec, 1, 1)
 

@@ -13,10 +13,18 @@ from pochex.partial_fractions import (
     decompose_multi,
     decompose_single,
     pf_derivative,
+    quotient_deriv,
     reduce_excess,
 )
-from pochex.pochhammer import LinearParam, poch_eps_series, quotient_deriv
-from pochex.series import EpsSeries, series_div
+from pochex.pochhammer import LinearParam, poch_eps_series
+from pochex.series import EpsSeries, series_invert
+
+
+def _series_deriv(num, m, den, n, k, at_eps):
+    """(1/k!) d^k/deps^k of (num)_m/(den)_n at at_eps, by truncated series division."""
+    num_series = poch_eps_series(LinearParam(num.at(at_eps), num.slope), m, k + 1)
+    den_series = poch_eps_series(LinearParam(den.at(at_eps), den.slope), n, k + 1)
+    return (num_series * series_invert(den_series)).coefficient(k)
 
 
 # -- single-factor decomposition ---------------------------------------------------
@@ -39,8 +47,15 @@ def test_single_matches_direct_evaluation():
     num, m, den, n = LinearParam(F(1, 2), 3), 2, LinearParam(F(7, 3), -1), 4
     form = decompose_single(num, m, den, n)
     for at_eps in (F(0), F(1), F(-1, 2), F(5, 7)):
-        direct = quotient_deriv(num, m, den, n, 0, at_eps=at_eps)
+        direct = _series_deriv(num, m, den, n, 0, at_eps)
         assert form.evaluate(at_eps) == direct
+
+
+def test_single_zero_slope_numerator_becomes_scalar():
+    # (3)_2 = 12 carries no eps-dependence, so it is the form's scalar prefactor
+    form = decompose_single(LinearParam(3, 0), 2, LinearParam(1, 1), 2)
+    assert form.scalar == 12
+    assert form.render() == "12*(1/(1+eps) - 1/(2+eps))"
 
 
 def test_single_rejects_zero_slope_denominator():
@@ -65,9 +80,7 @@ def test_pf_derivative_matches_quotient_deriv():
     form = decompose_single(num, m, den, n)
     for k in range(0, 5):
         for at_eps in (F(0), F(1, 3), F(-1, 5)):
-            assert pf_derivative(form, k, at_eps) == quotient_deriv(
-                num, m, den, n, k, at_eps=at_eps
-            )
+            assert pf_derivative(form, k, at_eps) == _series_deriv(num, m, den, n, k, at_eps)
 
 
 def test_pf_derivative_at_pole_raises():
@@ -144,9 +157,8 @@ def _random_series(form: PartialFractionForm, order: int) -> EpsSeries:
     """Recombine a decomposed form into a truncated series around eps = 0."""
     total = EpsSeries([form.constant] + [F(0)] * order, 0)
     for t in form.terms:
-        inv = series_div(
-            EpsSeries([t.coefficient] + [F(0)] * order, 0),
-            EpsSeries([t.pole_constant, t.pole_slope] + [F(0)] * (order - 1), 0),
+        inv = EpsSeries([t.coefficient] + [F(0)] * order, 0) * series_invert(
+            EpsSeries([t.pole_constant, t.pole_slope] + [F(0)] * (order - 1), 0)
         )
         total = total + inv
     return total.scaled(form.scalar)
@@ -183,7 +195,7 @@ def test_decompose_multi_recombines_seeded_random_quotients():
         den_series = EpsSeries([F(1)] + [F(0)] * order, 0)
         for param, n in q.denom:
             den_series = den_series * poch_eps_series(param, n, order)
-        direct = series_div(num_series.truncated(order), den_series.truncated(order))
+        direct = num_series.truncated(order) * series_invert(den_series.truncated(order))
         recombined = _random_series(form, order)
         assert recombined.truncated(compare_to) == direct.truncated(compare_to)
         built += 1

@@ -8,14 +8,11 @@ import pytest
 from pochex.errors import DomainError, NonzeroConstantTerm, ParseError, ZeroSeries
 from pochex.series import (
     EpsSeries,
-    format_rational,
     parse_rational,
     polynomial_series,
     series_compose,
-    series_div,
     series_elementary,
     series_invert,
-    series_mul,
     series_pow,
 )
 
@@ -47,7 +44,7 @@ def test_parse_rational_tolerates_surrounding_whitespace():
 
 def test_format_round_trip():
     for value in (F(0), F(5), F(-3, 4), F(22, 7), F(-123456789, 1024)):
-        assert parse_rational(format_rational(value)) == value
+        assert parse_rational(str(value)) == value
 
 
 # -- construction and invariants ----------------------------------------------
@@ -161,7 +158,7 @@ def test_mul_by_inverse_is_one():
 def test_div():
     num = S([1, 0, 0])
     den = S([1, 1, 0])
-    assert series_div(num, den) == S([1, -1, 1])
+    assert num * series_invert(den) == S([1, -1, 1])
 
 
 # -- composition and powers ----------------------------------------------------
@@ -214,7 +211,3 @@ def test_elementary_unknown_kind():
 def test_polynomial_series_pads_and_truncates():
     assert polynomial_series([1, 2, 3], 4) == S([1, 2, 3, 0, 0])
     assert polynomial_series([1, 2, 3], 1) == S([1, 2])
-
-
-def test_series_mul_function_alias():
-    assert series_mul(S([1, 1]), S([1, 1])) == S([1, 2])
