@@ -10,7 +10,9 @@ eps**k x1**m1 x2**m2.
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
 formulas in `expand_closed`; engine and closed forms are independent code
-paths that must agree entry by entry.
+paths that must agree entry by entry, and that fail on the same inputs:
+`expand_closed` first checks each lattice point of `closed_engine_spec`, so it
+raises the engine's PoleError.  dF7_ddelta is taken at delta = 0 on both routes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from fractions import Fraction
 
 from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirling_s1
 from .duals import Dual, delta_part
-from .errors import DomainError, MissingParameter, PoleError, ZeroSeries
-from .pochhammer import LinearParam, poch_eps_series, pochhammer
+from .errors import DomainError, MissingParameter, PoleError
+from .pochhammer import LinearParam, _vanishing_shift, poch_eps_series, pochhammer
 from .series import EpsSeries, _coerce, series_invert
 
 _ZERO = Fraction(0)
@@ -77,6 +79,18 @@ class ExpansionTable:
         return self.entries[(k, i, j)]
 
 
+def _check_lattice_pole(spec: HyperTermSpec, m1: int, m2: int):
+    """Raise PoleError if a denominator factor of spec vanishes at eps = 0 on (m1, m2)."""
+    for idx, (param, law) in enumerate(spec.denom):
+        if _vanishing_shift(param.constant, law(m1, m2)) is not None:
+            raise PoleError(
+                f"denominator factor {idx} of {spec.name or 'spec'} "
+                f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
+                lattice_point=(m1, m2),
+                factor=idx,
+            )
+
+
 def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> ExpansionTable:
     """Expand every lattice point of the spec exactly; tabulate eps-coefficients.
 
@@ -89,29 +103,14 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     entries = {}
     for m1 in range(degree_bound + 1):
         for m2 in range(degree_bound + 1 - m1):
-            for idx, (param, law) in enumerate(spec.denom):
-                if pochhammer(param.constant, law(m1, m2)) == 0:
-                    raise PoleError(
-                        f"denominator factor {idx} of {spec.name or 'spec'} "
-                        f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
-                        lattice_point=(m1, m2),
-                        factor=idx,
-                    )
+            _check_lattice_pole(spec, m1, m2)
             num = EpsSeries.one(eps_order)
             for param, law in spec.numer:
                 num = num * poch_eps_series(param, law(m1, m2), eps_order)
             den = EpsSeries.one(eps_order)
             for param, law in spec.denom:
                 den = den * poch_eps_series(param, law(m1, m2), eps_order)
-            try:
-                inv = series_invert(den)
-            except ZeroSeries:
-                raise PoleError(
-                    f"denominator of {spec.name or 'spec'} vanishes identically "
-                    f"on lattice point ({m1}, {m2})",
-                    lattice_point=(m1, m2),
-                ) from None
-            term = (num * inv).scaled(
+            term = (num * series_invert(den)).scaled(
                 Fraction(1, math.factorial(m1) * math.factorial(m2))
             )
             for k in range(eps_order + 1):
@@ -149,18 +148,20 @@ _DELTA_EXAMPLES = frozenset({"F6", "F6_alt", "F7"})
 
 
 def _check_example(example: str, delta):
-    """Reject an unknown example name, or a delta example given no delta."""
+    """Reject an unknown example, a delta example given no delta, or dF7_ddelta at delta != 0."""
     if example not in _CLOSED_ENTRIES:
         raise DomainError(f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}")
     if example in _DELTA_EXAMPLES and delta is None:
         raise MissingParameter(f"example {example} needs the extra parameter delta")
+    if example == "dF7_ddelta" and delta not in (None, 0):
+        raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
 
 
 def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
     """The HyperTermSpec whose general-term expansion matches expand_closed(example)."""
     _check_example(example, delta)
     if example == "dF7_ddelta":
-        return closed_engine_spec("F7", Dual(0 if delta is None else delta, 1))
+        return closed_engine_spec("F7", Dual(0, 1))
 
     LP = LinearParam
     if example == "F1":
@@ -428,15 +429,14 @@ def expand_closed(
     if eps_order < 0 or degree_bound < 0:
         raise DomainError("eps_order and degree_bound must be >= 0")
     delta = _coerce((extra or {}).get("delta"))
-    _check_example(example, delta)
+    spec = closed_engine_spec(example, delta)
     entry = _CLOSED_ENTRIES[example]
     if example in _DELTA_EXAMPLES:
         entry = entry(delta)
-    elif example == "dF7_ddelta" and delta is not None and delta != 0:
-        raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
     entries = {}
     for m1 in range(degree_bound + 1):
         for m2 in range(degree_bound + 1 - m1):
+            _check_lattice_pole(spec, m1, m2)
             for k in range(eps_order + 1):
                 entries[(k, m1, m2)] = entry(k, m1, m2)
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
-from .pochhammer import LinearParam, poch_deriv, pochhammer
+from .pochhammer import LinearParam, _vanishing_shift, poch_deriv, pochhammer
 from .series import _coerce
 
 _ZERO = Fraction(0)
@@ -105,17 +105,15 @@ class PochProductQuotient:
             if length < 0:
                 raise DomainError("factor lengths must be >= 0")
             if param.slope == 0 or length == 0:
-                value = pochhammer(param.constant, length)
-                if value == 0:
-                    for j in range(length):
-                        if param.constant + j == 0:
-                            raise PoleError(
-                                f"slope-free denominator factor ({param.constant})_{length} "
-                                f"vanishes identically (shift {j})",
-                                index=j,
-                                factor=q,
-                            )
-                scalar /= value
+                j = _vanishing_shift(param.constant, length)
+                if j is not None:
+                    raise PoleError(
+                        f"slope-free denominator factor ({param.constant})_{length} "
+                        f"vanishes identically (shift {j})",
+                        index=j,
+                        factor=q,
+                    )
+                scalar /= pochhammer(param.constant, length)
             else:
                 kept_den.append((param, int(length)))
         num_degree = sum(m for _, m in kept_num)
@@ -247,13 +245,12 @@ def quotient_deriv(
     if m < 0 or n < 0 or k < 0:
         raise DomainError("quotient_deriv needs m, n, k >= 0")
     at_eps = _coerce(at_eps)
-    for j in range(n):
-        if den.at(at_eps) + j == 0:
-            raise PoleError(
-                f"denominator factor {den.constant + j} + {den.slope}*eps "
-                f"vanishes at eps = {at_eps}",
-                index=j,
-            )
+    j = _vanishing_shift(den.at(at_eps), n)
+    if j is not None:
+        raise PoleError(
+            f"denominator factor {den.constant + j} + {den.slope}*eps vanishes at eps = {at_eps}",
+            index=j,
+        )
     if den.slope == 0:
         # Constant denominator: differentiate the numerator polynomial directly.
         value = num.slope**k * poch_deriv(num.at(at_eps), m, k)

@@ -19,6 +19,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .combinatorics import gen_bernoulli_poly, stirling_s1
+from .duals import Dual
 from .errors import DomainError, PoleError
 from .series import EpsSeries, _coerce, polynomial_series, series_invert
 
@@ -78,6 +79,17 @@ def pochhammer(alpha, m: int):
     for j in range(m):
         value = value * (alpha + j)
     return value
+
+
+def _vanishing_shift(x, n: int):
+    """The shift j in [0, n) with x + j == 0, or None when (x)_n has no zero factor.
+
+    A Dual counts as zero when its value part is zero: it then has no inverse.
+    """
+    if isinstance(x, Dual):
+        x = x.val
+    j = -int(x)
+    return j if 0 <= j < n and x + j == 0 else None
 
 
 def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
@@ -170,16 +182,6 @@ def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
 # -- derivatives of the reciprocal -------------------------------------------
 
 
-def _recip_pole_check(beta, m):
-    if isinstance(beta, Fraction) and beta.denominator == 1:
-        l = -int(beta)
-        if 0 <= l < m:
-            raise PoleError(
-                f"1/(beta)_{m} has a pole at beta = {beta}: factor beta + {l} vanishes",
-                index=l,
-            )
-
-
 def _recip_deriv_recurrence(beta, m, k):
     # Q(m+1, k) = (Q(m, k) - Q(m+1, k-1)) / (beta + m), filled k-ascending.
     row = [_ONE if kk == 0 else _ZERO for kk in range(k + 1)]
@@ -231,7 +233,11 @@ def recip_poch_deriv(beta, m: int, k: int, method=RecipMethod.CLOSED_SUM):
     if m < 0 or k < 0:
         raise DomainError("recip_poch_deriv needs m >= 0 and k >= 0")
     beta = _coerce(beta)
-    _recip_pole_check(beta, m)
+    l = _vanishing_shift(beta, m)
+    if l is not None:
+        raise PoleError(
+            f"1/(beta)_{m} has a pole at beta = {beta}: factor beta + {l} vanishes", index=l
+        )
     return _RECIP_DISPATCH[_as_method(method, RecipMethod)](beta, m, k)
 
 

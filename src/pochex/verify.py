@@ -19,7 +19,6 @@ from fractions import Fraction
 from .combinatorics import (
     binomial,
     gen_bernoulli_poly,
-    harmonic,
     mod_harmonic,
     nested_ones_S,
     nested_ones_Z,
@@ -29,6 +28,7 @@ from .errors import DomainError
 from .pochhammer import (
     PochMethod,
     RecipMethod,
+    _vanishing_shift,
     poch_deriv,
     pochhammer,
     recip_poch_deriv,
@@ -341,9 +341,9 @@ def _eval_A32(p):
 
 
 def _pf_pole_guard(B, n):
-    for j in range(n):
-        if B + j == 0:
-            raise DomainError(f"argument B = {B} puts a zero at shift {j}")
+    j = _vanishing_shift(B, n)
+    if j is not None:
+        raise DomainError(f"argument B = {B} puts a zero at shift {j}")
 
 
 def _eval_ii16(p):
@@ -420,35 +420,10 @@ def _eval_conjugate_HS(p):
     return mod_harmonic(m, k), nested_ones_S(m, k)
 
 
-_IDENTITY_EVAL = {
-    IdentityId.A5: _eval_A5,
-    IdentityId.A6: _eval_A6,
-    IdentityId.A8: _eval_A8,
-    IdentityId.A9: _eval_A9,
-    IdentityId.AA19: _eval_AA19,
-    IdentityId.A12: _eval_A12,
-    IdentityId.A13: _eval_A13,
-    IdentityId.A14coeff: _eval_A14coeff,
-    IdentityId.A15: _eval_A15,
-    IdentityId.A27: _eval_A27,
-    IdentityId.A28: _eval_A28,
-    IdentityId.A29: _eval_A29,
-    IdentityId.A30: _eval_A30,
-    IdentityId.A31: _eval_A31,
-    IdentityId.A32: _eval_A32,
-    IdentityId.ii16: _eval_ii16,
-    IdentityId.ii17: _eval_ii17,
-    IdentityId.iii4: _eval_iii4,
-    IdentityId.iii5: _eval_iii5,
-    IdentityId.iii10: _eval_iii10,
-    IdentityId.conjugate_HS: _eval_conjugate_HS,
-}
-
-
 def identity_eval(identity: IdentityId, params: dict) -> IdentityResult:
     """Evaluate both sides of a scalar identity at one parameter point."""
-    identity = IdentityId(identity)
-    lhs, rhs = _IDENTITY_EVAL[identity](dict(params))
+    identity, evaluate, _ = _relation(identity, (IdentityId,))
+    lhs, rhs = evaluate(dict(params))
     return IdentityResult(identity, dict(params), _F(lhs), _F(rhs))
 
 
@@ -541,9 +516,9 @@ def _genfun_A25(order, p):
     reciprocal-derivative coefficients of one extra length."""
     k = _as_int(p, "k", 0)
     beta = _as_rational(p, "beta")
-    for j in range(order + 2):
-        if beta + j == 0:
-            raise DomainError(f"beta = {beta} hits a pole at shift {j}")
+    j = _vanishing_shift(beta, order + 2)
+    if j is not None:
+        raise DomainError(f"beta = {beta} hits a pole at shift {j}")
     outer = EpsSeries([1 / (beta + j) ** (k + 1) for j in range(order + 1)])
     composed = series_compose(outer, _geometric_minus(order))
     lhs = composed * series_invert(polynomial_series([1, -1], order))
@@ -611,23 +586,12 @@ def _genfun_nueva2(order, p):
     return lhs, rhs
 
 
-_GENFUN_EVAL = {
-    GenFunId.a4: _genfun_a4,
-    GenFunId.a7: _genfun_a7,
-    GenFunId.A18: _genfun_A18,
-    GenFunId.A25: _genfun_A25,
-    GenFunId.A26: _genfun_A26,
-    GenFunId.nueva1: _genfun_nueva1,
-    GenFunId.nueva2: _genfun_nueva2,
-}
-
-
 def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
     """Build both sides of a generating relation and compare coefficientwise."""
-    identity = GenFunId(identity)
+    identity, evaluate, _ = _relation(identity, (GenFunId,))
     if order < 1:
         raise DomainError("order must be >= 1")
-    lhs, rhs = _GENFUN_EVAL[identity](order, dict(params))
+    lhs, rhs = evaluate(order, dict(params))
     equal, first = _series_equal(lhs, rhs)
     return GenFunResult(identity, dict(params), order, equal, first)
 
@@ -735,33 +699,6 @@ def _grid_iii5():
             yield {"m": m, "n": n}
 
 
-_IDENTITY_GRIDS = {
-    IdentityId.A5: _grid_A5,
-    IdentityId.A6: _grid_mk(10, k_min=1),
-    IdentityId.A8: lambda: (
-        {"n": n, "k": k} for n in range(11) for k in range(n + 1)
-    ),
-    IdentityId.A9: _grid_mk(10),
-    IdentityId.AA19: _grid_mk(10),
-    IdentityId.A12: _grid_mk(10, k_of_m=lambda m: 6),
-    IdentityId.A13: _grid_A13,
-    IdentityId.A14coeff: _grid_A14coeff,
-    IdentityId.A15: _grid_mk(10),
-    IdentityId.A27: _grid_A27,
-    IdentityId.A28: _grid_mk(10, k_of_m=lambda m: m + 2),
-    IdentityId.A29: _grid_with_n(8, 8, (1, 2, 3, 4), k_of_m="m"),
-    IdentityId.A30: _grid_with_n(6, 5, (1, 2, 3, 4)),
-    IdentityId.A31: _grid_with_n(8, 8, (1, 2, 3), k_of_m="m"),
-    IdentityId.A32: _grid_A32,
-    IdentityId.ii16: _grid_ii16,
-    IdentityId.ii17: _grid_ii17,
-    IdentityId.iii4: lambda: ({"m": m} for m in range(13)),
-    IdentityId.iii5: _grid_iii5,
-    IdentityId.iii10: _grid_nm(6, 8),
-    IdentityId.conjugate_HS: _grid_mk(12, k_of_m=lambda m: 6),
-}
-
-
 def _lcm_to(m):
     return math.lcm(*range(1, m + 1)) if m >= 1 else 1
 
@@ -774,30 +711,76 @@ def _c_choices(m):
     return seen
 
 
-def _grid_genfun(identity: GenFunId):
-    if identity == GenFunId.a4:
-        return [{"k": k, "alpha": a} for k in range(4) for a in (_F(1), _F(1, 2))]
-    if identity == GenFunId.a7:
-        return [{"k": k} for k in range(5)]
-    if identity == GenFunId.A18:
-        return [{"a": a, "x": x} for a in range(1, 6) for x in (_F(0), _F(1, 2))]
-    if identity == GenFunId.A25:
-        return [
-            {"k": k, "beta": b} for k in range(4) for b in (_F(1), _F(2), _F(1, 2))
-        ]
-    if identity == GenFunId.A26:
-        return [{"k": k} for k in range(4)]
-    if identity == GenFunId.nueva1:
-        return [{"m": m, "c": _F(c)} for m in range(6) for c in _c_choices(m)]
-    return [{"m": m, "c": _F(c)} for m in range(1, 6) for c in _c_choices(m)]
+# Every checkable relation: its evaluator and its default parameter grid (a
+# callable yielding parameter dicts), in the order `verify_all` reports them.
+_RELATIONS = {
+    IdentityId.A5: (_eval_A5, _grid_A5),
+    IdentityId.A6: (_eval_A6, _grid_mk(10, k_min=1)),
+    IdentityId.A8: (
+        _eval_A8,
+        lambda: ({"n": n, "k": k} for n in range(11) for k in range(n + 1)),
+    ),
+    IdentityId.A9: (_eval_A9, _grid_mk(10)),
+    IdentityId.AA19: (_eval_AA19, _grid_mk(10)),
+    IdentityId.A12: (_eval_A12, _grid_mk(10, k_of_m=lambda m: 6)),
+    IdentityId.A13: (_eval_A13, _grid_A13),
+    IdentityId.A14coeff: (_eval_A14coeff, _grid_A14coeff),
+    IdentityId.A15: (_eval_A15, _grid_mk(10)),
+    IdentityId.A27: (_eval_A27, _grid_A27),
+    IdentityId.A28: (_eval_A28, _grid_mk(10, k_of_m=lambda m: m + 2)),
+    IdentityId.A29: (_eval_A29, _grid_with_n(8, 8, (1, 2, 3, 4), k_of_m="m")),
+    IdentityId.A30: (_eval_A30, _grid_with_n(6, 5, (1, 2, 3, 4))),
+    IdentityId.A31: (_eval_A31, _grid_with_n(8, 8, (1, 2, 3), k_of_m="m")),
+    IdentityId.A32: (_eval_A32, _grid_A32),
+    IdentityId.ii16: (_eval_ii16, _grid_ii16),
+    IdentityId.ii17: (_eval_ii17, _grid_ii17),
+    IdentityId.iii4: (_eval_iii4, lambda: ({"m": m} for m in range(13))),
+    IdentityId.iii5: (_eval_iii5, _grid_iii5),
+    IdentityId.iii10: (_eval_iii10, _grid_nm(6, 8)),
+    IdentityId.conjugate_HS: (_eval_conjugate_HS, _grid_mk(12, k_of_m=lambda m: 6)),
+    GenFunId.a4: (
+        _genfun_a4,
+        lambda: ({"k": k, "alpha": a} for k in range(4) for a in (_F(1), _F(1, 2))),
+    ),
+    GenFunId.a7: (_genfun_a7, lambda: ({"k": k} for k in range(5))),
+    GenFunId.A18: (
+        _genfun_A18,
+        lambda: ({"a": a, "x": x} for a in range(1, 6) for x in (_F(0), _F(1, 2))),
+    ),
+    GenFunId.A25: (
+        _genfun_A25,
+        lambda: ({"k": k, "beta": b} for k in range(4) for b in (_F(1), _F(2), _F(1, 2))),
+    ),
+    GenFunId.A26: (_genfun_A26, lambda: ({"k": k} for k in range(4))),
+    GenFunId.nueva1: (
+        _genfun_nueva1,
+        lambda: ({"m": m, "c": _F(c)} for m in range(6) for c in _c_choices(m)),
+    ),
+    GenFunId.nueva2: (
+        _genfun_nueva2,
+        lambda: ({"m": m, "c": _F(c)} for m in range(1, 6) for c in _c_choices(m)),
+    ),
+}
+
+
+def _relation(token, kinds=(IdentityId, GenFunId)):
+    """Resolve a relation token to (id, evaluator, default grid).
+
+    A token that names no relation of the given kinds raises DomainError.
+    """
+    for kind in kinds:
+        try:
+            identity = kind(token)
+        except ValueError:
+            continue
+        return (identity, *_RELATIONS[identity])
+    known = ", ".join(key.value for key in _RELATIONS if isinstance(key, kinds))
+    raise DomainError(f"unknown relation id {token!r}; known ids: {known}")
 
 
 def default_grid(identity):
     """The documented parameter grid for an identity or generating relation."""
-    try:
-        return tuple(_IDENTITY_GRIDS[IdentityId(identity)]())
-    except ValueError:
-        return tuple(_grid_genfun(GenFunId(identity)))
+    return tuple(_relation(identity)[2]())
 
 
 DEFAULT_GENFUN_ORDER = 12
@@ -817,8 +800,8 @@ class CheckSummary:
 
 
 def run_identity(identity: IdentityId, grid=None) -> CheckSummary:
-    identity = IdentityId(identity)
-    grid = tuple(grid) if grid is not None else default_grid(identity)
+    identity, _, default = _relation(identity, (IdentityId,))
+    grid = tuple(default() if grid is None else grid)
     failures = []
     for params in grid:
         result = identity_eval(identity, params)
@@ -828,8 +811,8 @@ def run_identity(identity: IdentityId, grid=None) -> CheckSummary:
 
 
 def run_genfun(identity: GenFunId, order=DEFAULT_GENFUN_ORDER, grid=None) -> CheckSummary:
-    identity = GenFunId(identity)
-    grid = tuple(grid) if grid is not None else default_grid(identity)
+    identity, _, default = _relation(identity, (GenFunId,))
+    grid = tuple(default() if grid is None else grid)
     failures = []
     for params in grid:
         result = genfun_check(identity, order, params)
@@ -842,27 +825,17 @@ def verify_ids(tokens, genfun_order=DEFAULT_GENFUN_ORDER):
     """Check a list of relation tokens; returns one CheckSummary per token."""
     summaries = []
     for token in tokens:
-        try:
-            identity = IdentityId(token)
-        except ValueError:
-            try:
-                relation = GenFunId(token)
-            except ValueError:
-                known = [i.value for i in IdentityId] + [g.value for g in GenFunId]
-                raise DomainError(
-                    f"unknown relation id {token!r}; known ids: {', '.join(known)}"
-                ) from None
-            summaries.append(run_genfun(relation, genfun_order))
+        relation = _relation(token)[0]
+        if isinstance(relation, IdentityId):
+            summaries.append(run_identity(relation))
         else:
-            summaries.append(run_identity(identity))
+            summaries.append(run_genfun(relation, genfun_order))
     return summaries
 
 
 def verify_all(genfun_order=DEFAULT_GENFUN_ORDER):
     """Check every registered relation over its documented grid."""
-    return verify_ids(
-        [i.value for i in IdentityId] + [g.value for g in GenFunId], genfun_order
-    )
+    return verify_ids(_RELATIONS, genfun_order)
 
 
 # -- coverage registry ---------------------------------------------------------

@@ -282,6 +282,21 @@ def test_expand_delta_families(capsys):
     assert out_a == out_b
 
 
+@pytest.mark.parametrize(
+    "argv, point",
+    [
+        (("expand", "--closed", "F6", "--delta=-1"), "(0, 1)"),
+        (("expand", "--closed", "F7", "--delta", "-2"), "(0, 2)"),
+    ],
+)
+def test_expand_closed_delta_pole_is_a_clean_error(capsys, argv, point):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("pochex: error: ")
+    assert f"lattice point {point}" in line
+
+
 def test_expand_delta_required(capsys):
     assert_clean_failure(capsys, "expand", "--closed", "F7")
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from pochex.combinatorics import binomial
+from pochex.duals import Dual
 from pochex.errors import DomainError, MissingParameter, PoleError
 from pochex.hyper_expand import (
     CLOSED_EXAMPLES,
@@ -168,13 +169,29 @@ def test_engine_matches_closed_delta_free(example):
     assert engine.entries == closed.entries
 
 
+def _entries_or_pole(build):
+    try:
+        return build().entries
+    except PoleError as exc:
+        return ("PoleError", exc.lattice_point, exc.factor)
+
+
 @pytest.mark.parametrize("example", ["F6", "F6_alt", "F7"])
-@pytest.mark.parametrize("delta", [F(0), F(1, 3)])
+@pytest.mark.parametrize(
+    "delta", [F(0), F(1, 3)] + [F(d) for d in (-3, -2, -1, 1, 2, 3)] + [F(1, 2), F(-1, 2)]
+)
 def test_engine_matches_closed_delta_families(example, delta):
-    order, bound = 2, 3
-    closed = expand_closed(example, order, bound, extra={"delta": delta})
-    engine = expand_general(closed_engine_spec(example, delta), order, bound)
-    assert engine.entries == closed.entries
+    # Equal tables, or the same PoleError (lattice point and factor) on both routes.
+    order, bound = 2, 4
+    closed = _entries_or_pole(
+        lambda: expand_closed(example, order, bound, extra={"delta": delta})
+    )
+    engine = _entries_or_pole(
+        lambda: expand_general(closed_engine_spec(example, delta), order, bound)
+    )
+    assert engine == closed
+    # Only a negative-integer delta puts a pole on this lattice.
+    assert isinstance(closed, tuple) == (delta < 0 and delta.denominator == 1)
 
 
 def test_f6_alt_is_another_route_to_f6():
@@ -197,6 +214,14 @@ def test_df7_frozen_anchors():
     assert table.get(0, 1, 0) == 1
     assert table.get(0, 0, 1) == 1
     assert table.get(0, 1, 1) == 4
+
+
+def test_dual_delta_at_a_pole_is_a_pole_error():
+    # The Dual constant 1 + Dual(-1, 1) has value part 0, so it has no inverse.
+    with pytest.raises(PoleError) as exc_info:
+        delta_dual_expand(closed_engine_spec("F7", Dual(-1, 1)), 1, 2)
+    assert exc_info.value.lattice_point == (0, 1)
+    assert exc_info.value.factor == 2
 
 
 def test_delta_free_spec_has_zero_delta_derivative():
@@ -226,6 +251,8 @@ def test_unknown_example_rejected():
 def test_df7_rejects_nonzero_delta():
     with pytest.raises(DomainError):
         expand_closed("dF7_ddelta", 1, 1, extra={"delta": F(1, 2)})
+    with pytest.raises(DomainError):
+        delta_dual_expand(closed_engine_spec("dF7_ddelta", F(1, 2)), 1, 1)
     assert expand_closed("dF7_ddelta", 0, 1, extra={"delta": 0}).get(0, 1, 0) == 1
 
 

@@ -62,6 +62,26 @@ def test_run_identity_over_explicit_grid():
     assert summary.failures == ()
 
 
+@pytest.mark.parametrize(
+    "entry, token, rest",
+    [
+        (default_grid, "A99", ()),
+        (identity_eval, "A99", ({},)),
+        (identity_eval, "nueva1", ({},)),
+        (genfun_check, "zz", (3, {})),
+        (genfun_check, "A9", (3, {})),
+        (run_identity, "zz", ()),
+        (run_identity, "nueva1", ()),
+        (run_genfun, "zz", ()),
+        (run_genfun, "A9", ()),
+    ],
+    ids=lambda value: value.__name__ if callable(value) else None,
+)
+def test_unknown_relation_token_is_a_domain_error(entry, token, rest):
+    with pytest.raises(DomainError, match=f"unknown relation id '{token}'"):
+        entry(token, *rest)
+
+
 def test_default_grids_are_nonempty():
     for identity in IdentityId:
         assert len(default_grid(identity)) > 0

@@ -3,13 +3,17 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pochex.duals import Dual
 from pochex.errors import DomainError, PoleError
 from pochex.partial_fractions import quotient_deriv
 from pochex.pochhammer import (
     LinearParam,
     PochMethod,
     RecipMethod,
+    _vanishing_shift,
     poch_deriv,
     poch_eps_series,
     pochhammer,
@@ -129,6 +133,19 @@ def test_recip_poch_deriv_methods_agree():
                         k,
                         method,
                     )
+
+
+_SMALL_RATIONALS = st.integers(-45, 5) | st.builds(F, st.integers(-45, 5), st.integers(1, 6))
+
+
+@given(x=_SMALL_RATIONALS, n=st.integers(0, 40), d=_SMALL_RATIONALS)
+def test_vanishing_shift_is_where_pochhammer_vanishes(x, n, d):
+    j = _vanishing_shift(x, n)
+    if j is None:
+        assert pochhammer(x, n) != 0
+    else:
+        assert 0 <= j < n and x + j == 0
+    assert _vanishing_shift(Dual(x, d), n) == j
 
 
 def test_recip_poch_deriv_pole_reports_index():
