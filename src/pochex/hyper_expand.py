@@ -7,6 +7,12 @@ product, with x1**m1 x2**m2 / (m1! m2!) implicit.  `expand_general` expands
 every lattice point exactly and tabulates the coefficient of
 eps**k x1**m1 x2**m2.
 
+Cost model of `expand_general` at eps order K: each factor's (c + s*eps)_L,
+or its reciprocal, truncated at eps**K, is built once for every L up to its
+longest length Lmax, in O(Lmax*K).  Each lattice point then multiplies its F
+factor rows, in O(F*K**2); factors that share an index law are multiplied
+together once per length, so F counts distinct laws.
+
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
 formulas in `expand_closed`; engine and closed forms are independent code
@@ -24,8 +30,8 @@ from fractions import Fraction
 from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirling_s1
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
-from .pochhammer import LinearParam, _vanishing_shift, poch_eps_series, pochhammer
-from .series import EpsSeries, _coerce, series_invert
+from .pochhammer import LinearParam, _poch_step, _vanishing_shift, pochhammer
+from .series import _coerce
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -91,30 +97,79 @@ def _check_lattice_pole(spec: HyperTermSpec, m1: int, m2: int):
             )
 
 
+def _factor_rows(param: LinearParam, law: IndexLaw, eps_order: int, degree_bound: int,
+                 reciprocal: bool) -> list:
+    """Row L holds coefficients [0, eps_order] of (c + s*eps)_L, or of its reciprocal.
+
+    L runs up to the longest length the law takes on the lattice,
+    c0 + max(c1, c2)*degree_bound.  Each row comes from the one before in
+    O(eps_order).  The caller has checked that no divisor c + L vanishes.
+    """
+    width = eps_order + 1
+    c, s = param.constant, param.slope
+    row = [_ONE] + [_ZERO] * eps_order if reciprocal else [_ONE]
+    rows = [row]
+    for j in range(law.c0 + max(law.c1, law.c2) * degree_bound):
+        if reciprocal:
+            # (c + j + s*eps) * nxt = row, solved coefficient by coefficient.
+            inv = 1 / (c + j)
+            nxt = [row[0] * inv]
+            for i in range(1, width):
+                nxt.append((row[i] - s * nxt[i - 1]) * inv)
+            row = nxt
+        else:
+            row = _poch_step(row, c + j, s, width)
+        rows.append(row)
+    return rows
+
+
+def _mul_rows(a: list, b: list, width: int) -> list:
+    """The first `width` coefficients of the product of two coefficient lists."""
+    out = []
+    for n in range(min(width, len(a) + len(b) - 1)):
+        acc = _ZERO
+        for i in range(max(0, n - len(b) + 1), min(n + 1, len(a))):
+            acc = acc + a[i] * b[n - i]
+        out.append(acc)
+    return out
+
+
 def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> ExpansionTable:
     """Expand every lattice point of the spec exactly; tabulate eps-coefficients.
 
     Entries cover all k in [0, eps_order] and all m1 + m2 <= degree_bound.
+    Cost at K = eps_order: O(Lmax*K) per factor of longest length Lmax, plus
+    O(F*K**2) per lattice point for F factors (see the module docstring).
+    Every point is checked for a denominator pole before any work, in
+    m1-major order, so the first pole on the lattice raises PoleError.
     """
     if eps_order < 0:
         raise DomainError("eps_order must be >= 0")
     if degree_bound < 0:
         raise DomainError("degree_bound must be >= 0")
+    points = [(m1, m2) for m1 in range(degree_bound + 1) for m2 in range(degree_bound + 1 - m1)]
+    for m1, m2 in points:
+        _check_lattice_pole(spec, m1, m2)
+    width = eps_order + 1
+    # Factors that share a law share their lengths, so their rows are
+    # multiplied once per length, not once per lattice point.
+    by_law = {}
+    for factors, reciprocal in ((spec.numer, False), (spec.denom, True)):
+        for param, law in factors:
+            rows = _factor_rows(param, law, eps_order, degree_bound, reciprocal)
+            if law in by_law:
+                rows = [_mul_rows(a, b, width) for a, b in zip(by_law[law], rows)]
+            by_law[law] = rows
     entries = {}
-    for m1 in range(degree_bound + 1):
-        for m2 in range(degree_bound + 1 - m1):
-            _check_lattice_pole(spec, m1, m2)
-            num = EpsSeries.one(eps_order)
-            for param, law in spec.numer:
-                num = num * poch_eps_series(param, law(m1, m2), eps_order)
-            den = EpsSeries.one(eps_order)
-            for param, law in spec.denom:
-                den = den * poch_eps_series(param, law(m1, m2), eps_order)
-            term = (num * series_invert(den)).scaled(
-                Fraction(1, math.factorial(m1) * math.factorial(m2))
-            )
-            for k in range(eps_order + 1):
-                entries[(k, m1, m2)] = term.coefficient(k)
+    for m1, m2 in points:
+        term = None
+        for law, rows in by_law.items():
+            row = rows[law(m1, m2)]
+            term = row if term is None else _mul_rows(term, row, width)
+        term = term or [_ONE]
+        scale = Fraction(1, math.factorial(m1) * math.factorial(m2))
+        for k in range(width):
+            entries[(k, m1, m2)] = term[k] * scale if k < len(term) else _ZERO
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 

@@ -92,19 +92,24 @@ def _vanishing_shift(x, n: int):
     return j if 0 <= j < n and x + j == 0 else None
 
 
+def _poch_step(row: list, c, s, width: int) -> list:
+    """The first `width` coefficients of row * (c + s*eps), in O(width).
+
+    A row shorter than `width` is an exact polynomial; it grows by one coefficient.
+    """
+    nxt = [row[0] * c] + [row[i] * c + row[i - 1] * s for i in range(1, len(row))]
+    if len(row) < width:
+        nxt.append(row[-1] * s)
+    return nxt
+
+
 def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
     """Exact polynomial (constant + slope*eps)_m as a series with window [0, order]."""
     if m < 0:
         raise DomainError("poch_eps_series needs m >= 0")
     poly = [_ONE]
     for j in range(m):
-        c = param.constant + j
-        s = param.slope
-        nxt = [_ZERO] * (len(poly) + 1)
-        for i, p in enumerate(poly):
-            nxt[i] = nxt[i] + p * c
-            nxt[i + 1] = nxt[i + 1] + p * s
-        poly = nxt
+        poly = _poch_step(poly, param.constant + j, param.slope, order + 1)
     return polynomial_series(poly, order)
 
 
@@ -173,9 +178,9 @@ def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
     """P(m, k, alpha): the k-th derivative of (alpha)_m divided by k!."""
     if m < 0 or k < 0:
         raise DomainError("poch_deriv needs m >= 0 and k >= 0")
+    alpha = _coerce(alpha)
     if k > m:
         return _ZERO
-    alpha = _coerce(alpha)
     return _POCH_DISPATCH[_as_method(method, PochMethod)](alpha, m, k)
 
 

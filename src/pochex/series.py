@@ -40,9 +40,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _coerce(value):
-    # int -> Fraction; exact scalar types (Fraction, Dual) pass through.
+    # int -> Fraction; exact scalar types (Fraction, Dual) pass through; a float
+    # is refused, since every result must be exact.
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, float):
+        raise DomainError(f"inexact float {value!r}; pass an int or a Fraction")
     return value
 
 

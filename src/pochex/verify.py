@@ -823,14 +823,14 @@ def run_genfun(identity: GenFunId, order=DEFAULT_GENFUN_ORDER, grid=None) -> Che
 
 def verify_ids(tokens, genfun_order=DEFAULT_GENFUN_ORDER):
     """Check a list of relation tokens; returns one CheckSummary per token."""
-    summaries = []
-    for token in tokens:
-        relation = _relation(token)[0]
-        if isinstance(relation, IdentityId):
-            summaries.append(run_identity(relation))
-        else:
-            summaries.append(run_genfun(relation, genfun_order))
-    return summaries
+    # Resolve every token before running any, so a bad token costs no work.
+    relations = [_relation(token)[0] for token in tokens]
+    return [
+        run_identity(relation)
+        if isinstance(relation, IdentityId)
+        else run_genfun(relation, genfun_order)
+        for relation in relations
+    ]
 
 
 def verify_all(genfun_order=DEFAULT_GENFUN_ORDER):

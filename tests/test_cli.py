@@ -369,6 +369,10 @@ def test_verify_unknown_id(capsys):
     assert_clean_failure(capsys, "verify", "--id", "A99")
 
 
+def test_verify_unknown_id_after_a_known_one(capsys):
+    assert_clean_failure(capsys, "verify", "--id", "A27", "--id", "zz")
+
+
 def test_verify_id_and_all_conflict(capsys):
     assert_clean_failure(capsys, "verify", "--id", "A9", "--all")
 

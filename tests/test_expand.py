@@ -1,10 +1,16 @@
 """Double-series eps-expansion engine and its closed-form counterparts."""
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import pochex.hyper_expand
+import pochex.pochhammer
+import pochex.series
 from pochex.combinatorics import binomial
 from pochex.duals import Dual
 from pochex.errors import DomainError, MissingParameter, PoleError
@@ -21,7 +27,8 @@ from pochex.hyper_expand import (
     expand_general,
     regroup_total_degree,
 )
-from pochex.pochhammer import LinearParam
+from pochex.pochhammer import LinearParam, poch_eps_series, pochhammer
+from pochex.series import EpsSeries, series_invert
 
 
 # -- index laws and specs -----------------------------------------------------
@@ -85,6 +92,112 @@ def test_zero_slope_vanishing_denominator_is_always_a_pole():
     spec = HyperTermSpec("hard-pole", denom=[(LinearParam(0, 0), IndexLaw(1, 0, 0))])
     with pytest.raises(PoleError):
         expand_general(spec, 1, 1)
+
+
+def _per_point_reference(spec, eps_order, degree_bound):
+    """The point-by-point route: at each lattice point, the product of the
+    numerator series times the inverse of the denominator product, scaled by
+    1/(m1! m2!).  A denominator vanishing at eps = 0 gives
+    ("PoleError", lattice point, factor) for the first such point and factor."""
+    entries = {}
+    for m1 in range(degree_bound + 1):
+        for m2 in range(degree_bound + 1 - m1):
+            for idx, (param, law) in enumerate(spec.denom):
+                value = pochhammer(param.constant, law(m1, m2))
+                if (value.val if isinstance(value, Dual) else value) == 0:
+                    return ("PoleError", (m1, m2), idx)
+            num = EpsSeries.one(eps_order)
+            for param, law in spec.numer:
+                num = num * poch_eps_series(param, law(m1, m2), eps_order)
+            den = EpsSeries.one(eps_order)
+            for param, law in spec.denom:
+                den = den * poch_eps_series(param, law(m1, m2), eps_order)
+            term = (num * series_invert(den)).scaled(
+                F(1, math.factorial(m1) * math.factorial(m2))
+            )
+            for k in range(eps_order + 1):
+                entries[(k, m1, m2)] = term.coefficient(k)
+    return entries
+
+
+# Constants cross zero (negative integers make numerator rows start with 0 and
+# denominators vanish); slopes include 0; some constants carry a Dual part.
+_CONSTANTS = st.integers(-4, 3) | st.builds(F, st.integers(-9, 9), st.integers(1, 4))
+_SLOPES = st.just(F(0)) | st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+_LAWS = st.builds(IndexLaw, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+_FACTORS = st.tuples(
+    st.builds(
+        LinearParam,
+        _CONSTANTS | st.builds(Dual, _CONSTANTS, st.integers(-2, 2)),
+        _SLOPES,
+    ),
+    _LAWS,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@example(numer=[], denom=[], eps_order=0, degree_bound=0)
+@example(
+    numer=[(LinearParam(-2, 0), IndexLaw(0, 1, 1)), (LinearParam(-1, F(1, 2)), IndexLaw(1, 0, 2))],
+    denom=[(LinearParam(Dual(F(1, 2), 1), F(-1, 3)), IndexLaw(1, 1, 0))],
+    eps_order=3,
+    degree_bound=0,
+)
+@example(
+    numer=[],
+    denom=[(LinearParam(Dual(F(5, 2), -1), 0), IndexLaw(0, 2, 1))],
+    eps_order=0,
+    degree_bound=4,
+)
+@given(
+    numer=st.lists(_FACTORS, max_size=3),
+    denom=st.lists(_FACTORS, max_size=3),
+    eps_order=st.integers(0, 4),
+    degree_bound=st.integers(0, 5),
+)
+def test_engine_matches_per_point_reference(numer, denom, eps_order, degree_bound):
+    spec = HyperTermSpec("random", numer=numer, denom=denom)
+    engine = _entries_or_pole(lambda: expand_general(spec, eps_order, degree_bound))
+    assert engine == _per_point_reference(spec, eps_order, degree_bound)
+
+
+def test_engine_pole_matches_per_point_reference():
+    # Factor 1 first vanishes at length 3, i.e. on lattice point (0, 2).
+    spec = HyperTermSpec(
+        "pole",
+        numer=[(LinearParam(F(1, 2), 1), IndexLaw(0, 1, 1))],
+        denom=[(LinearParam(1, -1), IndexLaw(0, 1, 0)), (LinearParam(-2, 1), IndexLaw(1, 0, 1))],
+    )
+    reference = _per_point_reference(spec, 2, 4)
+    assert reference == ("PoleError", (0, 2), 1)
+    assert _entries_or_pole(lambda: expand_general(spec, 2, 4)) == reference
+
+
+def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
+    # Deterministic work counts of the engine on F5 (K=6, D=20): one row table
+    # per factor, and no per-point series, products or inverses.
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(pochex.hyper_expand, "_factor_rows")
+    for module in (pochex.hyper_expand, pochex.pochhammer, pochex.series):
+        for name in ("poch_eps_series", "series_invert"):
+            if hasattr(module, name):
+                count(module, name)
+    count(EpsSeries, "__mul__")
+    expand_general(closed_engine_spec("F5"), 6, 20)
+    assert calls["_factor_rows"] == 5
+    assert calls["poch_eps_series"] == 0
+    assert calls["series_invert"] == 0
+    assert calls["__mul__"] == 0
 
 
 # -- regrouping ------------------------------------------------------------------

@@ -134,6 +134,17 @@ def test_verify_ids_unknown_token():
         verify_ids(["A99"])
 
 
+def test_verify_ids_resolves_every_token_before_running_any(monkeypatch):
+    import pochex.verify
+
+    ran = []
+    monkeypatch.setattr(pochex.verify, "run_identity", lambda *args: ran.append(args))
+    monkeypatch.setattr(pochex.verify, "run_genfun", lambda *args: ran.append(args))
+    with pytest.raises(DomainError, match="unknown relation id 'zz'"):
+        verify_ids(["A27", "zz"])
+    assert ran == []
+
+
 # -- coverage registry: exhaustive and well-formed ----------------------------------------
 
 _PREFIXES = ("identity:", "genfun:", "op:", "closed:", "type:", "note:")

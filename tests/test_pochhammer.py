@@ -54,6 +54,45 @@ def test_poch_eps_series_matches_expansion():
     assert s.coefficient(2) == 1
 
 
+@given(
+    c=st.builds(F, st.integers(-9, 9), st.integers(1, 4)),
+    s=st.builds(F, st.integers(-4, 4), st.integers(1, 3)),
+    m=st.integers(0, 12),
+    order=st.integers(0, 14),
+)
+def test_poch_eps_series_is_the_truncated_full_polynomial(c, s, m, order):
+    # Reference: expand (c + s*eps)_m completely, then cut at `order`.
+    full = [F(1)]
+    for j in range(m):
+        full = [
+            (full[i] * (c + j) if i < len(full) else 0) + (full[i - 1] * s if i else 0)
+            for i in range(len(full) + 1)
+        ]
+    padded = (full + [F(0)] * (order + 1))[: order + 1]
+    series = poch_eps_series(LinearParam(c, s), m, order)
+    assert list(series.coefficients) == padded
+    assert all(type(x) is F for x in series.coefficients)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: poch_deriv(0.5, 3, 1),
+        lambda: poch_deriv(0.5, 1, 3),
+        lambda: recip_poch_deriv(0.5, 3, 1),
+        lambda: pochhammer(0.5, 3),
+        lambda: LinearParam(0.5, 1),
+        lambda: LinearParam(1, 0.5),
+    ],
+    ids=[
+        "poch_deriv", "poch_deriv_k_above_m", "recip_poch_deriv", "pochhammer", "constant", "slope"
+    ],
+)
+def test_float_arguments_are_refused(call):
+    with pytest.raises(DomainError, match="inexact float 0.5"):
+        call()
+
+
 def test_linear_param_helpers():
     p = LinearParam(F(1, 2), -2)
     assert p.at(F(1, 4)) == 0
