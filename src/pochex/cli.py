@@ -208,9 +208,17 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
+def _read_spec(path: str) -> str:
+    """The text of a spec file; bytes that are not UTF-8 raise ParseError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _cmd_pf(args) -> int:
-    with open(args.spec, encoding="utf-8") as handle:
-        numer, denom = parse_quotient_text(handle.read())
+    numer, denom = parse_quotient_text(_read_spec(args.spec))
     print(str(decompose_multi(PochProductQuotient(numer, denom))))
     return 0
 
@@ -218,8 +226,7 @@ def _cmd_pf(args) -> int:
 def _cmd_expand(args) -> int:
     eps_order, degree_bound, regroup = args.eps_order, args.degree_bound, args.regroup
     if args.spec is not None:
-        with open(args.spec, encoding="utf-8") as handle:
-            spec, options = parse_spec_text(handle.read())
+        spec, options = parse_spec_text(_read_spec(args.spec))
         if eps_order is None:
             eps_order = options.eps_order
         if degree_bound is None:

@@ -47,7 +47,10 @@ def stirling_s1(n: int, k: int) -> Fraction:
         return Fraction(_stirling_rows[n][k])
 
 
-# Cache: (order a, argument x) -> list of B_n^(a)(x) for n = 0..N.
+# Cache: (order a, argument x) -> list of B_n^(a)(x) for n = 0..N.  It holds
+# at most _BERNOULLI_CACHE_CAP keys, the oldest evicted first; one pass of any
+# benchmark workload makes at most 162.
+_BERNOULLI_CACHE_CAP = 1024
 _bernoulli_cache: dict[tuple, list[Fraction]] = {}
 _bernoulli_lock = threading.Lock()
 
@@ -78,6 +81,8 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
         if values is None or len(values) <= n:
             values = _bernoulli_values(max(n, 8), a, x)
             _bernoulli_cache[key] = values
+            if len(_bernoulli_cache) > _BERNOULLI_CACHE_CAP:
+                del _bernoulli_cache[next(iter(_bernoulli_cache))]
         return values[n]
 
 

@@ -7,11 +7,12 @@ product, with x1**m1 x2**m2 / (m1! m2!) implicit.  `expand_general` expands
 every lattice point exactly and tabulates the coefficient of
 eps**k x1**m1 x2**m2.
 
-Cost model of `expand_general` at eps order K: each factor's (c + s*eps)_L,
-or its reciprocal, truncated at eps**K, is built once for every L up to its
-longest length Lmax, in O(Lmax*K).  Each lattice point then multiplies its F
-factor rows, in O(F*K**2); factors that share an index law are multiplied
-together once per length, so F counts distinct laws.
+Cost model of `expand_general` at eps order K: the term, truncated at
+eps**K, is walked across the lattice by its ratio.  A unit move in m_i
+multiplies in the c_i new linear factors c + j + s*eps of each numerator
+factor f, divides out those of each denominator factor, and divides by the
+new m_i, in O(K) each: O(sum_f c_f*K) per lattice move, with c_f the law
+coefficient of f for the index moved.
 
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
@@ -30,7 +31,7 @@ from fractions import Fraction
 from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirling_s1
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
-from .pochhammer import LinearParam, _poch_step, _vanishing_shift, pochhammer
+from .pochhammer import LinearParam, _poch_step, _recip_step, _vanishing_shift, pochhammer
 from .series import _coerce
 
 _ZERO = Fraction(0)
@@ -97,51 +98,14 @@ def _check_lattice_pole(spec: HyperTermSpec, m1: int, m2: int):
             )
 
 
-def _factor_rows(param: LinearParam, law: IndexLaw, eps_order: int, degree_bound: int,
-                 reciprocal: bool) -> list:
-    """Row L holds coefficients [0, eps_order] of (c + s*eps)_L, or of its reciprocal.
-
-    L runs up to the longest length the law takes on the lattice,
-    c0 + max(c1, c2)*degree_bound.  Each row comes from the one before in
-    O(eps_order).  The caller has checked that no divisor c + L vanishes.
-    """
-    width = eps_order + 1
-    c, s = param.constant, param.slope
-    row = [_ONE] + [_ZERO] * eps_order if reciprocal else [_ONE]
-    rows = [row]
-    for j in range(law.c0 + max(law.c1, law.c2) * degree_bound):
-        if reciprocal:
-            # (c + j + s*eps) * nxt = row, solved coefficient by coefficient.
-            inv = 1 / (c + j)
-            nxt = [row[0] * inv]
-            for i in range(1, width):
-                nxt.append((row[i] - s * nxt[i - 1]) * inv)
-            row = nxt
-        else:
-            row = _poch_step(row, c + j, s, width)
-        rows.append(row)
-    return rows
-
-
-def _mul_rows(a: list, b: list, width: int) -> list:
-    """The first `width` coefficients of the product of two coefficient lists."""
-    out = []
-    for n in range(min(width, len(a) + len(b) - 1)):
-        acc = _ZERO
-        for i in range(max(0, n - len(b) + 1), min(n + 1, len(a))):
-            acc = acc + a[i] * b[n - i]
-        out.append(acc)
-    return out
-
-
 def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> ExpansionTable:
     """Expand every lattice point of the spec exactly; tabulate eps-coefficients.
 
     Entries cover all k in [0, eps_order] and all m1 + m2 <= degree_bound.
-    Cost at K = eps_order: O(Lmax*K) per factor of longest length Lmax, plus
-    O(F*K**2) per lattice point for F factors (see the module docstring).
-    Every point is checked for a denominator pole before any work, in
-    m1-major order, so the first pole on the lattice raises PoleError.
+    The term is walked from lattice point to lattice point by its ratio, in
+    O(sum_f c_f*K) per unit move in m_i at K = eps_order (see the module
+    docstring).  Every point is checked for a denominator pole before any
+    work, in m1-major order, so the first pole on the lattice raises PoleError.
     """
     if eps_order < 0:
         raise DomainError("eps_order must be >= 0")
@@ -151,25 +115,31 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     for m1, m2 in points:
         _check_lattice_pole(spec, m1, m2)
     width = eps_order + 1
-    # Factors that share a law share their lengths, so their rows are
-    # multiplied once per length, not once per lattice point.
-    by_law = {}
-    for factors, reciprocal in ((spec.numer, False), (spec.denom, True)):
-        for param, law in factors:
-            rows = _factor_rows(param, law, eps_order, degree_bound, reciprocal)
-            if law in by_law:
-                rows = [_mul_rows(a, b, width) for a, b in zip(by_law[law], rows)]
-            by_law[law] = rows
+    factors = [(param, law, _poch_step) for param, law in spec.numer]
+    factors += [(param, law, _recip_step) for param, law in spec.denom]
+
+    def move(row, old, new, m):
+        # The term at `new` from the term `row` at `old`: each factor's linear
+        # factors c + j + s*eps for L(old) <= j < L(new), multiplied in for a
+        # numerator and divided out for a denominator, then over the new m_i.
+        for param, law, step in factors:
+            for j in range(law(*old) if old else 0, law(*new)):
+                row = step(row, param.constant + j, param.slope, width)
+        inv = Fraction(1, m)
+        return [x * inv for x in row]
+
+    # A term with a denominator holds all `width` coefficients; one without is
+    # an exact polynomial until it reaches that width.
+    column = [move([_ONE] + [_ZERO] * eps_order if spec.denom else [_ONE], None, (0, 0), 1)]
+    for m1 in range(1, degree_bound + 1):
+        column.append(move(column[-1], (m1 - 1, 0), (m1, 0), m1))
     entries = {}
-    for m1, m2 in points:
-        term = None
-        for law, rows in by_law.items():
-            row = rows[law(m1, m2)]
-            term = row if term is None else _mul_rows(term, row, width)
-        term = term or [_ONE]
-        scale = Fraction(1, math.factorial(m1) * math.factorial(m2))
-        for k in range(width):
-            entries[(k, m1, m2)] = term[k] * scale if k < len(term) else _ZERO
+    for m1, term in enumerate(column):
+        for m2 in range(degree_bound + 1 - m1):
+            if m2:
+                term = move(term, (m1, m2 - 1), (m1, m2), m2)
+            for k in range(width):
+                entries[(k, m1, m2)] = term[k] if k < len(term) else _ZERO
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 

@@ -103,6 +103,19 @@ def _poch_step(row: list, c, s, width: int) -> list:
     return nxt
 
 
+def _recip_step(row: list, c, s, width: int) -> list:
+    """The first `width` coefficients of row / (c + s*eps), in O(width); c != 0.
+
+    `row` holds `width` coefficients.  (c + s*eps) * nxt = row is solved
+    coefficient by coefficient.
+    """
+    inv = 1 / c
+    nxt = [row[0] * inv]
+    for i in range(1, width):
+        nxt.append((row[i] - s * nxt[i - 1]) * inv)
+    return nxt
+
+
 def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
     """Exact polynomial (constant + slope*eps)_m as a series with window [0, order]."""
     if m < 0:
@@ -117,14 +130,11 @@ def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
 
 
 def _poch_deriv_recurrence(alpha, m, k):
-    # Row-by-row: P(m+1, k) = (alpha + m) P(m, k) + P(m, k-1).
-    row = [_ONE] + [_ZERO] * k
-    for mm in range(m):
-        factor = alpha + mm
-        nxt = [_ZERO] * (k + 1)
-        for kk in range(k + 1):
-            nxt[kk] = factor * row[kk] + (row[kk - 1] if kk else _ZERO)
-        row = nxt
+    # Row-by-row: P(m+1, k) = (alpha + m) P(m, k) + P(m, k-1).  k <= m, so
+    # the row reaches k + 1 coefficients.
+    row = [_ONE]
+    for j in range(m):
+        row = _poch_step(row, alpha + j, _ONE, k + 1)
     return row[k]
 
 
@@ -162,7 +172,11 @@ def _poch_deriv_bernoulli(alpha, m, k):
 
 
 def _poch_deriv_oracle(alpha, m, k):
-    return poch_eps_series(LinearParam(alpha, 1), m, k).coefficient(k)
+    # The generic series product of the m linear factors, apart from _poch_step.
+    product = EpsSeries.one(k)
+    for j in range(m):
+        product = product * polynomial_series([alpha + j, _ONE], k)
+    return product.coefficient(k)
 
 
 _POCH_DISPATCH = {
@@ -189,14 +203,9 @@ def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
 
 def _recip_deriv_recurrence(beta, m, k):
     # Q(m+1, k) = (Q(m, k) - Q(m+1, k-1)) / (beta + m), filled k-ascending.
-    row = [_ONE if kk == 0 else _ZERO for kk in range(k + 1)]
-    for mm in range(m):
-        factor = beta + mm
-        nxt = [_ZERO] * (k + 1)
-        nxt[0] = row[0] / factor
-        for kk in range(1, k + 1):
-            nxt[kk] = (row[kk] - nxt[kk - 1]) / factor
-        row = nxt
+    row = [_ONE] + [_ZERO] * k
+    for j in range(m):
+        row = _recip_step(row, beta + j, _ONE, k + 1)
     return row[k]
 
 

@@ -26,10 +26,12 @@ from .combinatorics import (
 )
 from .errors import DomainError
 from .pochhammer import (
+    LinearParam,
     PochMethod,
     RecipMethod,
     _vanishing_shift,
     poch_deriv,
+    poch_eps_series,
     pochhammer,
     recip_poch_deriv,
 )
@@ -547,13 +549,9 @@ def _genfun_A26(order, p):
 
 
 def _nueva_product_side(order, m, c):
-    poly = [_F(1)]
-    for j in range(1, m + 1):
-        factor = -_F(c) / j
-        poly = [poly[i] + (factor * poly[i - 1] if i else 0) for i in range(len(poly))] + [
-            factor * poly[-1]
-        ]
-    return series_invert(polynomial_series(poly, order))
+    # prod_{j=1..m} (1 - (c/j) z) = (1 - c z)_m / m!, inverted.
+    product = poch_eps_series(LinearParam(1, -c), m, order)
+    return series_invert(product.scaled(_F(1, math.factorial(m))))
 
 
 def _genfun_nueva1(order, p):

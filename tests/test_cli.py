@@ -167,6 +167,16 @@ def test_pf_missing_file(capsys, tmp_path):
     assert_clean_failure(capsys, "pf", "--spec", str(tmp_path / "nope.txt"))
 
 
+@pytest.mark.parametrize("command", ["pf", "expand"])
+def test_spec_file_that_is_not_utf8_is_a_clean_error(capsys, tmp_path, command):
+    spec = tmp_path / "spec.txt"
+    spec.write_bytes(b"\xff\xfe[numerator]\n")
+    code, out, err = run(capsys, command, "--spec", str(spec))
+    assert (code, out) == (1, "")
+    assert err.startswith("pochex: error: ") and err.count("\n") == 1
+    assert str(spec) in err
+
+
 def test_pf_repeated_root(capsys, tmp_path):
     spec = tmp_path / "quotient.txt"
     spec.write_text("[denominator]\npoch = 1 1 : 2\npoch = 2 1 : 1\n")

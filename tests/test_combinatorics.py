@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import pochex.combinatorics
 from pochex.combinatorics import (
     binomial,
     double_factorial,
@@ -82,6 +83,26 @@ def test_gen_bernoulli_order_zero_is_classical():
     # B_3(x) = x^3 - 3x^2/2 + x/2
     x = F(2, 3)
     assert gen_bernoulli_poly(3, 1, x) == x**3 - F(3, 2) * x**2 + F(1, 2) * x
+
+
+def test_gen_bernoulli_cache_evicts_oldest_past_its_cap(monkeypatch):
+    # A small cap keeps the fill cheap, and a fresh dict keeps the module's
+    # cache as it was.
+    monkeypatch.setattr(pochex.combinatorics, "_BERNOULLI_CACHE_CAP", 16)
+    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+
+    def b3(x):
+        return x**3 - F(3, 2) * x**2 + F(1, 2) * x
+
+    xs = [F(i, 7) for i in range(20)]
+    for x in xs:
+        assert gen_bernoulli_poly(3, 1, x) == b3(x)
+    cache = pochex.combinatorics._bernoulli_cache
+    assert list(cache) == [(1, x) for x in xs[4:]]
+    assert all(values[3] == b3(x) for (_, x), values in cache.items())
+    # An evicted key is recomputed, and evicts the oldest key in turn.
+    assert gen_bernoulli_poly(3, 1, xs[0]) == b3(xs[0])
+    assert len(cache) == 16 and (1, xs[4]) not in cache and (1, xs[0]) in cache
 
 
 def test_gen_bernoulli_additivity_in_order():

@@ -174,8 +174,11 @@ def test_engine_pole_matches_per_point_reference():
 
 
 def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
-    # Deterministic work counts of the engine on F5 (K=6, D=20): one row table
-    # per factor, and no per-point series, products or inverses.
+    # Deterministic work counts of the engine on F5 (K=6, D=20): the walk
+    # applies each factor's c0 start factors, c1 factors on each of the D
+    # moves down the m2 = 0 column and c2 factors on each of the D(D+1)/2
+    # moves along the m2 rows, so sum_f (c0 + c1*D + c2*D(D+1)/2) linear-factor
+    # steps, and makes no series, products or inverses.
     calls = Counter()
 
     def count(owner, name):
@@ -187,14 +190,16 @@ def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
-    count(pochex.hyper_expand, "_factor_rows")
+    count(pochex.hyper_expand, "_poch_step")
+    count(pochex.hyper_expand, "_recip_step")
     for module in (pochex.hyper_expand, pochex.pochhammer, pochex.series):
         for name in ("poch_eps_series", "series_invert"):
             if hasattr(module, name):
                 count(module, name)
     count(EpsSeries, "__mul__")
     expand_general(closed_engine_spec("F5"), 6, 20)
-    assert calls["_factor_rows"] == 5
+    assert calls["_poch_step"] == 460
+    assert calls["_recip_step"] == 230
     assert calls["poch_eps_series"] == 0
     assert calls["series_invert"] == 0
     assert calls["__mul__"] == 0
