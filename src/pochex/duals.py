@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import DomainError
+
 
 def _lift(x):
     if isinstance(x, Dual):
@@ -74,7 +76,7 @@ class Dual:
 
     def _inverse(self):
         if self.val == 0:
-            raise ZeroDivisionError("dual number with zero value part has no inverse")
+            raise DomainError(f"{self!r} has a zero value part and no inverse")
         inv = 1 / self.val
         return Dual(inv, -self.der * inv * inv)
 

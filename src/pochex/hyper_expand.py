@@ -288,23 +288,6 @@ def _closed_f4(k, m1, m2):
     return (-1) ** k * bracket * binomial(m, n)
 
 
-def closed_f4_reformulated(k, m1, m2):
-    """Second route to the F4 coefficients (telescoped single j-sum)."""
-    square = binomial(m1 + m2, m1) ** 2
-    if k == 0:
-        return square
-    acc = _ZERO
-    for j in range(1, m1 + 1):
-        acc += (
-            (-1) ** j
-            * pochhammer(m1 + 1 - j, j)
-            * pochhammer(m2 + 1 - j, j)
-            / (pochhammer(m1 + m2 + 1 - j, j) * math.factorial(j))
-            * _inv_pow(j, k)
-        )
-    return (-1) ** (k + 1) * square * acc
-
-
 def _f5_inner(n, k1):
     # delta_{n,0} delta_{k1,0} minus a signed sum over the first n unit shifts.
     acc = _ONE if (n == 0 and k1 == 0) else _ZERO

@@ -220,14 +220,19 @@ def _recip_deriv_closed_sum(beta, m, k):
 
 
 def _recip_deriv_delta_form(beta, m, k):
-    if m == 0:
-        return _ONE if k == 0 else _ZERO
-    # Forward difference of order m-1 applied to beta**-(k+1).
-    acc = _ZERO
-    for i in range(m):
-        acc += Fraction((-1) ** (m - 1 - i) * math.comb(m - 1, i)) / (beta + i) ** (k + 1)
-    sign = 1 if (m - k - 1) % 2 == 0 else -1
-    return sign * acc / math.factorial(m - 1)
+    # 1/(beta+eps)_m = exp(sum_r (-eps)^r H_r / r) / (beta)_m, with the power
+    # sums H_r = sum_{j<m} (beta+j)^-r; the exponential's coefficients g_n
+    # follow from n g_n = sum_{r=1..n} (-1)^r H_r g_{n-r}.
+    inverses = [1 / (beta + j) for j in range(m)]
+    powers = list(inverses)
+    signed = [_ZERO]  # signed[r] = (-1)^r H_r
+    for r in range(1, k + 1):
+        signed.append((-1) ** r * sum(powers, _ZERO))
+        powers = [p * inv for p, inv in zip(powers, inverses)]
+    g = [_ONE]
+    for n in range(1, k + 1):
+        g.append(sum((signed[r] * g[n - r] for r in range(1, n + 1)), _ZERO) / n)
+    return g[k] / pochhammer(beta, m)
 
 
 def _recip_deriv_oracle(beta, m, k):

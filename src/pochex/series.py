@@ -54,8 +54,13 @@ class EpsSeries:
 
     Instances are immutable and normalized: leading zero coefficients at
     negative exponents are stripped, and an all-zero series is stored with
-    min_exponent = 0.  Coefficients are Fractions (or any exact field scalar
-    with the same operator surface, such as `pochex.duals.Dual`).
+    min_exponent = min(0, max_exponent).  Coefficients are Fractions (or any
+    exact field scalar with the same operator surface, such as
+    `pochex.duals.Dual`).
+
+    Window rules, with p_a the leading exponent of a (min_exponent when a is
+    all zero): a + b knows exponents up to min(max_a, max_b); a * b starts at
+    p_a + p_b and knows exponents up to min(max_a + p_b, max_b + p_a).
     """
 
     __slots__ = ("_min", "_coeffs")
@@ -66,10 +71,9 @@ class EpsSeries:
             raise DomainError("a series needs at least one coefficient in its window")
         max_exp = min_exponent + len(coeffs) - 1
         if all(c == 0 for c in coeffs):
-            # Canonical zero; window clamped to start at 0 (see module notes).
-            max_exp = max(max_exp, 0)
-            self._min = 0
-            self._coeffs = (_ZERO,) * (max_exp + 1)
+            # Canonical zero: the window starts at min(0, max_exp) and keeps max_exp.
+            self._min = min(0, max_exp)
+            self._coeffs = (_ZERO,) * (max_exp - self._min + 1)
             return
         while min_exponent < 0 and coeffs[0] == 0:
             del coeffs[0]
@@ -122,7 +126,7 @@ class EpsSeries:
         if new_max >= self.max_exponent:
             return self
         if new_max < self._min:
-            return EpsSeries([_ZERO], max(new_max, 0))
+            return EpsSeries([_ZERO], new_max)
         return EpsSeries(self._coeffs[: new_max - self._min + 1], self._min)
 
     def shifted(self, offset: int) -> "EpsSeries":

@@ -7,6 +7,10 @@ to a requested order), or — in the coverage table `RELATION_COVERAGE` — a
 pointer to the operation or table that exercises it.  The enum tokens are
 opaque stable labels; each evaluator's docstring states the mathematical
 content.
+
+`_RELATIONS` gives each checkable relation its evaluator and its default
+parameter grid, built by `_grid`.  `run_relation` checks one relation over a
+grid; `verify_ids` and `verify_all` run it for each relation they are given.
 """
 
 from __future__ import annotations
@@ -342,10 +346,18 @@ def _eval_A32(p):
     return lhs, rhs
 
 
-def _pf_pole_guard(B, n):
+def _pf_sum(A, B, x, m, n):
+    # sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)), the shared
+    # right side of ii16 and ii17; (B)_n must have no zero factor.
     j = _vanishing_shift(B, n)
     if j is not None:
         raise DomainError(f"argument B = {B} puts a zero at shift {j}")
+    return sum(
+        _F((-1) ** j)
+        * pochhammer(A - (B + j) * x, m)
+        / (math.factorial(j) * math.factorial(n - 1 - j) * (B + j))
+        for j in range(n)
+    )
 
 
 def _eval_ii16(p):
@@ -358,15 +370,8 @@ def _eval_ii16(p):
     A = _as_rational(p, "A")
     B = _as_rational(p, "B")
     x = _as_rational(p, "x")
-    _pf_pole_guard(B, n)
-    lhs = pochhammer(A, m) / pochhammer(B, n)
-    rhs = sum(
-        _F((-1) ** j)
-        * pochhammer(A - (B + j) * x, m)
-        / (math.factorial(j) * math.factorial(n - 1 - j) * (B + j))
-        for j in range(n)
-    )
-    return lhs, _F(rhs)
+    rhs = _pf_sum(A, B, x, m, n)
+    return pochhammer(A, m) / pochhammer(B, n), _F(rhs)
 
 
 def _eval_ii17(p):
@@ -375,15 +380,8 @@ def _eval_ii17(p):
     A = _as_rational(p, "A")
     B = _as_rational(p, "B")
     x = _as_rational(p, "x")
-    _pf_pole_guard(B, n)
-    lhs = pochhammer(A, n) / pochhammer(B, n)
-    rhs = x**n + sum(
-        _F((-1) ** j)
-        * pochhammer(A - (B + j) * x, n)
-        / (math.factorial(j) * math.factorial(n - 1 - j) * (B + j))
-        for j in range(n)
-    )
-    return lhs, _F(rhs)
+    rhs = x**n + _pf_sum(A, B, x, n, n)
+    return pochhammer(A, n) / pochhammer(B, n), _F(rhs)
 
 
 def _eval_iii4(p):
@@ -598,67 +596,7 @@ def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
 
 _RAT_SPOTS = (_F(1, 2), _F(5, 2), _F(7, 3))
 _ALPHA_GRID = (_F(0), _F(1), _F(2), _F(5), _F(-1), _F(-3)) + _RAT_SPOTS
-
-
-def _grid_A5():
-    for alpha in _ALPHA_GRID:
-        for k in range(4):
-            yield {"m": 0, "k": k, "alpha": alpha}
-        for m in range(7):
-            yield {"m": m, "k": 0, "alpha": alpha}
-        for m, k in ((0, 1), (1, 2), (2, 4), (3, 5)):
-            yield {"m": m, "k": k, "alpha": alpha}
-
-
-def _grid_mk(m_max, k_min=0, k_of_m=None):
-    def gen():
-        for m in range(m_max + 1):
-            top = m if k_of_m is None else k_of_m(m)
-            for k in range(k_min, top + 1):
-                yield {"m": m, "k": k}
-
-    return gen
-
-
-def _grid_A13():
-    for alpha in (_F(0), _F(3, 2), _F(-2)) + _RAT_SPOTS:
-        for m in range(8):
-            for k in range(m + 1):
-                yield {"m": m, "k": k, "alpha": alpha}
-
-
-def _grid_A14coeff():
-    for m in range(1, 9):
-        for k in range(4):
-            for j in range(4):
-                yield {"m": m, "k": k, "j": j}
-
-
-def _grid_A27():
-    for x in (_F(1), _F(2), _F(1, 2), _F(7, 3)):
-        for m in range(9):
-            for k in range(7):
-                yield {"m": m, "k": k, "x": x}
-
-
-def _grid_with_n(m_max, k_max, n_values, k_of_m=None):
-    def gen():
-        for n in n_values:
-            for m in range(m_max + 1):
-                top = min(k_max, m) if k_of_m == "m" else k_max
-                for k in range(top + 1):
-                    yield {"m": m, "k": k, "n": n}
-
-    return gen
-
-
-def _grid_A32():
-    for n in (1, 2, 3):
-        for m in range(n + 1):
-            for k in range(6):
-                yield {"m": m, "k": k, "n": n}
-
-
+_A5_MK = [(0, k) for k in range(4)] + [(m, 0) for m in range(7)] + [(0, 1), (1, 2), (2, 4), (3, 5)]
 _II_ARGS = {
     "A": (_F(1), _F(1, 2), _F(7, 3)),
     "B": (_F(1), _F(1, 2), _F(5, 2)),
@@ -666,98 +604,88 @@ _II_ARGS = {
 }
 
 
-def _grid_ii16():
-    for m, n in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 5), (3, 4)):
-        for A in _II_ARGS["A"]:
-            for B in _II_ARGS["B"]:
-                for x in _II_ARGS["x"]:
-                    yield {"m": m, "n": n, "A": A, "B": B, "x": x}
+def _grid(key_last=None, **axes):
+    """A default grid: a function returning the points of nested loops over `axes`.
+
+    The first axis is the outermost loop.  An axis is a sequence of values or a
+    function of the point built so far (a dict) that returns one.  Each point's
+    keys follow the axes, except that `key_last`, if given, is moved to the end.
+    """
+
+    def points():
+        built = [{}]
+        for name, axis in axes.items():
+            built = [
+                {**point, name: value}
+                for point in built
+                for value in (axis(point) if callable(axis) else axis)
+            ]
+        if key_last is not None:
+            for point in built:
+                point[key_last] = point.pop(key_last)
+        return built
+
+    return points
 
 
-def _grid_ii17():
-    for n in range(1, 6):
-        for A in _II_ARGS["A"]:
-            for B in _II_ARGS["B"]:
-                for x in _II_ARGS["x"]:
-                    yield {"n": n, "A": A, "B": B, "x": x}
+def _up_to_m(point):
+    return range(point["m"] + 1)
 
 
-def _grid_nm(n_max, m_max):
-    def gen():
-        for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                yield {"m": m, "n": n}
-
-    return gen
-
-
-def _grid_iii5():
-    for m in range(11):
-        for n in range(m + 1):
-            yield {"m": m, "n": n}
-
-
-def _lcm_to(m):
-    return math.lcm(*range(1, m + 1)) if m >= 1 else 1
-
-
-def _c_choices(m):
-    seen = []
-    for c in (1, _lcm_to(m), math.factorial(m)):
-        if c not in seen:
-            seen.append(c)
-    return seen
+def _c_choices(point):
+    # 1, lcm(1..m) and m!, each once, in that order.
+    m = point["m"]
+    return map(_F, dict.fromkeys((1, math.lcm(*range(1, m + 1)), math.factorial(m))))
 
 
 # Every checkable relation: its evaluator and its default parameter grid (a
-# callable yielding parameter dicts), in the order `verify_all` reports them.
+# function returning parameter dicts), in the order `verify_all` reports them.
 _RELATIONS = {
-    IdentityId.A5: (_eval_A5, _grid_A5),
-    IdentityId.A6: (_eval_A6, _grid_mk(10, k_min=1)),
-    IdentityId.A8: (
-        _eval_A8,
-        lambda: ({"n": n, "k": k} for n in range(11) for k in range(n + 1)),
+    IdentityId.A5: (
+        _eval_A5,
+        lambda: [{"m": m, "k": k, "alpha": a} for a in _ALPHA_GRID for m, k in _A5_MK],
     ),
-    IdentityId.A9: (_eval_A9, _grid_mk(10)),
-    IdentityId.AA19: (_eval_AA19, _grid_mk(10)),
-    IdentityId.A12: (_eval_A12, _grid_mk(10, k_of_m=lambda m: 6)),
-    IdentityId.A13: (_eval_A13, _grid_A13),
-    IdentityId.A14coeff: (_eval_A14coeff, _grid_A14coeff),
-    IdentityId.A15: (_eval_A15, _grid_mk(10)),
-    IdentityId.A27: (_eval_A27, _grid_A27),
-    IdentityId.A28: (_eval_A28, _grid_mk(10, k_of_m=lambda m: m + 2)),
-    IdentityId.A29: (_eval_A29, _grid_with_n(8, 8, (1, 2, 3, 4), k_of_m="m")),
-    IdentityId.A30: (_eval_A30, _grid_with_n(6, 5, (1, 2, 3, 4))),
-    IdentityId.A31: (_eval_A31, _grid_with_n(8, 8, (1, 2, 3), k_of_m="m")),
-    IdentityId.A32: (_eval_A32, _grid_A32),
-    IdentityId.ii16: (_eval_ii16, _grid_ii16),
-    IdentityId.ii17: (_eval_ii17, _grid_ii17),
-    IdentityId.iii4: (_eval_iii4, lambda: ({"m": m} for m in range(13))),
-    IdentityId.iii5: (_eval_iii5, _grid_iii5),
-    IdentityId.iii10: (_eval_iii10, _grid_nm(6, 8)),
-    IdentityId.conjugate_HS: (_eval_conjugate_HS, _grid_mk(12, k_of_m=lambda m: 6)),
-    GenFunId.a4: (
-        _genfun_a4,
-        lambda: ({"k": k, "alpha": a} for k in range(4) for a in (_F(1), _F(1, 2))),
+    IdentityId.A6: (_eval_A6, _grid(m=range(11), k=lambda p: range(1, p["m"] + 1))),
+    IdentityId.A8: (_eval_A8, _grid(n=range(11), k=lambda p: range(p["n"] + 1))),
+    IdentityId.A9: (_eval_A9, _grid(m=range(11), k=_up_to_m)),
+    IdentityId.AA19: (_eval_AA19, _grid(m=range(11), k=_up_to_m)),
+    IdentityId.A12: (_eval_A12, _grid(m=range(11), k=range(7))),
+    IdentityId.A13: (
+        _eval_A13,
+        _grid(
+            alpha=(_F(0), _F(3, 2), _F(-2)) + _RAT_SPOTS, m=range(8), k=_up_to_m, key_last="alpha"
+        ),
     ),
-    GenFunId.a7: (_genfun_a7, lambda: ({"k": k} for k in range(5))),
-    GenFunId.A18: (
-        _genfun_A18,
-        lambda: ({"a": a, "x": x} for a in range(1, 6) for x in (_F(0), _F(1, 2))),
+    IdentityId.A14coeff: (_eval_A14coeff, _grid(m=range(1, 9), k=range(4), j=range(4))),
+    IdentityId.A15: (_eval_A15, _grid(m=range(11), k=_up_to_m)),
+    IdentityId.A27: (
+        _eval_A27,
+        _grid(x=(_F(1), _F(2), _F(1, 2), _F(7, 3)), m=range(9), k=range(7), key_last="x"),
     ),
-    GenFunId.A25: (
-        _genfun_A25,
-        lambda: ({"k": k, "beta": b} for k in range(4) for b in (_F(1), _F(2), _F(1, 2))),
+    IdentityId.A28: (_eval_A28, _grid(m=range(11), k=lambda p: range(p["m"] + 3))),
+    IdentityId.A29: (_eval_A29, _grid(n=(1, 2, 3, 4), m=range(9), k=_up_to_m, key_last="n")),
+    IdentityId.A30: (_eval_A30, _grid(n=(1, 2, 3, 4), m=range(7), k=range(6), key_last="n")),
+    IdentityId.A31: (_eval_A31, _grid(n=(1, 2, 3), m=range(9), k=_up_to_m, key_last="n")),
+    IdentityId.A32: (
+        _eval_A32,
+        _grid(n=(1, 2, 3), m=lambda p: range(p["n"] + 1), k=range(6), key_last="n"),
     ),
-    GenFunId.A26: (_genfun_A26, lambda: ({"k": k} for k in range(4))),
-    GenFunId.nueva1: (
-        _genfun_nueva1,
-        lambda: ({"m": m, "c": _F(c)} for m in range(6) for c in _c_choices(m)),
+    IdentityId.ii16: (
+        _eval_ii16,
+        _grid(m=range(4), n=lambda p: ((1, 2), (2, 3), (3, 5), (4,))[p["m"]], **_II_ARGS),
     ),
-    GenFunId.nueva2: (
-        _genfun_nueva2,
-        lambda: ({"m": m, "c": _F(c)} for m in range(1, 6) for c in _c_choices(m)),
-    ),
+    IdentityId.ii17: (_eval_ii17, _grid(n=range(1, 6), **_II_ARGS)),
+    IdentityId.iii4: (_eval_iii4, _grid(m=range(13))),
+    IdentityId.iii5: (_eval_iii5, _grid(m=range(11), n=lambda p: range(p["m"] + 1))),
+    IdentityId.iii10: (_eval_iii10, _grid(m=range(9), n=range(7))),
+    IdentityId.conjugate_HS: (_eval_conjugate_HS, _grid(m=range(13), k=range(7))),
+    GenFunId.a4: (_genfun_a4, _grid(k=range(4), alpha=(_F(1), _F(1, 2)))),
+    GenFunId.a7: (_genfun_a7, _grid(k=range(5))),
+    GenFunId.A18: (_genfun_A18, _grid(a=range(1, 6), x=(_F(0), _F(1, 2)))),
+    GenFunId.A25: (_genfun_A25, _grid(k=range(4), beta=(_F(1), _F(2), _F(1, 2)))),
+    GenFunId.A26: (_genfun_A26, _grid(k=range(4))),
+    GenFunId.nueva1: (_genfun_nueva1, _grid(m=range(6), c=_c_choices)),
+    GenFunId.nueva2: (_genfun_nueva2, _grid(m=range(1, 6), c=_c_choices)),
 }
 
 
@@ -797,38 +725,27 @@ class CheckSummary:
         return not self.failures
 
 
-def run_identity(identity: IdentityId, grid=None) -> CheckSummary:
-    identity, _, default = _relation(identity, (IdentityId,))
-    grid = tuple(default() if grid is None else grid)
-    failures = []
-    for params in grid:
-        result = identity_eval(identity, params)
-        if not result.equal:
-            failures.append(result)
-    return CheckSummary(identity.value, len(grid), tuple(failures))
+def run_relation(token, grid=None, genfun_order=DEFAULT_GENFUN_ORDER) -> CheckSummary:
+    """Check one relation at every point of `grid` (its default grid if None).
 
-
-def run_genfun(identity: GenFunId, order=DEFAULT_GENFUN_ORDER, grid=None) -> CheckSummary:
-    identity, _, default = _relation(identity, (GenFunId,))
+    A generating relation is compared to `genfun_order`.
+    """
+    relation, _, default = _relation(token)
     grid = tuple(default() if grid is None else grid)
-    failures = []
-    for params in grid:
-        result = genfun_check(identity, order, params)
-        if not result.equal_to_order:
-            failures.append(result)
-    return CheckSummary(identity.value, len(grid), tuple(failures))
+    if isinstance(relation, IdentityId):
+        results = [identity_eval(relation, params) for params in grid]
+        failures = tuple(result for result in results if not result.equal)
+    else:
+        results = [genfun_check(relation, genfun_order, params) for params in grid]
+        failures = tuple(result for result in results if not result.equal_to_order)
+    return CheckSummary(relation.value, len(grid), failures)
 
 
 def verify_ids(tokens, genfun_order=DEFAULT_GENFUN_ORDER):
     """Check a list of relation tokens; returns one CheckSummary per token."""
     # Resolve every token before running any, so a bad token costs no work.
     relations = [_relation(token)[0] for token in tokens]
-    return [
-        run_identity(relation)
-        if isinstance(relation, IdentityId)
-        else run_genfun(relation, genfun_order)
-        for relation in relations
-    ]
+    return [run_relation(relation, genfun_order=genfun_order) for relation in relations]
 
 
 def verify_all(genfun_order=DEFAULT_GENFUN_ORDER):
@@ -875,8 +792,8 @@ RELATION_COVERAGE = {
     "b9": "op:recip_poch_deriv.recurrence",
     "b2": "op:recip_poch_deriv.closed_sum",
     "b3": "op:recip_poch_deriv.closed_sum",
-    "comtet1": "op:recip_poch_deriv.delta_form",
-    "comtet2": "op:recip_poch_deriv.delta_form",
+    "comtet1": "op:recip_poch_deriv.closed_sum",
+    "comtet2": "op:recip_poch_deriv.closed_sum",
     "A10": "op:harmonic",
     "A11": "op:mod_harmonic",
     "A12": "identity:A12",

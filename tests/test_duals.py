@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from pochex.duals import Dual, delta_part
+from pochex.errors import DomainError
+from pochex.series import EpsSeries, series_invert
 
 
 def test_construction_coerces_to_fractions():
@@ -33,8 +35,13 @@ def test_division():
     x = Dual(F(2), F(1))
     assert 1 / x == Dual(F(1, 2), F(-1, 4))
     assert x / x == Dual(1, 0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(DomainError, match="zero value part"):
         1 / Dual(0, 1)
+
+
+def test_series_led_by_a_dual_without_value_part_is_a_domain_error():
+    with pytest.raises(DomainError, match="zero value part"):
+        series_invert(EpsSeries([Dual(0, 1), Dual(1)]))
 
 
 def test_power_matches_derivative_formula():

@@ -20,7 +20,6 @@ from pochex.hyper_expand import (
     HyperTermSpec,
     IndexLaw,
     closed_engine_spec,
-    closed_f4_reformulated,
     delta_dual_expand,
     emit_table,
     expand_closed,
@@ -270,10 +269,27 @@ def test_symmetry_under_index_swap():
         assert f3.get(k, m2, m1) == value
 
 
+def _closed_f4_reformulated(k, m1, m2):
+    # Second route to the F4 coefficients (telescoped single j-sum).
+    square = binomial(m1 + m2, m1) ** 2
+    if k == 0:
+        return square
+    acc = F(0)
+    for j in range(1, m1 + 1):
+        acc += (
+            (-1) ** j
+            * pochhammer(m1 + 1 - j, j)
+            * pochhammer(m2 + 1 - j, j)
+            / (pochhammer(m1 + m2 + 1 - j, j) * math.factorial(j))
+            / j**k
+        )
+    return (-1) ** (k + 1) * square * acc
+
+
 def test_f4_reformulation_agrees():
     table = expand_closed("F4", 3, 6)
     for (k, m1, m2), value in table.entries.items():
-        assert closed_f4_reformulated(k, m1, m2) == value
+        assert _closed_f4_reformulated(k, m1, m2) == value
 
 
 # -- engine vs closed forms (small grid; the acceptance gate runs the large one) ----

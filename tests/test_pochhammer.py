@@ -159,6 +159,16 @@ def test_recip_poch_deriv_values(beta, m, k, value):
     assert recip_poch_deriv(beta, m, k) == value
 
 
+def test_recip_delta_form_power_sums_match_closed_sum():
+    # delta_form goes through exp of power sums, a route apart from the others.
+    for beta in (F(2), F(5, 4), F(7, 3), F(1, 2), F(-7, 2)):
+        for m in (0, 1, 2, 9, 29):
+            for k in range(7):
+                assert recip_poch_deriv(beta, m, k, RecipMethod.DELTA_FORM) == recip_poch_deriv(
+                    beta, m, k, RecipMethod.CLOSED_SUM
+                ), (beta, m, k)
+
+
 def test_recip_poch_deriv_methods_agree():
     grid = [F(1), F(2), F(1, 2), F(7, 3)]
     for beta in grid:

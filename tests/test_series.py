@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pochex.errors import DomainError, NonzeroConstantTerm, ParseError, ZeroSeries
 from pochex.series import (
@@ -211,3 +213,65 @@ def test_elementary_unknown_kind():
 def test_polynomial_series_pads_and_truncates():
     assert polynomial_series([1, 2, 3], 4) == S([1, 2, 3, 0, 0])
     assert polynomial_series([1, 2, 3], 1) == S([1, 2])
+
+
+# -- window rules, as properties ----------------------------------------------
+# A result may claim only coefficients its operands determine, so extending an
+# operand past its window (the unknown coefficients) must not change any
+# coefficient the result claims.
+
+_scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_series = st.builds(
+    EpsSeries, st.lists(_scalars, min_size=1, max_size=6), st.integers(-3, 3)
+)
+_tails = st.lists(_scalars, max_size=3)
+
+
+def _extended(a, tail):
+    return EpsSeries(list(a.coefficients) + tail, a.min_exponent)
+
+
+def _lead(a):
+    lead = a.leading_exponent()
+    return a.min_exponent if lead is None else lead
+
+
+def _agree_on_window(result, other):
+    assert other.max_exponent >= result.max_exponent
+    for e in range(min(result.min_exponent, other.min_exponent) - 1, result.max_exponent + 1):
+        assert result.coefficient(e) == other.coefficient(e), e
+
+
+@given(_series, st.integers(-6, 6))
+@example(S([1, 2, 3], -1), -2)
+def test_truncation_agrees_with_the_series_on_its_window(a, new_max):
+    cut = a.truncated(new_max)
+    assert cut.max_exponent == min(new_max, a.max_exponent)
+    for e in range(min(a.min_exponent, cut.min_exponent) - 1, cut.max_exponent + 1):
+        assert cut.coefficient(e) == a.coefficient(e)
+
+
+@given(_series, _series, _tails, _tails)
+@example(S([1, 5], -2), S([-1, -5], -2), [F(1)], [F(2)])
+def test_sum_window_rule(a, b, tail_a, tail_b):
+    total = a + b
+    assert total.max_exponent == min(a.max_exponent, b.max_exponent)
+    _agree_on_window(total, _extended(a, tail_a) + _extended(b, tail_b))
+
+
+@given(_series, _series, _tails, _tails)
+def test_product_window_rule(a, b, tail_a, tail_b):
+    product = a * b
+    pa, pb = _lead(a), _lead(b)
+    assert product.max_exponent == min(a.max_exponent + pb, b.max_exponent + pa)
+    _agree_on_window(product, _extended(a, tail_a) * _extended(b, tail_b))
+
+
+@given(_series)
+def test_invert_twice_is_the_identity(a):
+    if a.is_zero():
+        return
+    p = a.leading_exponent()
+    inverse = series_invert(a)
+    assert (inverse.min_exponent, inverse.max_exponent) == (-p, a.max_exponent - 2 * p)
+    assert series_invert(inverse) == a

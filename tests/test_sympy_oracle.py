@@ -1,9 +1,8 @@
 """An independent oracle: sympy's rising factorial, differentiated symbolically.
 
-Several pochex routes share code or summands: the recurrence methods and the
-engine take the same linear-factor steps, and closed_sum and delta_form sum
-the same terms, since C(m-1, l)/(m-1)! = 1/(l! (m-1-l)!).  Their agreement
-with one another cannot catch a slip they share; sympy's `rf` can.
+Several pochex routes share code: the recurrence methods and the engine take
+the same linear-factor steps.  Their agreement with one another cannot catch
+a slip they share; sympy's `rf` can.
 """
 
 import random
