@@ -13,7 +13,7 @@ import threading
 from fractions import Fraction
 
 from .errors import DomainError
-from .series import EpsSeries, series_invert, series_pow
+from .series import EpsSeries, _coerce, series_invert, series_pow
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -74,7 +74,7 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
         raise DomainError("gen_bernoulli_poly needs n >= 0")
     if not isinstance(a, int) or a < 1:
         raise DomainError("gen_bernoulli_poly needs integer order a >= 1")
-    x = Fraction(x)
+    x = Fraction(_coerce(x))
     key = (a, x)
     with _bernoulli_lock:
         values = _bernoulli_cache.get(key)
@@ -144,9 +144,9 @@ def binomial(top, k: int) -> Fraction:
         raise DomainError("binomial needs k >= 0")
     if isinstance(top, int) and top >= 0:
         return Fraction(math.comb(top, k))
-    if isinstance(top, Fraction) and top.denominator == 1 and top >= 0:
+    top = Fraction(_coerce(top))
+    if top.denominator == 1 and top >= 0:
         return Fraction(math.comb(int(top), k))
-    top = Fraction(top)
     num = _ONE
     for i in range(k):
         num *= top - i

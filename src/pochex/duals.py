@@ -26,6 +26,11 @@ class Dual:
     __slots__ = ("val", "der")
 
     def __init__(self, val, der=0):
+        # A float is refused as series._coerce refuses it, by one test per part:
+        # every Dual result is built here, and _coerce would cost each one a call.
+        if isinstance(val, float) or isinstance(der, float):
+            bad = val if isinstance(val, float) else der
+            raise DomainError(f"inexact float {bad!r}; pass an int or a Fraction")
         self.val = Fraction(val)
         self.der = Fraction(der)
 

@@ -20,10 +20,18 @@ formulas in `expand_closed`; engine and closed forms are independent code
 paths that must agree entry by entry, and that fail on the same inputs:
 `expand_closed` first checks each lattice point of `closed_engine_spec`, so it
 raises the engine's PoleError.  dF7_ddelta is taken at delta = 0 on both routes.
+
+Cost model of `expand_closed` at eps order K: each closed coefficient is a
+signed power sum lead*delta_{k,0} + sum_j w_j r_j**k, for F1, F5 and F6 joined
+over k1 by a Cauchy product.  Each example returns the whole k-column of a
+lattice point, so its weights w_j are evaluated once per lattice point,
+independent of K; each term then costs O(K) for its powers, and each
+convolution O(K**2).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -242,179 +250,132 @@ def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
     )
 
 
-def _inv_pow(base, exponent: int):
-    # 1 / base**exponent for exact scalars.
-    return 1 / (_coerce(base) ** exponent)
+def _power_column(K, lead, terms):
+    """[lead*delta_{k,0} + sum w * r**k for k = 0..K] over (weight w, ratio r) pairs.
+
+    A sign (-1)**k rides in a negative ratio; each weight is evaluated once.
+    """
+    column = [lead] + [_ZERO] * K
+    for w, r in terms:
+        column[0] += w
+        for k in range(1, K + 1):
+            w *= r
+            column[k] += w
+    return column
 
 
-def _bracket(k, n, weight, lead=_ONE):
-    """lead*delta_{k,0} - sum_{j=1..n} (-1)**j weight(j) / j**k."""
-    acc = lead if k == 0 else _ZERO
-    for j in range(1, n + 1):
-        acc -= (-1) ** j * weight(j) * _inv_pow(j, k)
-    return acc
+def _convolve(a, b):
+    """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two columns."""
+    return [sum((a[i] * b[k - i] for i in range(k + 1)), _ZERO) for k in range(len(a))]
 
 
-def _closed_f1(k, m1, m2):
+def _closed_f1(K, m1, m2):
     n, m = m1, m1 + m2
-    total = _ZERO
-    for k1 in range(k + 1):
-        s = stirling_s1(m + 1, k1 + 1)
-        if s == 0:
-            continue
-        bracket = _bracket(k - k1, n, lambda j: binomial(m - j, n) * binomial(n, j))
-        total += 2**k1 * (-1) ** m * s * bracket
-    return total / (math.factorial(n) * math.factorial(m - n))
+    stirling = [2**k1 * (-1) ** m * stirling_s1(m + 1, k1 + 1) for k1 in range(K + 1)]
+    terms = [
+        ((-1) ** (j + 1) * binomial(m - j, n) * binomial(n, j), Fraction(1, j))
+        for j in range(1, n + 1)
+    ]
+    scale = math.factorial(n) * math.factorial(m - n)
+    return [v / scale for v in _convolve(stirling, _power_column(K, _ONE, terms))]
 
 
-def _closed_f2_f3_bracketed(k, n, m):
-    bracket = _bracket(
-        k, n, lambda j: binomial(m + j, n) * binomial(n, j), lead=Fraction((-1) ** n)
-    )
-    return (-1) ** k * bracket * binomial(m, n)
+def _closed_f2_to_f4(K, n, m, shift, lead):
+    # (-1)**k C(m, n) [lead*delta_{k,0} - sum_j (-1)**j C(m + shift*j, n) C(n, j) / j**k].
+    terms = [
+        ((-1) ** (j + 1) * binomial(m + shift * j, n) * binomial(n, j), Fraction(-1, j))
+        for j in range(1, n + 1)
+    ]
+    scale = binomial(m, n)
+    return [v * scale for v in _power_column(K, lead, terms)]
 
 
-def _closed_f2(k, m1, m2):
-    return _closed_f2_f3_bracketed(k, m2, m1 + m2)
+def _closed_f2(K, m1, m2):
+    return _closed_f2_to_f4(K, m2, m1 + m2, 1, Fraction((-1) ** m2))
 
 
-def _closed_f3(k, m1, m2):
-    return _closed_f2_f3_bracketed(k, m1, m1 + m2)
+def _closed_f3(K, m1, m2):
+    return _closed_f2_to_f4(K, m1, m1 + m2, 1, Fraction((-1) ** m1))
 
 
-def _closed_f4(k, m1, m2):
-    n, m = m1, m1 + m2
-    bracket = _bracket(k, n, lambda j: binomial(m - j, n) * binomial(n, j))
-    return (-1) ** k * bracket * binomial(m, n)
+def _closed_f4(K, m1, m2):
+    return _closed_f2_to_f4(K, m1, m1 + m2, -1, _ONE)
 
 
-def _f5_inner(n, k1):
-    # delta_{n,0} delta_{k1,0} minus a signed sum over the first n unit shifts.
-    acc = _ONE if (n == 0 and k1 == 0) else _ZERO
+def _closed_f5(K, m1, m2):
+    n, d = m1, m2
+    inner, outer = [], []
     for l in range(1, n + 1):
-        acc -= (
-            Fraction((-1) ** l * l, math.factorial(l) * math.factorial(n - l))
-            * _inv_pow(1 + l, k1 + 1)
-        )
-    return acc
-
-
-def _f5_outer(d, kk):
-    # delta_{kk,0} minus a signed double-factorial sum over j <= floor(d/2).
-    acc = _ONE if kk == 0 else _ZERO
+        w = Fraction((-1) ** (l + 1) * l, math.factorial(l) * math.factorial(n - l))
+        inner.append((w / (1 + l), Fraction(1, 1 + l)))
     for j in range(1, d // 2 + 1):
-        acc -= (
-            Fraction((-1) ** j)
-            * double_factorial(2 * d - 2 * j - 1)
-            / (2**j * math.factorial(d - 2 * j) * math.factorial(j - 1))
-            * _inv_pow(1 + j, kk + 1)
-        )
-    return acc
-
-
-def _closed_f5(k, m1, m2):
-    n, m = m1, m1 + m2
-    pref = Fraction(1, 2**m) * binomial(m, n)
+        w = (-1) ** (j + 1) * double_factorial(2 * d - 2 * j - 1)
+        w /= 2**j * math.factorial(d - 2 * j) * math.factorial(j - 1)
+        outer.append((w / (1 + j), Fraction(1, 1 + j)))
+    inner = _power_column(K, _ONE if n == 0 else _ZERO, inner)
+    pref = Fraction(1, 2 ** (n + d)) * binomial(n + d, n)
     pref *= _ONE if n == 0 else double_factorial(2 * n - 1)
-    total = _ZERO
-    for k1 in range(k + 1):
-        a = _f5_inner(n, k1)
-        if a == 0:
-            continue
-        total += a * _f5_outer(m - n, k - k1)
-    return pref * total
+    return [pref * v for v in _convolve(inner, _power_column(K, _ONE, outer))]
 
 
-def _closed_f6(delta):
-    def entry(k, n1, n2):
-        pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-        total = _ZERO
-        for k1 in range(k + 1):
-            t1 = _bracket(
-                k1,
-                n1,
-                lambda l: pochhammer(1 + delta - l, n1)
-                / (math.factorial(l) * math.factorial(n1 - l)),
-            )
-            t2 = Fraction((-1) ** n2) if k1 == k else _ZERO
-            for j in range(n2):
-                t2 += (
-                    (-1) ** j
-                    * pochhammer(2 + n1 + j + 2 * delta, n2)
-                    / (math.factorial(j) * math.factorial(n2 - 1 - j))
-                    * _inv_pow(1 + j + delta, k - k1 + 1)
-                )
-            total += (-1) ** (k - k1) * t1 * t2
-        return pref * total
-
-    return entry
+def _closed_f6(delta, K, n1, n2):
+    t1, t2 = [], []  # t2 holds (-1)**k times the tail's k-th coefficient
+    for l in range(1, n1 + 1):
+        w = pochhammer(1 + delta - l, n1) / (math.factorial(l) * math.factorial(n1 - l))
+        t1.append(((-1) ** (l + 1) * w, Fraction(1, l)))
+    for j in range(n2):
+        inv = 1 / (1 + j + delta)
+        w = (-1) ** j * pochhammer(2 + n1 + j + 2 * delta, n2)
+        w /= math.factorial(j) * math.factorial(n2 - 1 - j)
+        t2.append((w * inv, -inv))
+    t1 = _power_column(K, _ONE, t1)
+    t2 = _power_column(K, Fraction((-1) ** n2), t2)
+    pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
+    return [pref * v for v in _convolve(t1, t2)]
 
 
-def _closed_f6_alt(delta):
-    def entry(k, n1, n2):
-        pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-        total = _bracket(
-            k,
-            n1,
-            lambda j1: pochhammer(1 + delta - j1, n1 + n2)
-            / pochhammer(1 + delta + j1, n2)
-            / (math.factorial(j1) * math.factorial(n1 - j1)),
-            lead=Fraction((-1) ** n2),
-        )
-        tail = _ZERO
-        for j2 in range(n2):
-            tail += (
-                pochhammer(2 + 2 * delta + j2, n1 + n2)
-                / pochhammer(2 + delta + j2, n1)
-                * (-1) ** j2
-                / (math.factorial(j2) * math.factorial(n2 - 1 - j2))
-                * _inv_pow(1 + j2 + delta, k + 1)
-            )
-        total += (-1) ** k * tail
-        return pref * total
-
-    return entry
+def _closed_f6_alt(delta, K, n1, n2):
+    terms = []
+    for j1 in range(1, n1 + 1):
+        w = pochhammer(1 + delta - j1, n1 + n2) / pochhammer(1 + delta + j1, n2)
+        w /= math.factorial(j1) * math.factorial(n1 - j1)
+        terms.append(((-1) ** (j1 + 1) * w, Fraction(1, j1)))
+    for j2 in range(n2):
+        inv = 1 / (1 + j2 + delta)
+        w = pochhammer(2 + 2 * delta + j2, n1 + n2) / pochhammer(2 + delta + j2, n1)
+        w *= Fraction((-1) ** j2, math.factorial(j2) * math.factorial(n2 - 1 - j2))
+        terms.append((w * inv, -inv))
+    pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
+    return [pref * v for v in _power_column(K, Fraction((-1) ** n2), terms)]
 
 
-def _closed_f7(delta):
-    def entry(k, n1, n2):
-        pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-        bracket = _bracket(
-            k,
-            n1,
-            lambda j: pochhammer(n2 + 1 + delta - j, n1)
-            / (math.factorial(j) * math.factorial(n1 - j)),
-        )
-        return (-1) ** k * pref * bracket
-
-    return entry
+def _closed_f7(delta, K, n1, n2):
+    terms = []
+    for j in range(1, n1 + 1):
+        w = pochhammer(n2 + 1 + delta - j, n1) / (math.factorial(j) * math.factorial(n1 - j))
+        terms.append(((-1) ** (j + 1) * w, Fraction(-1, j)))
+    pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
+    return [pref * v for v in _power_column(K, _ONE, terms)]
 
 
-def _closed_df7(k, n1, n2):
+def _closed_df7(K, n1, n2):
+    # (-1)**k / n2! times piece1 * bracket1 + piece2 * bracket2, one weight per j.
     piece1 = _ZERO
     if n2 > 0:
-        bracket = _bracket(
-            k,
-            n1,
-            lambda j: pochhammer(n2 + 1 - j, n1) / (math.factorial(j) * math.factorial(n1 - j)),
-        )
-        piece1 = (
-            Fraction((-1) ** (n2 - 1) * n2)
-            * gen_bernoulli_poly(n2 - 1, n2 + 1, Fraction(-n1))
-            * bracket
-        )
-    acc = -_bracket(
-        k,
-        n1,
-        lambda j: math.comb(n1, j) * gen_bernoulli_poly(n1 - 1, n1 + 1, Fraction(j - n2)),
-        lead=_ZERO,
-    )
-    piece2 = Fraction((-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2) * acc
-    return Fraction((-1) ** k, math.factorial(n2)) * (piece1 + piece2)
+        piece1 = Fraction((-1) ** (n2 - 1) * n2)
+        piece1 *= gen_bernoulli_poly(n2 - 1, n2 + 1, Fraction(-n1))
+    piece2 = Fraction((-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2)
+    terms = []
+    for j in range(1, n1 + 1):
+        w = piece2 * math.comb(n1, j) * gen_bernoulli_poly(n1 - 1, n1 + 1, Fraction(j - n2))
+        if n2 > 0:
+            w -= piece1 * pochhammer(n2 + 1 - j, n1) / (math.factorial(j) * math.factorial(n1 - j))
+        terms.append(((-1) ** j * w, Fraction(-1, j)))
+    return [v / math.factorial(n2) for v in _power_column(K, piece1, terms)]
 
 
-# Closed-form coefficient function (k, m1, m2) -> value of each built-in
-# example; a delta example maps to a factory taking delta instead.
+# Closed-form column function (K, m1, m2) -> [value for k = 0..K] of each
+# built-in example; a delta example takes delta first.
 _CLOSED_ENTRIES = {
     "F1": _closed_f1,
     "F2": _closed_f2,
@@ -433,20 +394,25 @@ CLOSED_EXAMPLES = tuple(_CLOSED_ENTRIES)
 def expand_closed(
     example: str, eps_order: int, degree_bound: int, extra: dict | None = None
 ) -> ExpansionTable:
-    """Closed-form coefficient table for a built-in example (lattice keying)."""
+    """Closed-form coefficient table for a built-in example (lattice keying).
+
+    Each entry function returns the whole k-column of a lattice point, so
+    its weights are evaluated once per point whatever eps_order K is; each
+    weight then costs O(K) for its powers, and each k1 convolution O(K**2).
+    """
     if eps_order < 0 or degree_bound < 0:
         raise DomainError("eps_order and degree_bound must be >= 0")
     delta = _coerce((extra or {}).get("delta"))
     spec = closed_engine_spec(example, delta)
     entry = _CLOSED_ENTRIES[example]
     if example in _DELTA_EXAMPLES:
-        entry = entry(delta)
+        entry = functools.partial(entry, delta)
     entries = {}
     for m1 in range(degree_bound + 1):
         for m2 in range(degree_bound + 1 - m1):
             _check_lattice_pole(spec, m1, m2)
-            for k in range(eps_order + 1):
-                entries[(k, m1, m2)] = entry(k, m1, m2)
+            for k, value in enumerate(entry(eps_order, m1, m2)):
+                entries[(k, m1, m2)] = value
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 

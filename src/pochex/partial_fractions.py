@@ -255,14 +255,14 @@ def quotient_deriv(
         # Constant denominator: differentiate the numerator polynomial directly.
         value = num.slope**k * poch_deriv(num.at(at_eps), m, k)
         return value / pochhammer(den.constant, n)
-    if m <= n:
-        return pf_derivative(decompose_single(num, m, den, n), k, at_eps)
-    # Excess numerator degree: peel off (num)_{m-n} and apply the product rule.
-    (prefix, length), core = reduce_excess(num, m, den, n)
-    form = decompose_multi(core)
-    acc = _ZERO
+    # Peel off the excess numerator degree (num)_excess, decompose the rest and
+    # apply the product rule; with no excess it is the single term k1 = 0.
+    excess = max(m - n, 0)
+    form = decompose_multi(PochProductQuotient([(num.shifted(excess), m - excess)], [(den, n)]))
+    acc, power = _ZERO, _ONE  # power = num.slope**k1
     for k1 in range(k + 1):
-        left = prefix.slope**k1 * poch_deriv(prefix.at(at_eps), length, k1)
+        left = power * poch_deriv(num.at(at_eps), excess, k1)
+        power *= num.slope
         if left == 0:
             continue
         acc += left * pf_derivative(form, k - k1, at_eps)

@@ -1,12 +1,18 @@
 """Command-line front-end: output format, exit codes, error routing."""
 
+import contextlib
+import io
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pochex.cli import main
-from pochex.pochhammer import LinearParam, poch_eps_series
+from pochex.hyper_expand import CLOSED_EXAMPLES
+from pochex.pochhammer import LinearParam, PochMethod, RecipMethod, poch_eps_series
 from pochex.series import series_invert
+from pochex.verify import GenFunId, IdentityId
 
 
 def run(capsys, *argv):
@@ -409,3 +415,55 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, *args)
     second = run(capsys, *args)
     assert first == second
+
+
+# -- argv fuzz -----------------------------------------------------------------------
+
+# Small values only, so that no draw runs long: the largest expansion is K = D = 12.
+_INT = st.integers(-3, 12).map(str)
+_RAT = st.builds("{}/{}".format, st.integers(-12, 12), st.integers(1, 5)) | _INT
+_RELATION_IDS = [r.value for r in IdentityId] + [r.value for r in GenFunId] + ["zz"]
+_COMMANDS = ["poch", "recip", "laurent", "quotient", "expand", "tables", "verify"]
+
+
+@st.composite
+def _argv(draw):
+    i, r = (lambda: draw(_INT)), (lambda: draw(_RAT))
+    command = draw(st.sampled_from(_COMMANDS))
+    if command == "poch":
+        method = draw(st.sampled_from([m.value for m in PochMethod]))
+        return ["poch", "--alpha", r(), "-m", i(), "-k", i(), "--method", method]
+    if command == "recip":
+        method = draw(st.sampled_from([m.value for m in RecipMethod]))
+        return ["recip", "--beta", r(), "-m", i(), "-k", i(), "--method", method]
+    if command == "laurent":
+        return ["recip", "--laurent", "-n", i(), "-b", r(), "-m", i(), "--order", i()]
+    if command == "quotient":
+        argv = ["quotient", "--num", r(), r(), "-m", i(), "--den", r(), r(), "-n", i()]
+        return argv + ["-k", i(), "--at", r()]
+    if command == "expand":
+        argv = ["expand", "--closed", draw(st.sampled_from(CLOSED_EXAMPLES))]
+        argv += ["--eps-order", i(), "--degree-bound", i()]
+        if draw(st.booleans()):
+            argv += ["--delta", r()]
+        argv += ["--regroup", draw(st.sampled_from(["lattice", "total"]))]
+        return argv + ["--format", draw(st.sampled_from(["csv", "aligned"]))]
+    if command == "tables":
+        k = draw(st.sampled_from([i(), f"{i()}..{i()}"]))
+        return ["tables", "--k", k, "--max-m", i()]
+    ids = draw(st.lists(st.sampled_from(_RELATION_IDS), min_size=1, max_size=2))
+    return ["verify"] + [token for relation in ids for token in ("--id", relation)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_argv_fuzz_exits_cleanly(argv):
+    # Exit 0, 1 or 2 with no exception; a failure prints nothing on stdout and
+    # says `error:` on stderr.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 1:
+        assert out.getvalue() == "", argv
+        assert any("error:" in line for line in err.getvalue().splitlines()), argv

@@ -172,6 +172,17 @@ def test_engine_pole_matches_per_point_reference():
     assert _entries_or_pole(lambda: expand_general(spec, 2, 4)) == reference
 
 
+def _counter(monkeypatch, calls, owner, name):
+    # Replace owner.name by a wrapper that counts its calls in calls[name].
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
 def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
     # Deterministic work counts of the engine on F5 (K=6, D=20): the walk
     # applies each factor's c0 start factors, c1 factors on each of the D
@@ -179,29 +190,48 @@ def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
     # moves along the m2 rows, so sum_f (c0 + c1*D + c2*D(D+1)/2) linear-factor
     # steps, and makes no series, products or inverses.
     calls = Counter()
-
-    def count(owner, name):
-        fn = getattr(owner, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        monkeypatch.setattr(owner, name, counted)
-
-    count(pochex.hyper_expand, "_poch_step")
-    count(pochex.hyper_expand, "_recip_step")
+    _counter(monkeypatch, calls, pochex.hyper_expand, "_poch_step")
+    _counter(monkeypatch, calls, pochex.hyper_expand, "_recip_step")
     for module in (pochex.hyper_expand, pochex.pochhammer, pochex.series):
         for name in ("poch_eps_series", "series_invert"):
             if hasattr(module, name):
-                count(module, name)
-    count(EpsSeries, "__mul__")
+                _counter(monkeypatch, calls, module, name)
+    _counter(monkeypatch, calls, EpsSeries, "__mul__")
     expand_general(closed_engine_spec("F5"), 6, 20)
     assert calls["_poch_step"] == 460
     assert calls["_recip_step"] == 230
     assert calls["poch_eps_series"] == 0
     assert calls["series_invert"] == 0
     assert calls["__mul__"] == 0
+
+
+@pytest.mark.parametrize(
+    "example, counts",
+    [
+        ("F1", {"binomial": 728}),
+        ("F5", {"binomial": 91}),
+        ("F6", {"pochhammer": 819}),
+        ("F6_alt", {"pochhammer": 1547}),
+        ("F7", {"pochhammer": 455}),
+        ("dF7_ddelta", {"gen_bernoulli_poly": 442, "pochhammer": 286}),
+    ],
+    ids=["F1", "F5", "F6", "F6_alt", "F7", "dF7_ddelta"],
+)
+def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example, counts):
+    # Deterministic work counts of the closed forms at D=12 (91 lattice points):
+    # each point evaluates its prefactor and its weights once and gets every
+    # k from them, so the counts at eps order 4 equal those at eps order 0.
+    # F6 makes 1 + n1 + n2 pochhammer calls per point, F6_alt 1 + 2(n1 + n2),
+    # F7 1 + n1; dF7 makes n1 + [n2 > 0] Bernoulli and [n2 > 0]*n1 pochhammer
+    # calls; F1 makes 2*n1 binomials, F5 one.
+    calls = Counter()
+    for name in ("binomial", "gen_bernoulli_poly", "pochhammer"):
+        _counter(monkeypatch, calls, pochex.hyper_expand, name)
+    extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
+    for eps_order in (0, 4):
+        calls.clear()
+        expand_closed(example, eps_order, 12, extra)
+        assert calls == Counter(counts), eps_order
 
 
 # -- regrouping ------------------------------------------------------------------
@@ -312,10 +342,15 @@ def _entries_or_pole(build):
 
 @pytest.mark.parametrize("example", ["F6", "F6_alt", "F7"])
 @pytest.mark.parametrize(
-    "delta", [F(0), F(1, 3)] + [F(d) for d in (-3, -2, -1, 1, 2, 3)] + [F(1, 2), F(-1, 2)]
+    "delta",
+    [F(0), F(1, 3)]
+    + [F(d) for d in (-3, -2, -1, 1, 2, 3)]
+    + [F(1, 2), F(-1, 2), Dual(F(1, 3), 1)],
 )
 def test_engine_matches_closed_delta_families(example, delta):
-    # Equal tables, or the same PoleError (lattice point and factor) on both routes.
+    # Equal tables with equal entry types (a Dual delta gives Dual entries where
+    # the term depends on delta), or the same PoleError (lattice point and
+    # factor) on both routes.
     order, bound = 2, 4
     closed = _entries_or_pole(
         lambda: expand_closed(example, order, bound, extra={"delta": delta})
@@ -324,8 +359,13 @@ def test_engine_matches_closed_delta_families(example, delta):
         lambda: expand_general(closed_engine_spec(example, delta), order, bound)
     )
     assert engine == closed
+    if not isinstance(closed, tuple):
+        assert {key: type(v) for key, v in engine.items()} == {
+            key: type(v) for key, v in closed.items()
+        }
     # Only a negative-integer delta puts a pole on this lattice.
-    assert isinstance(closed, tuple) == (delta < 0 and delta.denominator == 1)
+    value = delta.val if isinstance(delta, Dual) else delta
+    assert isinstance(closed, tuple) == (value < 0 and value.denominator == 1)
 
 
 def test_f6_alt_is_another_route_to_f6():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pochex.combinatorics import binomial, gen_bernoulli_poly
 from pochex.duals import Dual
 from pochex.errors import DomainError, PoleError
 from pochex.partial_fractions import quotient_deriv
@@ -83,9 +84,13 @@ def test_poch_eps_series_is_the_truncated_full_polynomial(c, s, m, order):
         lambda: pochhammer(0.5, 3),
         lambda: LinearParam(0.5, 1),
         lambda: LinearParam(1, 0.5),
+        lambda: binomial(0.5, 2),
+        lambda: gen_bernoulli_poly(2, 1, 0.5),
+        lambda: Dual(0.5, 1),
     ],
     ids=[
-        "poch_deriv", "poch_deriv_k_above_m", "recip_poch_deriv", "pochhammer", "constant", "slope"
+        "poch_deriv", "poch_deriv_k_above_m", "recip_poch_deriv", "pochhammer", "constant", "slope",
+        "binomial", "gen_bernoulli_poly", "dual",
     ],
 )
 def test_float_arguments_are_refused(call):
