@@ -12,8 +12,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .errors import DomainError
-from .series import EpsSeries, _coerce, series_invert, series_pow
+from .series import EpsSeries, _coerce, _count, series_invert, series_pow
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -30,8 +29,7 @@ def stirling_s1(n: int, k: int) -> Fraction:
     Convention: [log(1+t)]**k = k! * sum(s(n, k) t**n / n!, n >= k), i.e.
     s(n+1, k) = s(n, k-1) - n*s(n, k) with s(0, 0) = 1.
     """
-    if n < 0 or k < 0:
-        raise DomainError("stirling_s1 needs n >= 0 and k >= 0")
+    _count("stirling_s1", n=n, k=k)
     if k > n:
         return _ZERO
     with _stirling_lock:
@@ -70,11 +68,9 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
 
     Defined by (z/(e^z - 1))**a * e^{xz} = sum(B_n^(a)(x) z**n / n!).
     """
-    if n < 0:
-        raise DomainError("gen_bernoulli_poly needs n >= 0")
-    if not isinstance(a, int) or a < 1:
-        raise DomainError("gen_bernoulli_poly needs integer order a >= 1")
-    x = Fraction(_coerce(x))
+    _count("gen_bernoulli_poly", n=n)
+    _count("gen_bernoulli_poly", 1, a=a)
+    x = _coerce(x, rational=True)
     key = (a, x)
     with _bernoulli_lock:
         values = _bernoulli_cache.get(key)
@@ -88,8 +84,7 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
 
 def harmonic(m: int, k: int) -> Fraction:
     """Harmonic number of order k: sum(1/j**k, j = 1..m)."""
-    if m < 0 or k < 0:
-        raise DomainError("harmonic needs m >= 0 and k >= 0")
+    _count("harmonic", m=m, k=k)
     return sum((Fraction(1, j**k) for j in range(1, m + 1)), _ZERO)
 
 
@@ -98,8 +93,7 @@ def mod_harmonic(m: int, k: int) -> Fraction:
 
     The empty case m = 0 is 1 for k = 0 and 0 otherwise.
     """
-    if m < 0 or k < 0:
-        raise DomainError("mod_harmonic needs m >= 0 and k >= 0")
+    _count("mod_harmonic", m=m, k=k)
     if m == 0:
         return _ONE if k == 0 else _ZERO
     return sum(
@@ -110,8 +104,7 @@ def mod_harmonic(m: int, k: int) -> Fraction:
 
 def nested_ones_Z(m: int, k: int) -> Fraction:
     """Strictly-nested unit sum: sum over m >= i1 > i2 > ... > ik >= 1 of 1/(i1*...*ik)."""
-    if m < 0 or k < 0:
-        raise DomainError("nested_ones_Z needs m >= 0 and k >= 0")
+    _count("nested_ones_Z", m=m, k=k)
     if k == 0:
         return _ONE
     if k > m:
@@ -125,8 +118,7 @@ def nested_ones_Z(m: int, k: int) -> Fraction:
 
 def nested_ones_S(m: int, k: int) -> Fraction:
     """Non-strictly-nested unit sum: S(m, k) = sum(S(i, k-1)/i, i = 1..m), S(m, 0) = 1."""
-    if m < 0 or k < 0:
-        raise DomainError("nested_ones_S needs m >= 0 and k >= 0")
+    _count("nested_ones_S", m=m, k=k)
     if k == 0:
         return _ONE
     prev = [_ONE] * (m + 1)
@@ -140,11 +132,8 @@ def nested_ones_S(m: int, k: int) -> Fraction:
 
 def binomial(top, k: int) -> Fraction:
     """Binomial coefficient with arbitrary rational (or integer) top argument."""
-    if k < 0:
-        raise DomainError("binomial needs k >= 0")
-    if isinstance(top, int) and top >= 0:
-        return Fraction(math.comb(top, k))
-    top = Fraction(_coerce(top))
+    _count("binomial", k=k)
+    top = _coerce(top, rational=True)
     if top.denominator == 1 and top >= 0:
         return Fraction(math.comb(int(top), k))
     num = _ONE
@@ -155,8 +144,7 @@ def binomial(top, k: int) -> Fraction:
 
 def double_factorial(n: int) -> Fraction:
     """n!! for n >= -1, with (-1)!! = 0!! = 1."""
-    if n < -1:
-        raise DomainError("double factorial is only defined for n >= -1")
+    _count("double_factorial", -1, n=n)
     value = 1
     while n > 1:
         value *= n

@@ -13,11 +13,13 @@ from fractions import Fraction
 
 from .errors import DomainError
 
+_RATIONAL = (int, Fraction)
+
 
 def _lift(x):
     if isinstance(x, Dual):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _RATIONAL):
         return Dual(Fraction(x))
     return None
 
@@ -26,11 +28,12 @@ class Dual:
     __slots__ = ("val", "der")
 
     def __init__(self, val, der=0):
-        # A float is refused as series._coerce refuses it, by one test per part:
-        # every Dual result is built here, and _coerce would cost each one a call.
-        if isinstance(val, float) or isinstance(der, float):
-            bad = val if isinstance(val, float) else der
-            raise DomainError(f"inexact float {bad!r}; pass an int or a Fraction")
+        # Each part must be rational.  One type test per part: every Dual result
+        # is built here, and calling series._coerce would cost each one a call.
+        if not (isinstance(val, _RATIONAL) and isinstance(der, _RATIONAL)):
+            from .series import _coerce  # imported here: series imports this module
+
+            _coerce(der if isinstance(val, _RATIONAL) else val, rational=True)
         self.val = Fraction(val)
         self.der = Fraction(der)
 

@@ -40,7 +40,7 @@ from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirl
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import LinearParam, _poch_step, _recip_step, _vanishing_shift, pochhammer
-from .series import _coerce
+from .series import _coerce, _count
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -55,9 +55,7 @@ class IndexLaw:
     c2: int
 
     def __post_init__(self):
-        for c in (self.c0, self.c1, self.c2):
-            if not isinstance(c, int) or c < 0:
-                raise DomainError("index-law coefficients must be nonnegative integers")
+        _count("IndexLaw", c0=self.c0, c1=self.c1, c2=self.c2)
 
     def __call__(self, m1: int, m2: int) -> int:
         return self.c0 + self.c1 * m1 + self.c2 * m2
@@ -115,10 +113,7 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     docstring).  Every point is checked for a denominator pole before any
     work, in m1-major order, so the first pole on the lattice raises PoleError.
     """
-    if eps_order < 0:
-        raise DomainError("eps_order must be >= 0")
-    if degree_bound < 0:
-        raise DomainError("degree_bound must be >= 0")
+    _count("expand_general", eps_order=eps_order, degree_bound=degree_bound)
     points = [(m1, m2) for m1 in range(degree_bound + 1) for m2 in range(degree_bound + 1 - m1)]
     for m1, m2 in points:
         _check_lattice_pole(spec, m1, m2)
@@ -181,18 +176,29 @@ _DELTA_EXAMPLES = frozenset({"F6", "F6_alt", "F7"})
 
 
 def _check_example(example: str, delta):
-    """Reject an unknown example, a delta example given no delta, or dF7_ddelta at delta != 0."""
+    """The example's delta, coerced, or None.
+
+    Rejects an unknown example, a delta example given no delta, a delta given to
+    an example that takes none, and dF7_ddelta at delta != 0.
+    """
     if example not in _CLOSED_ENTRIES:
         raise DomainError(f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}")
-    if example in _DELTA_EXAMPLES and delta is None:
-        raise MissingParameter(f"example {example} needs the extra parameter delta")
-    if example == "dF7_ddelta" and delta not in (None, 0):
-        raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
+    if delta is None:
+        if example in _DELTA_EXAMPLES:
+            raise MissingParameter(f"example {example} needs the extra parameter delta")
+        return None
+    delta = _coerce(delta)
+    if example == "dF7_ddelta":
+        if delta != 0:
+            raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
+    elif example not in _DELTA_EXAMPLES:
+        raise DomainError(f"example {example} takes no delta")
+    return delta
 
 
 def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
     """The HyperTermSpec whose general-term expansion matches expand_closed(example)."""
-    _check_example(example, delta)
+    d = _check_example(example, delta)
     if example == "dF7_ddelta":
         return closed_engine_spec("F7", Dual(0, 1))
 
@@ -231,7 +237,6 @@ def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
             ],
             denom=[(LP(2, -1), _LAW_M1), (LP(3, -2), _LAW_M2)],
         )
-    d = delta
     if example in ("F6", "F6_alt"):
         # F6_alt is a second closed-form route to the same function as F6,
         # so both share one general-term spec.
@@ -400,13 +405,14 @@ def expand_closed(
     its weights are evaluated once per point whatever eps_order K is; each
     weight then costs O(K) for its powers, and each k1 convolution O(K**2).
     """
-    if eps_order < 0 or degree_bound < 0:
-        raise DomainError("eps_order and degree_bound must be >= 0")
-    delta = _coerce((extra or {}).get("delta"))
-    spec = closed_engine_spec(example, delta)
+    _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
+    extra = extra or {}
+    if set(extra) - {"delta"}:
+        raise DomainError(f"expand_closed takes only the extra parameter delta, got {list(extra)}")
+    spec = closed_engine_spec(example, extra.get("delta"))
     entry = _CLOSED_ENTRIES[example]
     if example in _DELTA_EXAMPLES:
-        entry = functools.partial(entry, delta)
+        entry = functools.partial(entry, spec.extra_params["delta"])
     entries = {}
     for m1 in range(degree_bound + 1):
         for m2 in range(degree_bound + 1 - m1):

@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
+from .errors import DegreeError, PoleError, RepeatedRoot, ZeroSlope
 from .pochhammer import LinearParam, _vanishing_shift, poch_deriv, pochhammer
-from .series import _coerce
+from .series import _coerce, _count
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -43,10 +43,6 @@ class PartialFractionForm:
     constant: Fraction
     terms: tuple
     scalar: Fraction = _ONE
-
-    def evaluate(self, at_eps) -> Fraction:
-        at_eps = _coerce(at_eps)
-        return pf_derivative(self, 0, at_eps)
 
     def render(self) -> str:
         """Human-readable sum, e.g. `2/(1+eps) - 3/(2+eps)`."""
@@ -94,16 +90,14 @@ class PochProductQuotient:
         scalar = _ONE
         kept_num = []
         for param, length in numer:
-            if length < 0:
-                raise DomainError("factor lengths must be >= 0")
+            _count("PochProductQuotient", length=length)
             if param.slope == 0 or length == 0:
                 scalar *= pochhammer(param.constant, length)
             else:
-                kept_num.append((param, int(length)))
+                kept_num.append((param, length))
         kept_den = []
         for q, (param, length) in enumerate(denom):
-            if length < 0:
-                raise DomainError("factor lengths must be >= 0")
+            _count("PochProductQuotient", length=length)
             if param.slope == 0 or length == 0:
                 j = _vanishing_shift(param.constant, length)
                 if j is not None:
@@ -115,7 +109,7 @@ class PochProductQuotient:
                     )
                 scalar /= pochhammer(param.constant, length)
             else:
-                kept_den.append((param, int(length)))
+                kept_den.append((param, length))
         num_degree = sum(m for _, m in kept_num)
         den_degree = sum(n for _, n in kept_den)
         if num_degree > den_degree:
@@ -140,14 +134,13 @@ def decompose_single(num: LinearParam, m: int, den: LinearParam, n: int) -> Part
     The poles of a single denominator factor are automatically simple.  The
     constant is (a/b)**n when the degrees are equal, else 0.
     """
-    if m < 0 or n < 0:
-        raise DomainError("decompose_single needs m >= 0 and n >= 0")
+    _count("decompose_single", m=m, n=n)
     if den.slope == 0:
         raise ZeroSlope("denominator factor has zero slope: nothing to decompose over")
     if m > n:
         raise DegreeError(
             f"numerator length {m} exceeds denominator length {n}; "
-            "use reduce_excess first"
+            "quotient_deriv splits off the excess"
         )
     return decompose_multi(PochProductQuotient([(num, m)], [(den, n)]))
 
@@ -204,8 +197,7 @@ def decompose_multi(quotient: PochProductQuotient) -> PartialFractionForm:
 
 def pf_derivative(form: PartialFractionForm, k: int, at_eps=0) -> Fraction:
     """(1/k!) d^k/deps^k of the decomposed quotient, evaluated at eps = at_eps."""
-    if k < 0:
-        raise DomainError("pf_derivative needs k >= 0")
+    _count("pf_derivative", k=k)
     at_eps = _coerce(at_eps)
     acc = form.constant if k == 0 else _ZERO
     for i, t in enumerate(form.terms):
@@ -220,30 +212,11 @@ def pf_derivative(form: PartialFractionForm, k: int, at_eps=0) -> Fraction:
     return form.scalar * acc
 
 
-def reduce_excess(num: LinearParam, m: int, den: LinearParam, n: int):
-    """Split an excess-degree quotient (m > n) into a polynomial prefix and a core.
-
-    Returns ((num, m - n), core) with core = (num + (m-n))_n / (den)_n, an
-    equal-degree quotient ready for decomposition.
-    """
-    if m <= n:
-        raise DomainError(
-            f"reduce_excess needs m > n (got m = {m}, n = {n}); "
-            "the quotient already decomposes as is"
-        )
-    prefix = (num, m - n)
-    core = PochProductQuotient(
-        numer=[(num.shifted(m - n), n)], denom=[(den, n)]
-    )
-    return prefix, core
-
-
 def quotient_deriv(
     num: LinearParam, m: int, den: LinearParam, n: int, k: int, at_eps=0
 ):
     """(1/k!) d^k/deps^k [ (num)_m / (den)_n ] evaluated at eps = at_eps."""
-    if m < 0 or n < 0 or k < 0:
-        raise DomainError("quotient_deriv needs m, n, k >= 0")
+    _count("quotient_deriv", m=m, n=n, k=k)
     at_eps = _coerce(at_eps)
     j = _vanishing_shift(den.at(at_eps), n)
     if j is not None:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .combinatorics import gen_bernoulli_poly, stirling_s1
 from .duals import Dual
 from .errors import DomainError, PoleError
-from .series import EpsSeries, _coerce, polynomial_series, series_invert
+from .series import EpsSeries, _coerce, _count, polynomial_series, series_invert
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -72,8 +72,7 @@ def _as_method(method, enum_cls):
 
 def pochhammer(alpha, m: int):
     """Rising factorial (alpha)_m = alpha (alpha+1) ... (alpha+m-1); empty product is 1."""
-    if m < 0:
-        raise DomainError("pochhammer needs m >= 0")
+    _count("pochhammer", m=m)
     alpha = _coerce(alpha)
     value = _ONE
     for j in range(m):
@@ -118,8 +117,7 @@ def _recip_step(row: list, c, s, width: int) -> list:
 
 def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
     """Exact polynomial (constant + slope*eps)_m as a series with window [0, order]."""
-    if m < 0:
-        raise DomainError("poch_eps_series needs m >= 0")
+    _count("poch_eps_series", m=m, order=order)
     poly = [_ONE]
     for j in range(m):
         poly = _poch_step(poly, param.constant + j, param.slope, order + 1)
@@ -190,8 +188,7 @@ _POCH_DISPATCH = {
 
 def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
     """P(m, k, alpha): the k-th derivative of (alpha)_m divided by k!."""
-    if m < 0 or k < 0:
-        raise DomainError("poch_deriv needs m >= 0 and k >= 0")
+    _count("poch_deriv", m=m, k=k)
     alpha = _coerce(alpha)
     if k > m:
         return _ZERO
@@ -249,8 +246,7 @@ _RECIP_DISPATCH = {
 
 def recip_poch_deriv(beta, m: int, k: int, method=RecipMethod.CLOSED_SUM):
     """Q(m, k, beta): the k-th derivative of 1/(beta)_m divided by k!."""
-    if m < 0 or k < 0:
-        raise DomainError("recip_poch_deriv needs m >= 0 and k >= 0")
+    _count("recip_poch_deriv", m=m, k=k)
     beta = _coerce(beta)
     l = _vanishing_shift(beta, m)
     if l is not None:
@@ -266,8 +262,8 @@ def recip_poch_laurent(n: int, b, m: int, order: int) -> EpsSeries:
     Requires m > n >= 0 and b != 0; the factor at shift n is exactly b*eps,
     and the remaining factors split into (1 - b*eps)_n and (1 + b*eps)_{m-n-1}.
     """
-    if n < 0:
-        raise DomainError("recip_poch_laurent needs n >= 0")
+    _count("recip_poch_laurent", n=n, m=m)
+    _count("recip_poch_laurent", -1, order=order)
     b = _coerce(b)
     if b == 0:
         raise DomainError("recip_poch_laurent needs a nonzero slope b")
@@ -276,8 +272,6 @@ def recip_poch_laurent(n: int, b, m: int, order: int) -> EpsSeries:
             f"recip_poch_laurent needs m > n (got m = {m}, n = {n}); "
             "a pole-free reciprocal belongs to recip_poch_deriv"
         )
-    if order < -1:
-        raise DomainError("order must be >= -1 (the pole is simple)")
     falling = poch_eps_series(LinearParam(1, -b), n, order + 1)
     rising = poch_eps_series(LinearParam(1, b), m - n - 1, order + 1)
     unit = series_invert(falling * rising)

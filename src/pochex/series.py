@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable
 
+from .duals import Dual
 from .errors import DomainError, NonzeroConstantTerm, ParseError, ZeroSeries
 
 _ZERO = Fraction(0)
@@ -39,14 +40,25 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(num))
 
 
-def _coerce(value):
-    # int -> Fraction; exact scalar types (Fraction, Dual) pass through; a float
-    # is refused, since every result must be exact.
+def _coerce(value, rational: bool = False):
+    """An exact scalar argument: an int (made a Fraction), a Fraction or, unless
+    `rational`, a Dual.  Anything else, a float above all, is a DomainError."""
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction) or (isinstance(value, Dual) and not rational):
+        return value
     if isinstance(value, float):
         raise DomainError(f"inexact float {value!r}; pass an int or a Fraction")
-    return value
+    kind = "a rational" if rational else "an exact scalar"
+    raise DomainError(f"{value!r} is not {kind}; pass an int or a Fraction")
+
+
+def _count(where: str, low: int = 0, **counts) -> None:
+    """Refuse each of `counts` that is not an int >= low, naming `where`, the count
+    and the value.  Every public length, order and index goes through here."""
+    for name, value in counts.items():
+        if not isinstance(value, int) or value < low:
+            raise DomainError(f"{where} needs an integer {name} >= {low}, got {value!r}")
 
 
 class EpsSeries:
@@ -211,8 +223,7 @@ class EpsSeries:
 
     @staticmethod
     def constant(value, order: int = 0) -> "EpsSeries":
-        if order < 0:
-            raise DomainError("truncation order of a constant must be >= 0")
+        _count("EpsSeries.constant", order=order)
         return EpsSeries([_coerce(value)] + [_ZERO] * order, 0)
 
     @staticmethod
@@ -226,8 +237,7 @@ def polynomial_series(coefficients: Iterable, order: int) -> EpsSeries:
     The caller asserts the list is the complete polynomial, so padding with
     zeros up to `order` is justified.
     """
-    if order < 0:
-        raise DomainError("truncation order must be >= 0")
+    _count("polynomial_series", order=order)
     coeffs = [_coerce(c) for c in coefficients]
     if len(coeffs) < order + 1:
         coeffs = coeffs + [_ZERO] * (order + 1 - len(coeffs))
@@ -303,8 +313,7 @@ def series_pow(a: EpsSeries, exponent: int) -> EpsSeries:
 
 def series_elementary(kind: str, order: int) -> EpsSeries:
     """Reference expansions of elementary functions: 'exp' or 'log1p'."""
-    if order < 0:
-        raise DomainError("truncation order must be >= 0")
+    _count("series_elementary", order=order)
     if kind == "exp":
         coeffs = [_ONE]
         for n in range(1, order + 1):

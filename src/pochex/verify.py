@@ -41,6 +41,8 @@ from .pochhammer import (
 )
 from .series import (
     EpsSeries,
+    _coerce,
+    _count,
     polynomial_series,
     series_compose,
     series_elementary,
@@ -116,30 +118,23 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-def _as_int(params, name, minimum=None):
+def _param(params, name):
     if name not in params:
         raise DomainError(f"missing parameter {name!r}")
-    value = params[name]
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise DomainError(f"parameter {name!r} must be an integer, got {value}")
+    return params[name]
+
+
+def _as_int(params, name, minimum):
+    # An integral Fraction counts as its integer.
+    value = _param(params, name)
+    if isinstance(value, Fraction) and value.denominator == 1:
         value = int(value)
-    if not isinstance(value, int):
-        raise DomainError(f"parameter {name!r} must be an integer")
-    if minimum is not None and value < minimum:
-        raise DomainError(f"parameter {name!r} must be >= {minimum}, got {value}")
+    _count("verify", minimum, **{name: value})
     return value
 
 
 def _as_rational(params, name):
-    if name not in params:
-        raise DomainError(f"missing parameter {name!r}")
-    value = params[name]
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
-    raise DomainError(f"parameter {name!r} must be rational")
+    return _coerce(_param(params, name), rational=True)
 
 
 # -- scalar identity evaluators ------------------------------------------------
@@ -585,6 +580,7 @@ def _genfun_nueva2(order, p):
 def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
     """Build both sides of a generating relation and compare coefficientwise."""
     identity, evaluate, _ = _relation(identity, (GenFunId,))
+    _count("genfun_check", order=order)
     if order < 1:
         raise DomainError("order must be >= 1")
     lhs, rhs = evaluate(order, dict(params))
@@ -725,10 +721,10 @@ class CheckSummary:
         return not self.failures
 
 
-def run_relation(token, grid=None, genfun_order=DEFAULT_GENFUN_ORDER) -> CheckSummary:
+def run_relation(token, grid=None) -> CheckSummary:
     """Check one relation at every point of `grid` (its default grid if None).
 
-    A generating relation is compared to `genfun_order`.
+    A generating relation is compared to DEFAULT_GENFUN_ORDER.
     """
     relation, _, default = _relation(token)
     grid = tuple(default() if grid is None else grid)
@@ -736,21 +732,21 @@ def run_relation(token, grid=None, genfun_order=DEFAULT_GENFUN_ORDER) -> CheckSu
         results = [identity_eval(relation, params) for params in grid]
         failures = tuple(result for result in results if not result.equal)
     else:
-        results = [genfun_check(relation, genfun_order, params) for params in grid]
+        results = [genfun_check(relation, DEFAULT_GENFUN_ORDER, params) for params in grid]
         failures = tuple(result for result in results if not result.equal_to_order)
     return CheckSummary(relation.value, len(grid), failures)
 
 
-def verify_ids(tokens, genfun_order=DEFAULT_GENFUN_ORDER):
+def verify_ids(tokens):
     """Check a list of relation tokens; returns one CheckSummary per token."""
     # Resolve every token before running any, so a bad token costs no work.
     relations = [_relation(token)[0] for token in tokens]
-    return [run_relation(relation, genfun_order=genfun_order) for relation in relations]
+    return [run_relation(relation) for relation in relations]
 
 
-def verify_all(genfun_order=DEFAULT_GENFUN_ORDER):
+def verify_all():
     """Check every registered relation over its documented grid."""
-    return verify_ids(_RELATIONS, genfun_order)
+    return verify_ids(_RELATIONS)
 
 
 # -- coverage registry ---------------------------------------------------------
@@ -831,7 +827,7 @@ RELATION_COVERAGE = {
     "ii11": "op:decompose_single",
     "ii13": "op:pf_derivative",
     "ii14": "op:pf_derivative",
-    "ii15": "op:reduce_excess",
+    "ii15": "op:quotient_deriv",
     "ii16": "identity:ii16",
     "ii17": "identity:ii17",
     "iii1": "closed:F1",

@@ -164,7 +164,7 @@ def test_criterion_5_cross_method_agreement():
 
 def test_criterion_6_self_verification_suite():
     started = time.perf_counter()
-    summaries = verify_all(genfun_order=12)
+    summaries = verify_all()
     ok = all(summary.passed for summary in summaries)
     _report(6, "identity suite at series order 12", ok, started)
     assert ok

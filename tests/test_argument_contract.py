@@ -1,0 +1,214 @@
+"""One argument contract for the public API.
+
+Counts (lengths, orders, indices) are ints at or above a documented floor;
+scalars are ints, Fractions or, where documented, Duals.  Anything else is a
+DomainError, never a raw TypeError, a float result or a silent conversion.
+"""
+
+import inspect
+from fractions import Fraction as F
+
+import pytest
+
+import pochex
+from pochex import (
+    Dual,
+    DomainError,
+    EpsSeries,
+    LinearParam,
+    PochProductQuotient,
+    closed_engine_spec,
+    decompose_single,
+    identity_eval,
+)
+
+_FORM = decompose_single(LinearParam(1, 1), 1, LinearParam(2, 1), 2)
+
+# Valid keyword arguments for every public callable with a count or scalar argument.
+VALID = {
+    "pochhammer": dict(alpha=1, m=2),
+    "poch_deriv": dict(alpha=1, m=2, k=1),
+    "recip_poch_deriv": dict(beta=1, m=3, k=1),
+    "recip_poch_laurent": dict(n=1, b=1, m=3, order=2),
+    "poch_eps_series": dict(param=LinearParam(1, 1), m=2, order=2),
+    "stirling_s1": dict(n=3, k=1),
+    "gen_bernoulli_poly": dict(n=2, a=1, x=0),
+    "harmonic": dict(m=3, k=1),
+    "mod_harmonic": dict(m=3, k=1),
+    "nested_ones_Z": dict(m=3, k=1),
+    "nested_ones_S": dict(m=3, k=1),
+    "binomial": dict(top=3, k=2),
+    "double_factorial": dict(n=3),
+    "polynomial_series": dict(coefficients=[1, 2], order=2),
+    "series_elementary": dict(kind="exp", order=2),
+    "EpsSeries.constant": dict(value=1, order=2),
+    "EpsSeries.one": dict(order=2),
+    "decompose_single": dict(num=LinearParam(1, 1), m=1, den=LinearParam(2, 1), n=2),
+    "pf_derivative": dict(form=_FORM, k=1, at_eps=0),
+    "quotient_deriv": dict(num=LinearParam(1, 1), m=1, den=LinearParam(2, 1), n=2, k=1, at_eps=0),
+    "IndexLaw": dict(c0=0, c1=1, c2=1),
+    "expand_general": dict(spec=closed_engine_spec("F1"), eps_order=1, degree_bound=2),
+    "expand_closed": dict(example="F1", eps_order=1, degree_bound=2),
+    "delta_dual_expand": dict(spec=closed_engine_spec("dF7_ddelta"), eps_order=1, degree_bound=2),
+    "closed_engine_spec": dict(example="F6", delta=F(1, 3)),
+    "genfun_check": dict(identity="a4", order=3, params={"k": 0, "alpha": 1}),
+    "LinearParam": dict(constant=1, slope=1),
+    "Dual": dict(val=1, der=1),
+}
+
+# Every count argument, with its floor where that is not 0.
+COUNTS = {
+    "pochhammer": ["m"],
+    "poch_deriv": ["m", "k"],
+    "recip_poch_deriv": ["m", "k"],
+    "recip_poch_laurent": ["n", "m", "order"],
+    "poch_eps_series": ["m", "order"],
+    "stirling_s1": ["n", "k"],
+    "gen_bernoulli_poly": ["n", "a"],
+    "harmonic": ["m", "k"],
+    "mod_harmonic": ["m", "k"],
+    "nested_ones_Z": ["m", "k"],
+    "nested_ones_S": ["m", "k"],
+    "binomial": ["k"],
+    "double_factorial": ["n"],
+    "polynomial_series": ["order"],
+    "series_elementary": ["order"],
+    "EpsSeries.constant": ["order"],
+    "EpsSeries.one": ["order"],
+    "decompose_single": ["m", "n"],
+    "pf_derivative": ["k"],
+    "quotient_deriv": ["m", "n", "k"],
+    "IndexLaw": ["c0", "c1", "c2"],
+    "expand_general": ["eps_order", "degree_bound"],
+    "expand_closed": ["eps_order", "degree_bound"],
+    "delta_dual_expand": ["eps_order", "degree_bound"],
+    "genfun_check": ["order"],
+}
+FLOORS = {("double_factorial", "n"): -1, ("recip_poch_laurent", "order"): -1,
+          ("gen_bernoulli_poly", "a"): 1}
+
+# Every scalar argument; True where it must be rational, so a Dual is refused too.
+SCALARS = {
+    "pochhammer": {"alpha": False},
+    "poch_deriv": {"alpha": False},
+    "recip_poch_deriv": {"beta": False},
+    "recip_poch_laurent": {"b": False},
+    "gen_bernoulli_poly": {"x": True},
+    "binomial": {"top": True},
+    "EpsSeries.constant": {"value": False},
+    "pf_derivative": {"at_eps": False},
+    "quotient_deriv": {"at_eps": False},
+    "closed_engine_spec": {"delta": False},
+    "LinearParam": {"constant": False, "slope": False},
+    "Dual": {"val": True, "der": True},
+}
+
+# Public records: they hold what the call that built them was given and compute
+# nothing from it, so their count-named fields are not arguments of a computation.
+RECORDS = {"ExpansionTable", "SpecOptions", "GenFunResult"}
+COUNT_NAMES = {"m", "n", "k", "a", "order", "eps_order", "degree_bound", "length"}
+# Parameters that carry a count's name but hold a series.
+NOT_COUNTS = {("series_invert", "a"), ("series_pow", "a")}
+
+BAD_SCALARS = ["1/2", "1", None, 1.5]
+
+
+def _callable(name):
+    owner, _, attr = name.partition(".")
+    target = getattr(pochex, owner)
+    return getattr(target, attr) if attr else target
+
+
+def _bad_counts(low):
+    return [low - 1, 1.0, 1.5, F(2), "2", None]
+
+
+def _count_cases():
+    for name, params in COUNTS.items():
+        for param in params:
+            for bad in _bad_counts(FLOORS.get((name, param), 0)):
+                yield pytest.param(name, param, bad, id=f"{name}-{param}-{bad!r}")
+
+
+def _scalar_cases():
+    for name, params in SCALARS.items():
+        for param, rational in params.items():
+            # A missing delta is None, which closed_engine_spec reports as MissingParameter.
+            bad_values = [b for b in BAD_SCALARS if not (param == "delta" and b is None)]
+            if rational:
+                bad_values.append(Dual(1, 1))
+            for bad in bad_values:
+                yield pytest.param(name, param, bad, id=f"{name}-{param}-{bad!r}")
+
+
+@pytest.mark.parametrize("name, param, bad", list(_count_cases()))
+def test_bad_count_is_a_domain_error(name, param, bad):
+    with pytest.raises(DomainError, match=f"needs an integer {param} >= "):
+        _callable(name)(**{**VALID[name], param: bad})
+
+
+@pytest.mark.parametrize("name, param, bad", list(_scalar_cases()))
+def test_bad_scalar_is_a_domain_error(name, param, bad):
+    with pytest.raises(DomainError):
+        _callable(name)(**{**VALID[name], param: bad})
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_arguments_pass(name):
+    _callable(name)(**VALID[name])
+
+
+@pytest.mark.parametrize("bad", _bad_counts(0))
+def test_bad_factor_length_is_a_domain_error(bad):
+    with pytest.raises(DomainError, match="needs an integer length >= 0"):
+        PochProductQuotient([(LinearParam(1, 1), bad)], [(LinearParam(2, 1), 2)])
+    with pytest.raises(DomainError, match="needs an integer length >= 0"):
+        PochProductQuotient([], [(LinearParam(2, 1), bad)])
+
+
+@pytest.mark.parametrize("bad", [["1/2"], [None], [1.5], [1, "2"]])
+def test_bad_series_coefficient_is_a_domain_error(bad):
+    with pytest.raises(DomainError):
+        EpsSeries(bad)
+    with pytest.raises(DomainError):
+        pochex.polynomial_series(bad, 2)
+
+
+@pytest.mark.parametrize(
+    "relation, params",
+    [
+        ("A9", {"m": 1.0, "k": 0}),
+        ("A9", {"m": "2", "k": 0}),
+        ("A9", {"m": F(1, 2), "k": 0}),
+        ("A9", {"m": -1, "k": 0}),
+        ("A9", {"m": None, "k": 0}),
+        ("A9", {"k": 0}),
+        ("A13", {"m": 2, "k": 1, "alpha": Dual(1, 1)}),
+        ("A13", {"m": 2, "k": 1, "alpha": 0.5}),
+        ("A13", {"m": 2, "k": 1, "alpha": "1/2"}),
+    ],
+)
+def test_bad_verify_parameter_is_a_domain_error(relation, params):
+    with pytest.raises(DomainError):
+        identity_eval(relation, params)
+
+
+def test_integral_fraction_counts_as_its_integer_in_verify():
+    assert identity_eval("A9", {"m": F(3), "k": F(1)}).equal
+
+
+def test_every_public_count_parameter_is_listed():
+    unlisted = []
+    for name in pochex.__all__:
+        obj = getattr(pochex, name)
+        if not callable(obj) or name in RECORDS:
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except ValueError:  # exception classes without a Python signature
+            continue
+        unlisted += [
+            (name, p) for p in params
+            if p in COUNT_NAMES and p not in COUNTS.get(name, ()) and (name, p) not in NOT_COUNTS
+        ]
+    assert unlisted == []

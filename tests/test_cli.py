@@ -317,6 +317,13 @@ def test_expand_delta_required(capsys):
     assert_clean_failure(capsys, "expand", "--closed", "F7")
 
 
+@pytest.mark.parametrize("example", ["F1", "F2", "F3", "F4", "F5"])
+def test_expand_delta_free_example_refuses_delta(capsys, example):
+    code, out, err = run(capsys, "expand", "--closed", example, "--delta", "1/3")
+    assert (code, out) == (1, "")
+    assert err == f"pochex: error: example {example} takes no delta\n"
+
+
 def test_expand_source_flags_are_exclusive(capsys, tmp_path):
     spec = tmp_path / "f1.spec"
     spec.write_text(F1_SPEC)

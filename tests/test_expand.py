@@ -422,6 +422,21 @@ def test_unknown_example_rejected():
         closed_engine_spec("F9")
 
 
+@pytest.mark.parametrize("example", ["F1", "F2", "F3", "F4", "F5"])
+def test_delta_free_examples_refuse_delta(example):
+    with pytest.raises(DomainError, match=f"example {example} takes no delta"):
+        expand_closed(example, 1, 1, extra={"delta": F(1, 3)})
+    with pytest.raises(DomainError, match=f"example {example} takes no delta"):
+        closed_engine_spec(example, F(1, 3))
+
+
+def test_expand_closed_refuses_unknown_extra_parameters():
+    with pytest.raises(DomainError, match="only the extra parameter delta"):
+        expand_closed("F1", 1, 1, extra={"gamma": F(1, 3)})
+    with pytest.raises(DomainError, match="only the extra parameter delta"):
+        expand_closed("F6", 1, 1, extra={"delta": F(1, 3), "gamma": 1})
+
+
 def test_df7_rejects_nonzero_delta():
     with pytest.raises(DomainError):
         expand_closed("dF7_ddelta", 1, 1, extra={"delta": F(1, 2)})

@@ -71,7 +71,7 @@ def test_run_identity_over_explicit_grid():
         (genfun_check, "zz", (3, {})),
         (genfun_check, "A9", (3, {})),
         (run_relation, "zz", ()),
-        (run_relation, "zz", (None, 6)),
+        (run_relation, "zz", (None,)),
     ],
     ids=lambda value: value.__name__ if callable(value) else None,
 )
@@ -155,7 +155,7 @@ def test_genfun_check_rejects_tiny_order():
 
 
 def test_run_genfun_low_order_smoke():
-    summary = run_relation(GenFunId.a7, genfun_order=6)
+    summary = run_relation(GenFunId.a7)
     assert summary.passed
     assert summary.points == len(default_grid(GenFunId.a7))
 
@@ -168,7 +168,7 @@ def test_default_genfun_order():
 
 
 def test_verify_ids_mixes_identity_and_genfun():
-    summaries = verify_ids(["A9", "nueva1"], genfun_order=5)
+    summaries = verify_ids(["A9", "nueva1"])
     assert [s.identity for s in summaries] == ["A9", "nueva1"]
     assert all(s.passed for s in summaries)
 

@@ -14,7 +14,6 @@ from pochex.partial_fractions import (
     decompose_single,
     pf_derivative,
     quotient_deriv,
-    reduce_excess,
 )
 from pochex.pochhammer import LinearParam, poch_eps_series
 from pochex.series import EpsSeries, series_invert
@@ -48,7 +47,7 @@ def test_single_matches_direct_evaluation():
     form = decompose_single(num, m, den, n)
     for at_eps in (F(0), F(1), F(-1, 2), F(5, 7)):
         direct = _series_deriv(num, m, den, n, 0, at_eps)
-        assert form.evaluate(at_eps) == direct
+        assert pf_derivative(form, 0, at_eps) == direct
 
 
 def test_single_zero_slope_numerator_becomes_scalar():
@@ -205,23 +204,22 @@ def test_decompose_multi_recombines_seeded_random_quotients():
 # -- excess-degree preprocessing -------------------------------------------------------
 
 
-def test_reduce_excess_splits_quotient():
+def test_excess_quotient_splits_into_prefix_and_core():
     num, m, den, n = LinearParam(1, 1), 3, LinearParam(2, 1), 1
-    prefix, core = reduce_excess(num, m, den, n)
-    assert prefix == (num, 2)
-    assert core.numer == ((LinearParam(3, 1), 1),)
-    assert core.denom == ((LinearParam(2, 1), 1),)
     # (1+eps)_3/(2+eps)_1 = (1+eps)_2 * (3+eps)/(2+eps)
-    form = decompose_multi(core)
+    form = decompose_multi(PochProductQuotient([(num.shifted(2), 1)], [(den, 1)]))
     for at_eps in (F(0), F(1, 2)):
         left = quotient_deriv(num, m, den, n, 0, at_eps=at_eps)
         prefix_val = quotient_deriv(num, 2, LinearParam(1, 0), 0, 0, at_eps=at_eps)
-        assert left == prefix_val * form.evaluate(at_eps)
+        assert left == prefix_val * pf_derivative(form, 0, at_eps)
 
 
-def test_reduce_excess_requires_excess():
-    with pytest.raises(DomainError):
-        reduce_excess(LinearParam(1, 1), 2, LinearParam(2, 1), 2)
+def test_quotient_without_excess_is_the_plain_decomposition():
+    num, den = LinearParam(1, 1), LinearParam(2, 1)
+    form = decompose_single(num, 2, den, 2)
+    for k in range(4):
+        for at_eps in (F(0), F(1, 2)):
+            assert quotient_deriv(num, 2, den, 2, k, at_eps) == pf_derivative(form, k, at_eps)
 
 
 # -- rendering --------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pochex
 
 # Pinned so that adding or removing a public name shows up in the diff.
-PUBLIC_NAMES = 69
+PUBLIC_NAMES = 68
 
 
 def test_every_exported_name_resolves_once():
