@@ -226,6 +226,8 @@ def _cmd_pf(args) -> int:
 def _cmd_expand(args) -> int:
     eps_order, degree_bound, regroup = args.eps_order, args.degree_bound, args.regroup
     if args.spec is not None:
+        if args.delta is not None:
+            raise PochexError("--delta is for --closed; a spec carries delta in its own constants")
         spec, options = parse_spec_text(_read_spec(args.spec))
         if eps_order is None:
             eps_order = options.eps_order

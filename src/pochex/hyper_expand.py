@@ -8,11 +8,18 @@ every lattice point exactly and tabulates the coefficient of
 eps**k x1**m1 x2**m2.
 
 Cost model of `expand_general` at eps order K: the term, truncated at
-eps**K, is walked across the lattice by its ratio.  A unit move in m_i
+eps**K, is walked across the lattice by its ratio as one integer row, K + 1
+integer numerators over one shared integer denominator.  A unit move in m_i
 multiplies in the c_i new linear factors c + j + s*eps of each numerator
-factor f, divides out those of each denominator factor, and divides by the
-new m_i, in O(K) each: O(sum_f c_f*K) per lattice move, with c_f the law
-coefficient of f for the index moved.
+factor f and divides out those of each denominator factor, each in O(K)
+integer products (`_poch_step`, `_recip_step`), folds 1/m_i into the
+denominator, and reduces the row by one gcd: O(sum_f c_f*K) integer products
+and one gcd per lattice move, with c_f the law coefficient of f for the
+index moved.  For c = p/q and s = u/v a numerator step scales the
+denominator by q*v and a reciprocal step by (p*v)**(K+1); the gcd takes back
+what the entries do not need.  Fractions are built only for the table.
+A Dual constant or slope adds a second integer row, the delta-part, over
+the same denominator.
 
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
@@ -39,7 +46,17 @@ from fractions import Fraction
 from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirling_s1
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
-from .pochhammer import LinearParam, _poch_step, _recip_step, _vanishing_shift, pochhammer
+from .pochhammer import (
+    LinearParam,
+    _divided,
+    _entries,
+    _int_factor,
+    _poch_step,
+    _recip_step,
+    _unit_row,
+    _vanishing_shift,
+    pochhammer,
+)
 from .series import _coerce, _count
 
 _ZERO = Fraction(0)
@@ -118,22 +135,22 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     for m1, m2 in points:
         _check_lattice_pole(spec, m1, m2)
     width = eps_order + 1
-    factors = [(param, law, _poch_step) for param, law in spec.numer]
-    factors += [(param, law, _recip_step) for param, law in spec.denom]
+    factors = [(_int_factor(p.constant, p.slope), law, _poch_step) for p, law in spec.numer]
+    factors += [(_int_factor(p.constant, p.slope), law, _recip_step) for p, law in spec.denom]
 
     def move(row, old, new, m):
         # The term at `new` from the term `row` at `old`: each factor's linear
         # factors c + j + s*eps for L(old) <= j < L(new), multiplied in for a
-        # numerator and divided out for a denominator, then over the new m_i.
-        for param, law, step in factors:
+        # numerator and divided out for a denominator, then over the new m_i,
+        # reduced by one gcd.
+        for factor, law, step in factors:
             for j in range(law(*old) if old else 0, law(*new)):
-                row = step(row, param.constant + j, param.slope, width)
-        inv = Fraction(1, m)
-        return [x * inv for x in row]
+                row = step(row, factor, j, width)
+        return _divided(row, m)
 
     # A term with a denominator holds all `width` coefficients; one without is
     # an exact polynomial until it reaches that width.
-    column = [move([_ONE] + [_ZERO] * eps_order if spec.denom else [_ONE], None, (0, 0), 1)]
+    column = [move(_unit_row(width if spec.denom else 1), None, (0, 0), 1)]
     for m1 in range(1, degree_bound + 1):
         column.append(move(column[-1], (m1 - 1, 0), (m1, 0), m1))
     entries = {}
@@ -141,8 +158,9 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
         for m2 in range(degree_bound + 1 - m1):
             if m2:
                 term = move(term, (m1, m2 - 1), (m1, m2), m2)
+            values = _entries(term)
             for k in range(width):
-                entries[(k, m1, m2)] = term[k] if k < len(term) else _ZERO
+                entries[(k, m1, m2)] = values[k] if k < len(values) else _ZERO
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from .combinatorics import gen_bernoulli_poly, stirling_s1
 from .duals import Dual
 from .errors import DomainError, PoleError
-from .series import EpsSeries, _coerce, _count, polynomial_series, series_invert
+from .series import EpsSeries, _coerce, _count, _signed, polynomial_series, series_invert
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,7 +41,9 @@ class LinearParam:
     def at(self, eps):
         return self.constant + self.slope * _coerce(eps)
 
-    def shifted(self, offset) -> "LinearParam":
+    def shifted(self, offset: int) -> "LinearParam":
+        """The parameter with its constant moved by the integer offset."""
+        _signed("LinearParam.shifted", offset=offset)
         return LinearParam(self.constant + offset, self.slope)
 
 
@@ -91,37 +93,151 @@ def _vanishing_shift(x, n: int):
     return j if 0 <= j < n and x + j == 0 else None
 
 
-def _poch_step(row: list, c, s, width: int) -> list:
-    """The first `width` coefficients of row * (c + s*eps), in O(width).
+# -- integer rows -------------------------------------------------------------
+#
+# The two linear-factor steps carry a truncated series in eps as an integer row
+# (den, val, der, mask): coefficient i is val[i]/den, plus der[i]/den times
+# delta when the row has met a Dual (der is None until then).  Bit i of mask
+# marks the coefficients that are Dual: exactly those whose Fraction/Dual
+# computation would have touched a Dual.  A linear factor c + s*eps is the
+# integer tuple (a, b, g, dual) of `_int_factor`; shifted by j it is
+# (a + j*g, b, g, dual).  No step reduces a row; `_divided` does.
 
-    A row shorter than `width` is an exact polynomial; it grows by one coefficient.
+
+def _int_factor(c, s) -> tuple:
+    """c + s*eps as integers (a, b, g, dual) with c + s*eps = (a + b*eps) / g.
+
+    dual is None when neither c nor s is a Dual.  Otherwise it is
+    (da, db, c is a Dual, s is a Dual), and c + s*eps is
+    ((a + da*delta) + (b + db*delta)*eps) / g.
     """
-    nxt = [row[0] * c] + [row[i] * c + row[i - 1] * s for i in range(1, len(row))]
-    if len(row) < width:
-        nxt.append(row[-1] * s)
-    return nxt
+    cv, cd = (c.val, c.der) if isinstance(c, Dual) else (c, _ZERO)
+    sv, sd = (s.val, s.der) if isinstance(s, Dual) else (s, _ZERO)
+    g = math.lcm(cv.denominator, cd.denominator) * math.lcm(sv.denominator, sd.denominator)
+    a, da, b, db = ((x * g).numerator for x in (cv, cd, sv, sd))
+    if isinstance(c, Dual) or isinstance(s, Dual):
+        return a, b, g, (da, db, isinstance(c, Dual), isinstance(s, Dual))
+    return a, b, g, None
 
 
-def _recip_step(row: list, c, s, width: int) -> list:
-    """The first `width` coefficients of row / (c + s*eps), in O(width); c != 0.
+def _unit_row(width: int) -> tuple:
+    """The integer row of 1 with `width` coefficients; width 1 starts an exact polynomial."""
+    return 1, [1] + [0] * (width - 1), None, 0
 
-    `row` holds `width` coefficients.  (c + s*eps) * nxt = row is solved
-    coefficient by coefficient.
+
+def _times(val: list, a: int, b: int, grow: bool) -> list:
+    """The coefficients of val * (a + b*eps), one more when `grow`."""
+    out = [val[0] * a] + [x * a + y * b for x, y in zip(val[1:], val)]
+    if grow:
+        out.append(val[-1] * b)
+    return out
+
+
+def _solve(val: list, a: int, b: int, scale: int) -> list:
+    """The w = len(val) coefficients of out with (a + b*eps) * out = scale * a**w * val.
+
+    With x_0 = val_0 and x_i = val_i * a**i - b * x_{i-1}, out_i = scale * a**(w-1-i) * x_i.
     """
-    inv = 1 / c
-    nxt = [row[0] * inv]
-    for i in range(1, width):
-        nxt.append((row[i] - s * nxt[i - 1]) * inv)
-    return nxt
+    powers = [1]
+    for _ in val[1:]:
+        powers.append(powers[-1] * a)
+    out, x = [], 0
+    for v, up, down in zip(val, powers, reversed(powers)):
+        x = v * up - b * x
+        out.append(x * down * scale)
+    return out
+
+
+def _poch_step(row: tuple, factor: tuple, j: int, width: int) -> tuple:
+    """The integer row of row * (c + j + s*eps), first `width` coefficients, in O(width).
+
+    `factor` is `_int_factor(c, s)`.  Each coefficient n_i over den becomes
+    n_i*a + n_{i-1}*b over den*g.  A row shorter than `width` is an exact
+    polynomial; it grows by one coefficient.
+    """
+    den, val, der, mask = row
+    a, b, g, dual = factor
+    a += j * g
+    n = len(val)
+    grow = n < width
+    nxt = _times(val, a, b, grow)
+    if der is None and dual is None:
+        return den * g, nxt, None, 0
+    # (A + B*delta) * ((a + da*delta) + (b + db*delta)*eps): the delta-part is
+    # B*(a + b*eps) + A*(da + db*eps).
+    nder = _times(der, a, b, grow) if der else [0] * len(nxt)
+    full = (1 << len(nxt)) - 1
+    mask = (mask | mask << 1) & full
+    if dual:
+        da, db, c_dual, s_dual = dual
+        nder = [x + y for x, y in zip(nder, _times(val, da, db, grow))]
+        mask |= ((1 << n) - 1 if c_dual else 0) | (full - 1 if s_dual else 0)
+    return den * g, nxt, nder, mask
+
+
+def _recip_step(row: tuple, factor: tuple, j: int, width: int) -> tuple:
+    """The integer row of row / (c + j + s*eps), in O(width); c + j != 0.
+
+    `factor` is `_int_factor(c, s)` and `row` holds `width` coefficients.
+    (a + b*eps) * nxt = g * row is solved in integers (`_solve`), which scales
+    the denominator by a**width: powers of the constant's numerator and of
+    the slope's denominator.
+    """
+    den, val, der, mask = row
+    a, b, g, dual = factor
+    a += j * g
+    nxt = _solve(val, a, b, g)
+    power = a**width
+    if der is None and dual is None:
+        return den * power, nxt, None, 0
+    # (A + B*delta) / (alpha + alpha'*delta) = N + M*delta with alpha*N = A and
+    # alpha*M = B - alpha'*N, alpha = a + b*eps and alpha' = da + db*eps.  The
+    # solve makes every entry from the lowest Dual one on a Dual; a Dual c makes
+    # entry 0 one, and a Dual s entry 1.
+    rhs = [x * g * power for x in der] if der else [0] * width
+    full = (1 << width) - 1
+    low = mask
+    if dual:
+        da, db, c_dual, s_dual = dual
+        rhs = [x - y for x, y in zip(rhs, _times(nxt, da, db, False))]
+        low |= (1 if c_dual else 0) | (2 if s_dual else 0)
+    nder = _solve(rhs, a, b, 1)
+    return den * power * power, [x * power for x in nxt], nder, full & -(low & -low)
+
+
+def _divided(row: tuple, m: int) -> tuple:
+    """The integer row of row / m, reduced by one gcd, with a positive denominator."""
+    den, val, der, mask = row
+    den *= m
+    d = math.gcd(den, *val, *(der or ()))
+    if den < 0:
+        d = -d
+    if d == 1:
+        return den, val, der, mask
+    return den // d, [x // d for x in val], der and [x // d for x in der], mask
+
+
+def _entry(row: tuple, i: int):
+    """Coefficient i of an integer row as a Fraction, or a Dual where mask says so."""
+    den, val, der, mask = row
+    if mask >> i & 1:
+        return Dual(Fraction(val[i], den), Fraction(der[i], den))
+    return Fraction(val[i], den)
+
+
+def _entries(row: tuple) -> list:
+    """Every coefficient of an integer row, by `_entry`."""
+    return [_entry(row, i) for i in range(len(row[1]))]
 
 
 def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
     """Exact polynomial (constant + slope*eps)_m as a series with window [0, order]."""
     _count("poch_eps_series", m=m, order=order)
-    poly = [_ONE]
+    factor = _int_factor(param.constant, param.slope)
+    row = _unit_row(1)
     for j in range(m):
-        poly = _poch_step(poly, param.constant + j, param.slope, order + 1)
-    return polynomial_series(poly, order)
+        row = _poch_step(row, factor, j, order + 1)
+    return polynomial_series(_entries(row), order)
 
 
 # -- derivatives of the rising factorial ------------------------------------
@@ -130,10 +246,11 @@ def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
 def _poch_deriv_recurrence(alpha, m, k):
     # Row-by-row: P(m+1, k) = (alpha + m) P(m, k) + P(m, k-1).  k <= m, so
     # the row reaches k + 1 coefficients.
-    row = [_ONE]
+    factor = _int_factor(alpha, _ONE)
+    row = _unit_row(1)
     for j in range(m):
-        row = _poch_step(row, alpha + j, _ONE, k + 1)
-    return row[k]
+        row = _poch_step(row, factor, j, k + 1)
+    return _entry(row, k)
 
 
 def _poch_deriv_stirling(alpha, m, k):
@@ -200,10 +317,11 @@ def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
 
 def _recip_deriv_recurrence(beta, m, k):
     # Q(m+1, k) = (Q(m, k) - Q(m+1, k-1)) / (beta + m), filled k-ascending.
-    row = [_ONE] + [_ZERO] * k
+    factor = _int_factor(beta, _ONE)
+    row = _unit_row(k + 1)
     for j in range(m):
-        row = _recip_step(row, beta + j, _ONE, k + 1)
-    return row[k]
+        row = _recip_step(row, factor, j, k + 1)
+    return _entry(row, k)
 
 
 def _recip_deriv_closed_sum(beta, m, k):

@@ -61,6 +61,14 @@ def _count(where: str, low: int = 0, **counts) -> None:
             raise DomainError(f"{where} needs an integer {name} >= {low}, got {value!r}")
 
 
+def _signed(where: str, **exponents) -> None:
+    """Refuse each of `exponents` that is not an int of either sign, naming `where`,
+    the argument and the value.  Every exponent and shift goes through here."""
+    for name, value in exponents.items():
+        if not isinstance(value, int):
+            raise DomainError(f"{where} needs an integer {name}, got {value!r}")
+
+
 class EpsSeries:
     """Truncated Laurent series sum(c_e * eps**e, min_exponent <= e <= max_exponent).
 
@@ -78,6 +86,7 @@ class EpsSeries:
     __slots__ = ("_min", "_coeffs")
 
     def __init__(self, coefficients: Iterable, min_exponent: int = 0):
+        _signed("EpsSeries", min_exponent=min_exponent)
         coeffs = [_coerce(c) for c in coefficients]
         if not coeffs:
             raise DomainError("a series needs at least one coefficient in its window")
@@ -114,6 +123,7 @@ class EpsSeries:
 
     def coefficient(self, exponent: int):
         """Coefficient of eps**exponent; exact zero below the window, error above it."""
+        _signed("EpsSeries.coefficient", exponent=exponent)
         if exponent > self.max_exponent:
             raise DomainError(
                 f"coefficient at exponent {exponent} lies above the truncation "
@@ -135,6 +145,7 @@ class EpsSeries:
 
     def truncated(self, new_max: int) -> "EpsSeries":
         """Forget coefficients above new_max (never extends the window)."""
+        _signed("EpsSeries.truncated", new_max=new_max)
         if new_max >= self.max_exponent:
             return self
         if new_max < self._min:
@@ -143,6 +154,7 @@ class EpsSeries:
 
     def shifted(self, offset: int) -> "EpsSeries":
         """Multiply by eps**offset (exact)."""
+        _signed("EpsSeries.shifted", offset=offset)
         return EpsSeries(self._coeffs, self._min + offset)
 
     def scaled(self, factor) -> "EpsSeries":
@@ -297,6 +309,7 @@ def series_compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
 
 def series_pow(a: EpsSeries, exponent: int) -> EpsSeries:
     """Integer power; negative exponents go through series_invert."""
+    _signed("series_pow", exponent=exponent)
     if exponent < 0:
         return series_pow(series_invert(a), -exponent)
     result = EpsSeries.one(a.max_exponent)

@@ -1,11 +1,13 @@
 """One argument contract for the public API.
 
 Counts (lengths, orders, indices) are ints at or above a documented floor;
-scalars are ints, Fractions or, where documented, Duals.  Anything else is a
+exponents and shifts are ints of either sign; scalars are ints, Fractions or,
+where documented, Duals.  Anything else is a
 DomainError, never a raw TypeError, a float result or a silent conversion.
 """
 
 import inspect
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -172,6 +174,32 @@ def test_bad_series_coefficient_is_a_domain_error(bad):
         EpsSeries(bad)
     with pytest.raises(DomainError):
         pochex.polynomial_series(bad, 2)
+
+
+_SERIES = EpsSeries([1, 2, 3], -1)
+
+# Every exponent and shift: an int of either sign, so it has no floor.
+SIGNED = [
+    ("series_pow", "exponent", lambda x: pochex.series_pow(_SERIES, x)),
+    ("EpsSeries", "min_exponent", lambda x: EpsSeries([1], x)),
+    ("EpsSeries.coefficient", "exponent", _SERIES.coefficient),
+    ("EpsSeries.truncated", "new_max", _SERIES.truncated),
+    ("EpsSeries.shifted", "offset", _SERIES.shifted),
+    ("LinearParam.shifted", "offset", LinearParam(1, 1).shifted),
+]
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.5, F(2), "1", "1/2", None])
+@pytest.mark.parametrize("where, param, call", SIGNED, ids=[w for w, _, _ in SIGNED])
+def test_bad_signed_integer_is_a_domain_error(where, param, call, bad):
+    with pytest.raises(DomainError, match=re.escape(f"{where} needs an integer {param}, got")):
+        call(bad)
+
+
+@pytest.mark.parametrize("where, param, call", SIGNED, ids=[w for w, _, _ in SIGNED])
+def test_signed_integer_takes_either_sign(where, param, call):
+    call(-1)
+    call(1)
 
 
 @pytest.mark.parametrize(

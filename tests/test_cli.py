@@ -324,6 +324,16 @@ def test_expand_delta_free_example_refuses_delta(capsys, example):
     assert err == f"pochex: error: example {example} takes no delta\n"
 
 
+def test_expand_spec_refuses_delta(capsys, tmp_path):
+    spec = tmp_path / "f1.spec"
+    spec.write_text(F1_SPEC)
+    code, out, err = run(capsys, "expand", "--spec", str(spec), "--delta", "1/3")
+    assert (code, out) == (1, "")
+    assert err == (
+        "pochex: error: --delta is for --closed; a spec carries delta in its own constants\n"
+    )
+
+
 def test_expand_source_flags_are_exclusive(capsys, tmp_path):
     spec = tmp_path / "f1.spec"
     spec.write_text(F1_SPEC)

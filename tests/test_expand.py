@@ -1,6 +1,7 @@
 """Double-series eps-expansion engine and its closed-form counterparts."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -26,7 +27,15 @@ from pochex.hyper_expand import (
     expand_general,
     regroup_total_degree,
 )
-from pochex.pochhammer import LinearParam, poch_eps_series, pochhammer
+from pochex.pochhammer import (
+    LinearParam,
+    _entries,
+    _int_factor,
+    _poch_step,
+    _recip_step,
+    poch_eps_series,
+    pochhammer,
+)
 from pochex.series import EpsSeries, series_invert
 
 
@@ -119,6 +128,100 @@ def _per_point_reference(spec, eps_order, degree_bound):
     return entries
 
 
+def _fraction_poch_step(row, c, s, width):
+    # The Fraction definition of _poch_step: row * (c + s*eps), growing a short row.
+    nxt = [row[0] * c] + [row[i] * c + row[i - 1] * s for i in range(1, len(row))]
+    if len(row) < width:
+        nxt.append(row[-1] * s)
+    return nxt
+
+
+def _fraction_recip_step(row, c, s, width):
+    # The Fraction definition of _recip_step: row / (c + s*eps), solved term by term.
+    inv = 1 / c
+    nxt = [row[0] * inv]
+    for i in range(1, width):
+        nxt.append((row[i] - s * nxt[i - 1]) * inv)
+    return nxt
+
+
+def _int_row(scalars):
+    # The integer row of a list of Fractions and Duals, over one common denominator.
+    parts = [(x.val, x.der) if isinstance(x, Dual) else (x, F(0)) for x in scalars]
+    den = math.lcm(*(part.denominator for pair in parts for part in pair))
+    mask = sum(1 << i for i, x in enumerate(scalars) if isinstance(x, Dual))
+    der = [int(d * den) for _, d in parts] if mask else None
+    return den, [int(v * den) for v, _ in parts], der, mask
+
+
+@pytest.mark.parametrize(
+    "step, fraction_step",
+    [(_poch_step, _fraction_poch_step), (_recip_step, _fraction_recip_step)],
+    ids=["poch", "recip"],
+)
+def test_integer_step_matches_its_fraction_definition(step, fraction_step):
+    # Values and types: rows of Fractions, zeros and Duals, short polynomial rows
+    # for the numerator step, and factors with zero, negative and Dual parts.
+    rng = random.Random(20261019)
+
+    def scalar(zero=0.2, dual=0.2):
+        x = F(0) if rng.random() < zero else F(rng.randint(-9, 9), rng.randint(1, 5))
+        return Dual(x, F(rng.randint(-4, 4), rng.randint(1, 3))) if rng.random() < dual else x
+
+    for _ in range(1000):
+        width = rng.randint(1, 6)
+        length = width if step is _recip_step else rng.randint(1, width)
+        row = [scalar(dual=rng.choice([0, 0.3])) for _ in range(length)]
+        c, s, j = scalar(zero=0.1), scalar(dual=0.1), rng.randint(0, 3)
+        if step is _recip_step and (c.val if isinstance(c, Dual) else c) + j == 0:
+            continue
+        got = _entries(step(_int_row(row), _int_factor(c, s), j, width))
+        want = fraction_step(row, c + j, s, width)
+        assert got == want
+        assert [type(x) for x in got] == [type(x) for x in want]
+
+
+def _walk_entry_types(spec, eps_order, degree_bound):
+    """The type of every entry of the engine's walk done in Fraction/Dual arithmetic
+    with the Fraction definitions of the two steps.  An entry is a Dual exactly
+    where that arithmetic touches a Dual; the per-point reference has other type
+    rules (EpsSeries skips zero coefficients and stores an all-zero series as
+    Fractions), so it is the oracle for values only."""
+    width = eps_order + 1
+    factors = [(p, law, _fraction_poch_step) for p, law in spec.numer]
+    factors += [(p, law, _fraction_recip_step) for p, law in spec.denom]
+
+    def move(row, old, new, m):
+        for param, law, step in factors:
+            for j in range(law(*old) if old else 0, law(*new)):
+                row = step(row, param.constant + j, param.slope, width)
+        return [x * F(1, m) for x in row]
+
+    types = {}
+    column = [move([F(1)] + [F(0)] * eps_order if spec.denom else [F(1)], None, (0, 0), 1)]
+    for m1 in range(1, degree_bound + 1):
+        column.append(move(column[-1], (m1 - 1, 0), (m1, 0), m1))
+    for m1, term in enumerate(column):
+        for m2 in range(degree_bound + 1 - m1):
+            if m2:
+                term = move(term, (m1, m2 - 1), (m1, m2), m2)
+            for k in range(width):
+                types[(k, m1, m2)] = type(term[k]) if k < len(term) else F
+    return types
+
+
+def _check_engine(spec, eps_order, degree_bound):
+    # The engine against the per-point reference (values, or the same PoleError)
+    # and against the Fraction walk (the type of every entry).
+    engine = _entries_or_pole(lambda: expand_general(spec, eps_order, degree_bound))
+    reference = _per_point_reference(spec, eps_order, degree_bound)
+    assert engine == reference
+    if not isinstance(reference, tuple):
+        types = {key: type(v) for key, v in engine.items()}
+        assert types == _walk_entry_types(spec, eps_order, degree_bound)
+    return reference
+
+
 # Constants cross zero (negative integers make numerator rows start with 0 and
 # denominators vanish); slopes include 0; some constants carry a Dual part.
 _CONSTANTS = st.integers(-4, 3) | st.builds(F, st.integers(-9, 9), st.integers(1, 4))
@@ -155,9 +258,40 @@ _FACTORS = st.tuples(
     degree_bound=st.integers(0, 5),
 )
 def test_engine_matches_per_point_reference(numer, denom, eps_order, degree_bound):
-    spec = HyperTermSpec("random", numer=numer, denom=denom)
-    engine = _entries_or_pole(lambda: expand_general(spec, eps_order, degree_bound))
-    assert engine == _per_point_reference(spec, eps_order, degree_bound)
+    _check_engine(HyperTermSpec("random", numer=numer, denom=denom), eps_order, degree_bound)
+
+
+def test_engine_matches_per_point_reference_on_seeded_random_specs():
+    # 500 specs drawn apart from hypothesis, so the same ones run every time.
+    # Each draw kind must occur: a Dual constant, a zero slope, a nonpositive
+    # integer constant (a numerator row led by 0, or a denominator pole), a
+    # numerator-only spec and a spec with a pole on its lattice.
+    rng = random.Random(20261018)
+    seen = Counter()
+
+    def factor():
+        if rng.random() < 0.4:
+            c = F(rng.randint(-4, 3))
+        else:
+            c = F(rng.randint(-9, 9), rng.randint(1, 4))
+        seen["nonpositive integer"] += c <= 0 and c.denominator == 1
+        if rng.random() < 0.25:
+            c = Dual(c, F(rng.randint(-3, 3), rng.randint(1, 3)))
+            seen["Dual constant"] += 1
+        s = F(0) if rng.random() < 0.25 else F(rng.randint(-3, 3), rng.randint(1, 3))
+        seen["zero slope"] += s == 0
+        law = IndexLaw(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+        return LinearParam(c, s), law
+
+    for _ in range(500):
+        numer = [factor() for _ in range(rng.randint(0, 3))]
+        denom = [factor() for _ in range(rng.randint(0, 2))]
+        eps_order, degree_bound = rng.randint(0, 3), rng.randint(0, 4)
+        spec = HyperTermSpec("seeded", numer=numer, denom=denom)
+        seen["numerator only"] += bool(numer) and not denom
+        seen["pole"] += isinstance(_check_engine(spec, eps_order, degree_bound), tuple)
+    kinds = ("Dual constant", "zero slope", "nonpositive integer", "numerator only", "pole")
+    assert all(seen[kind] >= 20 for kind in kinds), seen
 
 
 def test_engine_pole_matches_per_point_reference():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from pochex.errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
 from pochex.partial_fractions import (
@@ -163,11 +165,24 @@ def _random_series(form: PartialFractionForm, order: int) -> EpsSeries:
     return total.scaled(form.scalar)
 
 
-def test_decompose_multi_recombines_seeded_random_quotients():
-    rng = random.Random(20260816)
+def _assert_recombines(q: PochProductQuotient, form: PartialFractionForm):
     # work two orders above the comparison point: a numerator zero cancelling
     # a denominator pole at eps = 0 costs the inversion route truncation order
     order, compare_to = 12, 10
+    # direct truncated division of the raw products
+    num_series = EpsSeries([q.scalar] + [F(0)] * order, 0)
+    for param, m in q.numer:
+        num_series = num_series * poch_eps_series(param, m, order)
+    den_series = EpsSeries([F(1)] + [F(0)] * order, 0)
+    for param, n in q.denom:
+        den_series = den_series * poch_eps_series(param, n, order)
+    direct = num_series.truncated(order) * series_invert(den_series.truncated(order))
+    recombined = _random_series(form, order)
+    assert recombined.truncated(compare_to) == direct.truncated(compare_to)
+
+
+def test_decompose_multi_recombines_seeded_random_quotients():
+    rng = random.Random(20260816)
     built = 0
     while built < 20:
         nonzero = lambda: F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
@@ -187,18 +202,43 @@ def test_decompose_multi_recombines_seeded_random_quotients():
             form = decompose_multi(q)
         except (RepeatedRoot, PoleError):
             continue  # reroll degenerate draws
-        # direct truncated division of the raw products
-        num_series = EpsSeries([q.scalar] + [F(0)] * order, 0)
-        for param, m in q.numer:
-            num_series = num_series * poch_eps_series(param, m, order)
-        den_series = EpsSeries([F(1)] + [F(0)] * order, 0)
-        for param, n in q.denom:
-            den_series = den_series * poch_eps_series(param, n, order)
-        direct = num_series.truncated(order) * series_invert(den_series.truncated(order))
-        recombined = _random_series(form, order)
-        assert recombined.truncated(compare_to) == direct.truncated(compare_to)
+        _assert_recombines(q, form)
         built += 1
     assert built == 20
+
+
+# The draws of the seeded test above: constants p/q with -4 <= p <= 6 and
+# q <= 3, nonzero slopes, 1..3 denominator factors of length 1..3, and 0..2
+# numerator factors whose lengths stay within the denominator's degree.
+_PF_FACTOR = st.builds(
+    LinearParam,
+    st.builds(F, st.integers(-4, 6), st.integers(1, 3)),
+    st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _quotients(draw):
+    denom = draw(st.lists(st.tuples(_PF_FACTOR, st.integers(1, 3)), min_size=1, max_size=3))
+    budget = sum(n for _, n in denom)
+    numer = []
+    for _ in range(draw(st.integers(0, 2))):
+        m = draw(st.integers(0, budget))
+        budget -= m
+        numer.append((draw(_PF_FACTOR), m))
+    return numer, denom
+
+
+@settings(max_examples=60, deadline=None)
+@given(_quotients())
+def test_decompose_multi_recombines_random_quotients(quotient):
+    numer, denom = quotient
+    try:
+        q = PochProductQuotient(numer=numer, denom=denom)
+        form = decompose_multi(q)
+    except (RepeatedRoot, PoleError):
+        reject()  # a degenerate draw
+    _assert_recombines(q, form)
 
 
 # -- excess-degree preprocessing -------------------------------------------------------

@@ -49,6 +49,11 @@ def test_format_round_trip():
         assert parse_rational(str(value)) == value
 
 
+@given(st.fractions())
+def test_parse_rational_inverts_str(value):
+    assert parse_rational(str(value)) == value
+
+
 # -- construction and invariants ----------------------------------------------
 
 
