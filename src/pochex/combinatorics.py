@@ -12,7 +12,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .series import EpsSeries, _coerce, _count, series_invert, series_pow
+from .series import _coerce, _count
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,41 +45,65 @@ def stirling_s1(n: int, k: int) -> Fraction:
         return Fraction(_stirling_rows[n][k])
 
 
-# Cache: (order a, argument x) -> list of B_n^(a)(x) for n = 0..N.  It holds
-# at most _BERNOULLI_CACHE_CAP keys, the oldest evicted first; one pass of any
-# benchmark workload makes at most 162.
+# Cache: order a -> [B_j^(a)(0)/j! for j = 0..N], the x-free core of every
+# B_n^(a)(x) with n <= N.  It holds at most _BERNOULLI_CACHE_CAP orders, the
+# oldest evicted first; one pass of any benchmark workload asks for at most 16.
 _BERNOULLI_CACHE_CAP = 1024
-_bernoulli_cache: dict[tuple, list[Fraction]] = {}
+_bernoulli_cache: dict[int, list[Fraction]] = {}
 _bernoulli_lock = threading.Lock()
 
 
-def _bernoulli_values(n: int, a: int, x: Fraction) -> list[Fraction]:
-    # Coefficients of (z/(e^z - 1))**a * e^{xz}, scaled by n!.
-    order = n
-    base = EpsSeries([Fraction(1, math.factorial(j + 1)) for j in range(order + 1)])
-    core = series_pow(series_invert(base), a)
-    expx = EpsSeries([x**j / math.factorial(j) for j in range(order + 1)])
-    prod = core * expx
-    return [prod.coefficient(i) * math.factorial(i) for i in range(n + 1)]
+def _miller_power(f: list[Fraction], a: int, n: int) -> list[Fraction]:
+    """Coefficients 0..n of f**a, for a power series f with f[0] == 1.
+
+    J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in O(n**2):
+    g_0 = 1 and g_j = (1/j) sum(((a+1)i - j) f_i g_{j-i}, i = 1..j).  Each
+    g_j sums integer numerators over the lcm of its terms' denominators and
+    reduces once, instead of taking a gcd per Fraction operation.
+    """
+    nonzero = [(i, c.numerator, c.denominator) for i, c in enumerate(f[1 : n + 1], 1) if c]
+    g = [_ONE]
+    for j in range(1, n + 1):
+        terms = [
+            (((a + 1) * i - j) * p * g[j - i].numerator, q * g[j - i].denominator)
+            for i, p, q in nonzero
+            if i <= j
+        ]
+        lcm = math.lcm(*(den for _, den in terms))
+        g.append(Fraction(sum(num * (lcm // den) for num, den in terms), lcm * j))
+    return g
+
+
+def _bernoulli_values(n: int, a: int) -> list[Fraction]:
+    # g_j = B_j^(a)(0)/j! for j = 0..n: the coefficients of h**a, where
+    # h = z/(e^z - 1) is itself the power -1 of sum(z**j/(j+1)!).
+    base = [Fraction(1, math.factorial(j + 1)) for j in range(n + 1)]
+    return _miller_power(_miller_power(base, -1, n), a, n)
 
 
 def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
     """Generalized Bernoulli polynomial B_n^(a)(x).
 
-    Defined by (z/(e^z - 1))**a * e^{xz} = sum(B_n^(a)(x) z**n / n!).
+    Defined by (z/(e^z - 1))**a * e^{xz} = sum(B_n^(a)(x) z**n / n!).  With
+    g_j = B_j^(a)(0)/j! cached per order a, B_n^(a)(x) = n! sum(g_j x**(n-j)/(n-j)!)
+    costs O(n) per call.
     """
     _count("gen_bernoulli_poly", n=n)
     _count("gen_bernoulli_poly", 1, a=a)
     x = _coerce(x, rational=True)
-    key = (a, x)
     with _bernoulli_lock:
-        values = _bernoulli_cache.get(key)
-        if values is None or len(values) <= n:
-            values = _bernoulli_values(max(n, 8), a, x)
-            _bernoulli_cache[key] = values
+        core = _bernoulli_cache.get(a)
+        if core is None or len(core) <= n:
+            core = _bernoulli_values(max(n, 8), a)
+            _bernoulli_cache[a] = core
             if len(_bernoulli_cache) > _BERNOULLI_CACHE_CAP:
                 del _bernoulli_cache[next(iter(_bernoulli_cache))]
-        return values[n]
+    # Horner in x; falling runs through n!/(n-j)!.
+    value, falling = _ZERO, 1
+    for j in range(n + 1):
+        value = value * x + core[j] * falling
+        falling *= n - j
+    return value
 
 
 def harmonic(m: int, k: int) -> Fraction:

@@ -484,8 +484,10 @@ def _classical_bernoulli(order):
 
 def _genfun_A18(order, p):
     """Exponential generating function of the generalized Bernoulli
-    polynomials; reference side built from the classical first-order
-    recurrence plus binomial convolution, independent of the series route."""
+    polynomials.  The lhs comes from gen_bernoulli_poly, which raises
+    z/(e^z - 1) to the power a by Miller's recurrence; the reference side is
+    built from the classical first-order recurrence plus binomial
+    convolution."""
     a = _as_int(p, "a", 1)
     x = _as_rational(p, "x")
     lhs = EpsSeries(

@@ -1,9 +1,12 @@
 """Integer/rational combinatorial helpers."""
 
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pochex.combinatorics
 from pochex.combinatorics import (
@@ -17,6 +20,7 @@ from pochex.combinatorics import (
     stirling_s1,
 )
 from pochex.errors import DomainError
+from pochex.series import EpsSeries, series_invert, series_pow
 
 
 # -- signed Stirling numbers of the first kind ----------------------------------
@@ -87,22 +91,80 @@ def test_gen_bernoulli_order_zero_is_classical():
 
 def test_gen_bernoulli_cache_evicts_oldest_past_its_cap(monkeypatch):
     # A small cap keeps the fill cheap, and a fresh dict keeps the module's
-    # cache as it was.
+    # cache as it was.  The cache is keyed by the order a alone.
     monkeypatch.setattr(pochex.combinatorics, "_BERNOULLI_CACHE_CAP", 16)
     monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
-
-    def b3(x):
-        return x**3 - F(3, 2) * x**2 + F(1, 2) * x
-
-    xs = [F(i, 7) for i in range(20)]
-    for x in xs:
-        assert gen_bernoulli_poly(3, 1, x) == b3(x)
     cache = pochex.combinatorics._bernoulli_cache
-    assert list(cache) == [(1, x) for x in xs[4:]]
-    assert all(values[3] == b3(x) for (_, x), values in cache.items())
-    # An evicted key is recomputed, and evicts the oldest key in turn.
-    assert gen_bernoulli_poly(3, 1, xs[0]) == b3(xs[0])
-    assert len(cache) == 16 and (1, xs[4]) not in cache and (1, xs[0]) in cache
+    x = F(2, 7)
+    orders = range(1, 21)
+    values, cores = {}, {}
+    for a in orders:
+        values[a] = gen_bernoulli_poly(3, a, x)
+        cores[a] = list(cache[a])
+    assert values[1] == x**3 - F(3, 2) * x**2 + F(1, 2) * x
+    assert list(cache) == list(orders)[4:]
+    assert all(cache[a] == cores[a] for a in cache)
+    # An evicted key is recomputed to the same values, and evicts the oldest
+    # key in turn.
+    assert gen_bernoulli_poly(3, 1, x) == values[1]
+    assert cache[1] == cores[1]
+    assert len(cache) == 16 and 5 not in cache and 1 in cache
+
+
+def _series_bernoulli(n, a, x):
+    # The definition by series arithmetic: B_j^(a)(x) for j = 0..n are the
+    # coefficients of (z/(e^z - 1))**a * e^{xz}, scaled by j!.
+    base = EpsSeries([F(1, math.factorial(j + 1)) for j in range(n + 1)])
+    core = series_pow(series_invert(base), a)
+    expx = EpsSeries([x**j / math.factorial(j) for j in range(n + 1)])
+    prod = core * expx
+    return [prod.coefficient(j) * math.factorial(j) for j in range(n + 1)]
+
+
+def _assert_matches_series_route(n, a, x):
+    expected = _series_bernoulli(n, a, x)
+    got = [gen_bernoulli_poly(j, a, x) for j in range(n + 1)]
+    assert got == expected, (n, a, x)
+    assert all(type(v) is F for v in got), (n, a, x)
+
+
+def test_gen_bernoulli_matches_series_route_on_seeded_draws(monkeypatch):
+    # A fresh cache, so the draws build cores, and rebuild them when a draw
+    # asks an order for more terms than an earlier one.
+    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+    rng = random.Random(10)
+    for _ in range(150):
+        n, a = rng.randint(0, 40), rng.randint(1, 45)
+        x = F(rng.randint(-30, 30), rng.randint(1, 9))
+        _assert_matches_series_route(n, a, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 24),
+    a=st.integers(1, 30),
+    x=st.fractions(min_value=-8, max_value=8, max_denominator=12),
+)
+def test_gen_bernoulli_matches_series_route(n, a, x):
+    _assert_matches_series_route(n, a, x)
+
+
+def test_gen_bernoulli_longer_core_equals_a_fresh_one(monkeypatch):
+    # A small n builds the order's core at 8 terms; a larger n rebuilds it,
+    # and neither the values nor the list stored first change.
+    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+    cache = pochex.combinatorics._bernoulli_cache
+    a, x = 7, F(-5, 3)
+    small = [gen_bernoulli_poly(j, a, x) for j in range(4)]
+    short = cache[a]
+    snapshot = list(short)
+    assert len(short) == 9
+    large = gen_bernoulli_poly(30, a, x)
+    assert len(cache[a]) == 31 and cache[a] is not short and short == snapshot
+    assert cache[a] == pochex.combinatorics._bernoulli_values(30, a)
+    fresh = _series_bernoulli(30, a, x)
+    assert small == fresh[:4] and large == fresh[30]
+    assert [gen_bernoulli_poly(j, a, x) for j in range(31)] == fresh
 
 
 def test_gen_bernoulli_additivity_in_order():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pochex.combinatorics
 import pochex.hyper_expand
 import pochex.pochhammer
 import pochex.series
@@ -29,10 +30,12 @@ from pochex.hyper_expand import (
 )
 from pochex.pochhammer import (
     LinearParam,
+    PochMethod,
     _entries,
     _int_factor,
     _poch_step,
     _recip_step,
+    poch_deriv,
     poch_eps_series,
     pochhammer,
 )
@@ -366,6 +369,30 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example, 
         calls.clear()
         expand_closed(example, eps_order, 12, extra)
         assert calls == Counter(counts), eps_order
+
+
+def test_bernoulli_core_is_built_once_per_order(monkeypatch):
+    # gen_bernoulli_poly keeps one x-free core per order: closed dF7 at D=12
+    # asks for orders 2..13, one n each, whatever the arguments (156
+    # (order, argument) pairs).  A bernoulli-method call then reuses the core
+    # of its order m + 1 for a new alpha.
+    calls = Counter()
+    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+    _counter(monkeypatch, calls, pochex.combinatorics, "_bernoulli_values")
+    expand_closed("dF7_ddelta", 4, 12)
+    assert calls["_bernoulli_values"] == 12
+    m = 12
+    for alpha in (F(2, 7), F(-9, 4)):
+        calls.clear()
+        for k in range(1, m + 1):
+            poch_deriv(alpha, m, k, PochMethod.BERNOULLI)
+        assert calls["_bernoulli_values"] == 0, alpha
+    calls.clear()
+    poch_deriv(F(5, 3), m, 0, PochMethod.BERNOULLI)
+    assert calls["_bernoulli_values"] == 1
+    for k in range(m + 1):
+        poch_deriv(F(1, 3), m, k, PochMethod.BERNOULLI)
+    assert calls["_bernoulli_values"] == 1
 
 
 # -- regrouping ------------------------------------------------------------------

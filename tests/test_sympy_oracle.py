@@ -12,6 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from pochex.combinatorics import gen_bernoulli_poly  # noqa: E402
 from pochex.partial_fractions import quotient_deriv  # noqa: E402
 from pochex.pochhammer import (  # noqa: E402
     LinearParam,
@@ -91,3 +92,13 @@ def test_quotient_deriv_matches_sympy():
         denom = sympy.expand(sympy.rf(_rational(den.constant) + _rational(den.slope) * _X, n))
         for k, expected in enumerate(_taylor(numer / denom, 4)):
             assert quotient_deriv(num, m, den, n, k, at) == expected(at), (m, n, k)
+
+
+def test_gen_bernoulli_order_one_matches_sympy():
+    # At order 1 the generalized Bernoulli polynomial is the classical one.
+    rng = random.Random(14)
+    points = [F(0), F(1)] + [F(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(4)]
+    for x in points:
+        for n in range(31):
+            expected = _fraction(sympy.bernoulli(n, _rational(x)))
+            assert gen_bernoulli_poly(n, 1, x) == expected, (n, x)
