@@ -3,7 +3,9 @@
 Covers signed Stirling numbers of the first kind, generalized Bernoulli
 polynomials, plain/modified harmonic numbers, two flavours of nested unit
 sums, rational-argument binomials, and double factorials.  Everything is a
-Fraction; void sums are zero by convention.
+Fraction; void sums are zero by convention.  Stirling numbers come from a
+cache-free walk in O(n*k) integer operations and O(n + k) memory; the only
+module-level cache is the capped per-order Bernoulli core.
 """
 
 from __future__ import annotations
@@ -17,32 +19,29 @@ from .series import _coerce, _count
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# Triangular table of signed Stirling numbers of the first kind, grown on
-# demand.  Rows are appended complete, never mutated afterwards.
-_stirling_rows: list[tuple[int, ...]] = [(1,)]
-_stirling_lock = threading.Lock()
+
+def _stirling_walk(n: int, k: int) -> tuple[list[int], list[int]]:
+    """Column s(i, k) for i = 0..n and row s(n, 0..k), as ints, from one walk of
+    s(i+1, j) = s(i, j-1) - i*s(i, j) that keeps only the current row, cut at k."""
+    row = [1] + [0] * k
+    column = [row[k]]
+    for i in range(n):
+        for j in range(min(i + 1, k), 0, -1):
+            row[j] = row[j - 1] - i * row[j]
+        row[0] *= -i
+        column.append(row[k])
+    return column, row
 
 
 def stirling_s1(n: int, k: int) -> Fraction:
     """Signed Stirling number of the first kind s(n, k).
 
     Convention: [log(1+t)]**k = k! * sum(s(n, k) t**n / n!, n >= k), i.e.
-    s(n+1, k) = s(n, k-1) - n*s(n, k) with s(0, 0) = 1.
+    s(n+1, k) = s(n, k-1) - n*s(n, k) with s(0, 0) = 1.  Each call walks that
+    recurrence afresh in O(n*k) integer operations; no table is kept.
     """
     _count("stirling_s1", n=n, k=k)
-    if k > n:
-        return _ZERO
-    with _stirling_lock:
-        while len(_stirling_rows) <= n:
-            m = len(_stirling_rows) - 1
-            prev = _stirling_rows[-1]
-            row = [0] * (m + 2)
-            for j in range(m + 2):
-                above = prev[j] if j <= m else 0
-                left = prev[j - 1] if 1 <= j else 0
-                row[j] = left - m * above
-            _stirling_rows.append(tuple(row))
-        return Fraction(_stirling_rows[n][k])
+    return Fraction(_stirling_walk(n, k)[1][k]) if k <= n else _ZERO
 
 
 # Cache: order a -> [B_j^(a)(0)/j! for j = 0..N], the x-free core of every
@@ -76,9 +75,9 @@ def _miller_power(f: list[Fraction], a: int, n: int) -> list[Fraction]:
 
 def _bernoulli_values(n: int, a: int) -> list[Fraction]:
     # g_j = B_j^(a)(0)/j! for j = 0..n: the coefficients of h**a, where
-    # h = z/(e^z - 1) is itself the power -1 of sum(z**j/(j+1)!).
+    # h = z/(e^z - 1), so h**a is the power -a of sum(z**j/(j+1)!).
     base = [Fraction(1, math.factorial(j + 1)) for j in range(n + 1)]
-    return _miller_power(_miller_power(base, -1, n), a, n)
+    return _miller_power(base, -a, n)
 
 
 def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import binomial, double_factorial, gen_bernoulli_poly, stirling_s1
+from .combinatorics import _stirling_walk, binomial, double_factorial, gen_bernoulli_poly
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
@@ -92,8 +92,20 @@ class HyperTermSpec:
     extra_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "numer", tuple(self.numer))
-        object.__setattr__(self, "denom", tuple(self.denom))
+        for side in ("numer", "denom"):
+            factors = tuple(getattr(self, side))
+            for idx, factor in enumerate(factors):
+                if not (
+                    isinstance(factor, tuple)
+                    and len(factor) == 2
+                    and isinstance(factor[0], LinearParam)
+                    and isinstance(factor[1], IndexLaw)
+                ):
+                    raise DomainError(
+                        f"{side} factor {idx} of {self.name or 'spec'} is not a "
+                        f"(LinearParam, IndexLaw) pair: {factor!r}"
+                    )
+            object.__setattr__(self, side, factors)
 
 
 @dataclass
@@ -106,7 +118,14 @@ class ExpansionTable:
     regrouping: str = "lattice"
 
     def get(self, k: int, i: int, j: int):
-        return self.entries[(k, i, j)]
+        key = (k, i, j)
+        if key not in self.entries:
+            keying = "(k, m, n)" if self.regrouping == "total_degree" else "(k, m1, m2)"
+            raise DomainError(
+                f"no entry {key} in a table keyed {keying} with eps_order "
+                f"{self.eps_order} and degree_bound {self.degree_bound}"
+            )
+        return self.entries[key]
 
 
 def _check_lattice_pole(spec: HyperTermSpec, m1: int, m2: int):
@@ -294,7 +313,7 @@ def _convolve(a, b):
 
 def _closed_f1(K, m1, m2):
     n, m = m1, m1 + m2
-    stirling = [2**k1 * (-1) ** m * stirling_s1(m + 1, k1 + 1) for k1 in range(K + 1)]
+    stirling = [2**k1 * (-1) ** m * s for k1, s in enumerate(_stirling_walk(m + 1, K + 1)[1][1:])]
     terms = [
         ((-1) ** (j + 1) * binomial(m - j, n) * binomial(n, j), Fraction(1, j))
         for j in range(1, n + 1)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import gen_bernoulli_poly, stirling_s1
+from .combinatorics import _stirling_walk, gen_bernoulli_poly
 from .duals import Dual
 from .errors import DomainError, PoleError
 from .series import EpsSeries, _coerce, _count, _signed, polynomial_series, series_invert
@@ -257,8 +257,7 @@ def _poch_deriv_stirling(alpha, m, k):
     # Alternating sum over s(m-l, k) weighted by binomials and (alpha)_l.
     acc = _ZERO
     poch = _ONE  # (alpha)_l, accumulated
-    for l in range(m - k + 1):
-        s = stirling_s1(m - l, k)
+    for l, s in enumerate(reversed(_stirling_walk(m, k)[0][k:])):
         if s != 0:
             acc += (-1) ** l * math.comb(m, l) * s * poch
         poch = poch * (alpha + l)
@@ -269,8 +268,7 @@ def _poch_deriv_coffey(alpha, m, k):
     # Polynomial in alpha with Stirling-number coefficients.
     acc = _ZERO
     power = _ONE  # alpha**j, accumulated
-    for j in range(m - k + 1):
-        s = stirling_s1(m, k + j)
+    for j, s in enumerate(_stirling_walk(m, m)[1][k:]):
         if s != 0:
             acc += (-1) ** j * math.comb(k + j, k) * s * power
         power = power * alpha

@@ -741,6 +741,10 @@ def run_relation(token, grid=None) -> CheckSummary:
 
 def verify_ids(tokens):
     """Check a list of relation tokens; returns one CheckSummary per token."""
+    if isinstance(tokens, str):
+        raise DomainError(
+            f"verify_ids takes a list of relation ids: pass [{tokens!r}], not {tokens!r}"
+        )
     # Resolve every token before running any, so a bad token costs no work.
     relations = [_relation(token)[0] for token in tokens]
     return [run_relation(relation) for relation in relations]

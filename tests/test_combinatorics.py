@@ -167,6 +167,16 @@ def test_gen_bernoulli_longer_core_equals_a_fresh_one(monkeypatch):
     assert [gen_bernoulli_poly(j, a, x) for j in range(31)] == fresh
 
 
+def test_bernoulli_core_one_pass_equals_two_passes():
+    # The core is sum(z**j/(j+1)!)**(-a) in one Miller pass; the reference
+    # takes the power -1 first and then the power a.
+    miller = pochex.combinatorics._miller_power
+    base = [F(1, math.factorial(j + 1)) for j in range(41)]
+    h = miller(base, -1, 40)
+    for a in range(1, 13):
+        assert pochex.combinatorics._bernoulli_values(40, a) == miller(h, a, 40), a
+
+
 def test_gen_bernoulli_additivity_in_order():
     # (t/(e^t-1))^(a+b) e^{(x+y)t} factors, giving a Vandermonde-style convolution.
     a, b, x, y = 2, 3, F(1, 2), F(1, 3)

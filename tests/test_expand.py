@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as F
 
@@ -62,6 +63,35 @@ def test_spec_coerces_factor_lists_to_tuples():
     spec = HyperTermSpec("t", numer=[(LinearParam(1, 1), IndexLaw(0, 1, 0))])
     assert isinstance(spec.numer, tuple)
     assert spec.denom == ()
+
+
+@pytest.mark.parametrize(
+    "side, factor, shown",
+    [
+        ("numer", (LinearParam(1, 1), (0, 1, 0)), "(0, 1, 0)"),
+        ("denom", (LinearParam(1, 1), IndexLaw(0, 1, 0), 2), ", 2)"),
+        ("numer", (3, IndexLaw(0, 1, 0)), "(3, "),
+    ],
+    ids=["law-not-an-IndexLaw", "3-tuple", "int-for-LinearParam"],
+)
+def test_spec_refuses_a_malformed_factor(side, factor, shown):
+    good = (LinearParam(F(1, 2), 1), IndexLaw(0, 1, 1))
+    pair = r"is not a \(LinearParam, IndexLaw\) pair"
+    with pytest.raises(DomainError, match=rf"{side} factor 1 of bad {pair}") as exc:
+        HyperTermSpec("bad", **{side: [good, factor]})
+    assert shown in str(exc.value)
+
+
+def test_table_get_outside_the_table_names_the_window():
+    table = expand_closed("F1", 1, 2)
+    assert table.get(1, 2, 0) == table.entries[(1, 2, 0)]
+    with pytest.raises(DomainError) as exc:
+        table.get(5, 0, 0)
+    message = str(exc.value)
+    assert "(5, 0, 0)" in message and "(k, m1, m2)" in message
+    assert "eps_order 1" in message and "degree_bound 2" in message
+    with pytest.raises(DomainError, match=r"no entry \(0, 3, 1\) in a table keyed \(k, m, n\)"):
+        regroup_total_degree(table).get(0, 3, 1)
 
 
 # -- the general engine ---------------------------------------------------------
@@ -393,6 +423,31 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     for k in range(m + 1):
         poch_deriv(F(1, 3), m, k, PochMethod.BERNOULLI)
     assert calls["_bernoulli_values"] == 1
+
+
+def test_each_stirling_reader_takes_one_walk(monkeypatch):
+    # The stirling_sum method reads one column of one walk: s(i, 3) for
+    # i = 0..2000 and the row cut at width 4.  The coffey method reads row m
+    # of one walk of width m + 1.  Closed F1 at K=4, D=12 reads row m + 1 of
+    # one walk per lattice point, cut at width K + 2.
+    # pochex.pochhammer is the function the package exports; take the module.
+    shapes = []
+    for module in (sys.modules["pochex.pochhammer"], pochex.hyper_expand):
+
+        def recorded(n, k, walk=module._stirling_walk):
+            column, row = walk(n, k)
+            shapes.append((len(column), len(row)))
+            return column, row
+
+        monkeypatch.setattr(module, "_stirling_walk", recorded)
+    poch_deriv(F(1, 3), 2000, 3)
+    poch_deriv(F(1, 3), 60, 3, PochMethod.COFFEY)
+    assert shapes == [(2001, 4), (61, 61)]
+    shapes.clear()
+    expand_closed("F1", 4, 12)
+    points = [(m1, m2) for m1 in range(13) for m2 in range(13 - m1)]
+    assert len(shapes) == len(points) == 91
+    assert sorted(shapes) == sorted((m1 + m2 + 2, 6) for m1, m2 in points)
 
 
 # -- regrouping ------------------------------------------------------------------

@@ -178,6 +178,13 @@ def test_verify_ids_unknown_token():
         verify_ids(["A99"])
 
 
+def test_verify_ids_refuses_a_bare_string():
+    # A string is iterable too; read character by character it would report
+    # "unknown relation id 'A'".
+    with pytest.raises(DomainError, match=r"list of relation ids: pass \['A9'\]"):
+        verify_ids("A9")
+
+
 def test_verify_ids_resolves_every_token_before_running_any(monkeypatch):
     import pochex.verify
 

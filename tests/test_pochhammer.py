@@ -139,6 +139,16 @@ def test_poch_deriv_methods_agree():
                     )
 
 
+@pytest.mark.parametrize("m, k", [(200, 5), (300, 7), (50, 50), (2000, 3)])
+def test_poch_deriv_stirling_routes_match_recurrence_at_large_m(m, k):
+    alpha = F(2, 7)
+    reference = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
+    methods = [PochMethod.STIRLING_SUM] + ([PochMethod.COFFEY] if m <= 300 else [])
+    for method in methods:
+        value = poch_deriv(alpha, m, k, method)
+        assert type(value) is type(reference) is F and value == reference, method
+
+
 def test_poch_deriv_rejects_bad_orders():
     with pytest.raises(DomainError):
         poch_deriv(1, -1, 0)

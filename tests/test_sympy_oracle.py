@@ -12,7 +12,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from pochex.combinatorics import gen_bernoulli_poly  # noqa: E402
+from pochex.combinatorics import gen_bernoulli_poly, stirling_s1  # noqa: E402
 from pochex.partial_fractions import quotient_deriv  # noqa: E402
 from pochex.pochhammer import (  # noqa: E402
     LinearParam,
@@ -102,3 +102,11 @@ def test_gen_bernoulli_order_one_matches_sympy():
         for n in range(31):
             expected = _fraction(sympy.bernoulli(n, _rational(x)))
             assert gen_bernoulli_poly(n, 1, x) == expected, (n, x)
+
+
+def test_stirling_s1_matches_sympy():
+    stirling = sympy.functions.combinatorial.numbers.stirling
+    for n in range(61):
+        for k in range(n + 1):
+            value = stirling_s1(n, k)
+            assert type(value) is F and value == stirling(n, k, kind=1, signed=True), (n, k)
