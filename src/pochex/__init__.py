@@ -22,7 +22,6 @@ from .errors import (
     DegreeError,
     DomainError,
     MissingParameter,
-    NonzeroConstantTerm,
     ParseError,
     PochexError,
     PoleError,
@@ -65,16 +64,11 @@ from .series import (
     EpsSeries,
     parse_rational,
     polynomial_series,
-    series_compose,
-    series_elementary,
     series_invert,
-    series_pow,
 )
 from .specfile import SpecOptions, parse_quotient_text, parse_spec_text
 from .verify import (
     DEFAULT_GENFUN_ORDER,
-    IN_SCOPE_TAGS,
-    RELATION_COVERAGE,
     CheckSummary,
     GenFunId,
     GenFunResult,
@@ -103,7 +97,6 @@ __all__ = [
     "DegreeError",
     "DomainError",
     "MissingParameter",
-    "NonzeroConstantTerm",
     "ParseError",
     "PochexError",
     "PoleError",
@@ -138,16 +131,11 @@ __all__ = [
     "EpsSeries",
     "parse_rational",
     "polynomial_series",
-    "series_compose",
-    "series_elementary",
     "series_invert",
-    "series_pow",
     "SpecOptions",
     "parse_quotient_text",
     "parse_spec_text",
     "DEFAULT_GENFUN_ORDER",
-    "IN_SCOPE_TAGS",
-    "RELATION_COVERAGE",
     "CheckSummary",
     "GenFunId",
     "GenFunResult",

@@ -292,6 +292,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # An exact result may have more digits than Python's int<->str limit lets
+    # `print` write: lift the limit while the command runs, and give the
+    # caller's limit back after.  Arguments were parsed under the caller's
+    # limit, and `parse_rational` keeps its own bound.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         if args.command == "poch":
             return _cmd_poch(args)
@@ -314,6 +320,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"pochex: error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -24,10 +24,6 @@ class ZeroSeries(PochexError):
     """A series with no known nonzero coefficient cannot be inverted."""
 
 
-class NonzeroConstantTerm(PochexError):
-    """Composition requires the inner series to vanish at the origin."""
-
-
 class PoleError(PochexError):
     """Evaluation hit a pole of the expression.
 

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegreeError, PoleError, RepeatedRoot, ZeroSlope
+from .duals import Dual
+from .errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
 from .pochhammer import LinearParam, _vanishing_shift, poch_deriv, pochhammer
 from .series import _coerce, _count
 
@@ -51,7 +52,8 @@ class PartialFractionForm:
             pieces.append((str(self.constant), False))
         for t in self.terms:
             c = t.coefficient
-            negative = c < 0
+            # A Dual has no sign: it is printed whole, after " + ".
+            negative = not isinstance(c, Dual) and c < 0
             c = -c if negative else c
             if t.pole_slope == 1:
                 slope_txt = "+eps"
@@ -81,7 +83,8 @@ class PochProductQuotient:
 
     Zero-slope factors are evaluated and folded into `.scalar` at construction
     (they contribute no eps-dependence); the remaining factors must satisfy the
-    degree condition sum(m_p) <= sum(n_q).
+    degree condition sum(m_p) <= sum(n_q), and a remaining denominator factor
+    must be rational, since its poles are.
     """
 
     __slots__ = ("numer", "denom", "scalar")
@@ -108,6 +111,11 @@ class PochProductQuotient:
                         factor=q,
                     )
                 scalar /= pochhammer(param.constant, length)
+            elif isinstance(param.constant, Dual) or isinstance(param.slope, Dual):
+                raise DomainError(
+                    f"denominator factor {q}, ({param.constant} + {param.slope}*eps)_{length}, "
+                    "has a Dual part: its pole locations must be rational"
+                )
             else:
                 kept_den.append((param, length))
         num_degree = sum(m for _, m in kept_num)

@@ -19,20 +19,29 @@ from fractions import Fraction
 from typing import Iterable
 
 from .duals import Dual
-from .errors import DomainError, NonzeroConstantTerm, ParseError, ZeroSeries
+from .errors import DomainError, ParseError, ZeroSeries
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
+# The most digits `parse_rational` reads in `p` or `q`: Python's default
+# int<->str limit, fixed here so that no process setting moves it.
+_MAX_DIGITS = 4300
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `p` or `p/q` (decimal digits, optional leading minus)."""
+    """Parse `p` or `p/q` (decimal digits, optional leading minus), each part
+    at most 4,300 digits long."""
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise ParseError(f"not a rational literal: {text!r}")
+        raise ParseError(f"{text!r} is not a rational literal")
     num, _, den = s.partition("/")
+    digits = max(len(num.lstrip("-")), len(den))
+    if digits > _MAX_DIGITS:
+        raise ParseError(
+            f"a rational literal with a {digits}-digit part exceeds the {_MAX_DIGITS}-digit limit"
+        )
     if den:
         if int(den) == 0:
             raise ParseError(f"zero denominator: {text!r}")
@@ -281,60 +290,3 @@ def series_invert(a: EpsSeries) -> EpsSeries:
                 acc = acc + u[i] * v[n - i]
         v.append(-acc / lead)
     return EpsSeries(v, -p)
-
-
-def series_compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
-    """Substitute `inner` into `outer`, truncated at the common order.
-
-    Requires outer.min_exponent >= 0 and inner with no negative exponents and
-    zero constant term (otherwise infinitely many outer terms would feed one
-    output coefficient).
-    """
-    if outer.min_exponent < 0:
-        raise DomainError("outer series of a composition must have no pole")
-    if inner.min_exponent < 0:
-        raise DomainError("inner series of a composition must have no pole")
-    if inner.min_exponent == 0 and inner.coefficients[0] != 0:
-        raise NonzeroConstantTerm(
-            f"inner series has constant term {inner.coefficients[0]}, expected 0"
-        )
-    order = min(outer.max_exponent, inner.max_exponent)
-    inner = inner.truncated(order)
-    # Horner's rule; each product is cut back to the common order.
-    acc = EpsSeries.constant(outer._get(order), order)
-    for e in range(order - 1, -1, -1):
-        acc = (acc * inner).truncated(order) + EpsSeries.constant(outer._get(e), order)
-    return acc
-
-
-def series_pow(a: EpsSeries, exponent: int) -> EpsSeries:
-    """Integer power; negative exponents go through series_invert."""
-    _signed("series_pow", exponent=exponent)
-    if exponent < 0:
-        return series_pow(series_invert(a), -exponent)
-    result = EpsSeries.one(a.max_exponent)
-    base = a
-    n = exponent
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
-def series_elementary(kind: str, order: int) -> EpsSeries:
-    """Reference expansions of elementary functions: 'exp' or 'log1p'."""
-    _count("series_elementary", order=order)
-    if kind == "exp":
-        coeffs = [_ONE]
-        for n in range(1, order + 1):
-            coeffs.append(coeffs[-1] / n)
-        return EpsSeries(coeffs, 0)
-    if kind == "log1p":
-        coeffs = [_ZERO]
-        for n in range(1, order + 1):
-            coeffs.append(Fraction((-1) ** (n - 1), n))
-        return EpsSeries(coeffs[: order + 1], 0)
-    raise DomainError(f"unknown elementary series kind: {kind!r}")

@@ -64,8 +64,8 @@ def _logical_lines(text: str):
 def _parse_rational_at(token: str, lineno: int):
     try:
         return parse_rational(token)
-    except ParseError:
-        raise ParseError(f"line {lineno}: {token!r} is not a rational") from None
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 def _parse_int_at(token: str, lineno: int, what: str):

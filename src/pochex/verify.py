@@ -1,12 +1,10 @@
 """Registry of cross-checkable relations among the library's quantities.
 
-Every relation the package relies on is either an `IdentityId` (an exact
-scalar equation evaluated with both sides computed by maximally independent
-code paths), a `GenFunId` (a power-series equation compared coefficientwise
-to a requested order), or — in the coverage table `RELATION_COVERAGE` — a
-pointer to the operation or table that exercises it.  The enum tokens are
-opaque stable labels; each evaluator's docstring states the mathematical
-content.
+Every checkable relation is either an `IdentityId` (an exact scalar equation
+evaluated with both sides computed by maximally independent code paths) or a
+`GenFunId` (a power-series equation compared coefficientwise to a requested
+order).  The enum tokens are opaque stable labels; each evaluator's docstring
+states the mathematical content.
 
 `_RELATIONS` gives each checkable relation its evaluator and its default
 parameter grid, built by `_grid`.  `run_relation` checks one relation over a
@@ -39,16 +37,7 @@ from .pochhammer import (
     pochhammer,
     recip_poch_deriv,
 )
-from .series import (
-    EpsSeries,
-    _coerce,
-    _count,
-    polynomial_series,
-    series_compose,
-    series_elementary,
-    series_invert,
-    series_pow,
-)
+from .series import EpsSeries, _coerce, _count, polynomial_series, series_invert
 
 _F = Fraction
 
@@ -439,6 +428,25 @@ def _geometric_minus(order: int) -> EpsSeries:
     return EpsSeries([_F(0)] + [_F(-1)] * order)
 
 
+def _log1p_power(k: int, order: int) -> EpsSeries:
+    # log(1+z)**k, known at least through z**order, by k plain products.
+    log1p = EpsSeries([_F(0)] + [_F(_sign(n - 1), n) for n in range(1, order + 1)])
+    power = EpsSeries.one(order)
+    for _ in range(k):
+        power = power * log1p
+    return power
+
+
+def _compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
+    # outer(inner(z)) by Horner's rule, each product cut back to the order of
+    # outer; outer starts at z**0 and inner has no constant term.
+    order = outer.max_exponent
+    acc = EpsSeries.constant(outer.coefficient(order), order)
+    for e in range(order - 1, -1, -1):
+        acc = (acc * inner).truncated(order) + EpsSeries.constant(outer.coefficient(e), order)
+    return acc
+
+
 def _genfun_a4(order, p):
     """Exponential-type generating relation for the derivative coefficients:
     sum_m k! P_m^(k)(alpha) (-t)^m / m! = (-1)^k (1+t)^(-alpha) log(1+t)^k."""
@@ -452,7 +460,7 @@ def _genfun_a4(order, p):
         ]
     )
     binom = EpsSeries([binomial(-alpha, l) for l in range(order + 1)])
-    rhs = binom * series_pow(series_elementary("log1p", order), k)
+    rhs = binom * _log1p_power(k, order)
     if k % 2:
         rhs = -rhs
     return lhs, rhs
@@ -461,7 +469,7 @@ def _genfun_a4(order, p):
 def _genfun_a7(order, p):
     """Powers of log(1+t) generate a Stirling column."""
     k = _as_int(p, "k", 0)
-    lhs = series_pow(series_elementary("log1p", order), k)
+    lhs = _log1p_power(k, order)
     rhs = EpsSeries(
         [
             _F(0)
@@ -517,7 +525,7 @@ def _genfun_A25(order, p):
     if j is not None:
         raise DomainError(f"beta = {beta} hits a pole at shift {j}")
     outer = EpsSeries([1 / (beta + j) ** (k + 1) for j in range(order + 1)])
-    composed = series_compose(outer, _geometric_minus(order))
+    composed = _compose(outer, _geometric_minus(order))
     lhs = composed * series_invert(polynomial_series([1, -1], order))
     rhs = EpsSeries(
         [
@@ -536,7 +544,7 @@ def _genfun_A26(order, p):
     outer = EpsSeries(
         [_F(0)] + [_F(1) / _F(j) ** (k + 1) for j in range(1, order + 1)]
     )
-    lhs = -series_compose(outer, _geometric_minus(order))
+    lhs = -_compose(outer, _geometric_minus(order))
     rhs = EpsSeries(
         [_F(0)] + [mod_harmonic(m, k) / m for m in range(1, order + 1)]
     )
@@ -754,144 +762,3 @@ def verify_all():
     """Check every registered relation over its documented grid."""
     return verify_ids(_RELATIONS)
 
-
-# -- coverage registry ---------------------------------------------------------
-# Every relation label in the library's catalog maps to how it is exercised:
-#   identity:X — scalar IdentityId X         genfun:X — series GenFunId X
-#   op:f       — implemented/tested as operation f (dotted name = method)
-#   closed:F   — built-in expansion example F (engine vs closed form tests)
-#   type:T     — realized as data type T
-#   note: ...  — explicitly not machine-checked, with the reason
-RELATION_COVERAGE = {
-    "i1": "type:LinearParam",
-    "i2": "op:quotient_deriv",
-    "i3": "op:recip_poch_deriv",
-    "a2": "identity:A5",
-    "a3": "genfun:a4",
-    "a4": "genfun:a4",
-    "a5": "note:derivation intermediate (product-rule split behind genfun:a4); "
-    "its endpoints are exercised by that check",
-    "a6": "note:derivation intermediate (Taylor coefficients of the binomial "
-    "series); folded into the reference side of genfun:a4",
-    "a7": "genfun:a7",
-    "a8": "genfun:a7",
-    "a9": "op:poch_deriv.stirling_sum",
-    "a10": "op:poch_deriv.recurrence",
-    "a11": "op:poch_deriv.recurrence",
-    "coffey1": "op:poch_deriv.coffey",
-    "A7": "op:poch_deriv.coffey",
-    "A17": "op:poch_deriv.bernoulli",
-    "A18": "genfun:A18",
-    "A19": "op:poch_deriv.bernoulli",
-    "A5": "identity:A5",
-    "A6": "identity:A6",
-    "A8": "identity:A8",
-    "A9": "identity:A9",
-    "AA19": "identity:AA19",
-    "A15": "identity:A15",
-    "A13": "identity:A13",
-    "b8": "op:recip_poch_deriv.recurrence",
-    "b9": "op:recip_poch_deriv.recurrence",
-    "b2": "op:recip_poch_deriv.closed_sum",
-    "b3": "op:recip_poch_deriv.closed_sum",
-    "comtet1": "op:recip_poch_deriv.closed_sum",
-    "comtet2": "op:recip_poch_deriv.closed_sum",
-    "A10": "op:harmonic",
-    "A11": "op:mod_harmonic",
-    "A12": "identity:A12",
-    "Ah": "op:mod_harmonic",
-    "A14": "identity:A14coeff",
-    "A16": "note:sign-ambiguous variant; the relation is tested instead as "
-    "identity:A12 combined with identity:conjugate_HS, and the variant's "
-    "literal overall sign is intentionally left unverified",
-    "A20": "note:classical binomial-transform pair; background for the "
-    "composed-series checks genfun:A25 and genfun:A26",
-    "A21": "note:definition of the transform's series pair; background for "
-    "genfun:A25 and genfun:A26",
-    "A22": "op:series_compose",
-    "A23": "op:recip_poch_deriv.closed_sum",
-    "A24": "genfun:A25",
-    "A25": "genfun:A25",
-    "A26": "genfun:A26",
-    "nueva1": "genfun:nueva1",
-    "nueva2": "genfun:nueva2",
-    "nueva3": "genfun:nueva2",
-    "A27": "identity:A27",
-    "A28": "identity:A28",
-    "A29": "identity:A29",
-    "A30": "identity:A30",
-    "A31": "identity:A31",
-    "A32": "identity:A32",
-    "beta_laurent": "op:recip_poch_laurent",
-    "ii1": "op:decompose_single",
-    "ii2": "op:decompose_single",
-    "ii3": "op:decompose_single",
-    "ii4": "op:decompose_single",
-    "ii5": "op:decompose_single",
-    "ii9": "op:decompose_single",
-    "ii10": "op:decompose_single",
-    "ii11": "op:decompose_single",
-    "ii13": "op:pf_derivative",
-    "ii14": "op:pf_derivative",
-    "ii15": "op:quotient_deriv",
-    "ii16": "identity:ii16",
-    "ii17": "identity:ii17",
-    "iii1": "closed:F1",
-    "iii2": "closed:F1",
-    "iii3": "closed:F1",
-    "iii4": "identity:iii4",
-    "iii5": "identity:iii5",
-    "iii6": "closed:F1",
-    "iii7": "closed:F2",
-    "iii8": "closed:F2",
-    "iii9": "closed:F2",
-    "iii10": "identity:iii10",
-    "iii11": "closed:F3",
-    "iii12": "closed:F3",
-    "iii13": "closed:F4",
-    "iii14": "closed:F4",
-    "iii15": "closed:F4",
-    "iii16": "closed:F4",
-    "iii17": "closed:F5",
-    "iii18": "closed:F5",
-    "iii19": "closed:F5",
-    "iii20": "closed:F5",
-    "tables": "closed:F5",
-    "iv1": "closed:F6",
-    "iv2": "closed:F7",
-    "iv3": "closed:F6",
-    "iv4": "closed:F6",
-    "iv5": "closed:F6",
-    "iv6": "closed:F7",
-    "iv7": "closed:F7",
-    "iv8": "closed:F7",
-    "iv9": "closed:dF7_ddelta",
-    "iv10": "closed:dF7_ddelta",
-    "v1": "op:decompose_multi",
-    "v2": "op:decompose_multi",
-    "v3": "op:decompose_multi",
-    "v4": "closed:F6_alt",
-    "v5": "closed:F6_alt",
-}
-
-# The declared catalog of relation labels, maintained independently of the
-# registry above: a test asserts the registry is exhaustive over it.
-IN_SCOPE_TAGS = (
-    "i1", "i2", "i3",
-    "a2", "a3", "a4", "a5", "a6", "a7", "a8", "a9", "a10", "a11",
-    "coffey1", "A7", "A17", "A18", "A19",
-    "A5", "A6", "A8", "A9", "AA19", "A15", "A13",
-    "b8", "b9", "b2", "b3", "comtet1", "comtet2",
-    "A10", "A11", "A12", "Ah", "A14", "A16",
-    "A20", "A21", "A22", "A23", "A24", "A25", "A26",
-    "nueva1", "nueva2", "nueva3",
-    "A27", "A28", "A29", "A30", "A31", "A32",
-    "beta_laurent",
-    "ii1", "ii2", "ii3", "ii4", "ii5", "ii9", "ii10", "ii11",
-    "ii13", "ii14", "ii15", "ii16", "ii17",
-    "iii1", "iii2", "iii3", "iii4", "iii5", "iii6", "iii7", "iii8", "iii9",
-    "iii10", "iii11", "iii12", "iii13", "iii14", "iii15", "iii16", "iii17",
-    "iii18", "iii19", "iii20", "tables",
-    "iv1", "iv2", "iv3", "iv4", "iv5", "iv6", "iv7", "iv8", "iv9", "iv10",
-    "v1", "v2", "v3", "v4", "v5",
-)

@@ -42,7 +42,6 @@ VALID = {
     "binomial": dict(top=3, k=2),
     "double_factorial": dict(n=3),
     "polynomial_series": dict(coefficients=[1, 2], order=2),
-    "series_elementary": dict(kind="exp", order=2),
     "EpsSeries.constant": dict(value=1, order=2),
     "EpsSeries.one": dict(order=2),
     "decompose_single": dict(num=LinearParam(1, 1), m=1, den=LinearParam(2, 1), n=2),
@@ -74,7 +73,6 @@ COUNTS = {
     "binomial": ["k"],
     "double_factorial": ["n"],
     "polynomial_series": ["order"],
-    "series_elementary": ["order"],
     "EpsSeries.constant": ["order"],
     "EpsSeries.one": ["order"],
     "decompose_single": ["m", "n"],
@@ -110,7 +108,7 @@ SCALARS = {
 RECORDS = {"ExpansionTable", "SpecOptions", "GenFunResult"}
 COUNT_NAMES = {"m", "n", "k", "a", "order", "eps_order", "degree_bound", "length"}
 # Parameters that carry a count's name but hold a series.
-NOT_COUNTS = {("series_invert", "a"), ("series_pow", "a")}
+NOT_COUNTS = {("series_invert", "a")}
 
 BAD_SCALARS = ["1/2", "1", None, 1.5]
 
@@ -180,7 +178,6 @@ _SERIES = EpsSeries([1, 2, 3], -1)
 
 # Every exponent and shift: an int of either sign, so it has no floor.
 SIGNED = [
-    ("series_pow", "exponent", lambda x: pochex.series_pow(_SERIES, x)),
     ("EpsSeries", "min_exponent", lambda x: EpsSeries([1], x)),
     ("EpsSeries.coefficient", "exponent", _SERIES.coefficient),
     ("EpsSeries.truncated", "new_max", _SERIES.truncated),

@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -195,6 +197,51 @@ def test_pf_parse_error_carries_line_number(capsys, tmp_path):
     code, out, err = run(capsys, "pf", "--spec", str(spec))
     assert (code, out) == (1, "")
     assert "line 2" in err
+
+
+# -- results and literals past Python's int<->str digit limit --------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poch", "--alpha", "1", "-m", "1700", "-k", "0", "--method", "recurrence"],
+        ["recip", "--beta", "1", "-m", "1700", "-k", "0", "--method", "recurrence"],
+    ],
+    ids=["poch", "recip"],
+)
+def test_result_past_the_digit_limit_is_printed(capsys, argv):
+    # (1)_1700 = 1700! has 4,756 digits, more than Python's default limit of 4,300.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)  # a caller's own limit, below the result's size
+    try:
+        code, out, err = run(capsys, *argv)
+        assert sys.get_int_max_str_digits() == 4321  # given back on exit
+        sys.set_int_max_str_digits(0)
+        digits = str(math.factorial(1700))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(digits) > 4300
+    assert (code, err) == (0, "")
+    assert out == (digits if argv[0] == "poch" else f"1/{digits}") + "\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, lineno",
+    [
+        ("pf", "[numerator]\npoch = {big} 1 : 1\n[denominator]\npoch = 2 1 : 2\n", 2),
+        ("expand", "[denominator]\npoch = 1 1 : 0 1 0\npoch = 1/{big} 1 : 0 0 1\n", 3),
+    ],
+)
+def test_spec_literal_past_the_digit_limit_is_a_parse_error(capsys, tmp_path, command, text, lineno):
+    spec = tmp_path / "spec.txt"
+    spec.write_text(text.format(big="7" * 5000))
+    code, out, err = run(capsys, command, "--spec", str(spec))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"pochex: error: line {lineno}: a rational literal with a 5000-digit part "
+        "exceeds the 4300-digit limit\n"
+    )
 
 
 # -- expand ----------------------------------------------------------------------

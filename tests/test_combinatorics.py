@@ -20,7 +20,7 @@ from pochex.combinatorics import (
     stirling_s1,
 )
 from pochex.errors import DomainError
-from pochex.series import EpsSeries, series_invert, series_pow
+from pochex.series import EpsSeries, series_invert
 
 
 # -- signed Stirling numbers of the first kind ----------------------------------
@@ -111,11 +111,23 @@ def test_gen_bernoulli_cache_evicts_oldest_past_its_cap(monkeypatch):
     assert len(cache) == 16 and 5 not in cache and 1 in cache
 
 
+def _power(series, a):
+    # series**a for a >= 1 by binary powering: plain EpsSeries products only.
+    result = None
+    while a:
+        if a & 1:
+            result = series if result is None else result * series
+        a >>= 1
+        if a:
+            series = series * series
+    return result
+
+
 def _series_bernoulli(n, a, x):
     # The definition by series arithmetic: B_j^(a)(x) for j = 0..n are the
     # coefficients of (z/(e^z - 1))**a * e^{xz}, scaled by j!.
     base = EpsSeries([F(1, math.factorial(j + 1)) for j in range(n + 1)])
-    core = series_pow(series_invert(base), a)
+    core = _power(series_invert(base), a)
     expx = EpsSeries([x**j / math.factorial(j) for j in range(n + 1)])
     prod = core * expx
     return [prod.coefficient(j) * math.factorial(j) for j in range(n + 1)]

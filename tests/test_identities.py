@@ -12,8 +12,6 @@ from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import PochMethod, RecipMethod
 from pochex.verify import (
     DEFAULT_GENFUN_ORDER,
-    IN_SCOPE_TAGS,
-    RELATION_COVERAGE,
     CheckSummary,
     GenFunId,
     IdentityId,
@@ -23,6 +21,7 @@ from pochex.verify import (
     run_relation,
     verify_ids,
 )
+from relation_catalog import IN_SCOPE_TAGS, RELATION_COVERAGE
 
 
 # -- pointwise identity evaluation ------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from pochex.duals import Dual
 from pochex.errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
 from pochex.partial_fractions import (
     PartialFractionForm,
@@ -277,3 +278,38 @@ def test_render_scalar_prefactor_and_negative_slopes():
 def test_render_constant_only():
     assert PartialFractionForm(F(7), ()).render() == "7"
     assert str(PartialFractionForm(F(0), ())) == "0"
+
+
+# -- Dual parameters -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda den: decompose_multi(PochProductQuotient([], [(den, 1)])),
+        lambda den: decompose_single(LinearParam(1, 1), 1, den, 1),
+        lambda den: quotient_deriv(LinearParam(1, 1), 1, den, 1, 1),
+    ],
+    ids=["decompose_multi", "decompose_single", "quotient_deriv"],
+)
+@pytest.mark.parametrize("den", [LinearParam(2, Dual(1, 1)), LinearParam(Dual(2, 1), 1)])
+def test_dual_in_a_sloped_denominator_is_a_domain_error(call, den):
+    # Pole locations are rational; the message names the factor.
+    with pytest.raises(DomainError, match=r"denominator factor 0, .* has a Dual part"):
+        call(den)
+
+
+def test_dual_numerator_and_slope_free_dual_denominator_still_work():
+    num = LinearParam(Dual(1, 1), 1)
+    assert quotient_deriv(num, 1, LinearParam(2, 1), 1, 1) == Dual(F(1, 4), F(-1, 4))
+    q = PochProductQuotient([], [(LinearParam(2, 1), 1), (LinearParam(Dual(3, 1), 0), 2)])
+    assert q.scalar == Dual(F(1, 12), F(-7, 144))
+
+
+def test_render_prints_a_dual_coefficient_whole():
+    form = decompose_single(LinearParam(Dual(1, 1), 1), 1, LinearParam(2, 1), 1)
+    assert str(form) == "1 + Dual(-1, 1)/(2+eps)"
+    form = decompose_multi(
+        PochProductQuotient([(LinearParam(Dual(1, 1), 1), 1)], [(LinearParam(2, 1), 1), (LinearParam(3, 1), 1)])
+    )
+    assert str(form) == "Dual(-1, 1)/(2+eps) + Dual(2, -1)/(3+eps)"

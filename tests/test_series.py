@@ -7,16 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pochex.errors import DomainError, NonzeroConstantTerm, ParseError, ZeroSeries
-from pochex.series import (
-    EpsSeries,
-    parse_rational,
-    polynomial_series,
-    series_compose,
-    series_elementary,
-    series_invert,
-    series_pow,
-)
+from pochex.errors import DomainError, ParseError, ZeroSeries
+from pochex.series import EpsSeries, parse_rational, polynomial_series, series_invert
+from pochex.verify import _compose, _log1p_power
 
 
 def S(coeffs, min_exponent=0):
@@ -37,6 +30,18 @@ def test_parse_rational(text, value):
 @pytest.mark.parametrize("text", ["", "1.5", "1/0", "--3", "3/-4", "a/b", "1 /2", "+3"])
 def test_parse_rational_rejects(text):
     with pytest.raises(ParseError):
+        parse_rational(text)
+
+
+def test_parse_rational_reads_4300_digits_a_part():
+    assert parse_rational("-" + "7" * 4300 + "/" + "3" * 4300) == F(-7, 3)
+
+
+@pytest.mark.parametrize(
+    "text", ["7" * 4301, "1/" + "3" * 4301, "-" + "7" * 4301 + "/2"], ids=["p", "q", "-p"]
+)
+def test_parse_rational_refuses_a_longer_part(text):
+    with pytest.raises(ParseError, match="a 4301-digit part exceeds the 4300-digit limit"):
         parse_rational(text)
 
 
@@ -168,51 +173,32 @@ def test_div():
     assert num * series_invert(den) == S([1, -1, 1])
 
 
-# -- composition and powers ----------------------------------------------------
+# -- verify's reference series: composition and powers of log(1+z) -------------
 
 
 def test_compose_monomial():
     outer = S([0, 0, 1, 0])  # w^2
     inner = S([0, 2, 0, 0])  # 2z
-    assert series_compose(outer, inner) == S([0, 0, 4, 0])
+    assert _compose(outer, inner) == S([0, 0, 4, 0])
 
 
 def test_compose_euler_transform_style():
     outer = S([1, 1, 1, 1])  # 1/(1-w)
     inner = S([0, 1, 1, 1])  # z/(1-z)
-    assert series_compose(outer, inner) == S([1, 1, 2, 4])
+    assert _compose(outer, inner) == S([1, 1, 2, 4])
 
 
 def test_compose_exp_log():
-    outer = series_elementary("exp", 3)
-    inner = series_elementary("log1p", 3)
-    assert series_compose(outer, inner) == S([1, 1, 0, 0])
-
-
-def test_compose_nonzero_constant_rejected():
-    with pytest.raises(NonzeroConstantTerm):
-        series_compose(S([1, 1]), S([1, 1]))
-
-
-def test_pow_matches_repeated_mul():
-    base = S([1, 2, -1, 3])
-    cube = base * base * base
-    assert series_pow(base, 3) == cube
-    assert series_pow(base, 0) == S([1, 0, 0, 0])
-    assert series_pow(base, -1) == series_invert(base)
-
-
-def test_elementary_exp():
-    assert series_elementary("exp", 3) == S([1, 1, F(1, 2), F(1, 6)])
+    outer = S([1, 1, F(1, 2), F(1, 6)])  # exp(w)
+    inner = _log1p_power(1, 3)
+    assert _compose(outer, inner) == S([1, 1, 0, 0])
 
 
 def test_elementary_log1p():
-    assert series_elementary("log1p", 4) == S([0, 1, F(-1, 2), F(1, 3), F(-1, 4)])
-
-
-def test_elementary_unknown_kind():
-    with pytest.raises(DomainError):
-        series_elementary("sin", 3)
+    assert _log1p_power(1, 4) == S([0, 1, F(-1, 2), F(1, 3), F(-1, 4)])
+    assert _log1p_power(0, 4) == S([1, 0, 0, 0, 0])
+    # Each product keeps every coefficient its operands determine.
+    assert _log1p_power(2, 4) == S([0, 0, 1, -1, F(11, 12), F(-5, 6)])
 
 
 def test_polynomial_series_pads_and_truncates():
