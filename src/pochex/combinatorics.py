@@ -14,7 +14,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .series import _coerce, _count
+from .series import _coerce, _count, _int_sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -52,32 +52,33 @@ _bernoulli_cache: dict[int, list[Fraction]] = {}
 _bernoulli_lock = threading.Lock()
 
 
-def _miller_power(f: list[Fraction], a: int, n: int) -> list[Fraction]:
-    """Coefficients 0..n of f**a, for a power series f with f[0] == 1.
+def _miller_power(f: list[Fraction], a: int, n: int, known=(_ONE,)) -> list[Fraction]:
+    """Coefficients 0..n of f**a, for a power series f with f[0] == 1, as a new
+    list that starts with `known`, a prefix of them (at least [1]).
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in O(n**2):
-    g_0 = 1 and g_j = (1/j) sum(((a+1)i - j) f_i g_{j-i}, i = 1..j).  Each
-    g_j sums integer numerators over the lcm of its terms' denominators and
-    reduces once, instead of taking a gcd per Fraction operation.
+    g_0 = 1 and g_j = (1/j) sum(((a+1)i - j) f_i g_{j-i}, i = 1..j), resumed
+    after the known terms.  Each g_j is one `_int_sum`: integer numerators over
+    the lcm of the terms' denominators, reduced by one gcd.
     """
     nonzero = [(i, c.numerator, c.denominator) for i, c in enumerate(f[1 : n + 1], 1) if c]
-    g = [_ONE]
-    for j in range(1, n + 1):
+    g = list(known)
+    for j in range(len(g), n + 1):
         terms = [
-            (((a + 1) * i - j) * p * g[j - i].numerator, q * g[j - i].denominator)
+            (((a + 1) * i - j) * p * g[j - i].numerator, q * g[j - i].denominator * j)
             for i, p, q in nonzero
             if i <= j
         ]
-        lcm = math.lcm(*(den for _, den in terms))
-        g.append(Fraction(sum(num * (lcm // den) for num, den in terms), lcm * j))
+        g.append(_int_sum(terms))
     return g
 
 
-def _bernoulli_values(n: int, a: int) -> list[Fraction]:
+def _bernoulli_values(n: int, a: int, known=(_ONE,)) -> list[Fraction]:
     # g_j = B_j^(a)(0)/j! for j = 0..n: the coefficients of h**a, where
-    # h = z/(e^z - 1), so h**a is the power -a of sum(z**j/(j+1)!).
+    # h = z/(e^z - 1), so h**a is the power -a of sum(z**j/(j+1)!).  The
+    # known prefix of the g_j is not recomputed.
     base = [Fraction(1, math.factorial(j + 1)) for j in range(n + 1)]
-    return _miller_power(base, -a, n)
+    return _miller_power(base, -a, n, known)
 
 
 def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
@@ -93,7 +94,8 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
     with _bernoulli_lock:
         core = _bernoulli_cache.get(a)
         if core is None or len(core) <= n:
-            core = _bernoulli_values(max(n, 8), a)
+            # A longer core resumes from the cached one into a new list.
+            core = _bernoulli_values(max(n, 8), a, core or (_ONE,))
             _bernoulli_cache[a] = core
             if len(_bernoulli_cache) > _BERNOULLI_CACHE_CAP:
                 del _bernoulli_cache[next(iter(_bernoulli_cache))]
@@ -108,7 +110,7 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
 def harmonic(m: int, k: int) -> Fraction:
     """Harmonic number of order k: sum(1/j**k, j = 1..m)."""
     _count("harmonic", m=m, k=k)
-    return sum((Fraction(1, j**k) for j in range(1, m + 1)), _ZERO)
+    return _int_sum([(1, j**k) for j in range(1, m + 1)])
 
 
 def mod_harmonic(m: int, k: int) -> Fraction:
@@ -119,10 +121,7 @@ def mod_harmonic(m: int, k: int) -> Fraction:
     _count("mod_harmonic", m=m, k=k)
     if m == 0:
         return _ONE if k == 0 else _ZERO
-    return sum(
-        (Fraction((-1) ** (j - 1) * math.comb(m, j), j**k) for j in range(1, m + 1)),
-        _ZERO,
-    )
+    return _int_sum([((-1) ** (j - 1) * math.comb(m, j), j**k) for j in range(1, m + 1)])
 
 
 def nested_ones_Z(m: int, k: int) -> Fraction:

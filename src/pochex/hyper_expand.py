@@ -32,8 +32,13 @@ Cost model of `expand_closed` at eps order K: each closed coefficient is a
 signed power sum lead*delta_{k,0} + sum_j w_j r_j**k, for F1, F5 and F6 joined
 over k1 by a Cauchy product.  Each example returns the whole k-column of a
 lattice point, so its weights w_j are evaluated once per lattice point,
-independent of K; each term then costs O(K) for its powers, and each
-convolution O(K**2).
+independent of K.  With a rational delta, each term w_j r_j**k is carried as
+an integer numerator and denominator, two integer products per term and k,
+and each coefficient of a power column or a convolution is one `_int_sum`:
+the numerators over the lcm of the denominators, reduced by one gcd.  So a
+point costs one gcd per coefficient, K + 1 per column, on top of O(K) integer
+products per term and O(K**2) per convolution.  A Dual delta makes each sum a
+Fraction/Dual loop with one gcd per operation.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from .pochhammer import (
     _vanishing_shift,
     pochhammer,
 )
-from .series import _coerce, _count
+from .series import _coerce, _count, _int_sum
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -296,19 +301,41 @@ def _power_column(K, lead, terms):
     """[lead*delta_{k,0} + sum w * r**k for k = 0..K] over (weight w, ratio r) pairs.
 
     A sign (-1)**k rides in a negative ratio; each weight is evaluated once.
+    For rational lead, weights and ratios, w * r**k is carried as the integer
+    pair (num(w) num(r)**k, den(w) den(r)**k), and each coefficient is one
+    `_int_sum`: one gcd per coefficient.  A Dual anywhere sums Fraction/Dual
+    terms one operation at a time.
     """
-    column = [lead] + [_ZERO] * K
-    for w, r in terms:
-        column[0] += w
-        for k in range(1, K + 1):
-            w *= r
-            column[k] += w
+    if any(isinstance(x, Dual) for x in (lead, *(x for term in terms for x in term))):
+        column = [lead] + [_ZERO] * K
+        for w, r in terms:
+            column[0] += w
+            for k in range(1, K + 1):
+                w *= r
+                column[k] += w
+        return column
+    pairs = [(w.numerator, w.denominator) for w, _ in terms]
+    column = [_int_sum([(lead.numerator, lead.denominator), *pairs])]
+    for _ in range(K):
+        pairs = [(n * r.numerator, d * r.denominator) for (n, d), (_, r) in zip(pairs, terms)]
+        column.append(_int_sum(pairs))
     return column
 
 
 def _convolve(a, b):
-    """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two columns."""
-    return [sum((a[i] * b[k - i] for i in range(k + 1)), _ZERO) for k in range(len(a))]
+    """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two columns.
+
+    Rational columns give one `_int_sum` per coefficient; a Dual entry sums
+    Fraction/Dual products one operation at a time.
+    """
+    if any(isinstance(x, Dual) for x in (*a, *b)):
+        return [sum((a[i] * b[k - i] for i in range(k + 1)), _ZERO) for k in range(len(a))]
+    a = [(x.numerator, x.denominator) for x in a]
+    b = [(x.numerator, x.denominator) for x in b]
+    return [
+        _int_sum([(p * r, q * s) for (p, q), (r, s) in zip(a[: k + 1], reversed(b[: k + 1]))])
+        for k in range(len(a))
+    ]
 
 
 def _closed_f1(K, m1, m2):
@@ -440,7 +467,8 @@ def expand_closed(
 
     Each entry function returns the whole k-column of a lattice point, so
     its weights are evaluated once per point whatever eps_order K is; each
-    weight then costs O(K) for its powers, and each k1 convolution O(K**2).
+    coefficient of a column is then one integer sum reduced by one gcd (see
+    the module docstring).
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
     extra = extra or {}

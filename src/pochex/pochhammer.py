@@ -21,7 +21,15 @@ from fractions import Fraction
 from .combinatorics import _stirling_walk, gen_bernoulli_poly
 from .duals import Dual
 from .errors import DomainError, PoleError
-from .series import EpsSeries, _coerce, _count, _signed, polynomial_series, series_invert
+from .series import (
+    EpsSeries,
+    _coerce,
+    _count,
+    _int_sum,
+    _signed,
+    polynomial_series,
+    series_invert,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -73,13 +81,19 @@ def _as_method(method, enum_cls):
 
 
 def pochhammer(alpha, m: int):
-    """Rising factorial (alpha)_m = alpha (alpha+1) ... (alpha+m-1); empty product is 1."""
+    """Rising factorial (alpha)_m = alpha (alpha+1) ... (alpha+m-1); empty product is 1.
+
+    For alpha = p/q it is prod(p + j*q) / q**m in integers, reduced by one gcd.
+    """
     _count("pochhammer", m=m)
     alpha = _coerce(alpha)
-    value = _ONE
-    for j in range(m):
-        value = value * (alpha + j)
-    return value
+    if isinstance(alpha, Dual):
+        value = _ONE
+        for j in range(m):
+            value = value * (alpha + j)
+        return value
+    p, q = alpha.numerator, alpha.denominator
+    return Fraction(math.prod(range(p, p + m * q, q)), q**m)
 
 
 def _vanishing_shift(x, n: int):
@@ -253,26 +267,47 @@ def _poch_deriv_recurrence(alpha, m, k):
     return _entry(row, k)
 
 
+def _factor_sum(coeffs: list, alpha, step: int):
+    """sum(c_l * alpha (alpha + step) ... (alpha + (l-1)*step)) over integers c_l.
+
+    Step 1 gives the rising factorials (alpha)_l, step 0 the powers alpha**l.
+    For alpha = p/q this is one Horner pass in p + l*step*q over q**L, with
+    L + 1 = len(coeffs), reduced by one gcd.  A Dual alpha sums Fraction/Dual
+    terms.
+    """
+    if isinstance(alpha, Dual):
+        acc, product = _ZERO, _ONE
+        for l, c in enumerate(coeffs):
+            acc += c * product
+            product = product * (alpha + l * step)
+        return acc
+    p, q = alpha.numerator, alpha.denominator
+    num, power = 0, 1  # power = q**(L - l)
+    for l in range(len(coeffs) - 1, -1, -1):
+        num = coeffs[l] * power + (p + l * step * q) * num
+        power *= q
+    return Fraction(num, q ** (len(coeffs) - 1))
+
+
 def _poch_deriv_stirling(alpha, m, k):
-    # Alternating sum over s(m-l, k) weighted by binomials and (alpha)_l.
-    acc = _ZERO
-    poch = _ONE  # (alpha)_l, accumulated
+    # (-1)**(m-k) sum((-1)**l C(m, l) s(m-l, k) (alpha)_l, l = 0..m-k), with
+    # C(m, l) carried along l.
+    coeffs, binom = [], 1
     for l, s in enumerate(reversed(_stirling_walk(m, k)[0][k:])):
-        if s != 0:
-            acc += (-1) ** l * math.comb(m, l) * s * poch
-        poch = poch * (alpha + l)
-    return (-1) ** (m - k) * acc
+        coeffs.append((-1) ** (m - k + l) * binom * s)
+        binom = binom * (m - l) // (l + 1)
+    return _factor_sum(coeffs, alpha, 1)
 
 
 def _poch_deriv_coffey(alpha, m, k):
-    # Polynomial in alpha with Stirling-number coefficients.
-    acc = _ZERO
-    power = _ONE  # alpha**j, accumulated
+    # Polynomial in alpha with Stirling-number coefficients:
+    # (-1)**(m-k) sum((-1)**j C(k+j, k) s(m, k+j) alpha**j, j = 0..m-k), with
+    # C(k+j, k) carried along j.
+    coeffs, binom = [], 1
     for j, s in enumerate(_stirling_walk(m, m)[1][k:]):
-        if s != 0:
-            acc += (-1) ** j * math.comb(k + j, k) * s * power
-        power = power * alpha
-    return (-1) ** (m - k) * acc
+        coeffs.append((-1) ** (m - k + j) * binom * s)
+        binom = binom * (k + j + 1) // (j + 1)
+    return _factor_sum(coeffs, alpha, 0)
 
 
 def _poch_deriv_bernoulli(alpha, m, k):
@@ -323,13 +358,26 @@ def _recip_deriv_recurrence(beta, m, k):
 
 
 def _recip_deriv_closed_sum(beta, m, k):
+    # (-1)**k sum((-1)**l / (l! (m-1-l)! (beta + l)**(k+1)), l = 0..m-1).  For
+    # beta = p/q, 1/(l! (m-1-l)!) = C(m-1, l)/(m-1)! and 1/(beta + l) = q/(p + l*q),
+    # so (m-1)! and q**(k+1) stay out of the lcm.
     if m == 0:
         return _ONE if k == 0 else _ZERO
-    acc = _ZERO
+    if isinstance(beta, Dual):
+        acc = _ZERO
+        for l in range(m):
+            term = Fraction((-1) ** l, math.factorial(l) * math.factorial(m - 1 - l))
+            acc += term / (beta + l) ** (k + 1)
+        return (-1) ** k * acc
+    p, q = beta.numerator, beta.denominator
+    terms, binom = [], 1
     for l in range(m):
-        term = Fraction((-1) ** l, math.factorial(l) * math.factorial(m - 1 - l))
-        acc += term / (beta + l) ** (k + 1)
-    return (-1) ** k * acc
+        terms.append(((-1) ** l * binom, (p + l * q) ** (k + 1)))
+        binom = binom * (m - 1 - l) // (l + 1)
+    inner = _int_sum(terms)
+    return Fraction(
+        (-1) ** k * inner.numerator * q ** (k + 1), inner.denominator * math.factorial(m - 1)
+    )
 
 
 def _recip_deriv_delta_form(beta, m, k):

@@ -14,6 +14,7 @@ truncation order of a result depends on the pole depths of the inputs.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable
@@ -60,6 +61,17 @@ def _coerce(value, rational: bool = False):
         raise DomainError(f"inexact float {value!r}; pass an int or a Fraction")
     kind = "a rational" if rational else "an exact scalar"
     raise DomainError(f"{value!r} is not {kind}; pass an int or a Fraction")
+
+
+def _int_sum(pairs: list) -> Fraction:
+    """sum(n/d) over a list of integer pairs (n, d), d != 0, as one Fraction.
+
+    The numerators are summed over the lcm of the denominators and reduced by
+    one gcd, instead of taking a gcd per Fraction addition (Knuth, TAOCP vol. 2,
+    section 4.5.1).  The empty sum is 0.
+    """
+    lcm = math.lcm(*(d for _, d in pairs))
+    return Fraction(sum(n * (lcm // d) for n, d in pairs), lcm)
 
 
 def _count(where: str, low: int = 0, **counts) -> None:

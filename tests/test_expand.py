@@ -71,8 +71,9 @@ def test_spec_coerces_factor_lists_to_tuples():
         ("numer", (LinearParam(1, 1), (0, 1, 0)), "(0, 1, 0)"),
         ("denom", (LinearParam(1, 1), IndexLaw(0, 1, 0), 2), ", 2)"),
         ("numer", (3, IndexLaw(0, 1, 0)), "(3, "),
+        ("denom", (LinearParam(1, 1), lambda m1, m2: m1), "<function"),
     ],
-    ids=["law-not-an-IndexLaw", "3-tuple", "int-for-LinearParam"],
+    ids=["law-not-an-IndexLaw", "3-tuple", "int-for-LinearParam", "callable-law"],
 )
 def test_spec_refuses_a_malformed_factor(side, factor, shown):
     good = (LinearParam(F(1, 2), 1), IndexLaw(0, 1, 1))
@@ -401,6 +402,25 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example, 
         assert calls == Counter(counts), eps_order
 
 
+@pytest.mark.parametrize(
+    "example, columns",
+    [("F1", 2), ("F2", 1), ("F3", 1), ("F4", 1), ("F5", 3)]
+    + [("F6", 3), ("F6_alt", 1), ("F7", 1), ("dF7_ddelta", 1)],
+)
+def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
+    # With a rational delta every closed form sums each coefficient of each of
+    # its columns by one _int_sum: K + 1 per _power_column and K + 1 per
+    # _convolve, so `columns` * (K + 1) per lattice point at K=4, D=12 (91
+    # points).  A column that took the Fraction/Dual loop would make none.
+    calls = Counter()
+    for name in ("_int_sum", "_power_column", "_convolve"):
+        _counter(monkeypatch, calls, pochex.hyper_expand, name)
+    extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
+    expand_closed(example, 4, 12, extra)
+    assert calls["_power_column"] + calls["_convolve"] == columns * 91
+    assert calls["_int_sum"] == 5 * columns * 91
+
+
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     # gen_bernoulli_poly keeps one x-free core per order: closed dF7 at D=12
     # asks for orders 2..13, one n each, whatever the arguments (156
@@ -423,6 +443,30 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     for k in range(m + 1):
         poch_deriv(F(1, 3), m, k, PochMethod.BERNOULLI)
     assert calls["_bernoulli_values"] == 1
+
+
+def test_bernoulli_core_computes_each_miller_term_once(monkeypatch):
+    # Closed dF7 at K=4, D=12 builds the cores of orders 2..13, order 13 up to
+    # term 11.  A bernoulli-method call at m = 12, k = 0 then needs term 12 of
+    # order 13: the core resumes from the cached terms, and no (order, term)
+    # is computed twice.
+    terms = Counter()
+    miller = pochex.combinatorics._miller_power
+
+    def recorded(f, a, n, known):
+        terms.update((a, j) for j in range(len(known), n + 1))
+        return miller(f, a, n, known)
+
+    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+    monkeypatch.setattr(pochex.combinatorics, "_miller_power", recorded)
+    expand_closed("dF7_ddelta", 4, 12)
+    assert {a for a, _ in terms} == set(range(-13, -1))
+    assert max(j for a, j in terms if a == -13) == 11
+    cached = pochex.combinatorics._bernoulli_cache[13]
+    poch_deriv(F(2, 7), 12, 0, PochMethod.BERNOULLI)
+    assert terms[(-13, 12)] == 1
+    assert set(terms.values()) == {1}
+    assert len(pochex.combinatorics._bernoulli_cache[13]) == 13 and len(cached) == 12
 
 
 def test_each_stirling_reader_takes_one_walk(monkeypatch):
@@ -582,6 +626,21 @@ def test_engine_matches_closed_delta_families(example, delta):
     # Only a negative-integer delta puts a pole on this lattice.
     value = delta.val if isinstance(delta, Dual) else delta
     assert isinstance(closed, tuple) == (value < 0 and value.denominator == 1)
+
+
+@pytest.mark.parametrize("delta", [Dual(F(1, 3), 1), Dual(2, F(-1, 2)), Dual(0, 1)])
+def test_closed_dual_delta_keeps_the_engine_values_and_types(delta):
+    # A Dual delta takes the closed forms' Fraction/Dual loops, not the integer
+    # sums; at K=4, D=8 each of F6, F6_alt and F7 still equals the engine entry
+    # by entry, in value and in type (3 deltas x 3 examples x 225 entries).
+    for example in ("F6", "F6_alt", "F7"):
+        closed = expand_closed(example, 4, 8, extra={"delta": delta}).entries
+        engine = expand_general(closed_engine_spec(example, delta), 4, 8).entries
+        assert len(closed) == 225
+        assert [(key, type(v), v) for key, v in sorted(closed.items())] == [
+            (key, type(v), v) for key, v in sorted(engine.items())
+        ]
+        assert any(isinstance(v, Dual) for v in closed.values())
 
 
 def test_f6_alt_is_another_route_to_f6():

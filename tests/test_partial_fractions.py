@@ -275,6 +275,13 @@ def test_render_scalar_prefactor_and_negative_slopes():
     assert form.render() == "5*(1/2/(3-eps) - 2/(1-2*eps))"
 
 
+def test_render_zero_coefficient_is_added():
+    # A zero coefficient has no sign: it is printed after " + ".
+    form = PartialFractionForm(F(0), (PFTerm(F(1), F(2), F(1)), PFTerm(F(0), F(3), F(1))))
+    assert form.render() == "1/(2+eps) + 0/(3+eps)"
+    assert PartialFractionForm(F(1), (PFTerm(F(0), F(1), F(-1)),)).render() == "1 + 0/(1-eps)"
+
+
 def test_render_constant_only():
     assert PartialFractionForm(F(7), ()).render() == "7"
     assert str(PartialFractionForm(F(0), ())) == "0"

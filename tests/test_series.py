@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pochex.errors import DomainError, ParseError, ZeroSeries
-from pochex.series import EpsSeries, parse_rational, polynomial_series, series_invert
+from pochex.series import EpsSeries, _int_sum, parse_rational, polynomial_series, series_invert
 from pochex.verify import _compose, _log1p_power
 
 
@@ -57,6 +57,23 @@ def test_format_round_trip():
 @given(st.fractions())
 def test_parse_rational_inverts_str(value):
     assert parse_rational(str(value)) == value
+
+
+# -- the integer-sum kernel ------------------------------------------------------
+
+
+_nonzero = st.integers(-(10**40), 10**40).filter(bool)
+
+
+@given(st.lists(st.tuples(st.integers(-(10**40), 10**40), _nonzero), max_size=12))
+@example([])
+@example([(1, -2), (-3, 4), (5, -6)])
+@example([(0, 7), (3, 7), (-3, 7)])
+def test_int_sum_is_the_fraction_sum(pairs):
+    # A Fraction equal to the sum of Fraction(n, d) whatever the signs of the
+    # denominators, and a Fraction for the empty sum too.
+    total = _int_sum(pairs)
+    assert type(total) is F and total == sum((F(n, d) for n, d in pairs), F(0))
 
 
 # -- construction and invariants ----------------------------------------------
