@@ -314,10 +314,7 @@ def main(argv=None) -> int:
         return _cmd_verify(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except PochexError as exc:
-        print(f"pochex: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PochexError, OSError) as exc:
         print(f"pochex: error: {exc}", file=sys.stderr)
         return 1
     finally:

@@ -8,7 +8,9 @@ The two derivative families are normalized by k!:
 Each family has several closed forms plus a series oracle; they are kept as
 separate code paths on purpose so they can cross-check one another, and all
 of them must agree exactly.  `recip_poch_laurent` expands a reciprocal around
-a simple pole in eps.
+a simple pole in eps.  Every method computes in rationals: `poch_deriv` and
+`recip_poch_deriv` apply a Dual argument once, by the identities (`_dual_rule`)
+dP(m, k)/dalpha = (k+1) P(m, k+1) and dQ(m, k)/dbeta = (k+1) Q(m, k+1).
 """
 
 from __future__ import annotations
@@ -84,14 +86,12 @@ def pochhammer(alpha, m: int):
     """Rising factorial (alpha)_m = alpha (alpha+1) ... (alpha+m-1); empty product is 1.
 
     For alpha = p/q it is prod(p + j*q) / q**m in integers, reduced by one gcd.
+    A Dual alpha takes the width-1 integer row: a Dual for m >= 1, Fraction 1 at m = 0.
     """
     _count("pochhammer", m=m)
     alpha = _coerce(alpha)
     if isinstance(alpha, Dual):
-        value = _ONE
-        for j in range(m):
-            value = value * (alpha + j)
-        return value
+        return _poch_deriv_recurrence(alpha, m, 0)
     p, q = alpha.numerator, alpha.denominator
     return Fraction(math.prod(range(p, p + m * q, q)), q**m)
 
@@ -272,15 +272,8 @@ def _factor_sum(coeffs: list, alpha, step: int):
 
     Step 1 gives the rising factorials (alpha)_l, step 0 the powers alpha**l.
     For alpha = p/q this is one Horner pass in p + l*step*q over q**L, with
-    L + 1 = len(coeffs), reduced by one gcd.  A Dual alpha sums Fraction/Dual
-    terms.
+    L + 1 = len(coeffs), reduced by one gcd.
     """
-    if isinstance(alpha, Dual):
-        acc, product = _ZERO, _ONE
-        for l, c in enumerate(coeffs):
-            acc += c * product
-            product = product * (alpha + l * step)
-        return acc
     p, q = alpha.numerator, alpha.denominator
     num, power = 0, 1  # power = q**(L - l)
     for l in range(len(coeffs) - 1, -1, -1):
@@ -336,13 +329,26 @@ _POCH_DISPATCH = {
 }
 
 
+def _dual_rule(run, x, m: int, k: int, depends: bool):
+    """run(x, m, k) at a rational x.  At a Dual x = v + d*delta it is run(v, m, k),
+    made Dual(run(v, m, k), d*(k+1)*run(v, m, k+1)) when the result `depends` on x."""
+    if not isinstance(x, Dual):
+        return run(x, m, k)
+    value = run(x.val, m, k)
+    return Dual(value, x.der * (k + 1) * run(x.val, m, k + 1)) if depends else value
+
+
 def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
-    """P(m, k, alpha): the k-th derivative of (alpha)_m divided by k!."""
+    """P(m, k, alpha): the k-th derivative of (alpha)_m divided by k!.
+
+    A Fraction, except at a Dual alpha = v + d*delta and k < m, where every
+    method gives Dual(P(m, k, v), d*(k+1)*P(m, k+1, v)).
+    """
     _count("poch_deriv", m=m, k=k)
     alpha = _coerce(alpha)
     if k > m:
         return _ZERO
-    return _POCH_DISPATCH[_as_method(method, PochMethod)](alpha, m, k)
+    return _dual_rule(_POCH_DISPATCH[_as_method(method, PochMethod)], alpha, m, k, k < m)
 
 
 # -- derivatives of the reciprocal -------------------------------------------
@@ -363,12 +369,6 @@ def _recip_deriv_closed_sum(beta, m, k):
     # so (m-1)! and q**(k+1) stay out of the lcm.
     if m == 0:
         return _ONE if k == 0 else _ZERO
-    if isinstance(beta, Dual):
-        acc = _ZERO
-        for l in range(m):
-            term = Fraction((-1) ** l, math.factorial(l) * math.factorial(m - 1 - l))
-            acc += term / (beta + l) ** (k + 1)
-        return (-1) ** k * acc
     p, q = beta.numerator, beta.denominator
     terms, binom = [], 1
     for l in range(m):
@@ -381,15 +381,13 @@ def _recip_deriv_closed_sum(beta, m, k):
 
 
 def _recip_deriv_delta_form(beta, m, k):
-    # 1/(beta+eps)_m = exp(sum_r (-eps)^r H_r / r) / (beta)_m, with the power
-    # sums H_r = sum_{j<m} (beta+j)^-r; the exponential's coefficients g_n
-    # follow from n g_n = sum_{r=1..n} (-1)^r H_r g_{n-r}.
-    inverses = [1 / (beta + j) for j in range(m)]
-    powers = list(inverses)
+    # 1/(beta+eps)_m = exp(sum_r (-eps)^r H_r / r) / (beta)_m, with the power sums
+    # H_r = sum_{j<m} (beta+j)^-r = q^r sum_j (p + j*q)^-r at beta = p/q; the
+    # exponential's coefficients g_n follow from n g_n = sum_{r=1..n} (-1)^r H_r g_{n-r}.
+    p, q = beta.numerator, beta.denominator
     signed = [_ZERO]  # signed[r] = (-1)^r H_r
     for r in range(1, k + 1):
-        signed.append((-1) ** r * sum(powers, _ZERO))
-        powers = [p * inv for p, inv in zip(powers, inverses)]
+        signed.append((-q) ** r * _int_sum([(1, (p + j * q) ** r) for j in range(m)]))
     g = [_ONE]
     for n in range(1, k + 1):
         g.append(sum((signed[r] * g[n - r] for r in range(1, n + 1)), _ZERO) / n)
@@ -409,7 +407,11 @@ _RECIP_DISPATCH = {
 
 
 def recip_poch_deriv(beta, m: int, k: int, method=RecipMethod.CLOSED_SUM):
-    """Q(m, k, beta): the k-th derivative of 1/(beta)_m divided by k!."""
+    """Q(m, k, beta): the k-th derivative of 1/(beta)_m divided by k!.
+
+    A Fraction, except at a Dual beta = v + d*delta and m >= 1, where every
+    method gives Dual(Q(m, k, v), d*(k+1)*Q(m, k+1, v)); a pole at v is a PoleError.
+    """
     _count("recip_poch_deriv", m=m, k=k)
     beta = _coerce(beta)
     l = _vanishing_shift(beta, m)
@@ -417,7 +419,7 @@ def recip_poch_deriv(beta, m: int, k: int, method=RecipMethod.CLOSED_SUM):
         raise PoleError(
             f"1/(beta)_{m} has a pole at beta = {beta}: factor beta + {l} vanishes", index=l
         )
-    return _RECIP_DISPATCH[_as_method(method, RecipMethod)](beta, m, k)
+    return _dual_rule(_RECIP_DISPATCH[_as_method(method, RecipMethod)], beta, m, k, m > 0)
 
 
 def recip_poch_laurent(n: int, b, m: int, order: int) -> EpsSeries:

@@ -199,6 +199,42 @@ def test_recip_poch_deriv_methods_agree():
                     )
 
 
+# der 0, value 0, and negative integers, where 1/(beta)_m has poles.
+_DUAL_ARGS = [
+    Dual(F(1, 3), 1),
+    Dual(0, 1),
+    Dual(-2, 1),
+    Dual(F(2, 5), 0),
+    Dual(F(-7, 2), F(3, 4)),
+    Dual(5, -2),
+    Dual(-1, F(1, 2)),
+]
+
+
+def _outcome(call):
+    try:
+        value = call()
+    except PoleError as exc:
+        return PoleError, str(exc)
+    return type(value), repr(value)
+
+
+@pytest.mark.parametrize("x", _DUAL_ARGS, ids=repr)
+def test_every_method_agrees_on_dual_arguments(x):
+    # A Dual argument is applied before any method runs, so every method,
+    # bernoulli included, gives the same value and type, or the same PoleError.
+    for m in range(9):
+        for k in range(m + 2):
+            for family, methods, depends in (
+                (poch_deriv, PochMethod, k < m),
+                (recip_poch_deriv, RecipMethod, m > 0),
+            ):
+                outcomes = {_outcome(lambda: family(x, m, k, method)) for method in methods}
+                assert len(outcomes) == 1, (family.__name__, x, m, k, outcomes)
+                kind = outcomes.pop()[0]
+                assert kind in ((Dual, PoleError) if depends else (F,)), (family.__name__, x, m, k)
+
+
 _SMALL_RATIONALS = st.integers(-45, 5) | st.builds(F, st.integers(-45, 5), st.integers(1, 6))
 
 

@@ -13,6 +13,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from pochex.combinatorics import gen_bernoulli_poly, stirling_s1  # noqa: E402
+from pochex.duals import Dual  # noqa: E402
 from pochex.partial_fractions import quotient_deriv  # noqa: E402
 from pochex.pochhammer import (  # noqa: E402
     LinearParam,
@@ -74,6 +75,30 @@ def test_recip_poch_deriv_methods_match_sympy():
                 for method in RecipMethod:
                     value = recip_poch_deriv(beta, m, k, method)
                     assert value == expected(beta), (beta, m, k, method)
+
+
+def test_dual_argument_derivative_parts_match_sympy():
+    # The delta-part of P(m, k, v + d*delta) is d times the alpha-derivative of
+    # P(m, k, alpha) at v, and the same for Q: the Taylor coefficients of the
+    # first derivative, (1/k!) d^(k+1)/dx^(k+1), as sympy differentiates them.
+    rng = random.Random(15)
+    points = [_non_integer(rng) for _ in range(2)] + [F(-3), F(0)]
+    for m in range(1, 8):
+        rising = sympy.expand(sympy.rf(_X, m))
+        poch = _taylor(sympy.diff(rising, _X), m - 1)
+        recip = _taylor(sympy.diff(1 / rising, _X), 4)
+        for v in points:
+            x = Dual(v, F(-2, 3))
+            for k in range(m):
+                for method in PochMethod:
+                    value = poch_deriv(x, m, k, method)
+                    assert value.der == x.der * poch[k](v), (v, m, k, method)
+            if v.denominator == 1 and -m < v <= 0:
+                continue
+            for k in range(5):
+                for method in RecipMethod:
+                    value = recip_poch_deriv(x, m, k, method)
+                    assert value.der == x.der * recip[k](v), (v, m, k, method)
 
 
 def test_quotient_deriv_matches_sympy():
