@@ -153,15 +153,14 @@ def nested_ones_S(m: int, k: int) -> Fraction:
 
 
 def binomial(top, k: int) -> Fraction:
-    """Binomial coefficient with arbitrary rational (or integer) top argument."""
+    """Binomial coefficient C(top, k): `math.comb` for an integer top >= 0, and for
+    any other top p/q the integer quotient prod(p - i*q, i < k) / (q**k k!)."""
     _count("binomial", k=k)
     top = _coerce(top, rational=True)
-    if top.denominator == 1 and top >= 0:
-        return Fraction(math.comb(int(top), k))
-    num = _ONE
-    for i in range(k):
-        num *= top - i
-    return num / math.factorial(k)
+    p, q = top.numerator, top.denominator
+    if q == 1 and p >= 0:
+        return Fraction(math.comb(p, k))
+    return Fraction(math.prod(range(p, p - k * q, -q)), q**k * math.factorial(k))
 
 
 def double_factorial(n: int) -> Fraction:

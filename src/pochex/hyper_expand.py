@@ -32,13 +32,13 @@ Cost model of `expand_closed` at eps order K: each closed coefficient is a
 signed power sum lead*delta_{k,0} + sum_j w_j r_j**k, for F1, F5 and F6 joined
 over k1 by a Cauchy product.  Each example returns the whole k-column of a
 lattice point, so its weights w_j are evaluated once per lattice point,
-independent of K.  With a rational delta, each term w_j r_j**k is carried as
-an integer numerator and denominator, two integer products per term and k,
-and each coefficient of a power column or a convolution is one `_int_sum`:
-the numerators over the lcm of the denominators, reduced by one gcd.  So a
-point costs one gcd per coefficient, K + 1 per column, on top of O(K) integer
-products per term and O(K**2) per convolution.  A Dual delta makes each sum a
-Fraction/Dual loop with one gcd per operation.
+independent of K.  Each term w_j r_j**k is carried as a numerator and a
+denominator, two products per term and k, and each coefficient of a power
+column or a convolution is one `_int_sum`: the numerators over the lcm of the
+denominators, reduced by one gcd.  So a point costs one gcd per coefficient,
+K + 1 per column, on top of O(K) products per term and O(K**2) per
+convolution.  The products are integer ones, except that a Dual delta's
+weights and ratios are Dual numerators over 1, a few Fraction operations each.
 """
 
 from __future__ import annotations
@@ -133,16 +133,20 @@ class ExpansionTable:
         return self.entries[key]
 
 
-def _check_lattice_pole(spec: HyperTermSpec, m1: int, m2: int):
-    """Raise PoleError if a denominator factor of spec vanishes at eps = 0 on (m1, m2)."""
-    for idx, (param, law) in enumerate(spec.denom):
-        if _vanishing_shift(param.constant, law(m1, m2)) is not None:
-            raise PoleError(
-                f"denominator factor {idx} of {spec.name or 'spec'} "
-                f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
-                lattice_point=(m1, m2),
-                factor=idx,
-            )
+def _checked_points(spec: HyperTermSpec, degree_bound: int) -> list:
+    """The lattice points m1 + m2 <= degree_bound, m1-major, once each is checked for a
+    denominator factor of spec that vanishes at eps = 0 there: the first raises PoleError."""
+    points = [(m1, m2) for m1 in range(degree_bound + 1) for m2 in range(degree_bound + 1 - m1)]
+    for m1, m2 in points:
+        for idx, (param, law) in enumerate(spec.denom):
+            if _vanishing_shift(param.constant, law(m1, m2)) is not None:
+                raise PoleError(
+                    f"denominator factor {idx} of {spec.name or 'spec'} "
+                    f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
+                    lattice_point=(m1, m2),
+                    factor=idx,
+                )
+    return points
 
 
 def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> ExpansionTable:
@@ -155,9 +159,7 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     work, in m1-major order, so the first pole on the lattice raises PoleError.
     """
     _count("expand_general", eps_order=eps_order, degree_bound=degree_bound)
-    points = [(m1, m2) for m1 in range(degree_bound + 1) for m2 in range(degree_bound + 1 - m1)]
-    for m1, m2 in points:
-        _check_lattice_pole(spec, m1, m2)
+    _checked_points(spec, degree_bound)
     width = eps_order + 1
     factors = [(_int_factor(p.constant, p.slope), law, _poch_step) for p, law in spec.numer]
     factors += [(_int_factor(p.constant, p.slope), law, _recip_step) for p, law in spec.denom]
@@ -297,27 +299,23 @@ def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
     )
 
 
+def _pair(x):
+    """x as a numerator and denominator for `_int_sum`; a Dual is its own numerator over 1."""
+    return (x, 1) if isinstance(x, Dual) else (x.numerator, x.denominator)
+
+
 def _power_column(K, lead, terms):
     """[lead*delta_{k,0} + sum w * r**k for k = 0..K] over (weight w, ratio r) pairs.
 
     A sign (-1)**k rides in a negative ratio; each weight is evaluated once.
-    For rational lead, weights and ratios, w * r**k is carried as the integer
-    pair (num(w) num(r)**k, den(w) den(r)**k), and each coefficient is one
-    `_int_sum`: one gcd per coefficient.  A Dual anywhere sums Fraction/Dual
-    terms one operation at a time.
+    Each term w * r**k is carried as the pair (num(w) num(r)**k, den(w) den(r)**k)
+    of `_pair`s, and each coefficient is one `_int_sum`: one gcd per coefficient.
     """
-    if any(isinstance(x, Dual) for x in (lead, *(x for term in terms for x in term))):
-        column = [lead] + [_ZERO] * K
-        for w, r in terms:
-            column[0] += w
-            for k in range(1, K + 1):
-                w *= r
-                column[k] += w
-        return column
-    pairs = [(w.numerator, w.denominator) for w, _ in terms]
-    column = [_int_sum([(lead.numerator, lead.denominator), *pairs])]
+    pairs = [_pair(w) for w, _ in terms]
+    ratios = [_pair(r) for _, r in terms]
+    column = [_int_sum([_pair(lead), *pairs])]
     for _ in range(K):
-        pairs = [(n * r.numerator, d * r.denominator) for (n, d), (_, r) in zip(pairs, terms)]
+        pairs = [(n * p, d * q) for (n, d), (p, q) in zip(pairs, ratios)]
         column.append(_int_sum(pairs))
     return column
 
@@ -325,13 +323,10 @@ def _power_column(K, lead, terms):
 def _convolve(a, b):
     """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two columns.
 
-    Rational columns give one `_int_sum` per coefficient; a Dual entry sums
-    Fraction/Dual products one operation at a time.
+    Each coefficient is one `_int_sum` of products of `_pair`s.
     """
-    if any(isinstance(x, Dual) for x in (*a, *b)):
-        return [sum((a[i] * b[k - i] for i in range(k + 1)), _ZERO) for k in range(len(a))]
-    a = [(x.numerator, x.denominator) for x in a]
-    b = [(x.numerator, x.denominator) for x in b]
+    a = [_pair(x) for x in a]
+    b = [_pair(x) for x in b]
     return [
         _int_sum([(p * r, q * s) for (p, q), (r, s) in zip(a[: k + 1], reversed(b[: k + 1]))])
         for k in range(len(a))
@@ -468,7 +463,7 @@ def expand_closed(
     Each entry function returns the whole k-column of a lattice point, so
     its weights are evaluated once per point whatever eps_order K is; each
     coefficient of a column is then one integer sum reduced by one gcd (see
-    the module docstring).
+    the module docstring).  Every point is checked for a pole before any is computed.
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
     extra = extra or {}
@@ -479,11 +474,9 @@ def expand_closed(
     if example in _DELTA_EXAMPLES:
         entry = functools.partial(entry, spec.extra_params["delta"])
     entries = {}
-    for m1 in range(degree_bound + 1):
-        for m2 in range(degree_bound + 1 - m1):
-            _check_lattice_pole(spec, m1, m2)
-            for k, value in enumerate(entry(eps_order, m1, m2)):
-                entries[(k, m1, m2)] = value
+    for m1, m2 in _checked_points(spec, degree_bound):
+        for k, value in enumerate(entry(eps_order, m1, m2)):
+            entries[(k, m1, m2)] = value
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 

@@ -210,7 +210,7 @@ def pf_derivative(form: PartialFractionForm, k: int, at_eps=0) -> Fraction:
     acc = form.constant if k == 0 else _ZERO
     for i, t in enumerate(form.terms):
         denominator = t.pole_constant + t.pole_slope * at_eps
-        if denominator == 0:
+        if _vanishing_shift(denominator, 1) is not None:  # a zero value part
             raise PoleError(
                 f"term {t.coefficient}/({t.pole_constant}+{t.pole_slope}*eps) "
                 f"has its pole at eps = {at_eps}",

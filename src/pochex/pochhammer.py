@@ -431,7 +431,7 @@ def recip_poch_laurent(n: int, b, m: int, order: int) -> EpsSeries:
     _count("recip_poch_laurent", n=n, m=m)
     _count("recip_poch_laurent", -1, order=order)
     b = _coerce(b)
-    if b == 0:
+    if _vanishing_shift(b, 1) is not None:  # a zero value part
         raise DomainError("recip_poch_laurent needs a nonzero slope b")
     if m <= n:
         raise DomainError(

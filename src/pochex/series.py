@@ -63,15 +63,17 @@ def _coerce(value, rational: bool = False):
     raise DomainError(f"{value!r} is not {kind}; pass an int or a Fraction")
 
 
-def _int_sum(pairs: list) -> Fraction:
-    """sum(n/d) over a list of integer pairs (n, d), d != 0, as one Fraction.
+def _int_sum(pairs: list):
+    """sum(n/d) over a list of pairs (n, d) of an int or Dual n and an int d != 0.
 
     The numerators are summed over the lcm of the denominators and reduced by
     one gcd, instead of taking a gcd per Fraction addition (Knuth, TAOCP vol. 2,
-    section 4.5.1).  The empty sum is 0.
+    section 4.5.1).  The result is a Fraction when every n is an int (the empty
+    sum is 0) and a Dual when some n is a Dual.
     """
     lcm = math.lcm(*(d for _, d in pairs))
-    return Fraction(sum(n * (lcm // d) for n, d in pairs), lcm)
+    total = sum(n * (lcm // d) for n, d in pairs)
+    return Fraction(total, lcm) if isinstance(total, int) else total / lcm
 
 
 def _count(where: str, low: int = 0, **counts) -> None:

@@ -258,6 +258,15 @@ def test_binomial_generalized():
         binomial(5, -1)
 
 
+@given(st.fractions(max_denominator=50), st.integers(0, 12))
+def test_binomial_is_the_fraction_product(top, k):
+    # The definition: prod(top - i, i < k) / k!, one Fraction operation at a time.
+    product = F(1)
+    for i in range(k):
+        product *= top - i
+    assert binomial(top, k) == product / math.factorial(k)
+
+
 def test_double_factorial():
     assert double_factorial(-1) == 1
     assert double_factorial(0) == 1

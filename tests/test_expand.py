@@ -408,17 +408,19 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example, 
     + [("F6", 3), ("F6_alt", 1), ("F7", 1), ("dF7_ddelta", 1)],
 )
 def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
-    # With a rational delta every closed form sums each coefficient of each of
-    # its columns by one _int_sum: K + 1 per _power_column and K + 1 per
-    # _convolve, so `columns` * (K + 1) per lattice point at K=4, D=12 (91
-    # points).  A column that took the Fraction/Dual loop would make none.
-    calls = Counter()
-    for name in ("_int_sum", "_power_column", "_convolve"):
-        _counter(monkeypatch, calls, pochex.hyper_expand, name)
-    extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
-    expand_closed(example, 4, 12, extra)
-    assert calls["_power_column"] + calls["_convolve"] == columns * 91
-    assert calls["_int_sum"] == 5 * columns * 91
+    # Every closed form sums each coefficient of each of its columns by one
+    # _int_sum: K + 1 per _power_column and K + 1 per _convolve, so `columns`
+    # * (K + 1) per lattice point at K=4, D=12 (91 points).  A Dual delta takes
+    # the same path as a rational one.
+    deltas = [F(1, 3), Dual(F(1, 3), 1)] if example in ("F6", "F6_alt", "F7") else [None]
+    for delta in deltas:
+        calls = Counter()
+        with monkeypatch.context() as patched:
+            for name in ("_int_sum", "_power_column", "_convolve"):
+                _counter(patched, calls, pochex.hyper_expand, name)
+            expand_closed(example, 4, 12, None if delta is None else {"delta": delta})
+        assert calls["_power_column"] + calls["_convolve"] == columns * 91, delta
+        assert calls["_int_sum"] == 5 * columns * 91, delta
 
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
@@ -605,7 +607,7 @@ def _entries_or_pole(build):
     "delta",
     [F(0), F(1, 3)]
     + [F(d) for d in (-3, -2, -1, 1, 2, 3)]
-    + [F(1, 2), F(-1, 2), Dual(F(1, 3), 1)],
+    + [F(1, 2), F(-1, 2), Dual(F(1, 3), 1), Dual(-2, 1), Dual(0, 1)],
 )
 def test_engine_matches_closed_delta_families(example, delta):
     # Equal tables with equal entry types (a Dual delta gives Dual entries where
@@ -630,9 +632,9 @@ def test_engine_matches_closed_delta_families(example, delta):
 
 @pytest.mark.parametrize("delta", [Dual(F(1, 3), 1), Dual(2, F(-1, 2)), Dual(0, 1)])
 def test_closed_dual_delta_keeps_the_engine_values_and_types(delta):
-    # A Dual delta takes the closed forms' Fraction/Dual loops, not the integer
-    # sums; at K=4, D=8 each of F6, F6_alt and F7 still equals the engine entry
-    # by entry, in value and in type (3 deltas x 3 examples x 225 entries).
+    # A Dual delta takes the closed forms' integer sums with Dual numerators;
+    # at K=4, D=8 each of F6, F6_alt and F7 still equals the engine entry by
+    # entry, in value and in type (3 deltas x 3 examples x 225 entries).
     for example in ("F6", "F6_alt", "F7"):
         closed = expand_closed(example, 4, 8, extra={"delta": delta}).entries
         engine = expand_general(closed_engine_spec(example, delta), 4, 8).entries
@@ -641,6 +643,22 @@ def test_closed_dual_delta_keeps_the_engine_values_and_types(delta):
             (key, type(v), v) for key, v in sorted(engine.items())
         ]
         assert any(isinstance(v, Dual) for v in closed.values())
+
+
+def test_closed_pole_computes_no_point(monkeypatch):
+    # At delta = -13 the first pole of F6 in m1-major order is (0, 13), factor
+    # 2; every point is checked before any is computed, so the entry function
+    # runs at none of the 13 pole-free points before it.
+    calls = Counter()
+    _counter(monkeypatch, calls, pochex.hyper_expand, "_closed_f6")
+    monkeypatch.setitem(pochex.hyper_expand._CLOSED_ENTRIES, "F6", pochex.hyper_expand._closed_f6)
+    with pytest.raises(PoleError) as exc_info:
+        expand_closed("F6", 2, 14, extra={"delta": -13})
+    assert calls["_closed_f6"] == 0
+    assert (exc_info.value.lattice_point, exc_info.value.factor) == ((0, 13), 2)
+    assert str(exc_info.value) == (
+        "denominator factor 2 of F6 vanishes at eps = 0 on lattice point (0, 13)"
+    )
 
 
 def test_f6_alt_is_another_route_to_f6():

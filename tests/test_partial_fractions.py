@@ -86,9 +86,11 @@ def test_pf_derivative_matches_quotient_deriv():
 
 
 def test_pf_derivative_at_pole_raises():
+    # A Dual point is a pole when its value part is one.
     form = decompose_single(LinearParam(1, 1), 1, LinearParam(1, 1), 2)
-    with pytest.raises(PoleError):
-        pf_derivative(form, 1, at_eps=F(-2))
+    for at_eps in (F(-2), Dual(-2, 1)):
+        with pytest.raises(PoleError, match="has its pole at eps = "):
+            pf_derivative(form, 1, at_eps=at_eps)
 
 
 def test_pf_derivative_rejects_negative_order():

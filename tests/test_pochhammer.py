@@ -292,6 +292,8 @@ def test_recip_poch_laurent_guards():
         recip_poch_laurent(-1, F(1), 3, 3)
     with pytest.raises(DomainError):
         recip_poch_laurent(1, F(0), 3, 3)
+    with pytest.raises(DomainError, match="needs a nonzero slope b"):
+        recip_poch_laurent(0, Dual(0, 1), 2, 1)  # a zero value part
     with pytest.raises(DomainError):
         recip_poch_laurent(3, F(1), 2, 3)  # needs m > n
     with pytest.raises(DomainError):
