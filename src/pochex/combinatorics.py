@@ -86,7 +86,7 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
 
     Defined by (z/(e^z - 1))**a * e^{xz} = sum(B_n^(a)(x) z**n / n!).  With
     g_j = B_j^(a)(0)/j! cached per order a, B_n^(a)(x) = n! sum(g_j x**(n-j)/(n-j)!)
-    costs O(n) per call.
+    costs O(n) per call: the n + 1 terms are summed as integers, reduced by one gcd.
     """
     _count("gen_bernoulli_poly", n=n)
     _count("gen_bernoulli_poly", 1, a=a)
@@ -99,12 +99,14 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
             _bernoulli_cache[a] = core
             if len(_bernoulli_cache) > _BERNOULLI_CACHE_CAP:
                 del _bernoulli_cache[next(iter(_bernoulli_cache))]
-    # Horner in x; falling runs through n!/(n-j)!.
-    value, falling = _ZERO, 1
-    for j in range(n + 1):
-        value = value * x + core[j] * falling
-        falling *= n - j
-    return value
+    # For x = p/q, one integer sum of g_j n!/(n-j)! p**(n-j) / q**(n-j).
+    p, q = x.numerator, x.denominator
+    return _int_sum(
+        [
+            (g.numerator * math.perm(n, j) * p ** (n - j), g.denominator * q ** (n - j))
+            for j, g in enumerate(core[: n + 1])
+        ]
+    )
 
 
 def harmonic(m: int, k: int) -> Fraction:

@@ -32,13 +32,17 @@ Cost model of `expand_closed` at eps order K: each closed coefficient is a
 signed power sum lead*delta_{k,0} + sum_j w_j r_j**k, for F1, F5 and F6 joined
 over k1 by a Cauchy product.  Each example returns the whole k-column of a
 lattice point, so its weights w_j are evaluated once per lattice point,
-independent of K.  Each term w_j r_j**k is carried as a numerator and a
-denominator, two products per term and k, and each coefficient of a power
-column or a convolution is one `_int_sum`: the numerators over the lcm of the
-denominators, reduced by one gcd.  So a point costs one gcd per coefficient,
-K + 1 per column, on top of O(K) products per term and O(K**2) per
-convolution.  The products are integer ones, except that a Dual delta's
-weights and ratios are Dual numerators over 1, a few Fraction operations each.
+independent of K.  Every weight, ratio, lead term and prefactor is an integer
+triple (num, der, den), never reduced: a rising factorial (delta + c)_m at
+delta = p/q is the product of the m integers p + (c + j)*q over q**m, binomials
+are `math.comb` and factorials are ints.  So a weight costs O(D) integer
+products, and a term w_j r_j**k two more per k.  Each coefficient of a power
+column or a convolution is one integer sum over the lcm of the denominators,
+reduced by one gcd: K + 1 gcds per column, on top of O(K**2) products per
+convolution.  The prefactor folds into the one Fraction built per table entry.
+A Dual delta v + w*t (t*t = 0) carries its t-part as der, a second integer
+numerator over the same denominator, by the product rule; an entry is a Dual
+where it depends on delta, as on the engine's route.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import _stirling_walk, binomial, double_factorial, gen_bernoulli_poly
+from .combinatorics import _stirling_walk, gen_bernoulli_poly
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
@@ -60,12 +64,10 @@ from .pochhammer import (
     _recip_step,
     _unit_row,
     _vanishing_shift,
-    pochhammer,
 )
-from .series import _coerce, _count, _int_sum
+from .series import _coerce, _count
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -299,143 +301,225 @@ def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
     )
 
 
-def _pair(x):
-    """x as a numerator and denominator for `_int_sum`; a Dual is its own numerator over 1."""
-    return (x, 1) if isinstance(x, Dual) else (x.numerator, x.denominator)
+# -- closed forms in integers -------------------------------------------------
+#
+# Every closed-form weight, ratio, lead term, prefactor and coefficient is an
+# integer triple (num, der, den): num/den, plus der/den times t for a Dual
+# delta v + w*t (t*t = 0).  der is None for a quantity that does not depend on
+# delta, which at a rational delta is every one.  den may be negative.  Only a
+# coefficient's sum (`_reduced_sum`) takes a gcd, and a Fraction, or a Dual
+# where the engine gives one, is built only per table entry (`_scaled`).
+
+
+def _delta_triple(delta) -> tuple:
+    """delta (a Fraction or a Dual) as the triple (p, r, q) over one q > 0."""
+    if isinstance(delta, Dual):
+        q = math.lcm(delta.val.denominator, delta.der.denominator)
+        return (delta.val * q).numerator, (delta.der * q).numerator, q
+    return delta.numerator, None, delta.denominator
+
+
+def _mul(x, y) -> tuple:
+    """The product of two triples, its der by the product rule."""
+    (n, dn, d), (m, dm, e) = x, y
+    if dn is None and dm is None:
+        return n * m, None, d * e
+    return n * m, (dn or 0) * m + n * (dm or 0), d * e
+
+
+def _inv(x) -> tuple:
+    """1/x for a triple with num != 0: d/(n + dn*t) = d*(n - dn*t)/n**2, as t*t = 0."""
+    n, dn, d = x
+    if dn is None:
+        return d, None, n
+    return d * n, -d * dn, n * n
+
+
+def _rising(x, c: int, m: int) -> tuple:
+    """The rising factorial (x + c)_m of x = (p, r, q), q > 0: the product of the
+    integers p + j*q, c <= j < c + m, over q**m.  Its der, r times the sum of
+    the products that leave one factor out, is None at m = 0, the empty product."""
+    p, r, q = x
+    factors = range(p + c * q, p + (c + m) * q, q)
+    if r is None or not m:
+        return math.prod(factors), None, q**m
+    num, der = 1, 0
+    for f in factors:
+        num, der = num * f, der * f + num * r
+    return num, der, q**m
+
+
+def _reduced_sum(terms: list) -> tuple:
+    """The sum of triples as one triple with den > 0, reduced by one gcd.
+
+    The nums, and the ders when some term has one, are summed over the lcm of
+    the dens, instead of taking a gcd per addition (Knuth, TAOCP vol. 2,
+    section 4.5.1); the empty sum is 0.
+    """
+    lcm = math.lcm(*(d for _, _, d in terms))
+    num = sum(n * (lcm // d) for n, _, d in terms)
+    ders = [dn * (lcm // d) for _, dn, d in terms if dn is not None]
+    der = sum(ders) if ders else None
+    g = math.gcd(num, der or 0, lcm)
+    return num // g, None if der is None else der // g, lcm // g
 
 
 def _power_column(K, lead, terms):
     """[lead*delta_{k,0} + sum w * r**k for k = 0..K] over (weight w, ratio r) pairs.
 
-    A sign (-1)**k rides in a negative ratio; each weight is evaluated once.
-    Each term w * r**k is carried as the pair (num(w) num(r)**k, den(w) den(r)**k)
-    of `_pair`s, and each coefficient is one `_int_sum`: one gcd per coefficient.
+    Every quantity is a triple; a sign (-1)**k rides in a negative ratio, and
+    each weight is evaluated once.  Each term w * r**k is carried unreduced,
+    times r once per k, and each coefficient is one `_reduced_sum`: one gcd.
     """
-    pairs = [_pair(w) for w, _ in terms]
-    ratios = [_pair(r) for _, r in terms]
-    column = [_int_sum([_pair(lead), *pairs])]
+    weights = [w for w, _ in terms]
+    ratios = [r for _, r in terms]
+    column = [_reduced_sum([lead, *weights])]
     for _ in range(K):
-        pairs = [(n * p, d * q) for (n, d), (p, q) in zip(pairs, ratios)]
-        column.append(_int_sum(pairs))
+        weights = [_mul(w, r) for w, r in zip(weights, ratios)]
+        column.append(_reduced_sum(weights))
     return column
 
 
 def _convolve(a, b):
-    """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two columns.
-
-    Each coefficient is one `_int_sum` of products of `_pair`s.
-    """
-    a = [_pair(x) for x in a]
-    b = [_pair(x) for x in b]
+    """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two
+    columns of triples; each coefficient is one `_reduced_sum`."""
     return [
-        _int_sum([(p * r, q * s) for (p, q), (r, s) in zip(a[: k + 1], reversed(b[: k + 1]))])
+        _reduced_sum([_mul(x, y) for x, y in zip(a[: k + 1], reversed(b[: k + 1]))])
         for k in range(len(a))
     ]
 
 
+def _scaled(pref, column) -> list:
+    """The table entries pref * v for the triples v of a column: one Fraction each,
+    or a Dual where the product depends on delta."""
+    entries = []
+    for v in column:
+        n, dn, d = _mul(pref, v)
+        entries.append(Fraction(n, d) if dn is None else Dual(Fraction(n, d), Fraction(dn, d)))
+    return entries
+
+
+def _sign_over_factorials(s: int, a: int, b: int) -> tuple:
+    """(-1)**s / (a! b!) as a triple."""
+    return (-1) ** s, None, math.factorial(a) * math.factorial(b)
+
+
+def _prefactor(delta, n1: int, n2: int) -> tuple:
+    """(1 + n1 + delta)_n2 / n2!, the prefactor of F6, F6_alt and F7."""
+    return _mul(_rising(delta, 1 + n1, n2), (1, None, math.factorial(n2)))
+
+
+_UNIT = (1, None, 1)
+_NEGATE = (-1, None, 1)
+_TWO = (2, None, 1)
+
+
 def _closed_f1(K, m1, m2):
     n, m = m1, m1 + m2
-    stirling = [2**k1 * (-1) ** m * s for k1, s in enumerate(_stirling_walk(m + 1, K + 1)[1][1:])]
+    walk = _stirling_walk(m + 1, K + 1)[1][1:]
+    stirling = [(2**k1 * (-1) ** m * s, None, 1) for k1, s in enumerate(walk)]
     terms = [
-        ((-1) ** (j + 1) * binomial(m - j, n) * binomial(n, j), Fraction(1, j))
+        (((-1) ** (j + 1) * math.comb(m - j, n) * math.comb(n, j), None, 1), (1, None, j))
         for j in range(1, n + 1)
     ]
-    scale = math.factorial(n) * math.factorial(m - n)
-    return [v / scale for v in _convolve(stirling, _power_column(K, _ONE, terms))]
+    scale = _sign_over_factorials(0, n, m - n)
+    return _scaled(scale, _convolve(stirling, _power_column(K, _UNIT, terms)))
 
 
 def _closed_f2_to_f4(K, n, m, shift, lead):
     # (-1)**k C(m, n) [lead*delta_{k,0} - sum_j (-1)**j C(m + shift*j, n) C(n, j) / j**k].
     terms = [
-        ((-1) ** (j + 1) * binomial(m + shift * j, n) * binomial(n, j), Fraction(-1, j))
+        (((-1) ** (j + 1) * math.comb(m + shift * j, n) * math.comb(n, j), None, 1), (-1, None, j))
         for j in range(1, n + 1)
     ]
-    scale = binomial(m, n)
-    return [v * scale for v in _power_column(K, lead, terms)]
+    return _scaled((math.comb(m, n), None, 1), _power_column(K, (lead, None, 1), terms))
 
 
 def _closed_f2(K, m1, m2):
-    return _closed_f2_to_f4(K, m2, m1 + m2, 1, Fraction((-1) ** m2))
+    return _closed_f2_to_f4(K, m2, m1 + m2, 1, (-1) ** m2)
 
 
 def _closed_f3(K, m1, m2):
-    return _closed_f2_to_f4(K, m1, m1 + m2, 1, Fraction((-1) ** m1))
+    return _closed_f2_to_f4(K, m1, m1 + m2, 1, (-1) ** m1)
 
 
 def _closed_f4(K, m1, m2):
-    return _closed_f2_to_f4(K, m1, m1 + m2, -1, _ONE)
+    return _closed_f2_to_f4(K, m1, m1 + m2, -1, 1)
 
 
 def _closed_f5(K, m1, m2):
     n, d = m1, m2
-    inner, outer = [], []
-    for l in range(1, n + 1):
-        w = Fraction((-1) ** (l + 1) * l, math.factorial(l) * math.factorial(n - l))
-        inner.append((w / (1 + l), Fraction(1, 1 + l)))
+    inner = [
+        (_mul(_sign_over_factorials(l + 1, l - 1, n - l), (1, None, 1 + l)), (1, None, 1 + l))
+        for l in range(1, n + 1)
+    ]
+    outer = []
     for j in range(1, d // 2 + 1):
-        w = (-1) ** (j + 1) * double_factorial(2 * d - 2 * j - 1)
-        w /= 2**j * math.factorial(d - 2 * j) * math.factorial(j - 1)
-        outer.append((w / (1 + j), Fraction(1, 1 + j)))
-    inner = _power_column(K, _ONE if n == 0 else _ZERO, inner)
-    pref = Fraction(1, 2 ** (n + d)) * binomial(n + d, n)
-    pref *= _ONE if n == 0 else double_factorial(2 * n - 1)
-    return [pref * v for v in _convolve(inner, _power_column(K, _ONE, outer))]
+        # (-1)**(j+1) (2d - 2j - 1)!! / (2**j (d - 2j)! (j - 1)! (1 + j))
+        w = _sign_over_factorials(j + 1, d - 2 * j, j - 1)
+        w = _mul(w, (math.prod(range(2 * d - 2 * j - 1, 0, -2)), None, 2**j * (1 + j)))
+        outer.append((w, (1, None, 1 + j)))
+    inner = _power_column(K, (1 if n == 0 else 0, None, 1), inner)
+    # C(n + d, n) (2n - 1)!! / 2**(n + d), with (-1)!! = 1.
+    pref = (math.comb(n + d, n) * math.prod(range(2 * n - 1, 0, -2)), None, 2 ** (n + d))
+    return _scaled(pref, _convolve(inner, _power_column(K, _UNIT, outer)))
 
 
 def _closed_f6(delta, K, n1, n2):
-    t1, t2 = [], []  # t2 holds (-1)**k times the tail's k-th coefficient
-    for l in range(1, n1 + 1):
-        w = pochhammer(1 + delta - l, n1) / (math.factorial(l) * math.factorial(n1 - l))
-        t1.append(((-1) ** (l + 1) * w, Fraction(1, l)))
+    t1 = [
+        (_mul(_rising(delta, 1 - l, n1), _sign_over_factorials(l + 1, l, n1 - l)), (1, None, l))
+        for l in range(1, n1 + 1)
+    ]
+    t2 = []  # t2 holds (-1)**k times the tail's k-th coefficient
+    two_delta = _mul(delta, _TWO)
     for j in range(n2):
-        inv = 1 / (1 + j + delta)
-        w = (-1) ** j * pochhammer(2 + n1 + j + 2 * delta, n2)
-        w /= math.factorial(j) * math.factorial(n2 - 1 - j)
-        t2.append((w * inv, -inv))
-    t1 = _power_column(K, _ONE, t1)
-    t2 = _power_column(K, Fraction((-1) ** n2), t2)
-    pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-    return [pref * v for v in _convolve(t1, t2)]
+        inv = _inv(_rising(delta, 1 + j, 1))
+        w = _mul(_rising(two_delta, 2 + n1 + j, n2), _sign_over_factorials(j, j, n2 - 1 - j))
+        t2.append((_mul(w, inv), _mul(inv, _NEGATE)))
+    t1 = _power_column(K, _UNIT, t1)
+    t2 = _power_column(K, ((-1) ** n2, None, 1), t2)
+    return _scaled(_prefactor(delta, n1, n2), _convolve(t1, t2))
 
 
 def _closed_f6_alt(delta, K, n1, n2):
     terms = []
     for j1 in range(1, n1 + 1):
-        w = pochhammer(1 + delta - j1, n1 + n2) / pochhammer(1 + delta + j1, n2)
-        w /= math.factorial(j1) * math.factorial(n1 - j1)
-        terms.append(((-1) ** (j1 + 1) * w, Fraction(1, j1)))
+        w = _mul(_rising(delta, 1 - j1, n1 + n2), _inv(_rising(delta, 1 + j1, n2)))
+        terms.append((_mul(w, _sign_over_factorials(j1 + 1, j1, n1 - j1)), (1, None, j1)))
+    two_delta = _mul(delta, _TWO)
     for j2 in range(n2):
-        inv = 1 / (1 + j2 + delta)
-        w = pochhammer(2 + 2 * delta + j2, n1 + n2) / pochhammer(2 + delta + j2, n1)
-        w *= Fraction((-1) ** j2, math.factorial(j2) * math.factorial(n2 - 1 - j2))
-        terms.append((w * inv, -inv))
-    pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-    return [pref * v for v in _power_column(K, Fraction((-1) ** n2), terms)]
+        inv = _inv(_rising(delta, 1 + j2, 1))
+        w = _mul(_rising(two_delta, 2 + j2, n1 + n2), _inv(_rising(delta, 2 + j2, n1)))
+        w = _mul(w, _sign_over_factorials(j2, j2, n2 - 1 - j2))
+        terms.append((_mul(w, inv), _mul(inv, _NEGATE)))
+    lead = ((-1) ** n2, None, 1)
+    return _scaled(_prefactor(delta, n1, n2), _power_column(K, lead, terms))
 
 
 def _closed_f7(delta, K, n1, n2):
     terms = []
     for j in range(1, n1 + 1):
-        w = pochhammer(n2 + 1 + delta - j, n1) / (math.factorial(j) * math.factorial(n1 - j))
-        terms.append(((-1) ** (j + 1) * w, Fraction(-1, j)))
-    pref = pochhammer(1 + n1 + delta, n2) / math.factorial(n2)
-    return [pref * v for v in _power_column(K, _ONE, terms)]
+        w = _mul(_rising(delta, n2 + 1 - j, n1), _sign_over_factorials(j + 1, j, n1 - j))
+        terms.append((w, (-1, None, j)))
+    return _scaled(_prefactor(delta, n1, n2), _power_column(K, _UNIT, terms))
 
 
 def _closed_df7(K, n1, n2):
-    # (-1)**k / n2! times piece1 * bracket1 + piece2 * bracket2, one weight per j.
-    piece1 = _ZERO
+    # (-1)**k / n2! times piece1 * bracket1 + piece2 * bracket2, one weight per j,
+    # with piece1 = p1/q1 and piece2 = p2/q2: each weight is (u*t - s*v) / (v*t).
+    p1, q1 = 0, 1
     if n2 > 0:
-        piece1 = Fraction((-1) ** (n2 - 1) * n2)
-        piece1 *= gen_bernoulli_poly(n2 - 1, n2 + 1, Fraction(-n1))
-    piece2 = Fraction((-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2)
+        b = gen_bernoulli_poly(n2 - 1, n2 + 1, -n1)
+        p1, q1 = (-1) ** (n2 - 1) * n2 * b.numerator, b.denominator
+    p2, q2 = (-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2
     terms = []
     for j in range(1, n1 + 1):
-        w = piece2 * math.comb(n1, j) * gen_bernoulli_poly(n1 - 1, n1 + 1, Fraction(j - n2))
-        if n2 > 0:
-            w -= piece1 * pochhammer(n2 + 1 - j, n1) / (math.factorial(j) * math.factorial(n1 - j))
-        terms.append(((-1) ** j * w, Fraction(-1, j)))
-    return [v / math.factorial(n2) for v in _power_column(K, piece1, terms)]
+        b = gen_bernoulli_poly(n1 - 1, n1 + 1, j - n2)
+        u, v = p2 * math.comb(n1, j) * b.numerator, q2 * b.denominator
+        s = p1 * math.prod(range(n2 + 1 - j, n2 + 1 - j + n1))
+        t = q1 * math.factorial(j) * math.factorial(n1 - j)
+        terms.append((((-1) ** j * (u * t - s * v), None, v * t), (-1, None, j)))
+    return _scaled((1, None, math.factorial(n2)), _power_column(K, (p1, None, q1), terms))
 
 
 # Closed-form column function (K, m1, m2) -> [value for k = 0..K] of each
@@ -461,9 +545,11 @@ def expand_closed(
     """Closed-form coefficient table for a built-in example (lattice keying).
 
     Each entry function returns the whole k-column of a lattice point, so
-    its weights are evaluated once per point whatever eps_order K is; each
-    coefficient of a column is then one integer sum reduced by one gcd (see
-    the module docstring).  Every point is checked for a pole before any is computed.
+    its weights are evaluated once per point whatever eps_order K is, in
+    integers; each coefficient of a column is then one integer sum reduced by
+    one gcd, and each entry one Fraction, or a Dual where a Dual delta reaches
+    it (see the module docstring).  Every point is checked for a pole before
+    any is computed.
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
     extra = extra or {}
@@ -472,7 +558,7 @@ def expand_closed(
     spec = closed_engine_spec(example, extra.get("delta"))
     entry = _CLOSED_ENTRIES[example]
     if example in _DELTA_EXAMPLES:
-        entry = functools.partial(entry, spec.extra_params["delta"])
+        entry = functools.partial(entry, _delta_triple(spec.extra_params["delta"]))
     entries = {}
     for m1, m2 in _checked_points(spec, degree_bound):
         for k, value in enumerate(entry(eps_order, m1, m2)):

@@ -63,17 +63,18 @@ def _coerce(value, rational: bool = False):
     raise DomainError(f"{value!r} is not {kind}; pass an int or a Fraction")
 
 
-def _int_sum(pairs: list):
-    """sum(n/d) over a list of pairs (n, d) of an int or Dual n and an int d != 0.
+def _int_sum(pairs: list) -> Fraction:
+    """sum(n/d) over a list of integer pairs (n, d) with d != 0, as a Fraction
+    (the empty sum is 0).
 
     The numerators are summed over the lcm of the denominators and reduced by
     one gcd, instead of taking a gcd per Fraction addition (Knuth, TAOCP vol. 2,
-    section 4.5.1).  The result is a Fraction when every n is an int (the empty
-    sum is 0) and a Dual when some n is a Dual.
+    section 4.5.1).  The harmonic sums, Miller's power recurrence, the
+    generalized Bernoulli polynomials and the `closed_sum` and `delta_form`
+    Q-methods sum through here.
     """
     lcm = math.lcm(*(d for _, d in pairs))
-    total = sum(n * (lcm // d) for n, d in pairs)
-    return Fraction(total, lcm) if isinstance(total, int) else total / lcm
+    return Fraction(sum(n * (lcm // d) for n, d in pairs), lcm)
 
 
 def _count(where: str, low: int = 0, **counts) -> None:

@@ -161,6 +161,24 @@ def test_gen_bernoulli_matches_series_route(n, a, x):
     _assert_matches_series_route(n, a, x)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    a=st.integers(1, 30),
+    x=st.integers(-30, 30) | st.fractions(min_value=-30, max_value=30, max_denominator=60),
+)
+def test_gen_bernoulli_sum_is_the_fraction_horner(n, a, x):
+    # The integer sum equals Horner's rule in Fraction arithmetic over the same
+    # core g_j = B_j^(a)(0)/j!: value = value*x + g_j n!/(n-j)!, one multiply-add a j.
+    core = pochex.combinatorics._bernoulli_values(n, a)
+    value, falling = F(0), 1
+    for j in range(n + 1):
+        value = value * x + core[j] * falling
+        falling *= n - j
+    got = gen_bernoulli_poly(n, a, x)
+    assert type(got) is F and got == value
+
+
 def test_gen_bernoulli_longer_core_equals_a_fresh_one(monkeypatch):
     # A small n builds the order's core at 8 terms; a larger n rebuilds it,
     # and neither the values nor the list stored first change.

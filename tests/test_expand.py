@@ -373,33 +373,29 @@ def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
     assert calls["__mul__"] == 0
 
 
-@pytest.mark.parametrize(
-    "example, counts",
-    [
-        ("F1", {"binomial": 728}),
-        ("F5", {"binomial": 91}),
-        ("F6", {"pochhammer": 819}),
-        ("F6_alt", {"pochhammer": 1547}),
-        ("F7", {"pochhammer": 455}),
-        ("dF7_ddelta", {"gen_bernoulli_poly": 442, "pochhammer": 286}),
-    ],
-    ids=["F1", "F5", "F6", "F6_alt", "F7", "dF7_ddelta"],
-)
-def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example, counts):
+@pytest.mark.parametrize("example", CLOSED_EXAMPLES)
+def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
     # Deterministic work counts of the closed forms at D=12 (91 lattice points):
-    # each point evaluates its prefactor and its weights once and gets every
-    # k from them, so the counts at eps order 4 equal those at eps order 0.
-    # F6 makes 1 + n1 + n2 pochhammer calls per point, F6_alt 1 + 2(n1 + n2),
-    # F7 1 + n1; dF7 makes n1 + [n2 > 0] Bernoulli and [n2 > 0]*n1 pochhammer
-    # calls; F1 makes 2*n1 binomials, F5 one.
+    # each point evaluates its prefactor and its weights once, as integers, and
+    # gets every k from them, so the counts at eps order 4 equal those at eps
+    # order 0.  No closed form calls pochhammer, binomial or double_factorial;
+    # dF7 makes n1 + [n2 > 0] Bernoulli calls per point.
     calls = Counter()
-    for name in ("binomial", "gen_bernoulli_poly", "pochhammer"):
-        _counter(monkeypatch, calls, pochex.hyper_expand, name)
+    for name, home in [
+        ("binomial", pochex.combinatorics),
+        ("double_factorial", pochex.combinatorics),
+        ("gen_bernoulli_poly", pochex.combinatorics),
+        ("pochhammer", pochex.pochhammer),
+    ]:
+        for owner in (home, pochex.hyper_expand):
+            if hasattr(owner, name):
+                _counter(monkeypatch, calls, owner, name)
+    expected = Counter({"gen_bernoulli_poly": 442} if example == "dF7_ddelta" else {})
     extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
     for eps_order in (0, 4):
         calls.clear()
         expand_closed(example, eps_order, 12, extra)
-        assert calls == Counter(counts), eps_order
+        assert calls == expected, eps_order
 
 
 @pytest.mark.parametrize(
@@ -409,18 +405,18 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example, 
 )
 def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
     # Every closed form sums each coefficient of each of its columns by one
-    # _int_sum: K + 1 per _power_column and K + 1 per _convolve, so `columns`
+    # _reduced_sum: K + 1 per _power_column and K + 1 per _convolve, so `columns`
     # * (K + 1) per lattice point at K=4, D=12 (91 points).  A Dual delta takes
     # the same path as a rational one.
     deltas = [F(1, 3), Dual(F(1, 3), 1)] if example in ("F6", "F6_alt", "F7") else [None]
     for delta in deltas:
         calls = Counter()
         with monkeypatch.context() as patched:
-            for name in ("_int_sum", "_power_column", "_convolve"):
+            for name in ("_reduced_sum", "_power_column", "_convolve"):
                 _counter(patched, calls, pochex.hyper_expand, name)
             expand_closed(example, 4, 12, None if delta is None else {"delta": delta})
         assert calls["_power_column"] + calls["_convolve"] == columns * 91, delta
-        assert calls["_int_sum"] == 5 * columns * 91, delta
+        assert calls["_reduced_sum"] == 5 * columns * 91, delta
 
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
@@ -628,6 +624,43 @@ def test_engine_matches_closed_delta_families(example, delta):
     # Only a negative-integer delta puts a pole on this lattice.
     value = delta.val if isinstance(delta, Dual) else delta
     assert isinstance(closed, tuple) == (value < 0 and value.denominator == 1)
+
+
+_DRAWN_DELTA = st.fractions(min_value=-10, max_value=10, max_denominator=12)
+
+
+def _typed_entries_or_pole(build):
+    entries = _entries_or_pole(build)
+    if isinstance(entries, tuple):
+        return entries
+    return [(key, type(v), v) for key, v in sorted(entries.items())]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    example=st.sampled_from(CLOSED_EXAMPLES),
+    delta=_DRAWN_DELTA | st.builds(Dual, _DRAWN_DELTA, _DRAWN_DELTA),
+    eps_order=st.integers(0, 4),
+    degree_bound=st.integers(0, 8),
+)
+@example(example="F6_alt", delta=F(-7, 12), eps_order=4, degree_bound=8)
+@example(example="F6", delta=Dual(-3, F(5, 7)), eps_order=2, degree_bound=8)
+@example(example="F7", delta=Dual(F(-1, 2), 0), eps_order=3, degree_bound=6)
+def test_closed_forms_equal_the_engine_on_drawn_inputs(example, delta, eps_order, degree_bound):
+    # A rational delta of either sign or a Dual one for F6, F6_alt and F7 (the
+    # others take none): equal entries of equal types on both routes, or the
+    # same PoleError (lattice point and factor).  dF7 is the delta-part of F7's
+    # Dual engine table.
+    delta = delta if example in ("F6", "F6_alt", "F7") else None
+    extra = None if delta is None else {"delta": delta}
+    closed = _typed_entries_or_pole(
+        lambda: expand_closed(example, eps_order, degree_bound, extra)
+    )
+    engine_expand = delta_dual_expand if example == "dF7_ddelta" else expand_general
+    engine = _typed_entries_or_pole(
+        lambda: engine_expand(closed_engine_spec(example, delta), eps_order, degree_bound)
+    )
+    assert closed == engine
 
 
 @pytest.mark.parametrize("delta", [Dual(F(1, 3), 1), Dual(2, F(-1, 2)), Dual(0, 1)])
