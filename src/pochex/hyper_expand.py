@@ -23,10 +23,13 @@ the same denominator.
 
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
-formulas in `expand_closed`; engine and closed forms are independent code
-paths that must agree entry by entry, and that fail on the same inputs:
-`expand_closed` first checks each lattice point of `closed_engine_spec`, so it
-raises the engine's PoleError.  dF7_ddelta is taken at delta = 0 on both routes.
+formulas.  One table, `_EXAMPLES`, gives each its closed-form column function,
+delta rule and engine spec as a function of delta, resolved once for both
+`closed_engine_spec` and `expand_closed`.  Engine and closed forms are
+independent code paths that must agree entry by entry, and that fail on the
+same inputs: `expand_closed` first checks each lattice point of the engine
+spec, so it raises the engine's PoleError.  dF7_ddelta is taken at delta = 0
+on both routes.
 
 Cost model of `expand_closed` at eps order K: each closed coefficient is a
 signed power sum lead*delta_{k,0} + sum_j w_j r_j**k, for F1, F5 and F6 joined
@@ -159,6 +162,13 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     O(sum_f c_f*K) per unit move in m_i at K = eps_order (see the module
     docstring).  Every point is checked for a denominator pole before any
     work, in m1-major order, so the first pole on the lattice raises PoleError.
+
+    An entry is a Dual, coefficient by coefficient, exactly where its
+    Fraction/Dual computation touches a Dual (it may be Dual(x, 0)), else a
+    Fraction; a closed-form entry is a Dual where it depends on delta, and the two
+    agree on every built-in example.  The `EpsSeries` route can give Fraction(x)
+    for Dual(x, 0): its products skip zero coefficients, and it stores an
+    all-zero series as Fractions.
     """
     _count("expand_general", eps_order=eps_order, degree_bound=degree_bound)
     _checked_points(spec, degree_bound)
@@ -218,87 +228,32 @@ _LAW_SUM = IndexLaw(0, 1, 1)
 _LAW_M1 = IndexLaw(0, 1, 0)
 _LAW_M2 = IndexLaw(0, 0, 1)
 
-_DELTA_EXAMPLES = frozenset({"F6", "F6_alt", "F7"})
+_LP = LinearParam
 
 
-def _check_example(example: str, delta):
-    """The example's delta, coerced, or None.
-
-    Rejects an unknown example, a delta example given no delta, a delta given to
-    an example that takes none, and dF7_ddelta at delta != 0.
-    """
-    if example not in _CLOSED_ENTRIES:
-        raise DomainError(f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}")
-    if delta is None:
-        if example in _DELTA_EXAMPLES:
-            raise MissingParameter(f"example {example} needs the extra parameter delta")
-        return None
-    delta = _coerce(delta)
-    if example == "dF7_ddelta":
-        if delta != 0:
-            raise DomainError("dF7_ddelta is taken at delta = 0; a nonzero delta is not supported")
-    elif example not in _DELTA_EXAMPLES:
-        raise DomainError(f"example {example} takes no delta")
-    return delta
+def _f1_to_f4_spec(name, a, b, c, d):
+    """The engine spec builder of F1..F4, which take no delta: the term
+    (1 + a*eps)_{m1+m2} (1 + b*eps)_{m1+m2} / ((1 + c*eps)_{m1} (1 + d*eps)_{m2})."""
+    return lambda delta: HyperTermSpec(
+        name,
+        numer=[(_LP(1, a), _LAW_SUM), (_LP(1, b), _LAW_SUM)],
+        denom=[(_LP(1, c), _LAW_M1), (_LP(1, d), _LAW_M2)],
+    )
 
 
-def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
-    """The HyperTermSpec whose general-term expansion matches expand_closed(example)."""
-    d = _check_example(example, delta)
-    if example == "dF7_ddelta":
-        return closed_engine_spec("F7", Dual(0, 1))
-
-    LP = LinearParam
-    if example == "F1":
-        return HyperTermSpec(
-            "F1",
-            numer=[(LP(1, -2), _LAW_SUM), (LP(1, -1), _LAW_SUM)],
-            denom=[(LP(1, -1), _LAW_M1), (LP(1, -1), _LAW_M2)],
-        )
-    if example == "F2":
-        return HyperTermSpec(
-            "F2",
-            numer=[(LP(1, 0), _LAW_SUM), (LP(1, -1), _LAW_SUM)],
-            denom=[(LP(1, -1), _LAW_M1), (LP(1, 1), _LAW_M2)],
-        )
-    if example == "F3":
-        return HyperTermSpec(
-            "F3",
-            numer=[(LP(1, 0), _LAW_SUM), (LP(1, -1), _LAW_SUM)],
-            denom=[(LP(1, 1), _LAW_M1), (LP(1, -1), _LAW_M2)],
-        )
-    if example == "F4":
-        return HyperTermSpec(
-            "F4",
-            numer=[(LP(1, 0), _LAW_SUM), (LP(1, 1), _LAW_SUM)],
-            denom=[(LP(1, 1), _LAW_M1), (LP(1, 1), _LAW_M2)],
-        )
-    if example == "F5":
-        return HyperTermSpec(
-            "F5",
-            numer=[
-                (LP(1, 0), _LAW_SUM),
-                (LP(Fraction(1, 2), 0), _LAW_M1),
-                (LP(Fraction(3, 2), -1), _LAW_M2),
-            ],
-            denom=[(LP(2, -1), _LAW_M1), (LP(3, -2), _LAW_M2)],
-        )
-    if example in ("F6", "F6_alt"):
-        # F6_alt is a second closed-form route to the same function as F6,
-        # so both share one general-term spec.
-        return HyperTermSpec(
-            "F6",
-            numer=[(LP(1 + d, 0), _LAW_SUM), (LP(1 + d, -1), _LAW_SUM), (LP(1, 0), _LAW_M1)],
-            denom=[(LP(1 + d, 0), _LAW_M1), (LP(1, -1), _LAW_M1), (LP(1 + d, 1), _LAW_M2)],
-            extra_params={"delta": d},
-        )
-    # F7
-    return HyperTermSpec(
-        "F7",
-        numer=[(LP(1 + d, 0), _LAW_SUM), (LP(1 + d, 1), _LAW_SUM), (LP(1, 0), _LAW_M1)],
-        denom=[(LP(1 + d, 0), _LAW_M1), (LP(1, 1), _LAW_M1), (LP(1 + d, 1), _LAW_M2)],
+def _f6_f7_spec(name, s):
+    """The engine spec builder of F6 (s = -1) or F7 (s = 1), which records delta."""
+    return lambda d: HyperTermSpec(
+        name,
+        numer=[(_LP(1 + d, 0), _LAW_SUM), (_LP(1 + d, s), _LAW_SUM), (_LP(1, 0), _LAW_M1)],
+        denom=[(_LP(1 + d, 0), _LAW_M1), (_LP(1, s), _LAW_M1), (_LP(1 + d, 1), _LAW_M2)],
         extra_params={"delta": d},
     )
+
+
+# F6_alt, a second closed-form route to F6, shares F6's spec; dF7_ddelta's is
+# F7's at delta = Dual(0, 1).
+_F6_SPEC, _F7_SPEC = _f6_f7_spec("F6", -1), _f6_f7_spec("F7", 1)
 
 
 # -- closed forms in integers -------------------------------------------------
@@ -522,21 +477,61 @@ def _closed_df7(K, n1, n2):
     return _scaled((1, None, math.factorial(n2)), _power_column(K, (p1, None, q1), terms))
 
 
-# Closed-form column function (K, m1, m2) -> [value for k = 0..K] of each
-# built-in example; a delta example takes delta first.
-_CLOSED_ENTRIES = {
-    "F1": _closed_f1,
-    "F2": _closed_f2,
-    "F3": _closed_f3,
-    "F4": _closed_f4,
-    "F5": _closed_f5,
-    "F6": _closed_f6,
-    "F6_alt": _closed_f6_alt,
-    "F7": _closed_f7,
-    "dF7_ddelta": _closed_df7,
+# A built-in example's delta rule: it takes no delta, needs one, or is taken
+# only at delta = 0.
+_TAKES_NONE, _NEEDS_ONE, _ONLY_ZERO = "takes none", "needs one", "only delta = 0"
+
+# The built-in examples, one row each: the closed-form column function
+# (K, m1, m2) -> [value for k = 0..K], which takes delta first where the rule
+# needs one; the delta rule; and the engine spec as a function of the delta.
+_EXAMPLES = {
+    "F1": (_closed_f1, _TAKES_NONE, _f1_to_f4_spec("F1", -2, -1, -1, -1)),
+    "F2": (_closed_f2, _TAKES_NONE, _f1_to_f4_spec("F2", 0, -1, -1, 1)),
+    "F3": (_closed_f3, _TAKES_NONE, _f1_to_f4_spec("F3", 0, -1, 1, -1)),
+    "F4": (_closed_f4, _TAKES_NONE, _f1_to_f4_spec("F4", 0, 1, 1, 1)),
+    "F5": (_closed_f5, _TAKES_NONE, lambda d: HyperTermSpec(
+        "F5",
+        numer=[
+            (_LP(1, 0), _LAW_SUM),
+            (_LP(Fraction(1, 2), 0), _LAW_M1),
+            (_LP(Fraction(3, 2), -1), _LAW_M2),
+        ],
+        denom=[(_LP(2, -1), _LAW_M1), (_LP(3, -2), _LAW_M2)],
+    )),
+    "F6": (_closed_f6, _NEEDS_ONE, _F6_SPEC),
+    "F6_alt": (_closed_f6_alt, _NEEDS_ONE, _F6_SPEC),
+    "F7": (_closed_f7, _NEEDS_ONE, _F7_SPEC),
+    "dF7_ddelta": (_closed_df7, _ONLY_ZERO, lambda d: _F7_SPEC(Dual(0, 1))),
 }
 
-CLOSED_EXAMPLES = tuple(_CLOSED_ENTRIES)
+CLOSED_EXAMPLES = tuple(_EXAMPLES)
+
+
+def _resolved(example, delta) -> tuple:
+    """The column function, engine spec and delta (coerced where the example needs
+    one, else None) of a built-in example.  Rejects an unknown example, a missing
+    delta where one is needed, a delta where none is taken, and a nonzero delta
+    where only delta = 0 is.
+    """
+    # Membership in the tuple compares the name without hashing it.
+    if example not in CLOSED_EXAMPLES:
+        raise DomainError(f"unknown example {example!r}; known: {', '.join(CLOSED_EXAMPLES)}")
+    column, rule, spec = _EXAMPLES[example]
+    if delta is not None:
+        delta = _coerce(delta)
+        if rule == _TAKES_NONE:
+            raise DomainError(f"example {example} takes no delta")
+        if rule == _ONLY_ZERO and delta != 0:
+            raise DomainError(f"{example} is taken at delta = 0; a nonzero delta is not supported")
+    elif rule == _NEEDS_ONE:
+        raise MissingParameter(f"example {example} needs the extra parameter delta")
+    delta = delta if rule == _NEEDS_ONE else None
+    return column, spec(delta), delta
+
+
+def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
+    """The HyperTermSpec whose general-term expansion matches expand_closed(example)."""
+    return _resolved(example, delta)[1]
 
 
 def expand_closed(
@@ -555,13 +550,12 @@ def expand_closed(
     extra = extra or {}
     if set(extra) - {"delta"}:
         raise DomainError(f"expand_closed takes only the extra parameter delta, got {list(extra)}")
-    spec = closed_engine_spec(example, extra.get("delta"))
-    entry = _CLOSED_ENTRIES[example]
-    if example in _DELTA_EXAMPLES:
-        entry = functools.partial(entry, _delta_triple(spec.extra_params["delta"]))
+    column, spec, delta = _resolved(example, extra.get("delta"))
+    if delta is not None:
+        column = functools.partial(column, _delta_triple(delta))
     entries = {}
     for m1, m2 in _checked_points(spec, degree_bound):
-        for k, value in enumerate(entry(eps_order, m1, m2)):
+        for k, value in enumerate(column(eps_order, m1, m2)):
             entries[(k, m1, m2)] = value
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 

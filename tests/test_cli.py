@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pochex.verify
 from pochex.cli import main
 from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import LinearParam, PochMethod, RecipMethod, poch_eps_series
-from pochex.series import series_invert
+from pochex.series import EpsSeries, series_invert
 from pochex.verify import GenFunId, IdentityId
 
 
@@ -443,6 +444,26 @@ def test_verify_selected_ids(capsys):
     assert len(lines) == 2
     assert lines[0].startswith("A9: PASS (")
     assert lines[1].startswith("nueva1: PASS (")
+
+
+def test_verify_reports_each_failure(capsys, monkeypatch):
+    # One identity and one generating relation whose two sides disagree, and
+    # one relation left as it is.
+    relations = pochex.verify._RELATIONS
+    monkeypatch.setitem(relations, IdentityId.iii4, (lambda p: (1, 2), lambda: [{"m": 1}]))
+    sides = (EpsSeries([1, 0, 1]), EpsSeries([1, 0, 0]))
+    grid = [{"k": 0}, {"k": 1}]
+    monkeypatch.setitem(relations, GenFunId.a7, (lambda order, p: sides, lambda: grid))
+    code, out, err = run(capsys, "verify", "--id", "iii4", "--id", "a7", "--id", "iii10")
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "iii4: FAIL (1/1 point)",
+        "  params {'m': '1'}: lhs 1 rhs 2",
+        "a7: FAIL (2/2 points)",
+        "  params {'k': '0'}: first discrepancy at exponent 2 (order 12)",
+        "  params {'k': '1'}: first discrepancy at exponent 2 (order 12)",
+        "iii10: PASS (63 points)",
+    ]
 
 
 def test_verify_unknown_id(capsys):

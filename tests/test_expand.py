@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -684,7 +685,8 @@ def test_closed_pole_computes_no_point(monkeypatch):
     # runs at none of the 13 pole-free points before it.
     calls = Counter()
     _counter(monkeypatch, calls, pochex.hyper_expand, "_closed_f6")
-    monkeypatch.setitem(pochex.hyper_expand._CLOSED_ENTRIES, "F6", pochex.hyper_expand._closed_f6)
+    examples = pochex.hyper_expand._EXAMPLES
+    monkeypatch.setitem(examples, "F6", (pochex.hyper_expand._closed_f6, *examples["F6"][1:]))
     with pytest.raises(PoleError) as exc_info:
         expand_closed("F6", 2, 14, extra={"delta": -13})
     assert calls["_closed_f6"] == 0
@@ -742,10 +744,13 @@ def test_delta_examples_require_delta():
 
 
 def test_unknown_example_rejected():
-    with pytest.raises(DomainError):
-        expand_closed("F9", 1, 1)
-    with pytest.raises(DomainError):
-        closed_engine_spec("F9")
+    # An unhashable name is refused like any other unknown one.
+    for name in ("F9", []):
+        message = f"unknown example {re.escape(repr(name))}; known: F1, F2, F3"
+        with pytest.raises(DomainError, match=message):
+            expand_closed(name, 1, 1)
+        with pytest.raises(DomainError, match=message):
+            closed_engine_spec(name)
 
 
 @pytest.mark.parametrize("example", ["F1", "F2", "F3", "F4", "F5"])

@@ -148,6 +148,39 @@ def test_genfun_check_spot_values():
     assert r.equal_to_order
 
 
+@pytest.mark.parametrize(
+    "relation, params, message",
+    [
+        (IdentityId.A5, {"m": 2, "k": 1, "alpha": F(1)}, "A5 covers only m = 0, k = 0, or k > m"),
+        (IdentityId.A6, {"m": 2, "k": 3}, "A6 needs 0 < k <= m"),
+        (IdentityId.AA19, {"m": 1, "k": 2}, "AA19 needs k <= m"),
+        (IdentityId.A13, {"m": 1, "k": 2, "alpha": F(0)}, "A13 needs k <= m"),
+        (IdentityId.A32, {"m": 3, "k": 0, "n": 2}, "A32 needs m <= n"),
+        (IdentityId.ii16, {"m": 2, "n": 2, "A": F(1), "B": F(1), "x": F(0)}, "ii16 needs m < n"),
+        (IdentityId.iii5, {"m": 1, "n": 2}, "iii5 needs n <= m"),
+        (
+            IdentityId.ii16,
+            {"m": 0, "n": 2, "A": F(1), "B": F(-1), "x": F(0)},
+            "argument B = -1 puts a zero at shift 1",
+        ),
+        (
+            IdentityId.ii17,
+            {"n": 1, "A": F(1), "B": F(0), "x": F(0)},
+            "argument B = 0 puts a zero at shift 0",
+        ),
+        (GenFunId.A25, {"k": 0, "beta": F(-1)}, "beta = -1 hits a pole at shift 1"),
+        (GenFunId.nueva1, {"m": 1, "c": F(0)}, "nueva1 needs c > 0"),
+        (GenFunId.nueva2, {"m": 1, "c": F(-1)}, "nueva2 needs c > 0"),
+    ],
+)
+def test_relation_guards_refuse_points_outside_their_range(relation, params, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        if isinstance(relation, IdentityId):
+            identity_eval(relation, params)
+        else:
+            genfun_check(relation, 4, params)
+
+
 def test_genfun_check_rejects_tiny_order():
     with pytest.raises(DomainError):
         genfun_check(GenFunId.a4, 0, {"k": 0, "alpha": F(1)})

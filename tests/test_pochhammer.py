@@ -1,5 +1,6 @@
 """Pochhammer derivatives: closed forms, cross-method agreement, poles."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -364,3 +365,21 @@ def test_quotient_deriv_rejects_bad_arguments():
         quotient_deriv(LinearParam(1, 1), 1, LinearParam(2, 1), -1, 0)
     with pytest.raises(DomainError):
         quotient_deriv(LinearParam(1, 1), 1, LinearParam(2, 1), 1, -1)
+
+
+def test_method_names_as_strings_equal_the_enum_members():
+    # Each method may be named by its string value; an unknown name lists them all.
+    for method in PochMethod:
+        assert poch_deriv(F(7, 3), 5, 2, method.value) == poch_deriv(F(7, 3), 5, 2, method)
+    for method in RecipMethod:
+        assert recip_poch_deriv(F(7, 3), 5, 2, method.value) == recip_poch_deriv(
+            F(7, 3), 5, 2, method
+        )
+    listed = {
+        poch_deriv: "recurrence, stirling_sum, coffey, bernoulli, series_oracle",
+        recip_poch_deriv: "recurrence, closed_sum, delta_form, series_oracle",
+    }
+    for fn, names in listed.items():
+        message = f"unknown method 'pade'; expected one of: {names}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            fn(F(7, 3), 5, 2, "pade")
