@@ -167,8 +167,8 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     Fraction/Dual computation touches a Dual (it may be Dual(x, 0)), else a
     Fraction; a closed-form entry is a Dual where it depends on delta, and the two
     agree on every built-in example.  The `EpsSeries` route can give Fraction(x)
-    for Dual(x, 0): its products skip zero coefficients, and it stores an
-    all-zero series as Fractions.
+    for Dual(x, 0): a product entry is a Dual only where a term pairs two nonzero
+    coefficients, one of them a Dual, and an all-zero series is stored as Fractions.
     """
     _count("expand_general", eps_order=eps_order, degree_bound=degree_bound)
     _checked_points(spec, degree_bound)

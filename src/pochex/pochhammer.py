@@ -312,12 +312,17 @@ def _poch_deriv_bernoulli(alpha, m, k):
     )
 
 
-def _poch_deriv_oracle(alpha, m, k):
-    # The generic series product of the m linear factors, apart from _poch_step.
+def _linear_product(x, m: int, k: int) -> EpsSeries:
+    """(x + eps)_m through eps**k as the generic series product of its m linear
+    factors: the series oracles' route, apart from the integer rows."""
     product = EpsSeries.one(k)
     for j in range(m):
-        product = product * polynomial_series([alpha + j, _ONE], k)
-    return product.coefficient(k)
+        product = product * polynomial_series([x + j, _ONE], k)
+    return product
+
+
+def _poch_deriv_oracle(alpha, m, k):
+    return _linear_product(alpha, m, k).coefficient(k)
 
 
 _POCH_DISPATCH = {
@@ -395,7 +400,7 @@ def _recip_deriv_delta_form(beta, m, k):
 
 
 def _recip_deriv_oracle(beta, m, k):
-    return series_invert(poch_eps_series(LinearParam(beta, 1), m, k)).coefficient(k)
+    return series_invert(_linear_product(beta, m, k)).coefficient(k)
 
 
 _RECIP_DISPATCH = {

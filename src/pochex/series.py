@@ -10,6 +10,15 @@ from `min_exponent` through `max_exponent` (inclusive), are exactly zero
 below `min_exponent`, and are unknown above `max_exponent`.  Arithmetic
 never reports a coefficient the operands cannot justify, which is why the
 truncation order of a result depends on the pole depths of the inputs.
+
+Products and inverses, the building blocks of every expansion, run on
+integers (`_int_row`): each operand's coefficients go over one common
+denominator by one lcm, a product is an integer convolution and an inverse
+an integer recurrence, and each result coefficient is built as one Fraction,
+so one gcd (two for a Dual, one per part), in place of a gcd per Fraction
+multiply-add.  An entry is a Dual exactly where the Fraction/Dual computation
+that skips zero coefficients would make one (rules at `EpsSeries.__mul__` and
+`series_invert`), and an all-zero series is stored as Fractions.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .duals import Dual
@@ -78,19 +88,54 @@ def _int_sum(pairs: list) -> Fraction:
 
 
 def _count(where: str, low: int = 0, **counts) -> None:
-    """Refuse each of `counts` that is not an int >= low, naming `where`, the count
-    and the value.  Every public length, order and index goes through here."""
+    """Refuse each of `counts` that is not an int >= low (a bool is not a count),
+    naming `where`, the count and the value.  Every public length, order and
+    index goes through here."""
     for name, value in counts.items():
-        if not isinstance(value, int) or value < low:
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
             raise DomainError(f"{where} needs an integer {name} >= {low}, got {value!r}")
 
 
 def _signed(where: str, **exponents) -> None:
-    """Refuse each of `exponents` that is not an int of either sign, naming `where`,
-    the argument and the value.  Every exponent and shift goes through here."""
+    """Refuse each of `exponents` that is not an int of either sign (a bool is
+    not an exponent), naming `where`, the argument and the value.  Every
+    exponent and shift goes through here."""
     for name, value in exponents.items():
-        if not isinstance(value, int):
+        if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"{where} needs an integer {name}, got {value!r}")
+
+
+def _iterable(where: str, coefficients):
+    """An iterator over `coefficients`, or a DomainError naming `where` and the argument."""
+    try:
+        return iter(coefficients)
+    except TypeError:
+        raise DomainError(
+            f"{where} needs an iterable of coefficients, got {coefficients!r}"
+        ) from None
+
+
+def _int_row(coeffs) -> tuple:
+    """A nonempty run of Fractions and Duals as integers over one lcm, (den, val,
+    der, dual): coefficient i is val[i]/den, plus der[i]/den times delta where
+    dual[i] is true, which marks a nonzero Dual.  A Dual(0, 0) counts as a zero
+    Fraction; der and dual are None when no coefficient is a nonzero Dual."""
+    if Dual not in set(map(type, coeffs)):
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*(d for _, d in ratios))
+        return den, [n * (den // d) for n, d in ratios], None, None
+    dual = [isinstance(c, Dual) and bool(c) for c in coeffs]
+    parts = [(c.val, c.der) if isinstance(c, Dual) else (c, _ZERO) for c in coeffs]
+    den = math.lcm(*(x.denominator for pair in parts for x in pair))
+    val = [v.numerator * (den // v.denominator) for v, _ in parts]
+    der = [w.numerator * (den // w.denominator) for _, w in parts]
+    return (den, val, der, dual) if any(dual) else (den, val, None, None)
+
+
+def _convolve(a: list, b: list) -> list:
+    """The first len(a) coefficients of the product of two integer rows of equal length."""
+    rb = b[::-1]
+    return [sum(map(mul, a, rb[-n:])) for n in range(1, len(a) + 1)]
 
 
 class EpsSeries:
@@ -98,9 +143,8 @@ class EpsSeries:
 
     Instances are immutable and normalized: leading zero coefficients at
     negative exponents are stripped, and an all-zero series is stored with
-    min_exponent = min(0, max_exponent).  Coefficients are Fractions (or any
-    exact field scalar with the same operator surface, such as
-    `pochex.duals.Dual`).
+    min_exponent = min(0, max_exponent).  Coefficients are Fractions or
+    `pochex.duals.Dual`s.
 
     Window rules, with p_a the leading exponent of a (min_exponent when a is
     all zero): a + b knows exponents up to min(max_a, max_b); a * b starts at
@@ -111,16 +155,26 @@ class EpsSeries:
 
     def __init__(self, coefficients: Iterable, min_exponent: int = 0):
         _signed("EpsSeries", min_exponent=min_exponent)
-        coeffs = [_coerce(c) for c in coefficients]
+        coeffs = [_coerce(c) for c in _iterable("EpsSeries", coefficients)]
         if not coeffs:
             raise DomainError("a series needs at least one coefficient in its window")
+        self._normalize(coeffs, min_exponent)
+
+    @staticmethod
+    def _of(coeffs: list, min_exponent: int) -> "EpsSeries":
+        """The series of a nonempty list of Fractions and Duals, unchecked."""
+        series = object.__new__(EpsSeries)
+        series._normalize(coeffs, min_exponent)
+        return series
+
+    def _normalize(self, coeffs: list, min_exponent: int) -> None:
         max_exp = min_exponent + len(coeffs) - 1
-        if all(c == 0 for c in coeffs):
+        if not any(coeffs):
             # Canonical zero: the window starts at min(0, max_exp) and keeps max_exp.
             self._min = min(0, max_exp)
             self._coeffs = (_ZERO,) * (max_exp - self._min + 1)
             return
-        while min_exponent < 0 and coeffs[0] == 0:
+        while min_exponent < 0 and not coeffs[0]:
             del coeffs[0]
             min_exponent += 1
         self._min = min_exponent
@@ -155,12 +209,17 @@ class EpsSeries:
             )
         return self._get(exponent)
 
+    def _lead_index(self) -> int:
+        """The index of the lowest nonzero coefficient, or 0 when all are zero."""
+        for i, c in enumerate(self._coeffs):
+            if c:
+                return i
+        return 0
+
     def leading_exponent(self):
         """Exponent of the lowest known nonzero coefficient, or None if all zero."""
-        for i, c in enumerate(self._coeffs):
-            if c != 0:
-                return self._min + i
-        return None
+        i = self._lead_index()
+        return self._min + i if self._coeffs[i] else None
 
     def is_zero(self) -> bool:
         return self.leading_exponent() is None
@@ -204,29 +263,42 @@ class EpsSeries:
         return EpsSeries([-c for c in self._coeffs], self._min)
 
     def __mul__(self, other):
+        """The product, with window [p_a + p_b, min(max_a + p_b, max_b + p_a)].
+
+        Cost: one lcm per operand (`_int_row`), then an integer convolution
+        over the window and one Fraction, so one gcd, per coefficient.  An
+        entry is a Dual exactly where some term of its sum pairs two nonzero
+        coefficients, at least one of them a Dual: the entries of the
+        Fraction/Dual product that skips zero coefficients.
+        """
         if not isinstance(other, EpsSeries):
             return NotImplemented
-        # The product window is limited by each operand's truncation shifted
-        # by the other's leading exponent.
-        pa = self.leading_exponent()
-        pb = other.leading_exponent()
-        pa = self._min if pa is None else pa
-        pb = other._min if pb is None else pb
-        new_min = pa + pb
-        new_max = min(self.max_exponent + pb, other.max_exponent + pa)
-        out = [_ZERO] * (new_max - new_min + 1)
-        for i, ca in enumerate(self._coeffs):
-            if ca == 0:
-                continue
-            ea = self._min + i
-            for j, cb in enumerate(other._coeffs):
-                if cb == 0:
-                    continue
-                e = ea + other._min + j
-                if e > new_max:
-                    break
-                out[e - new_min] = out[e - new_min] + ca * cb
-        return EpsSeries(out, new_min)
+        ia, ib = self._lead_index(), other._lead_index()
+        width = min(len(self._coeffs) - ia, len(other._coeffs) - ib)
+        low = self._min + ia + other._min + ib
+        den_a, a, da, dual_a = _int_row(self._coeffs[ia : ia + width])
+        den_b, b, db, dual_b = _int_row(other._coeffs[ib : ib + width])
+        den, val = den_a * den_b, _convolve(a, b)
+        if da is None and db is None:
+            return EpsSeries._of([Fraction(x, den) for x in val], low)
+        # (a + da*delta)(b + db*delta) has the delta-part a*db + da*b.  The
+        # convolutions of the flag rows count the Dual-touching pairs per entry.
+        zero = [0] * width
+        da, db, dual_a, dual_b = da or zero, db or zero, dual_a or zero, dual_b or zero
+        der = [x + y for x, y in zip(_convolve(a, db), _convolve(da, b))]
+        nonzero_a = [bool(x or y) for x, y in zip(a, da)]
+        nonzero_b = [bool(x or y) for x, y in zip(b, db)]
+        pairs = [
+            x + y
+            for x, y in zip(_convolve(dual_a, nonzero_b), _convolve(nonzero_a, dual_b))
+        ]
+        return EpsSeries._of(
+            [
+                Dual(Fraction(x, den), Fraction(y, den)) if touched else Fraction(x, den)
+                for x, y, touched in zip(val, der, pairs)
+            ],
+            low,
+        )
 
     def __eq__(self, other):
         if not isinstance(other, EpsSeries):
@@ -274,7 +346,7 @@ def polynomial_series(coefficients: Iterable, order: int) -> EpsSeries:
     zeros up to `order` is justified.
     """
     _count("polynomial_series", order=order)
-    coeffs = [_coerce(c) for c in coefficients]
+    coeffs = [_coerce(c) for c in _iterable("polynomial_series", coefficients)]
     if len(coeffs) < order + 1:
         coeffs = coeffs + [_ZERO] * (order + 1 - len(coeffs))
     else:
@@ -288,6 +360,15 @@ def series_invert(a: EpsSeries) -> EpsSeries:
     If the lowest known nonzero coefficient sits at exponent p, the result
     window is [-p, max_exponent - 2p]: relative precision is preserved and
     inverting twice restores the original window.
+
+    Cost: one lcm (`_int_row`) puts u_i = U_i/d over one denominator; then
+    v_n = d*W_n / U_0**(n+1) with the integer recurrence W_0 = 1,
+    W_n = -sum(U_i * W_(n-i) * U_0**(i-1), i = 1..n), and one Fraction, so one
+    gcd, per coefficient.  A Dual's delta-part is -V**2 * D/d (D the
+    delta-part numerators), whose entry n is d*X_n / U_0**(n+2) with
+    X = -sum(D_i * U_0**i * (W*W)_(n-i)).  An entry is a Dual exactly where
+    the Fraction/Dual recurrence would give one: every entry if the lead is a
+    Dual, otherwise entry n iff some u_i with 1 <= i <= n is a nonzero Dual.
     """
     p = a.leading_exponent()
     if p is None:
@@ -295,13 +376,30 @@ def series_invert(a: EpsSeries) -> EpsSeries:
             "cannot invert a series with no known nonzero coefficient "
             f"(window [{a.min_exponent}, {a.max_exponent}])"
         )
-    u = list(a.coefficients[p - a.min_exponent :])
-    lead = u[0]
-    v = [1 / lead]
-    for n in range(1, len(u)):
-        acc = _ZERO
-        for i in range(1, n + 1):
-            if u[i] != 0:
-                acc = acc + u[i] * v[n - i]
-        v.append(-acc / lead)
-    return EpsSeries(v, -p)
+    u = a.coefficients[p - a.min_exponent :]
+    if isinstance(u[0], Dual) and u[0].val == 0:
+        raise DomainError(
+            "series_invert needs a lead with a nonzero value part; "
+            f"the coefficient of eps^{p} is {u[0]!r}"
+        )
+    d, U, D, dual = _int_row(u)
+    lead = U[0]
+    powers = [1]  # powers[n] = lead**n
+    for _ in U:
+        powers.append(powers[-1] * lead)
+    scaled = [x * y for x, y in zip(U[1:], powers)]  # U_i * lead**(i-1)
+    W = [1]
+    for _ in U[1:]:
+        W.append(-sum(map(mul, scaled, reversed(W))))
+    if D is None:
+        return EpsSeries._of([Fraction(d * w, y) for w, y in zip(W, powers[1:])], -p)
+    X = _convolve([-x * y for x, y in zip(D, powers)], _convolve(W, W))
+    powers.append(powers[-1] * lead)
+    first = dual.index(True)  # every entry from the lowest nonzero Dual on is a Dual
+    return EpsSeries._of(
+        [
+            Dual(Fraction(d * w, y), Fraction(d * x, z)) if n >= first else Fraction(d * w, y)
+            for n, (w, x, y, z) in enumerate(zip(W, X, powers[1:], powers[2:]))
+        ],
+        -p,
+    )

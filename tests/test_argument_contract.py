@@ -120,7 +120,7 @@ def _callable(name):
 
 
 def _bad_counts(low):
-    return [low - 1, 1.0, 1.5, F(2), "2", None]
+    return [low - 1, 1.0, 1.5, F(2), "2", None, True, False]
 
 
 def _count_cases():
@@ -166,6 +166,15 @@ def test_bad_factor_length_is_a_domain_error(bad):
         PochProductQuotient([], [(LinearParam(2, 1), bad)])
 
 
+@pytest.mark.parametrize("bad", [5, None, F(1, 2), 1.5])
+def test_non_iterable_coefficients_are_a_domain_error(bad):
+    for where, call in (("EpsSeries", EpsSeries), ("polynomial_series", pochex.polynomial_series)):
+        with pytest.raises(
+            DomainError, match=re.escape(f"{where} needs an iterable of coefficients, got {bad!r}")
+        ):
+            call(bad, 2)
+
+
 @pytest.mark.parametrize("bad", [["1/2"], [None], [1.5], [1, "2"]])
 def test_bad_series_coefficient_is_a_domain_error(bad):
     with pytest.raises(DomainError):
@@ -186,7 +195,7 @@ SIGNED = [
 ]
 
 
-@pytest.mark.parametrize("bad", [1.0, 0.5, F(2), "1", "1/2", None])
+@pytest.mark.parametrize("bad", [1.0, 0.5, F(2), "1", "1/2", None, True, False])
 @pytest.mark.parametrize("where, param, call", SIGNED, ids=[w for w, _, _ in SIGNED])
 def test_bad_signed_integer_is_a_domain_error(where, param, call, bad):
     with pytest.raises(DomainError, match=re.escape(f"{where} needs an integer {param}, got")):

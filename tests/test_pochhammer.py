@@ -1,6 +1,7 @@
 """Pochhammer derivatives: closed forms, cross-method agreement, poles."""
 
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -261,6 +262,25 @@ def test_recip_series_inversion_consistency():
     inv = series_invert(poch_eps_series(LinearParam(beta, 1), m, order))
     for k in range(order + 1):
         assert inv.coefficient(k) == recip_poch_deriv(beta, m, k)
+
+
+@pytest.mark.parametrize("x", [F(7, 3), F(-5, 2), Dual(F(1, 3), 2)], ids=["7/3", "-5/2", "dual"])
+def test_series_oracles_do_not_use_the_integer_rows(monkeypatch, x):
+    # The series oracles cross-check the integer rows of the other methods, so
+    # they must still answer with every row step patched to raise.
+    module = sys.modules["pochex.pochhammer"]  # the package's `pochhammer` is the function
+    m, k = 6, 3
+    expected = poch_deriv(x, m, k, "recurrence"), recip_poch_deriv(x, m, k, "recurrence")
+
+    def refuse(*args):
+        raise AssertionError("a series oracle used an integer row step")
+
+    for name in ("_poch_step", "_recip_step", "_times", "_solve"):
+        monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        poch_deriv(x, m, k, "recurrence")
+    got = poch_deriv(x, m, k, "series_oracle"), recip_poch_deriv(x, m, k, "series_oracle")
+    assert repr(got) == repr(expected)
 
 
 # -- Laurent window at a non-positive integer --------------------------------------

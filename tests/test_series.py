@@ -1,12 +1,14 @@
 """Exact truncated-series arithmetic."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from pochex.duals import Dual
 from pochex.errors import DomainError, ParseError, ZeroSeries
 from pochex.series import EpsSeries, _int_sum, parse_rational, polynomial_series, series_invert
 from pochex.verify import _compose, _log1p_power
@@ -283,3 +285,110 @@ def test_invert_twice_is_the_identity(a):
     inverse = series_invert(a)
     assert (inverse.min_exponent, inverse.max_exponent) == (-p, a.max_exponent - 2 * p)
     assert series_invert(inverse) == a
+
+
+# -- the integer product and inverse kernels ------------------------------------
+# The Fraction/Dual loops below are the definitions the kernels must reproduce:
+# the same window, the same values and the same type for every entry.
+
+
+def _reference_product(a, b):
+    # One multiply-add per pair of nonzero coefficients inside the window.
+    pa, pb = _lead(a), _lead(b)
+    low = pa + pb
+    high = min(a.max_exponent + pb, b.max_exponent + pa)
+    out = [F(0)] * (high - low + 1)
+    for i, ca in enumerate(a.coefficients):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b.coefficients):
+            e = a.min_exponent + i + b.min_exponent + j
+            if cb == 0 or e > high:
+                continue
+            out[e - low] = out[e - low] + ca * cb
+    return EpsSeries(out, low)
+
+
+def _reference_inverse(a):
+    # v_0 = 1/u_0 and v_n = -sum(u_i v_(n-i) over nonzero u_i, i = 1..n) / u_0.
+    p = a.leading_exponent()
+    u = a.coefficients[p - a.min_exponent :]
+    v = [1 / u[0]]
+    for n in range(1, len(u)):
+        acc = F(0)
+        for i in range(1, n + 1):
+            if u[i] != 0:
+                acc = acc + u[i] * v[n - i]
+        v.append(-acc / u[0])
+    return EpsSeries(v, -p)
+
+
+def _typed(series):
+    # The window and every entry with its type: a Fraction's repr names it.
+    return series.min_exponent, series.max_exponent, repr(series.coefficients)
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+_entries = st.one_of(
+    st.just(F(0)), _small, st.builds(Dual, _small, _small), st.just(Dual(0, 0))
+)
+_mixed = st.builds(EpsSeries, st.lists(_entries, min_size=1, max_size=8), st.integers(-3, 3))
+
+
+@given(_mixed, _mixed)
+@example(S([0, 0], -2), EpsSeries([Dual(1, 2), 3]))
+@example(EpsSeries([Dual(0, 1), 1], -1), EpsSeries([Dual(0, 1), 2]))
+@example(EpsSeries([Dual(0, 0), 1, Dual(1, 0)]), S([1, 0, 0, 5], -1))
+@example(EpsSeries([1, Dual(2, 1)], 2), EpsSeries([Dual(0, 0), 0, 1], -3))
+def test_product_is_the_fraction_dual_product(a, b):
+    assert _typed(a * b) == _typed(_reference_product(a, b))
+
+
+@given(_mixed)
+@example(EpsSeries([Dual(2, 1), 1, 3]))
+@example(EpsSeries([0, F(1, 3), Dual(0, 0), 2, Dual(1, 0), 4], -2))
+@example(EpsSeries([3, 0, Dual(0, 1), 1]))
+@example(EpsSeries([Dual(0, 1), 1]))
+def test_inverse_is_the_fraction_dual_inverse(a):
+    if a.is_zero():
+        with pytest.raises(ZeroSeries):
+            series_invert(a)
+        return
+    lead = a.coefficient(a.leading_exponent())
+    if isinstance(lead, Dual) and lead.val == 0:
+        with pytest.raises(DomainError, match="series_invert needs a lead"):
+            series_invert(a)
+        return
+    assert _typed(series_invert(a)) == _typed(_reference_inverse(a))
+
+
+def test_invert_refuses_a_dual_lead_with_a_zero_value_part():
+    with pytest.raises(
+        DomainError,
+        match=re.escape(
+            "series_invert needs a lead with a nonzero value part; "
+            "the coefficient of eps^-1 is Dual(0, 1)"
+        ),
+    ):
+        series_invert(EpsSeries([Dual(0, 1), 1], -1))
+
+
+def test_products_and_inverses_do_no_fraction_arithmetic(monkeypatch):
+    # Order 12: each kernel builds one Fraction per coefficient and makes no
+    # Fraction multiply or add; the reference loops, under the same count, do.
+    a = EpsSeries([F(j + 1, j + 2) for j in range(13)])
+    b = EpsSeries([F(2 * j - 5, 3 + j) for j in range(13)])
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        def counted(x, y, _original=getattr(F, name)):
+            calls.append(1)
+            return _original(x, y)
+
+        monkeypatch.setattr(F, name, counted)
+    product, inverse = a * b, series_invert(a)
+    assert len(calls) == 0
+    _reference_product(a, b)
+    assert len(calls) > 0
+    monkeypatch.undo()
+    assert _typed(product) == _typed(_reference_product(a, b))
+    assert _typed(inverse) == _typed(_reference_inverse(a))
