@@ -6,6 +6,12 @@ sums, rational-argument binomials, and double factorials.  Everything is a
 Fraction; void sums are zero by convention.  Stirling numbers come from a
 cache-free walk in O(n*k) integer operations and O(n + k) memory; the only
 module-level cache is the capped per-order Bernoulli core.
+
+The sums run on integers and build one Fraction at the end.  The harmonic
+sums and the Bernoulli polynomials add integer pairs over one lcm
+(`series._int_sum`).  The nested unit sums Z(m, k) and S(m, k) keep each
+depth-j partial sum as an integer numerator over lcm(1..m)**j, so each step
+is one integer multiply-add and the result is reduced by one gcd.
 """
 
 from __future__ import annotations
@@ -133,11 +139,15 @@ def nested_ones_Z(m: int, k: int) -> Fraction:
         return _ONE
     if k > m:
         return _ZERO
-    row = [_ONE] + [_ZERO] * k  # row[j] = Z(i, j) as i grows
+    # row[j] = Z(i, j) * L**j as i grows, with L = lcm(1..m): the step
+    # Z(i, j) = Z(i-1, j) + Z(i-1, j-1)/i adds row[j-1] * (L // i) to row[j].
+    lcm = math.lcm(*range(1, m + 1))
+    row = [1] + [0] * k
     for i in range(1, m + 1):
+        scale = lcm // i
         for j in range(min(i, k), 0, -1):
-            row[j] = row[j] + row[j - 1] / i
-    return row[k]
+            row[j] += row[j - 1] * scale
+    return Fraction(row[k], lcm**k)
 
 
 def nested_ones_S(m: int, k: int) -> Fraction:
@@ -145,13 +155,17 @@ def nested_ones_S(m: int, k: int) -> Fraction:
     _count("nested_ones_S", m=m, k=k)
     if k == 0:
         return _ONE
-    prev = [_ONE] * (m + 1)
+    # prev[i] = S(i, depth) * L**depth with L = lcm(1..m): the step
+    # S(i, depth) = S(i-1, depth) + S(i, depth-1)/i adds prev[i] * (L // i).
+    lcm = math.lcm(*range(1, m + 1))
+    scales = [lcm // i for i in range(1, m + 1)]
+    prev = [1] * (m + 1)
     for _ in range(k):
-        cur = [_ZERO] * (m + 1)
-        for i in range(1, m + 1):
-            cur[i] = cur[i - 1] + prev[i] / i
+        cur = [0] * (m + 1)
+        for i, scale in enumerate(scales, 1):
+            cur[i] = cur[i - 1] + prev[i] * scale
         prev = cur
-    return prev[m]
+    return Fraction(prev[m], lcm**k)
 
 
 def binomial(top, k: int) -> Fraction:

@@ -121,17 +121,20 @@ def _vanishing_shift(x, n: int):
 def _int_factor(c, s) -> tuple:
     """c + s*eps as integers (a, b, g, dual) with c + s*eps = (a + b*eps) / g.
 
-    dual is None when neither c nor s is a Dual.  Otherwise it is
-    (da, db, c is a Dual, s is a Dual), and c + s*eps is
-    ((a + da*delta) + (b + db*delta)*eps) / g.
+    dual is None when neither c nor s is a Dual: then (a, b, g) is
+    (c.num*s.den, s.num*c.den, c.den*s.den), three integer products.
+    Otherwise it is (da, db, c is a Dual, s is a Dual), and c + s*eps is
+    ((a + da*delta) + (b + db*delta)*eps) / g, with g the lcm of c's part
+    denominators times the lcm of s's.
     """
+    if not isinstance(c, Dual) and not isinstance(s, Dual):
+        cn, cq, sn, sq = c.numerator, c.denominator, s.numerator, s.denominator
+        return cn * sq, sn * cq, cq * sq, None
     cv, cd = (c.val, c.der) if isinstance(c, Dual) else (c, _ZERO)
     sv, sd = (s.val, s.der) if isinstance(s, Dual) else (s, _ZERO)
     g = math.lcm(cv.denominator, cd.denominator) * math.lcm(sv.denominator, sd.denominator)
     a, da, b, db = ((x * g).numerator for x in (cv, cd, sv, sd))
-    if isinstance(c, Dual) or isinstance(s, Dual):
-        return a, b, g, (da, db, isinstance(c, Dual), isinstance(s, Dual))
-    return a, b, g, None
+    return a, b, g, (da, db, isinstance(c, Dual), isinstance(s, Dual))
 
 
 def _unit_row(width: int) -> tuple:

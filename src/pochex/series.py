@@ -92,6 +92,8 @@ def _count(where: str, low: int = 0, **counts) -> None:
     naming `where`, the count and the value.  Every public length, order and
     index goes through here."""
     for name, value in counts.items():
+        if type(value) is int and value >= low:
+            continue
         if not isinstance(value, int) or isinstance(value, bool) or value < low:
             raise DomainError(f"{where} needs an integer {name} >= {low}, got {value!r}")
 
@@ -105,14 +107,13 @@ def _signed(where: str, **exponents) -> None:
             raise DomainError(f"{where} needs an integer {name}, got {value!r}")
 
 
-def _iterable(where: str, coefficients):
-    """An iterator over `coefficients`, or a DomainError naming `where` and the argument."""
+def _iterable(where: str, values, what: str = "coefficients"):
+    """An iterator over `values`, or a DomainError naming `where`, `what` it
+    needs an iterable of, and the argument."""
     try:
-        return iter(coefficients)
+        return iter(values)
     except TypeError:
-        raise DomainError(
-            f"{where} needs an iterable of coefficients, got {coefficients!r}"
-        ) from None
+        raise DomainError(f"{where} needs an iterable of {what}, got {values!r}") from None
 
 
 def _int_row(coeffs) -> tuple:
@@ -370,6 +371,8 @@ def series_invert(a: EpsSeries) -> EpsSeries:
     the Fraction/Dual recurrence would give one: every entry if the lead is a
     Dual, otherwise entry n iff some u_i with 1 <= i <= n is a nonzero Dual.
     """
+    if not isinstance(a, EpsSeries):
+        raise DomainError(f"series_invert needs an EpsSeries, got {a!r}")
     p = a.leading_exponent()
     if p is None:
         raise ZeroSeries(

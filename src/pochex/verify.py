@@ -9,16 +9,26 @@ states the mathematical content.
 `_RELATIONS` gives each checkable relation its evaluator and its default
 parameter grid, built by `_grid`.  `run_relation` checks one relation over a
 grid; `verify_ids` and `verify_all` run it for each relation they are given.
+
+Cost model: a side that is a sum adds its terms as one integer sum.
+`_sum_of_products` makes each term, a product of ints and Fractions, one
+(numerator, denominator) pair, and `series._int_sum` adds the pairs over one
+lcm and reduces by one gcd, in place of a Fraction multiply-add per term.  A
+side that needs a Stirling row or column at one point takes it from one
+`_stirling_walk`.  Only how a side adds up its terms is shared: the two sides
+of every relation still run on their separate routes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from .combinatorics import (
+    _stirling_walk,
     binomial,
     gen_bernoulli_poly,
     mod_harmonic,
@@ -37,7 +47,15 @@ from .pochhammer import (
     pochhammer,
     recip_poch_deriv,
 )
-from .series import EpsSeries, _coerce, _count, polynomial_series, series_invert
+from .series import (
+    EpsSeries,
+    _coerce,
+    _count,
+    _int_sum,
+    _iterable,
+    polynomial_series,
+    series_invert,
+)
 
 _F = Fraction
 
@@ -126,6 +144,31 @@ def _as_rational(params, name):
     return _coerce(_param(params, name), rational=True)
 
 
+def _params(where, params) -> dict:
+    """A copy of a parameter mapping, or a DomainError naming `where` and the argument."""
+    if not isinstance(params, Mapping):
+        raise DomainError(f"{where} needs a mapping of parameters, got {params!r}")
+    return dict(params)
+
+
+def _sum_of_products(terms) -> Fraction:
+    """sum(prod(term)) over `terms`, each a tuple of ints and Fractions, as one
+    Fraction (the empty sum is 0).
+
+    Each term becomes one integer pair (the product of its factors' numerators,
+    the product of their denominators), and `_int_sum` adds the pairs over one
+    lcm and reduces once, in place of a Fraction multiply-add per term.
+    """
+    pairs = []
+    for term in terms:
+        n = d = 1
+        for x in term:
+            n *= x.numerator
+            d *= x.denominator
+        pairs.append((n, d))
+    return _int_sum(pairs)
+
+
 # -- scalar identity evaluators ------------------------------------------------
 # Each returns (lhs, rhs) with the two sides computed by independent routes:
 # lhs through the general recurrence-based operation, rhs through the closed
@@ -166,11 +209,12 @@ def _eval_A8(p):
     n = _as_int(p, "n", 0)
     k = _as_int(p, "k", 0)
     lhs = stirling_s1(n + 1, k + 1)
-    rhs = math.factorial(n) * sum(
-        (_F((-1) ** (n - j)) / math.factorial(j)) * stirling_s1(j, k)
+    column = _stirling_walk(n, k)[0]  # s(j, k) for j = 0..n
+    rhs = _sum_of_products(
+        (_sign(n - j) * math.perm(n, n - j), column[j])  # perm(n, n - j) = n!/j!
         for j in range(k, n + 1)
     )
-    return lhs, _F(rhs)
+    return lhs, rhs
 
 
 def _eval_A9(p):
@@ -210,14 +254,13 @@ def _eval_A13(p):
     if k > m:
         raise DomainError("A13 needs k <= m")
     lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
-    rhs = sum(
-        (-1) ** (m - j)
-        * binomial(j, k)
-        * stirling_s1(m + 1, j + 1)
-        * (alpha - 1) ** (j - k)
+    row = _stirling_walk(m + 1, m + 1)[1]  # s(m+1, i) for i = 0..m+1
+    shift = alpha - 1
+    rhs = _sum_of_products(
+        (_sign(m - j) * math.comb(j, k) * row[j + 1], shift ** (j - k))
         for j in range(k, m + 1)
     )
-    return lhs, _F(rhs)
+    return lhs, rhs
 
 
 def _eval_A14coeff(p):
@@ -248,13 +291,15 @@ def _eval_A27(p):
     m = _as_int(p, "m", 0)
     k = _as_int(p, "k", 0)
     x = _as_rational(p, "x")
-    lhs = sum(
-        poch_deriv(x, m, k - j, PochMethod.STIRLING_SUM)
-        * recip_poch_deriv(x, m, j, RecipMethod.CLOSED_SUM)
+    lhs = _sum_of_products(
+        (
+            poch_deriv(x, m, k - j, PochMethod.STIRLING_SUM),
+            recip_poch_deriv(x, m, j, RecipMethod.CLOSED_SUM),
+        )
         for j in range(k + 1)
     )
     rhs = _F(1 if k == 0 else 0)
-    return _F(lhs), rhs
+    return lhs, rhs
 
 
 def _eval_A28(p):
@@ -262,11 +307,10 @@ def _eval_A28(p):
     telescopes to delta_{k,0} (-1)^m m!."""
     m = _as_int(p, "m", 0)
     k = _as_int(p, "k", 0)
-    lhs = sum(
-        stirling_s1(m + 1, k + 1 - j) * mod_harmonic(m, j) for j in range(k + 1)
-    )
+    row = _stirling_walk(m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
+    lhs = _sum_of_products((row[k + 1 - j], mod_harmonic(m, j)) for j in range(k + 1))
     rhs = _F((-1) ** m * math.factorial(m) if k == 0 else 0)
-    return _F(lhs), rhs
+    return lhs, rhs
 
 
 def _eval_A29(p):
@@ -276,10 +320,11 @@ def _eval_A29(p):
     k = _as_int(p, "k", 0)
     n = _as_int(p, "n", 1)
     lhs = poch_deriv(_F(n), m, k, PochMethod.RECURRENCE)
-    acc = sum(
-        stirling_s1(m + n, k + 1 - j) * mod_harmonic(n - 1, j) for j in range(k + 1)
+    row = _stirling_walk(m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
+    weight = _F(_sign(m + n - 1 - k), math.factorial(n - 1))
+    rhs = _sum_of_products(
+        (weight, row[k + 1 - j], mod_harmonic(n - 1, j)) for j in range(k + 1)
     )
-    rhs = _F(_sign(m + n - 1 - k)) / math.factorial(n - 1) * acc
     return lhs, rhs
 
 
@@ -290,10 +335,11 @@ def _eval_A30(p):
     k = _as_int(p, "k", 0)
     n = _as_int(p, "n", 1)
     lhs = recip_poch_deriv(_F(n), m, k, RecipMethod.RECURRENCE)
-    acc = sum(
-        stirling_s1(n, k + 1 - j) * mod_harmonic(m + n - 1, j) for j in range(k + 1)
+    row = _stirling_walk(n, k + 1)[1]  # s(n, i) for i = 0..k+1
+    weight = _F(_sign(n - 1 - k), math.factorial(m + n - 1))
+    rhs = _sum_of_products(
+        (weight, row[k + 1 - j], mod_harmonic(m + n - 1, j)) for j in range(k + 1)
     )
-    rhs = _F(_sign(n - 1 - k)) / math.factorial(m + n - 1) * acc
     return lhs, rhs
 
 
@@ -336,12 +382,14 @@ def _pf_sum(A, B, x, m, n):
     j = _vanishing_shift(B, n)
     if j is not None:
         raise DomainError(f"argument B = {B} puts a zero at shift {j}")
-    return sum(
-        _F((-1) ** j)
-        * pochhammer(A - (B + j) * x, m)
-        / (math.factorial(j) * math.factorial(n - 1 - j) * (B + j))
-        for j in range(n)
-    )
+    terms = []
+    for j in range(n):
+        shifted = B + j
+        weight = math.factorial(j) * math.factorial(n - 1 - j) * shifted.numerator
+        terms.append(
+            (_sign(j), pochhammer(A - shifted * x, m), _F(shifted.denominator, weight))
+        )
+    return _sum_of_products(terms)
 
 
 def _eval_ii16(p):
@@ -355,7 +403,7 @@ def _eval_ii16(p):
     B = _as_rational(p, "B")
     x = _as_rational(p, "x")
     rhs = _pf_sum(A, B, x, m, n)
-    return pochhammer(A, m) / pochhammer(B, n), _F(rhs)
+    return pochhammer(A, m) / pochhammer(B, n), rhs
 
 
 def _eval_ii17(p):
@@ -365,7 +413,7 @@ def _eval_ii17(p):
     B = _as_rational(p, "B")
     x = _as_rational(p, "x")
     rhs = x**n + _pf_sum(A, B, x, n, n)
-    return pochhammer(A, n) / pochhammer(B, n), _F(rhs)
+    return pochhammer(A, n) / pochhammer(B, n), rhs
 
 
 def _eval_iii4(p):
@@ -407,8 +455,9 @@ def _eval_conjugate_HS(p):
 def identity_eval(identity: IdentityId, params: dict) -> IdentityResult:
     """Evaluate both sides of a scalar identity at one parameter point."""
     identity, evaluate, _ = _relation(identity, (IdentityId,))
+    params = _params("identity_eval", params)
     lhs, rhs = evaluate(dict(params))
-    return IdentityResult(identity, dict(params), _F(lhs), _F(rhs))
+    return IdentityResult(identity, params, _F(lhs), _F(rhs))
 
 
 # -- generating-relation checks ------------------------------------------------
@@ -485,8 +534,10 @@ def _classical_bernoulli(order):
     # B_0..B_order from the textbook first-order recurrence.
     values = [_F(1)]
     for n in range(1, order + 1):
-        acc = sum(math.comb(n + 1, i) * values[i] for i in range(n))
-        values.append(-_F(acc, n + 1))
+        weight = _F(-1, n + 1)
+        values.append(
+            _sum_of_products((weight, math.comb(n + 1, i), values[i]) for i in range(n))
+        )
     return values
 
 
@@ -505,15 +556,19 @@ def _genfun_A18(order, p):
     base = list(level)
     for _ in range(a - 1):
         level = [
-            sum(math.comb(n, i) * level[i] * base[n - i] for i in range(n + 1))
+            _sum_of_products((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
             for n in range(order + 1)
         ]
-    shifted = [
-        sum(math.comb(n, i) * level[i] * x ** (n - i) for i in range(n + 1))
-        for n in range(order + 1)
-    ]
-    rhs = EpsSeries([_F(c) / math.factorial(n) for n, c in enumerate(shifted)])
-    return lhs, rhs
+    powers = [x**e for e in range(order + 1)]
+    shifted = []
+    for n in range(order + 1):
+        scale = _F(1, math.factorial(n))
+        shifted.append(
+            _sum_of_products(
+                (scale, math.comb(n, i), level[i], powers[n - i]) for i in range(n + 1)
+            )
+        )
+    return lhs, EpsSeries(shifted)
 
 
 def _genfun_A25(order, p):
@@ -575,14 +630,9 @@ def _genfun_nueva2(order, p):
     if c <= 0:
         raise DomainError("nueva2 needs c > 0")
     lhs = _nueva_product_side(order, m, c)
+    ratios = [(_sign(j - 1) * math.comb(m, j), c / j) for j in range(1, m + 1)]
     rhs = EpsSeries(
-        [
-            sum(
-                _F((-1) ** (j - 1)) * math.comb(m, j) * (_F(c) / j) ** k
-                for j in range(1, m + 1)
-            )
-            for k in range(order + 1)
-        ]
+        [_sum_of_products((w, r**k) for w, r in ratios) for k in range(order + 1)]
     )
     return lhs, rhs
 
@@ -593,9 +643,10 @@ def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
     _count("genfun_check", order=order)
     if order < 1:
         raise DomainError("order must be >= 1")
+    params = _params("genfun_check", params)
     lhs, rhs = evaluate(order, dict(params))
     equal, first = _series_equal(lhs, rhs)
-    return GenFunResult(identity, dict(params), order, equal, first)
+    return GenFunResult(identity, params, order, equal, first)
 
 
 # -- default parameter grids ---------------------------------------------------
@@ -737,7 +788,11 @@ def run_relation(token, grid=None) -> CheckSummary:
     A generating relation is compared to DEFAULT_GENFUN_ORDER.
     """
     relation, _, default = _relation(token)
-    grid = tuple(default() if grid is None else grid)
+    if grid is None:
+        grid = default()
+    else:
+        points = _iterable("run_relation", grid, "parameter mappings")
+        grid = [_params("run_relation", params) for params in points]
     if isinstance(relation, IdentityId):
         results = [identity_eval(relation, params) for params in grid]
         failures = tuple(result for result in results if not result.equal)
@@ -754,7 +809,7 @@ def verify_ids(tokens):
             f"verify_ids takes a list of relation ids: pass [{tokens!r}], not {tokens!r}"
         )
     # Resolve every token before running any, so a bad token costs no work.
-    relations = [_relation(token)[0] for token in tokens]
+    relations = [_relation(token)[0] for token in _iterable("verify_ids", tokens, "relation ids")]
     return [run_relation(relation) for relation in relations]
 
 

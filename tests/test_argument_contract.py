@@ -227,6 +227,53 @@ def test_bad_verify_parameter_is_a_domain_error(relation, params):
         identity_eval(relation, params)
 
 
+@pytest.mark.parametrize("bad", [5, [1, 2], None, F(1, 2)])
+def test_series_invert_refuses_a_non_series(bad):
+    with pytest.raises(
+        DomainError, match=f"^{re.escape(f'series_invert needs an EpsSeries, got {bad!r}')}$"
+    ):
+        pochex.series_invert(bad)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: identity_eval("A5", 5), "identity_eval needs a mapping of parameters, got 5"),
+        (
+            lambda: pochex.genfun_check("a4", 3, None),
+            "genfun_check needs a mapping of parameters, got None",
+        ),
+        (
+            lambda: pochex.run_relation("A5", 5),
+            "run_relation needs an iterable of parameter mappings, got 5",
+        ),
+        (
+            lambda: pochex.run_relation("A5", [5]),
+            "run_relation needs a mapping of parameters, got 5",
+        ),
+        (
+            lambda: pochex.run_relation("a4", [{"k": 0, "alpha": 1}, ("k", 0)]),
+            "run_relation needs a mapping of parameters, got ('k', 0)",
+        ),
+        (lambda: pochex.verify_ids(5), "verify_ids needs an iterable of relation ids, got 5"),
+    ],
+    ids=["identity_eval", "genfun_check", "run_relation-grid", "run_relation-point",
+         "run_relation-second-point", "verify_ids"],
+)
+def test_verify_entry_points_refuse_non_mappings_and_non_iterables(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_verify_entry_points_take_any_mapping_and_iterable():
+    from types import MappingProxyType
+
+    point = MappingProxyType({"m": 2, "k": 1})
+    assert identity_eval("A9", point).params == {"m": 2, "k": 1}
+    assert pochex.run_relation("A9", iter([point])).points == 1
+    assert [s.identity for s in pochex.verify_ids(iter(["A9"]))] == ["A9"]
+
+
 def test_integral_fraction_counts_as_its_integer_in_verify():
     assert identity_eval("A9", {"m": F(3), "k": F(1)}).equal
 

@@ -259,6 +259,41 @@ def test_nested_sums_against_brute_force():
             assert nested_ones_S(m, k) == brute_S(m, k)
 
 
+def _reference_Z(m, k):
+    # The Fraction definition: Z(i, j) = Z(i-1, j) + Z(i-1, j-1)/i, one Fraction
+    # operation at a time.
+    if k == 0:
+        return F(1)
+    if k > m:
+        return F(0)
+    row = [F(1)] + [F(0)] * k
+    for i in range(1, m + 1):
+        for j in range(min(i, k), 0, -1):
+            row[j] = row[j] + row[j - 1] / i
+    return row[k]
+
+
+def _reference_S(m, k):
+    # The Fraction definition: S(i, depth) = S(i-1, depth) + S(i, depth-1)/i.
+    if k == 0:
+        return F(1)
+    prev = [F(1)] * (m + 1)
+    for _ in range(k):
+        cur = [F(0)] * (m + 1)
+        for i in range(1, m + 1):
+            cur[i] = cur[i - 1] + prev[i] / i
+        prev = cur
+    return prev[m]
+
+
+def test_nested_sums_are_the_fraction_definitions():
+    # Every (m, k) with m <= 30, k <= 10, compared by repr (type and value).
+    for m in range(31):
+        for k in range(11):
+            assert repr(nested_ones_Z(m, k)) == repr(_reference_Z(m, k)), (m, k)
+            assert repr(nested_ones_S(m, k)) == repr(_reference_S(m, k)), (m, k)
+
+
 # -- binomial and double factorial ----------------------------------------------
 
 

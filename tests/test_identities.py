@@ -1,12 +1,17 @@
 """Self-verification: scalar identities, generating relations, coverage registry."""
 
+import cProfile
 import hashlib
+import math
 import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import pochex
+import pochex.combinatorics
 from pochex.errors import DomainError
 from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import PochMethod, RecipMethod
@@ -15,10 +20,12 @@ from pochex.verify import (
     CheckSummary,
     GenFunId,
     IdentityId,
+    _sum_of_products,
     default_grid,
     genfun_check,
     identity_eval,
     run_relation,
+    verify_all,
     verify_ids,
 )
 from relation_catalog import IN_SCOPE_TAGS, RELATION_COVERAGE
@@ -130,6 +137,73 @@ def test_default_grids_are_pinned():
         )
         assert (len(grid), hashlib.sha256(text.encode()).hexdigest()) == (count, digest), token
     assert sum(count for count, _ in _GRID_PINS.values()) == 2479
+
+
+def relation_value_lines():
+    """One line per default grid point of every relation: its token and the repr
+    of (lhs, rhs) for an identity or (equal_to_order, first_discrepancy) for a
+    generating relation.  Run this file as a script to print them for a diff."""
+    for relation in (*IdentityId, *GenFunId):
+        for params in default_grid(relation):
+            if isinstance(relation, IdentityId):
+                result = identity_eval(relation, params)
+                value = (result.lhs, result.rhs)
+            else:
+                result = genfun_check(relation, DEFAULT_GENFUN_ORDER, params)
+                value = (result.equal_to_order, result.first_discrepancy)
+            yield f"{relation.value} {value!r}"
+
+
+# Line count and sha256 of `relation_value_lines`, computed while every
+# evaluator still summed one Fraction multiply-add per term.
+_RELATION_VALUES = (2479, "5a871be29bdd381a6b8757b06a07004fa605b2aa6a54089c76e39f1e3ccce4cd")
+
+
+def test_relation_values_are_pinned():
+    lines = list(relation_value_lines())
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == _RELATION_VALUES
+
+
+_factors = st.one_of(
+    st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4, min_value=-50, max_value=50)
+)
+
+
+@given(st.lists(st.lists(_factors, max_size=4).map(tuple), max_size=8))
+@example([])
+@example([()])
+@example([(F(1, 3), -3), (0,)])
+def test_sum_of_products_is_the_fraction_sum(terms):
+    expected = sum((math.prod(term, start=F(1)) for term in terms), F(0))
+    assert repr(_sum_of_products(terms)) == repr(expected)
+
+
+# cProfile call counts in one verify_all(), from an empty Bernoulli cache, of
+# Fraction._add, Fraction._mul and the Stirling walk.  With a Fraction
+# multiply-add per term they were 18,355, 25,046 and 4,108.
+_VERIFY_ALL_WORK = {"_add": 5270, "_mul": 4507, "_stirling_walk": 2392}
+
+
+def test_verify_all_sums_in_integers(monkeypatch):
+    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+    counted = {
+        F._add.__code__: "_add",
+        F._mul.__code__: "_mul",
+        pochex.combinatorics._stirling_walk.__code__: "_stirling_walk",
+    }
+    profile = cProfile.Profile()
+    profile.enable()
+    try:
+        summaries = verify_all()
+    finally:
+        profile.disable()
+    assert all(summary.passed for summary in summaries)
+    calls = dict.fromkeys(_VERIFY_ALL_WORK, 0)
+    for entry in profile.getstats():
+        if entry.code in counted:
+            calls[counted[entry.code]] += entry.callcount
+    assert all(calls[name] <= bound for name, bound in _VERIFY_ALL_WORK.items()), calls
 
 
 # -- generating relations ------------------------------------------------------------
@@ -276,3 +350,8 @@ def test_registry_references_every_checkable_relation():
     referenced_genfuns = set(re.findall(r"genfun:(\w+)", text))
     assert referenced_identities == {i.value for i in IdentityId}
     assert referenced_genfuns == {g.value for g in GenFunId}
+
+
+if __name__ == "__main__":
+    for line in relation_value_lines():
+        print(line)

@@ -1,5 +1,6 @@
 """Pochhammer derivatives: closed forms, cross-method agreement, poles."""
 
+import math
 import re
 import sys
 from fractions import Fraction as F
@@ -16,6 +17,7 @@ from pochex.pochhammer import (
     LinearParam,
     PochMethod,
     RecipMethod,
+    _int_factor,
     _vanishing_shift,
     poch_deriv,
     poch_eps_series,
@@ -403,3 +405,20 @@ def test_method_names_as_strings_equal_the_enum_members():
         message = f"unknown method 'pade'; expected one of: {names}"
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             fn(F(7, 3), 5, 2, "pade")
+
+
+def _reference_int_factor(c, s):
+    # The Fraction definition at rational c, s: g = lcm(c.den, 1) * lcm(s.den, 1)
+    # and a, b the numerators of c*g and s*g.
+    g = math.lcm(F(c).denominator, 1) * math.lcm(F(s).denominator, 1)
+    return (F(c) * g).numerator, (F(s) * g).numerator, g, None
+
+
+_rationals = st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60))
+
+
+@given(_rationals, _rationals)
+def test_int_factor_is_the_fraction_definition(c, s):
+    # repr: the entries must be ints, not merely equal to them.
+    assert repr(_int_factor(c, s)) == repr(_reference_int_factor(c, s))
+    assert repr(_int_factor(F(c), F(s))) == repr(_reference_int_factor(c, s))
