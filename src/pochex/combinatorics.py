@@ -5,7 +5,8 @@ polynomials, plain/modified harmonic numbers, two flavours of nested unit
 sums, rational-argument binomials, and double factorials.  Everything is a
 Fraction; void sums are zero by convention.  Stirling numbers come from a
 cache-free walk in O(n*k) integer operations and O(n + k) memory; the only
-module-level cache is the capped per-order Bernoulli core.
+module-level cache is the capped per-order Bernoulli core, which
+`gen_bernoulli_poly` and the closed dF7's rows read through `_bernoulli_core`.
 
 The sums run on integers and build one Fraction at the end.  The harmonic
 sums and the Bernoulli polynomials add integer pairs over one lcm
@@ -97,6 +98,18 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
     _count("gen_bernoulli_poly", n=n)
     _count("gen_bernoulli_poly", 1, a=a)
     x = _coerce(x, rational=True)
+    # For x = p/q, one integer sum of g_j n!/(n-j)! p**(n-j) / q**(n-j).
+    p, q = x.numerator, x.denominator
+    return _int_sum(
+        [
+            (g.numerator * math.perm(n, j) * p ** (n - j), g.denominator * q ** (n - j))
+            for j, g in enumerate(_bernoulli_core(n, a)[: n + 1])
+        ]
+    )
+
+
+def _bernoulli_core(n: int, a: int) -> list[Fraction]:
+    """The cached core [B_j^(a)(0)/j! for j = 0..N] of order a, with N >= n."""
     with _bernoulli_lock:
         core = _bernoulli_cache.get(a)
         if core is None or len(core) <= n:
@@ -105,14 +118,7 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
             _bernoulli_cache[a] = core
             if len(_bernoulli_cache) > _BERNOULLI_CACHE_CAP:
                 del _bernoulli_cache[next(iter(_bernoulli_cache))]
-    # For x = p/q, one integer sum of g_j n!/(n-j)! p**(n-j) / q**(n-j).
-    p, q = x.numerator, x.denominator
-    return _int_sum(
-        [
-            (g.numerator * math.perm(n, j) * p ** (n - j), g.denominator * q ** (n - j))
-            for j, g in enumerate(core[: n + 1])
-        ]
-    )
+    return core
 
 
 def harmonic(m: int, k: int) -> Fraction:

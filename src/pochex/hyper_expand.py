@@ -39,13 +39,14 @@ independent of K.  Every weight, ratio, lead term and prefactor is an integer
 triple (num, der, den), never reduced: a rising factorial (delta + c)_m at
 delta = p/q is the product of the m integers p + (c + j)*q over q**m, binomials
 are `math.comb` and factorials are ints.  So a weight costs O(D) integer
-products, and a term w_j r_j**k two more per k.  Each coefficient of a power
-column or a convolution is one integer sum over the lcm of the denominators,
-reduced by one gcd: K + 1 gcds per column, on top of O(K**2) products per
-convolution.  The prefactor folds into the one Fraction built per table entry.
-A Dual delta v + w*t (t*t = 0) carries its t-part as der, a second integer
-numerator over the same denominator, by the product rule; an entry is a Dual
-where it depends on delta, as on the engine's route.
+products.  A column is one integer row of K + 1 numerators over one den: one
+lcm for a power column, the product of two dens for a convolution (O(K**2)
+products).  The prefactor folds into the one Fraction built per table entry:
+one lcm per column and one gcd per entry.  dF7 builds each Bernoulli
+polynomial it needs once per call, as an integer row, and evaluates it at an
+integer by one Horner pass.  A Dual delta v + w*t (t*t = 0) carries its t-part
+as der, a second integer numerator (or row) over the same den, by the product
+rule; an entry is a Dual where it depends on delta, as on the engine's route.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import _stirling_walk, gen_bernoulli_poly
+from .combinatorics import _bernoulli_core, _stirling_walk
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
@@ -68,7 +69,7 @@ from .pochhammer import (
     _unit_row,
     _vanishing_shift,
 )
-from .series import _coerce, _count
+from .series import _coerce, _convolve as _int_convolve, _count, _int_row
 
 _ZERO = Fraction(0)
 
@@ -258,12 +259,12 @@ _F6_SPEC, _F7_SPEC = _f6_f7_spec("F6", -1), _f6_f7_spec("F7", 1)
 
 # -- closed forms in integers -------------------------------------------------
 #
-# Every closed-form weight, ratio, lead term, prefactor and coefficient is an
-# integer triple (num, der, den): num/den, plus der/den times t for a Dual
-# delta v + w*t (t*t = 0).  der is None for a quantity that does not depend on
-# delta, which at a rational delta is every one.  den may be negative.  Only a
-# coefficient's sum (`_reduced_sum`) takes a gcd, and a Fraction, or a Dual
-# where the engine gives one, is built only per table entry (`_scaled`).
+# Every closed-form weight, ratio, lead term and prefactor is an integer triple
+# (num, der, den): num/den, plus der/den times t for a Dual delta v + w*t
+# (t*t = 0).  der is None for a quantity that does not depend on delta, which
+# at a rational delta is every one.  den may be negative.  A column is a row
+# (den, nums, ders) over one den, ders None unless a der reaches it; only a
+# table entry takes a gcd (`_scaled`).
 
 
 def _delta_triple(delta) -> tuple:
@@ -304,54 +305,50 @@ def _rising(x, c: int, m: int) -> tuple:
     return num, der, q**m
 
 
-def _reduced_sum(terms: list) -> tuple:
-    """The sum of triples as one triple with den > 0, reduced by one gcd.
-
-    The nums, and the ders when some term has one, are summed over the lcm of
-    the dens, instead of taking a gcd per addition (Knuth, TAOCP vol. 2,
-    section 4.5.1); the empty sum is 0.
-    """
-    lcm = math.lcm(*(d for _, _, d in terms))
-    num = sum(n * (lcm // d) for n, _, d in terms)
-    ders = [dn * (lcm // d) for _, dn, d in terms if dn is not None]
-    der = sum(ders) if ders else None
-    g = math.gcd(num, der or 0, lcm)
-    return num // g, None if der is None else der // g, lcm // g
-
-
-def _power_column(K, lead, terms):
-    """[lead*delta_{k,0} + sum w * r**k for k = 0..K] over (weight w, ratio r) pairs.
-
-    Every quantity is a triple; a sign (-1)**k rides in a negative ratio, and
-    each weight is evaluated once.  Each term w * r**k is carried unreduced,
-    times r once per k, and each coefficient is one `_reduced_sum`: one gcd.
-    """
-    weights = [w for w, _ in terms]
-    ratios = [r for _, r in terms]
-    column = [_reduced_sum([lead, *weights])]
-    for _ in range(K):
-        weights = [_mul(w, r) for w, r in zip(weights, ratios)]
-        column.append(_reduced_sum(weights))
-    return column
+def _power_column(K, lead, terms) -> tuple:
+    """The row of lead*delta_{k,0} + sum w * r**k, k = 0..K, over (weight, ratio)
+    pairs of triples; a sign (-1)**k rides in a negative ratio.  Its den is one
+    lcm (Knuth, TAOCP vol. 2, section 4.5.1) of lead's and each w_den*r_den**K,
+    which w_den*r_den**k divides for every k <= K: so a term's numerator goes
+    from k to k + 1 by one multiply by r_num and one exact division by r_den."""
+    ln, ld, lden = lead
+    den = math.lcm(lden, *(w[2] * r[2] ** K for w, r in terms))
+    dual = ld is not None or any(w[1] is not None or r[1] is not None for w, r in terms)
+    nums, ders = [ln * (den // lden)] + [0] * K, [(ld or 0) * (den // lden)] + [0] * K
+    for (a, d, wden), (rn, rd, rden) in terms:
+        scale = den // wden
+        a, d, rd = a * scale, (d or 0) * scale, rd or 0
+        nums[0] += a
+        ders[0] += d
+        for k in range(1, K + 1):
+            if dual:
+                d = (d * rn + a * rd) // rden
+                ders[k] += d
+            a = a * rn // rden
+            nums[k] += a
+    return den, nums, ders if dual else None
 
 
-def _convolve(a, b):
+def _convolve(a, b) -> tuple:
     """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two
-    columns of triples; each coefficient is one `_reduced_sum`."""
-    return [
-        _reduced_sum([_mul(x, y) for x, y in zip(a[: k + 1], reversed(b[: k + 1]))])
-        for k in range(len(a))
-    ]
+    rows, over the product of their dens; its ders by the product rule."""
+    (d, x, dx), (e, y, dy) = a, b
+    ders = None
+    if dx is not None or dy is not None:
+        zero = [0] * len(x)
+        ders = list(map(sum, zip(_int_convolve(dx or zero, y), _int_convolve(x, dy or zero))))
+    return d * e, _int_convolve(x, y), ders
 
 
-def _scaled(pref, column) -> list:
-    """The table entries pref * v for the triples v of a column: one Fraction each,
-    or a Dual where the product depends on delta."""
-    entries = []
-    for v in column:
-        n, dn, d = _mul(pref, v)
-        entries.append(Fraction(n, d) if dn is None else Dual(Fraction(n, d), Fraction(dn, d)))
-    return entries
+def _scaled(pref, row) -> list:
+    """The table entries pref * v for the coefficients v of a row: one Fraction
+    each, or a Dual where the row or pref has a der."""
+    (p, pd, q), (den, nums, ders) = pref, row
+    den *= q
+    if pd is None and ders is None:
+        return [Fraction(p * n, den) for n in nums]
+    pd, ders = pd or 0, ders or [0] * len(nums)
+    return [Dual(Fraction(p * n, den), Fraction(pd * n + p * dn, den)) for n, dn in zip(nums, ders)]
 
 
 def _sign_over_factorials(s: int, a: int, b: int) -> tuple:
@@ -372,7 +369,7 @@ _TWO = (2, None, 1)
 def _closed_f1(K, m1, m2):
     n, m = m1, m1 + m2
     walk = _stirling_walk(m + 1, K + 1)[1][1:]
-    stirling = [(2**k1 * (-1) ** m * s, None, 1) for k1, s in enumerate(walk)]
+    stirling = 1, [2**k1 * (-1) ** m * s for k1, s in enumerate(walk)], None
     terms = [
         (((-1) ** (j + 1) * math.comb(m - j, n) * math.comb(n, j), None, 1), (1, None, j))
         for j in range(1, n + 1)
@@ -459,18 +456,28 @@ def _closed_f7(delta, K, n1, n2):
     return _scaled(_prefactor(delta, n1, n2), _power_column(K, _UNIT, terms))
 
 
-def _closed_df7(K, n1, n2):
+def _bernoulli_at(rows: dict, n: int, x: int) -> tuple:
+    """B_{n-1}^{(n+1)}(x) at an integer x as (num, den > 0): one Horner pass over
+    rows[n], its coefficients over one den, built once from the cached core."""
+    if n not in rows:
+        core = _bernoulli_core(n - 1, n + 1)
+        rows[n] = _int_row([g * math.perm(n - 1, j) for j, g in enumerate(core[:n])])[:2]
+    den, coeffs = rows[n]
+    return functools.reduce(lambda num, c: num * x + c, coeffs, 0), den
+
+
+def _closed_df7(rows, K, n1, n2):
     # (-1)**k / n2! times piece1 * bracket1 + piece2 * bracket2, one weight per j,
     # with piece1 = p1/q1 and piece2 = p2/q2: each weight is (u*t - s*v) / (v*t).
     p1, q1 = 0, 1
     if n2 > 0:
-        b = gen_bernoulli_poly(n2 - 1, n2 + 1, -n1)
-        p1, q1 = (-1) ** (n2 - 1) * n2 * b.numerator, b.denominator
+        b, q1 = _bernoulli_at(rows, n2, -n1)
+        p1 = (-1) ** (n2 - 1) * n2 * b
     p2, q2 = (-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2
     terms = []
     for j in range(1, n1 + 1):
-        b = gen_bernoulli_poly(n1 - 1, n1 + 1, j - n2)
-        u, v = p2 * math.comb(n1, j) * b.numerator, q2 * b.denominator
+        b, e = _bernoulli_at(rows, n1, j - n2)
+        u, v = p2 * math.comb(n1, j) * b, q2 * e
         s = p1 * math.prod(range(n2 + 1 - j, n2 + 1 - j + n1))
         t = q1 * math.factorial(j) * math.factorial(n1 - j)
         terms.append((((-1) ** j * (u * t - s * v), None, v * t), (-1, None, j)))
@@ -482,8 +489,9 @@ def _closed_df7(K, n1, n2):
 _TAKES_NONE, _NEEDS_ONE, _ONLY_ZERO = "takes none", "needs one", "only delta = 0"
 
 # The built-in examples, one row each: the closed-form column function
-# (K, m1, m2) -> [value for k = 0..K], which takes delta first where the rule
-# needs one; the delta rule; and the engine spec as a function of the delta.
+# (K, m1, m2) -> [value for k = 0..K], which takes the delta triple first where
+# the rule needs one, and dF7 its per-call Bernoulli rows; the delta rule; and
+# the engine spec as a function of the delta.
 _EXAMPLES = {
     "F1": (_closed_f1, _TAKES_NONE, _f1_to_f4_spec("F1", -2, -1, -1, -1)),
     "F2": (_closed_f2, _TAKES_NONE, _f1_to_f4_spec("F2", 0, -1, -1, 1)),
@@ -508,10 +516,10 @@ CLOSED_EXAMPLES = tuple(_EXAMPLES)
 
 
 def _resolved(example, delta) -> tuple:
-    """The column function, engine spec and delta (coerced where the example needs
-    one, else None) of a built-in example.  Rejects an unknown example, a missing
-    delta where one is needed, a delta where none is taken, and a nonzero delta
-    where only delta = 0 is.
+    """The column function (K, m1, m2) -> column of a built-in example, bound to
+    its first argument for one call where it takes one, and its engine spec.
+    Rejects an unknown example, a missing delta where one is needed, a delta
+    where none is taken, and a nonzero delta where only delta = 0 is.
     """
     # Membership in the tuple compares the name without hashing it.
     if example not in CLOSED_EXAMPLES:
@@ -525,8 +533,9 @@ def _resolved(example, delta) -> tuple:
             raise DomainError(f"{example} is taken at delta = 0; a nonzero delta is not supported")
     elif rule == _NEEDS_ONE:
         raise MissingParameter(f"example {example} needs the extra parameter delta")
-    delta = delta if rule == _NEEDS_ONE else None
-    return column, spec(delta), delta
+    if rule == _NEEDS_ONE:
+        return functools.partial(column, _delta_triple(delta)), spec(delta)
+    return (functools.partial(column, {}) if rule == _ONLY_ZERO else column), spec(None)
 
 
 def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
@@ -541,18 +550,16 @@ def expand_closed(
 
     Each entry function returns the whole k-column of a lattice point, so
     its weights are evaluated once per point whatever eps_order K is, in
-    integers; each coefficient of a column is then one integer sum reduced by
-    one gcd, and each entry one Fraction, or a Dual where a Dual delta reaches
-    it (see the module docstring).  Every point is checked for a pole before
-    any is computed.
+    integers; each column is then one integer row over one denominator (one
+    lcm for a power sum), and each entry one Fraction, one gcd, or a Dual where
+    a Dual delta reaches it (see the module docstring).  Every point is checked
+    for a pole before any is computed.
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
     extra = extra or {}
     if set(extra) - {"delta"}:
         raise DomainError(f"expand_closed takes only the extra parameter delta, got {list(extra)}")
-    column, spec, delta = _resolved(example, extra.get("delta"))
-    if delta is not None:
-        column = functools.partial(column, _delta_triple(delta))
+    column, spec = _resolved(example, extra.get("delta"))
     entries = {}
     for m1, m2 in _checked_points(spec, degree_bound):
         for k, value in enumerate(column(eps_order, m1, m2)):

@@ -1,9 +1,11 @@
 """Double-series eps-expansion engine and its closed-form counterparts."""
 
+import hashlib
 import math
 import random
 import re
 import sys
+import types
 from collections import Counter
 from fractions import Fraction as F
 
@@ -15,7 +17,7 @@ import pochex.combinatorics
 import pochex.hyper_expand
 import pochex.pochhammer
 import pochex.series
-from pochex.combinatorics import binomial
+from pochex.combinatorics import binomial, gen_bernoulli_poly
 from pochex.duals import Dual
 from pochex.errors import DomainError, MissingParameter, PoleError
 from pochex.hyper_expand import (
@@ -379,19 +381,22 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
     # Deterministic work counts of the closed forms at D=12 (91 lattice points):
     # each point evaluates its prefactor and its weights once, as integers, and
     # gets every k from them, so the counts at eps order 4 equal those at eps
-    # order 0.  No closed form calls pochhammer, binomial or double_factorial;
-    # dF7 makes n1 + [n2 > 0] Bernoulli calls per point.
+    # order 0.  No closed form calls pochhammer, binomial, double_factorial or
+    # gen_bernoulli_poly; dF7 reads one Bernoulli core per distinct n = 1..12
+    # into an integer polynomial row, whatever its n1 + [n2 > 0] evaluations
+    # per point.
     calls = Counter()
     for name, home in [
         ("binomial", pochex.combinatorics),
         ("double_factorial", pochex.combinatorics),
         ("gen_bernoulli_poly", pochex.combinatorics),
+        ("_bernoulli_core", pochex.combinatorics),
         ("pochhammer", pochex.pochhammer),
     ]:
         for owner in (home, pochex.hyper_expand):
             if hasattr(owner, name):
                 _counter(monkeypatch, calls, owner, name)
-    expected = Counter({"gen_bernoulli_poly": 442} if example == "dF7_ddelta" else {})
+    expected = Counter({"_bernoulli_core": 12} if example == "dF7_ddelta" else {})
     extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
     for eps_order in (0, 4):
         calls.clear()
@@ -405,19 +410,122 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
     + [("F6", 3), ("F6_alt", 1), ("F7", 1), ("dF7_ddelta", 1)],
 )
 def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
-    # Every closed form sums each coefficient of each of its columns by one
-    # _reduced_sum: K + 1 per _power_column and K + 1 per _convolve, so `columns`
-    # * (K + 1) per lattice point at K=4, D=12 (91 points).  A Dual delta takes
-    # the same path as a rational one.
+    # Every closed form builds `columns` integer rows per lattice point at K=4,
+    # D=12 (91 points), each of _power_column or _convolve.  A power column's
+    # one denominator is one math.lcm; a convolution's is the product of two,
+    # and no coefficient takes an lcm of its own.  The one other lcm is the
+    # Dual delta's triple, once per call.  A Dual delta takes the same path as
+    # a rational one.
     deltas = [F(1, 3), Dual(F(1, 3), 1)] if example in ("F6", "F6_alt", "F7") else [None]
     for delta in deltas:
         calls = Counter()
         with monkeypatch.context() as patched:
-            for name in ("_reduced_sum", "_power_column", "_convolve"):
+            for name in ("_power_column", "_convolve"):
                 _counter(patched, calls, pochex.hyper_expand, name)
+            counted_math = types.SimpleNamespace(**vars(math))
+            _counter(patched, calls, counted_math, "lcm")
+            patched.setattr(pochex.hyper_expand, "math", counted_math)
             expand_closed(example, 4, 12, None if delta is None else {"delta": delta})
         assert calls["_power_column"] + calls["_convolve"] == columns * 91, delta
-        assert calls["_reduced_sum"] == 5 * columns * 91, delta
+        assert calls["lcm"] == calls["_power_column"] + isinstance(delta, Dual), delta
+
+
+# -- the closed forms' integer rows ---------------------------------------------
+# The Fraction/Dual loops below are the definitions `_power_column`, `_convolve`
+# and `_scaled` must reproduce: the same value and type for every entry, an
+# entry being a Dual where a triple that reaches its row, or the prefactor, has
+# a der.
+
+
+def _scalar(triple):
+    n, dn, d = triple
+    return F(n, d) if dn is None else Dual(F(n, d), F(dn, d))
+
+
+def _reference_power_column(K, lead, terms):
+    # One Fraction/Dual multiply-add per term and k.
+    column = [_scalar(lead)] + [F(0)] * K
+    for w, r in terms:
+        term = _scalar(w)
+        for k in range(K + 1):
+            column[k] = column[k] + term
+            term = term * _scalar(r)
+    dual = any(dn is not None for dn in (lead[1], *(x[1] for pair in terms for x in pair)))
+    return column, dual
+
+
+def _reference_convolve(a, b):
+    (x, dual_x), (y, dual_y) = a, b
+    column = [sum((x[i] * y[k - i] for i in range(k + 1)), F(0)) for k in range(len(x))]
+    return column, dual_x or dual_y
+
+
+def _reference_scaled(pref, reference):
+    column, dual = reference
+    entries = [_scalar(pref) * v for v in column]
+    if dual or pref[1] is not None:
+        return [v if isinstance(v, Dual) else Dual(v) for v in entries]
+    return entries
+
+
+def _typed_list(values):
+    return [(type(v), v) for v in values]
+
+
+_small_int = st.integers(-5, 5)
+_triple = st.tuples(
+    _small_int,
+    st.none() | _small_int,
+    st.integers(-6, 6).filter(bool),
+)
+_pairs = st.lists(st.tuples(_triple, _triple), max_size=4)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 5), _triple, _pairs, _triple, _pairs, _triple)
+@example(3, (1, None, 1), [((2, None, -3), (1, 4, -5))], (0, None, 2), [], (1, None, 1))
+@example(2, (0, 1, -2), [], (1, None, 1), [((0, None, 1), (1, None, 2))], (3, None, -4))
+@example(2, (1, None, 1), [], (1, None, 1), [], (-1, 2, 3))
+def test_closed_rows_are_the_fraction_dual_sums(K, lead_a, terms_a, lead_b, terms_b, pref):
+    # Negative dens, zero weights and ratios, and ders anywhere: each row, its
+    # Cauchy product and their scaled entries equal the Fraction/Dual loops.
+    hx = pochex.hyper_expand
+    a, b = hx._power_column(K, lead_a, terms_a), hx._power_column(K, lead_b, terms_b)
+    ref_a = _reference_power_column(K, lead_a, terms_a)
+    ref_b = _reference_power_column(K, lead_b, terms_b)
+    assert _typed_list(hx._scaled(pref, a)) == _typed_list(_reference_scaled(pref, ref_a))
+    assert _typed_list(hx._scaled(pref, hx._convolve(a, b))) == _typed_list(
+        _reference_scaled(pref, _reference_convolve(ref_a, ref_b))
+    )
+
+
+@given(st.integers(1, 30), st.integers(-40, 40))
+def test_closed_df7_bernoulli_rows_are_the_polynomials(n, x):
+    # One integer row per n, read from the cached core, and one Horner pass per
+    # integer x give gen_bernoulli_poly(n - 1, n + 1, x).
+    rows = {}
+    num, den = pochex.hyper_expand._bernoulli_at(rows, n, x)
+    assert den > 0 and F(num, den) == gen_bernoulli_poly(n - 1, n + 1, x)
+    assert pochex.hyper_expand._bernoulli_at(rows, n, -x)[1] == den and list(rows) == [n]
+
+
+def test_closed_tables_keep_their_digest():
+    # Every entry of the nine closed tables at K=6, D=20, with its type, for
+    # delta in {1/3, -2/5, Dual(1/3, 1)} where one is taken: 24,270 lines.  This
+    # pins byte identity at a larger height than the K <= 4, D <= 12 engine
+    # comparisons, without running through the engine.
+    lines = []
+    for example in CLOSED_EXAMPLES:
+        takes = example in ("F6", "F6_alt", "F7")
+        for delta in [F(1, 3), F(-2, 5), Dual(F(1, 3), 1)] if takes else [None]:
+            table = expand_closed(example, 6, 20, None if delta is None else {"delta": delta})
+            lines.append(f"{example} {delta!r}")
+            lines += [f"{k},{type(v).__name__},{v!r}" for k, v in sorted(table.entries.items())]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        24270,
+        "cc5860c234bee636bdfe9c71630d71a3638fd2bc47202500daf3813d4a69fa82",
+    )
 
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
