@@ -28,12 +28,14 @@ class Dual:
     __slots__ = ("val", "der")
 
     def __init__(self, val, der=0):
-        # Each part must be rational.  One type test per part: every Dual result
-        # is built here, and calling series._coerce would cost each one a call.
-        if not (isinstance(val, _RATIONAL) and isinstance(der, _RATIONAL)):
+        # Each part must be rational, and a bool is not.  One exact type test per
+        # part: every Dual result is built here, and calling series._coerce would
+        # cost each one a call.
+        if type(val) not in _RATIONAL or type(der) not in _RATIONAL:
             from .series import _coerce  # imported here: series imports this module
 
-            _coerce(der if isinstance(val, _RATIONAL) else val, rational=True)
+            _coerce(val, rational=True)
+            _coerce(der, rational=True)
         self.val = Fraction(val)
         self.der = Fraction(der)
 

@@ -8,8 +8,8 @@ every lattice point exactly and tabulates the coefficient of
 eps**k x1**m1 x2**m2.
 
 Cost model of `expand_general` at eps order K: the term, truncated at
-eps**K, is walked across the lattice by its ratio as one integer row, K + 1
-integer numerators over one shared integer denominator.  A unit move in m_i
+eps**K, is walked across the lattice by its ratio as one integer row (see
+`series`) of K + 1 numerators over one denominator.  A unit move in m_i
 multiplies in the c_i new linear factors c + j + s*eps of each numerator
 factor f and divides out those of each denominator factor, each in O(K)
 integer products (`_poch_step`, `_recip_step`), folds 1/m_i into the
@@ -18,8 +18,7 @@ and one gcd per lattice move, with c_f the law coefficient of f for the
 index moved.  For c = p/q and s = u/v a numerator step scales the
 denominator by q*v and a reciprocal step by (p*v)**(K+1); the gcd takes back
 what the entries do not need.  Fractions are built only for the table.
-A Dual constant or slope adds a second integer row, the delta-part, over
-the same denominator.
+A Dual constant or slope adds the row's der, K + 1 more numerators.
 
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
@@ -44,15 +43,16 @@ lcm for a power column, the product of two dens for a convolution (O(K**2)
 products).  The prefactor folds into the one Fraction built per table entry:
 one lcm per column and one gcd per entry.  dF7 builds each Bernoulli
 polynomial it needs once per call, as an integer row, and evaluates it at an
-integer by one Horner pass.  A Dual delta v + w*t (t*t = 0) carries its t-part
-as der, a second integer numerator (or row) over the same den, by the product
-rule; an entry is a Dual where it depends on delta, as on the engine's route.
+integer by one Horner pass.  A Dual delta carries its t-part as der, by the
+product rule; an entry is a Dual where it depends on delta, as on the engine's
+route.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,14 +62,13 @@ from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
     LinearParam,
     _divided,
-    _entries,
     _int_factor,
     _poch_step,
     _recip_step,
     _unit_row,
     _vanishing_shift,
 )
-from .series import _coerce, _convolve as _int_convolve, _count, _int_row
+from .series import _coerce, _count, _entries, _int_row, _iterable, _product, _typed
 
 _ZERO = Fraction(0)
 
@@ -104,7 +103,7 @@ class HyperTermSpec:
 
     def __post_init__(self):
         for side in ("numer", "denom"):
-            factors = tuple(getattr(self, side))
+            factors = tuple(_iterable("HyperTermSpec", getattr(self, side), f"{side} factors"))
             for idx, factor in enumerate(factors):
                 if not (
                     isinstance(factor, tuple)
@@ -171,6 +170,7 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     for Dual(x, 0): a product entry is a Dual only where a term pairs two nonzero
     coefficients, one of them a Dual, and an all-zero series is stored as Fractions.
     """
+    _typed("expand_general", HyperTermSpec, spec=spec)
     _count("expand_general", eps_order=eps_order, degree_bound=degree_bound)
     _checked_points(spec, degree_bound)
     width = eps_order + 1
@@ -205,6 +205,7 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
 
 def regroup_total_degree(table: ExpansionTable) -> ExpansionTable:
     """Re-key a lattice table to (k, m, n) with m = m1 + m2 and n = m1 (lossless)."""
+    _typed("regroup_total_degree", ExpansionTable, table=table)
     if table.regrouping != "lattice":
         raise DomainError("only a lattice-keyed table can be regrouped by total degree")
     entries = {(k, m1 + m2, m1): v for (k, m1, m2), v in table.entries.items()}
@@ -218,6 +219,7 @@ def delta_dual_expand(spec: HyperTermSpec, eps_order: int, degree_bound: int) ->
     LinearParam constants (see `closed_engine_spec`); a delta-free spec
     yields the all-zero table.
     """
+    _typed("delta_dual_expand", HyperTermSpec, spec=spec)
     table = expand_general(spec, eps_order, degree_bound)
     entries = {key: delta_part(v) for key, v in table.entries.items()}
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
@@ -262,9 +264,8 @@ _F6_SPEC, _F7_SPEC = _f6_f7_spec("F6", -1), _f6_f7_spec("F7", 1)
 # Every closed-form weight, ratio, lead term and prefactor is an integer triple
 # (num, der, den): num/den, plus der/den times t for a Dual delta v + w*t
 # (t*t = 0).  der is None for a quantity that does not depend on delta, which
-# at a rational delta is every one.  den may be negative.  A column is a row
-# (den, nums, ders) over one den, ders None unless a der reaches it; only a
-# table entry takes a gcd (`_scaled`).
+# at a rational delta is every one.  den may be negative.  A column is the
+# (den, val, der) of a row (see `series`); `_scaled` gives it its mask.
 
 
 def _delta_triple(delta) -> tuple:
@@ -329,26 +330,15 @@ def _power_column(K, lead, terms) -> tuple:
     return den, nums, ders if dual else None
 
 
-def _convolve(a, b) -> tuple:
-    """The Cauchy product [sum_{k1 <= k} a[k1] * b[k - k1] for k = 0..K] of two
-    rows, over the product of their dens; its ders by the product rule."""
-    (d, x, dx), (e, y, dy) = a, b
-    ders = None
-    if dx is not None or dy is not None:
-        zero = [0] * len(x)
-        ders = list(map(sum, zip(_int_convolve(dx or zero, y), _int_convolve(x, dy or zero))))
-    return d * e, _int_convolve(x, y), ders
-
-
-def _scaled(pref, row) -> list:
-    """The table entries pref * v for the coefficients v of a row: one Fraction
-    each, or a Dual where the row or pref has a der."""
-    (p, pd, q), (den, nums, ders) = pref, row
-    den *= q
+def _scaled(pref, column) -> list:
+    """The table entries pref * v for the coefficients v of a column: one Fraction
+    each, or every one a Dual where the column or pref has a der."""
+    (p, pd, q), (den, nums, ders) = pref, column
+    val = [p * n for n in nums]
     if pd is None and ders is None:
-        return [Fraction(p * n, den) for n in nums]
-    pd, ders = pd or 0, ders or [0] * len(nums)
-    return [Dual(Fraction(p * n, den), Fraction(pd * n + p * dn, den)) for n, dn in zip(nums, ders)]
+        return _entries((den * q, val, None, 0))
+    der = [(pd or 0) * n + p * dn for n, dn in zip(nums, ders or [0] * len(nums))]
+    return _entries((den * q, val, der, (1 << len(nums)) - 1))
 
 
 def _sign_over_factorials(s: int, a: int, b: int) -> tuple:
@@ -375,7 +365,7 @@ def _closed_f1(K, m1, m2):
         for j in range(1, n + 1)
     ]
     scale = _sign_over_factorials(0, n, m - n)
-    return _scaled(scale, _convolve(stirling, _power_column(K, _UNIT, terms)))
+    return _scaled(scale, _product(stirling, _power_column(K, _UNIT, terms)))
 
 
 def _closed_f2_to_f4(K, n, m, shift, lead):
@@ -414,7 +404,7 @@ def _closed_f5(K, m1, m2):
     inner = _power_column(K, (1 if n == 0 else 0, None, 1), inner)
     # C(n + d, n) (2n - 1)!! / 2**(n + d), with (-1)!! = 1.
     pref = (math.comb(n + d, n) * math.prod(range(2 * n - 1, 0, -2)), None, 2 ** (n + d))
-    return _scaled(pref, _convolve(inner, _power_column(K, _UNIT, outer)))
+    return _scaled(pref, _product(inner, _power_column(K, _UNIT, outer)))
 
 
 def _closed_f6(delta, K, n1, n2):
@@ -430,7 +420,7 @@ def _closed_f6(delta, K, n1, n2):
         t2.append((_mul(w, inv), _mul(inv, _NEGATE)))
     t1 = _power_column(K, _UNIT, t1)
     t2 = _power_column(K, ((-1) ** n2, None, 1), t2)
-    return _scaled(_prefactor(delta, n1, n2), _convolve(t1, t2))
+    return _scaled(_prefactor(delta, n1, n2), _product(t1, t2))
 
 
 def _closed_f6_alt(delta, K, n1, n2):
@@ -557,6 +547,7 @@ def expand_closed(
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
     extra = extra or {}
+    _typed("expand_closed", Mapping, extra=extra)
     if set(extra) - {"delta"}:
         raise DomainError(f"expand_closed takes only the extra parameter delta, got {list(extra)}")
     column, spec = _resolved(example, extra.get("delta"))
@@ -572,6 +563,7 @@ def expand_closed(
 
 def emit_table(table: ExpansionTable, format: str = "csv") -> str:
     """Render a table as machine-first csv or a human-readable aligned layout."""
+    _typed("emit_table", ExpansionTable, table=table)
     total = table.regrouping == "total_degree"
     if format == "csv":
         header = "k,m,n,coefficient" if total else "k,m1,m2,coefficient"

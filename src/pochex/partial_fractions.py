@@ -18,7 +18,7 @@ from fractions import Fraction
 from .duals import Dual
 from .errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
 from .pochhammer import LinearParam, _vanishing_shift, poch_deriv, pochhammer
-from .series import _coerce, _count
+from .series import _coerce, _count, _iterable, _typed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -78,6 +78,18 @@ class PartialFractionForm:
         return self.render()
 
 
+def _factors(side) -> list:
+    """The (LinearParam, length) pairs of one side of a quotient, each checked."""
+    what = "(LinearParam, length) factors"
+    factors = list(_iterable("PochProductQuotient", side, what))
+    for factor in factors:
+        if not (isinstance(factor, (tuple, list)) and len(factor) == 2):
+            raise DomainError(f"PochProductQuotient needs {what}, got {factor!r}")
+        _typed("PochProductQuotient", LinearParam, param=factor[0])
+        _count("PochProductQuotient", length=factor[1])
+    return factors
+
+
 class PochProductQuotient:
     """A quotient of products of rising factorials with linear-in-eps arguments.
 
@@ -90,17 +102,16 @@ class PochProductQuotient:
     __slots__ = ("numer", "denom", "scalar")
 
     def __init__(self, numer=(), denom=()):
+        numer, denom = _factors(numer), _factors(denom)
         scalar = _ONE
         kept_num = []
         for param, length in numer:
-            _count("PochProductQuotient", length=length)
             if param.slope == 0 or length == 0:
                 scalar *= pochhammer(param.constant, length)
             else:
                 kept_num.append((param, length))
         kept_den = []
         for q, (param, length) in enumerate(denom):
-            _count("PochProductQuotient", length=length)
             if param.slope == 0 or length == 0:
                 j = _vanishing_shift(param.constant, length)
                 if j is not None:
@@ -142,6 +153,7 @@ def decompose_single(num: LinearParam, m: int, den: LinearParam, n: int) -> Part
     The poles of a single denominator factor are automatically simple.  The
     constant is (a/b)**n when the degrees are equal, else 0.
     """
+    _typed("decompose_single", LinearParam, num=num, den=den)
     _count("decompose_single", m=m, n=n)
     if den.slope == 0:
         raise ZeroSlope("denominator factor has zero slope: nothing to decompose over")
@@ -159,6 +171,7 @@ def decompose_multi(quotient: PochProductQuotient) -> PartialFractionForm:
     Every pole (B_q + j_q)/(-b_q) must be distinct across all denominator
     factors and shifts; collisions raise RepeatedRoot naming the pairs.
     """
+    _typed("decompose_multi", PochProductQuotient, quotient=quotient)
     poles = []  # (q, j, location)
     for q, (param, length) in enumerate(quotient.denom):
         for j in range(length):
@@ -205,6 +218,7 @@ def decompose_multi(quotient: PochProductQuotient) -> PartialFractionForm:
 
 def pf_derivative(form: PartialFractionForm, k: int, at_eps=0) -> Fraction:
     """(1/k!) d^k/deps^k of the decomposed quotient, evaluated at eps = at_eps."""
+    _typed("pf_derivative", PartialFractionForm, form=form)
     _count("pf_derivative", k=k)
     at_eps = _coerce(at_eps)
     acc = form.constant if k == 0 else _ZERO
@@ -224,6 +238,7 @@ def quotient_deriv(
     num: LinearParam, m: int, den: LinearParam, n: int, k: int, at_eps=0
 ):
     """(1/k!) d^k/deps^k [ (num)_m / (den)_n ] evaluated at eps = at_eps."""
+    _typed("quotient_deriv", LinearParam, num=num, den=den)
     _count("quotient_deriv", m=m, n=n, k=k)
     at_eps = _coerce(at_eps)
     j = _vanishing_shift(den.at(at_eps), n)

@@ -27,8 +27,11 @@ from .series import (
     EpsSeries,
     _coerce,
     _count,
+    _entries,
+    _entry,
     _int_sum,
     _signed,
+    _typed,
     polynomial_series,
     series_invert,
 )
@@ -109,11 +112,9 @@ def _vanishing_shift(x, n: int):
 
 # -- integer rows -------------------------------------------------------------
 #
-# The two linear-factor steps carry a truncated series in eps as an integer row
-# (den, val, der, mask): coefficient i is val[i]/den, plus der[i]/den times
-# delta when the row has met a Dual (der is None until then).  Bit i of mask
-# marks the coefficients that are Dual: exactly those whose Fraction/Dual
-# computation would have touched a Dual.  A linear factor c + s*eps is the
+# The two linear-factor steps carry a truncated series in eps as a row (see
+# `series`).  A step sets bit i of mask where the Fraction/Dual computation of
+# coefficient i would have touched a Dual.  A linear factor c + s*eps is the
 # integer tuple (a, b, g, dual) of `_int_factor`; shifted by j it is
 # (a + j*g, b, g, dual).  No step reduces a row; `_divided` does.
 
@@ -189,7 +190,7 @@ def _poch_step(row: tuple, factor: tuple, j: int, width: int) -> tuple:
         da, db, c_dual, s_dual = dual
         nder = [x + y for x, y in zip(nder, _times(val, da, db, grow))]
         mask |= ((1 << n) - 1 if c_dual else 0) | (full - 1 if s_dual else 0)
-    return den * g, nxt, nder, mask
+    return den * g, nxt, nder if mask else None, mask
 
 
 def _recip_step(row: tuple, factor: tuple, j: int, width: int) -> tuple:
@@ -218,8 +219,9 @@ def _recip_step(row: tuple, factor: tuple, j: int, width: int) -> tuple:
         da, db, c_dual, s_dual = dual
         rhs = [x - y for x, y in zip(rhs, _times(nxt, da, db, False))]
         low |= (1 if c_dual else 0) | (2 if s_dual else 0)
-    nder = _solve(rhs, a, b, 1)
-    return den * power * power, [x * power for x in nxt], nder, full & -(low & -low)
+    mask = full & -(low & -low)
+    nder = _solve(rhs, a, b, 1) if mask else None
+    return den * power * power, [x * power for x in nxt], nder, mask
 
 
 def _divided(row: tuple, m: int) -> tuple:
@@ -234,21 +236,9 @@ def _divided(row: tuple, m: int) -> tuple:
     return den // d, [x // d for x in val], der and [x // d for x in der], mask
 
 
-def _entry(row: tuple, i: int):
-    """Coefficient i of an integer row as a Fraction, or a Dual where mask says so."""
-    den, val, der, mask = row
-    if mask >> i & 1:
-        return Dual(Fraction(val[i], den), Fraction(der[i], den))
-    return Fraction(val[i], den)
-
-
-def _entries(row: tuple) -> list:
-    """Every coefficient of an integer row, by `_entry`."""
-    return [_entry(row, i) for i in range(len(row[1]))]
-
-
 def poch_eps_series(param: LinearParam, m: int, order: int) -> EpsSeries:
     """Exact polynomial (constant + slope*eps)_m as a series with window [0, order]."""
+    _typed("poch_eps_series", LinearParam, param=param)
     _count("poch_eps_series", m=m, order=order)
     factor = _int_factor(param.constant, param.slope)
     row = _unit_row(1)

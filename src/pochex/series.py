@@ -11,14 +11,17 @@ below `min_exponent`, and are unknown above `max_exponent`.  Arithmetic
 never reports a coefficient the operands cannot justify, which is why the
 truncation order of a result depends on the pole depths of the inputs.
 
-Products and inverses, the building blocks of every expansion, run on
-integers (`_int_row`): each operand's coefficients go over one common
-denominator by one lcm, a product is an integer convolution and an inverse
-an integer recurrence, and each result coefficient is built as one Fraction,
-so one gcd (two for a Dual, one per part), in place of a gcd per Fraction
-multiply-add.  An entry is a Dual exactly where the Fraction/Dual computation
-that skips zero coefficients would make one (rules at `EpsSeries.__mul__` and
-`series_invert`), and an all-zero series is stored as Fractions.
+Integer rows.  The expansion engine, these products and inverses, and the
+closed forms compute on one encoding of a run of coefficients, the row (den,
+val, der, mask): coefficient i is val[i]/den, or the Dual with delta-part
+der[i]/den where bit i of the int mask is set; der is None when mask is 0.
+`_int_row` builds a row by one lcm, `_product` convolves two by the product
+rule, and only `_entries` turns a row into Fractions and Duals, one gcd per
+part, in place of a gcd per Fraction multiply-add.  Each route sets mask by
+its own rule: here an entry is a Dual exactly where the Fraction/Dual
+computation that skips zero coefficients would make one (rules at
+`EpsSeries.__mul__` and `series_invert`), and an all-zero series is stored
+as Fractions.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ _MAX_DIGITS = 4300
 def parse_rational(text: str) -> Fraction:
     """Parse `p` or `p/q` (decimal digits, optional leading minus), each part
     at most 4,300 digits long."""
+    _typed("parse_rational", str, text=text)
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ParseError(f"{text!r} is not a rational literal")
@@ -62,8 +66,9 @@ def parse_rational(text: str) -> Fraction:
 
 def _coerce(value, rational: bool = False):
     """An exact scalar argument: an int (made a Fraction), a Fraction or, unless
-    `rational`, a Dual.  Anything else, a float above all, is a DomainError."""
-    if isinstance(value, int):
+    `rational`, a Dual.  Anything else, a float or a bool above all, is a
+    DomainError."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, Fraction) or (isinstance(value, Dual) and not rational):
         return value
@@ -116,27 +121,66 @@ def _iterable(where: str, values, what: str = "coefficients"):
         raise DomainError(f"{where} needs an iterable of {what}, got {values!r}") from None
 
 
+def _typed(where: str, kind: type, **values) -> None:
+    """Refuse each of `values` that is not a `kind`, naming `where`, the type, the
+    argument and the value.  Every public argument that must be a package type
+    or a text goes through here."""
+    for name, value in values.items():
+        if not isinstance(value, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise DomainError(f"{where} needs {article} {kind.__name__} {name}, got {value!r}")
+
+
 def _int_row(coeffs) -> tuple:
-    """A nonempty run of Fractions and Duals as integers over one lcm, (den, val,
-    der, dual): coefficient i is val[i]/den, plus der[i]/den times delta where
-    dual[i] is true, which marks a nonzero Dual.  A Dual(0, 0) counts as a zero
-    Fraction; der and dual are None when no coefficient is a nonzero Dual."""
+    """A nonempty run of Fractions and Duals as a row over one lcm.  Bit i of mask
+    marks a nonzero Dual: a Dual(0, 0) counts as a zero Fraction."""
     if Dual not in set(map(type, coeffs)):
         ratios = [c.as_integer_ratio() for c in coeffs]
         den = math.lcm(*(d for _, d in ratios))
-        return den, [n * (den // d) for n, d in ratios], None, None
-    dual = [isinstance(c, Dual) and bool(c) for c in coeffs]
+        return den, [n * (den // d) for n, d in ratios], None, 0
+    mask = sum(1 << i for i, c in enumerate(coeffs) if isinstance(c, Dual) and c)
     parts = [(c.val, c.der) if isinstance(c, Dual) else (c, _ZERO) for c in coeffs]
     den = math.lcm(*(x.denominator for pair in parts for x in pair))
     val = [v.numerator * (den // v.denominator) for v, _ in parts]
     der = [w.numerator * (den // w.denominator) for _, w in parts]
-    return (den, val, der, dual) if any(dual) else (den, val, None, None)
+    return den, val, der if mask else None, mask
 
 
 def _convolve(a: list, b: list) -> list:
-    """The first len(a) coefficients of the product of two integer rows of equal length."""
+    """The first len(a) coefficients of the product of two integer lists of equal length."""
     rb = b[::-1]
     return [sum(map(mul, a, rb[-n:])) for n in range(1, len(a) + 1)]
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """The product of two rows, or of their (den, val, der), of equal length, to
+    that length: (den, val, der), der by the product rule or None.  The caller
+    sets the mask by its route's rule."""
+    (den_a, x, dx), (den_b, y, dy) = a[:3], b[:3]
+    der = None
+    if dx is not None or dy is not None:
+        zero = [0] * len(x)
+        der = [s + t for s, t in zip(_convolve(x, dy or zero), _convolve(dx or zero, y))]
+    return den_a * den_b, _convolve(x, y), der
+
+
+def _entries(row: tuple) -> list:
+    """Every coefficient of a row: a Fraction, or a Dual where its mask bit is set."""
+    den, val, der, mask = row
+    if der is None:
+        return [Fraction(x, den) for x in val]
+    return [
+        Dual(Fraction(x, den), Fraction(y, den)) if mask >> i & 1 else Fraction(x, den)
+        for i, (x, y) in enumerate(zip(val, der))
+    ]
+
+
+def _entry(row: tuple, i: int):
+    """Coefficient i of a row, as `_entries` gives it."""
+    den, val, der, mask = row
+    if mask >> i & 1:
+        return Dual(Fraction(val[i], den), Fraction(der[i], den))
+    return Fraction(val[i], den)
 
 
 class EpsSeries:
@@ -267,39 +311,30 @@ class EpsSeries:
         """The product, with window [p_a + p_b, min(max_a + p_b, max_b + p_a)].
 
         Cost: one lcm per operand (`_int_row`), then an integer convolution
-        over the window and one Fraction, so one gcd, per coefficient.  An
-        entry is a Dual exactly where some term of its sum pairs two nonzero
-        coefficients, at least one of them a Dual: the entries of the
-        Fraction/Dual product that skips zero coefficients.
+        over the window (`_product`) and one Fraction, so one gcd, per
+        coefficient.  An entry is a Dual exactly where some term of its sum
+        pairs two nonzero coefficients, at least one of them a Dual: the entries
+        of the Fraction/Dual product that skips zero coefficients.
         """
         if not isinstance(other, EpsSeries):
             return NotImplemented
         ia, ib = self._lead_index(), other._lead_index()
         width = min(len(self._coeffs) - ia, len(other._coeffs) - ib)
-        low = self._min + ia + other._min + ib
-        den_a, a, da, dual_a = _int_row(self._coeffs[ia : ia + width])
-        den_b, b, db, dual_b = _int_row(other._coeffs[ib : ib + width])
-        den, val = den_a * den_b, _convolve(a, b)
-        if da is None and db is None:
-            return EpsSeries._of([Fraction(x, den) for x in val], low)
-        # (a + da*delta)(b + db*delta) has the delta-part a*db + da*b.  The
-        # convolutions of the flag rows count the Dual-touching pairs per entry.
-        zero = [0] * width
-        da, db, dual_a, dual_b = da or zero, db or zero, dual_a or zero, dual_b or zero
-        der = [x + y for x, y in zip(_convolve(a, db), _convolve(da, b))]
-        nonzero_a = [bool(x or y) for x, y in zip(a, da)]
-        nonzero_b = [bool(x or y) for x, y in zip(b, db)]
-        pairs = [
-            x + y
-            for x, y in zip(_convolve(dual_a, nonzero_b), _convolve(nonzero_a, dual_b))
-        ]
-        return EpsSeries._of(
-            [
-                Dual(Fraction(x, den), Fraction(y, den)) if touched else Fraction(x, den)
-                for x, y, touched in zip(val, der, pairs)
-            ],
-            low,
-        )
+        row_a = _int_row(self._coeffs[ia : ia + width])
+        row_b = _int_row(other._coeffs[ib : ib + width])
+        den, val, der = _product(row_a, row_b)
+        mask = 0
+        if der is not None:
+            # A nonzero Dual at i makes a Dual of entry i + j for each nonzero
+            # coefficient j of the other operand: its nonzero bits shifted by i.
+            for (_, _, _, dual), (_, y, _, other_dual) in ((row_a, row_b), (row_b, row_a)):
+                nonzero = other_dual | sum(1 << j for j, v in enumerate(y) if v)
+                for i in range(width):
+                    if dual >> i & 1:
+                        mask |= nonzero << i
+            mask &= (1 << width) - 1
+        row = den, val, der if mask else None, mask
+        return EpsSeries._of(_entries(row), self._min + ia + other._min + ib)
 
     def __eq__(self, other):
         if not isinstance(other, EpsSeries):
@@ -385,7 +420,7 @@ def series_invert(a: EpsSeries) -> EpsSeries:
             "series_invert needs a lead with a nonzero value part; "
             f"the coefficient of eps^{p} is {u[0]!r}"
         )
-    d, U, D, dual = _int_row(u)
+    d, U, D, mask = _int_row(u)
     lead = U[0]
     powers = [1]  # powers[n] = lead**n
     for _ in U:
@@ -398,7 +433,7 @@ def series_invert(a: EpsSeries) -> EpsSeries:
         return EpsSeries._of([Fraction(d * w, y) for w, y in zip(W, powers[1:])], -p)
     X = _convolve([-x * y for x, y in zip(D, powers)], _convolve(W, W))
     powers.append(powers[-1] * lead)
-    first = dual.index(True)  # every entry from the lowest nonzero Dual on is a Dual
+    first = (mask & -mask).bit_length() - 1  # from the lowest nonzero Dual on, a Dual
     return EpsSeries._of(
         [
             Dual(Fraction(d * w, y), Fraction(d * x, z)) if n >= first else Fraction(d * w, y)

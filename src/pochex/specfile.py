@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError
 from .hyper_expand import HyperTermSpec, IndexLaw
 from .pochhammer import LinearParam
-from .series import parse_rational
+from .series import _typed, parse_rational
 
 _SECTIONS = ("function", "numerator", "denominator", "params", "options")
 _OPTION_KEYS = ("eps_order", "degree_bound", "regroup")
@@ -175,6 +175,7 @@ def _scan(text: str) -> _Raw:
 
 def parse_spec_text(text: str):
     """Parse a series spec file; returns (HyperTermSpec, SpecOptions)."""
+    _typed("parse_spec_text", str, text=text)
     raw = _scan(text)
     numer = tuple(
         (param, _law_from_tokens(tokens, lineno)) for param, tokens, lineno in raw.numer
@@ -193,6 +194,7 @@ def parse_quotient_text(text: str):
 
     Returns (numer, denom) as tuples of (LinearParam, length).
     """
+    _typed("parse_quotient_text", str, text=text)
     raw = _scan(text)
     if raw.params:
         raise ParseError("[params] is not used in quotient files")

@@ -110,7 +110,7 @@ COUNT_NAMES = {"m", "n", "k", "a", "order", "eps_order", "degree_bound", "length
 # Parameters that carry a count's name but hold a series.
 NOT_COUNTS = {("series_invert", "a")}
 
-BAD_SCALARS = ["1/2", "1", None, 1.5]
+BAD_SCALARS = ["1/2", "1", None, 1.5, True, False]
 
 
 def _callable(name):
@@ -164,6 +164,68 @@ def test_bad_factor_length_is_a_domain_error(bad):
         PochProductQuotient([(LinearParam(1, 1), bad)], [(LinearParam(2, 1), 2)])
     with pytest.raises(DomainError, match="needs an integer length >= 0"):
         PochProductQuotient([], [(LinearParam(2, 1), bad)])
+
+
+_L = LinearParam(1, 1)
+
+# Every argument that must be of a package type, a mapping or a text: a wrong
+# type is a DomainError naming the function, what it needs and the argument.
+TYPED = {
+    "expand_general": (lambda: pochex.expand_general(5, 1, 1), "a HyperTermSpec spec, got 5"),
+    "delta_dual_expand": (
+        lambda: pochex.delta_dual_expand(5, 1, 1),
+        "a HyperTermSpec spec, got 5",
+    ),
+    "expand_closed-extra": (lambda: pochex.expand_closed("F6", 1, 2, 5), "a Mapping extra, got 5"),
+    "HyperTermSpec-numer": (
+        lambda: pochex.HyperTermSpec("x", numer=5),
+        "an iterable of numer factors, got 5",
+    ),
+    "poch_eps_series": (lambda: pochex.poch_eps_series(5, 2, 2), "a LinearParam param, got 5"),
+    "emit_table": (lambda: pochex.emit_table(5), "an ExpansionTable table, got 5"),
+    "regroup_total_degree": (
+        lambda: pochex.regroup_total_degree(5),
+        "an ExpansionTable table, got 5",
+    ),
+    "decompose_multi": (
+        lambda: pochex.decompose_multi(5),
+        "a PochProductQuotient quotient, got 5",
+    ),
+    "decompose_single-num": (lambda: decompose_single(5, 1, _L, 2), "a LinearParam num, got 5"),
+    "decompose_single-den": (lambda: decompose_single(_L, 1, 5, 2), "a LinearParam den, got 5"),
+    "quotient_deriv-num": (
+        lambda: pochex.quotient_deriv(5, 1, _L, 2, 1),
+        "a LinearParam num, got 5",
+    ),
+    "quotient_deriv-den": (
+        lambda: pochex.quotient_deriv(_L, 1, 5, 2, 1),
+        "a LinearParam den, got 5",
+    ),
+    "pf_derivative": (lambda: pochex.pf_derivative(5, 1), "a PartialFractionForm form, got 5"),
+    "PochProductQuotient-pair": (
+        lambda: PochProductQuotient([(_L,)]),
+        f"(LinearParam, length) factors, got {(_L,)!r}",
+    ),
+    "PochProductQuotient-sides": (
+        lambda: PochProductQuotient(5),
+        "an iterable of (LinearParam, length) factors, got 5",
+    ),
+    "PochProductQuotient-param": (
+        lambda: PochProductQuotient([], [(5, 2)]),
+        "a LinearParam param, got 5",
+    ),
+    "parse_rational": (lambda: pochex.parse_rational(5), "a str text, got 5"),
+    "parse_spec_text": (lambda: pochex.parse_spec_text(5), "a str text, got 5"),
+    "parse_quotient_text": (lambda: pochex.parse_quotient_text(5), "a str text, got 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TYPED))
+def test_wrong_typed_argument_is_a_domain_error(case):
+    call, needs = TYPED[case]
+    message = f"{case.partition('-')[0]} needs {needs}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [5, None, F(1, 2), 1.5])

@@ -35,7 +35,6 @@ from pochex.hyper_expand import (
 from pochex.pochhammer import (
     LinearParam,
     PochMethod,
-    _entries,
     _int_factor,
     _poch_step,
     _recip_step,
@@ -43,7 +42,7 @@ from pochex.pochhammer import (
     poch_eps_series,
     pochhammer,
 )
-from pochex.series import EpsSeries, series_invert
+from pochex.series import EpsSeries, _entries, series_invert
 
 
 # -- index laws and specs -----------------------------------------------------
@@ -359,10 +358,11 @@ def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
     # applies each factor's c0 start factors, c1 factors on each of the D
     # moves down the m2 = 0 column and c2 factors on each of the D(D+1)/2
     # moves along the m2 rows, so sum_f (c0 + c1*D + c2*D(D+1)/2) linear-factor
-    # steps, and makes no series, products or inverses.
+    # steps, builds the entries of each of the 231 lattice points once, and
+    # makes no series, products or inverses.
     calls = Counter()
-    _counter(monkeypatch, calls, pochex.hyper_expand, "_poch_step")
-    _counter(monkeypatch, calls, pochex.hyper_expand, "_recip_step")
+    for name in ("_poch_step", "_recip_step", "_entries"):
+        _counter(monkeypatch, calls, pochex.hyper_expand, name)
     for module in (pochex.hyper_expand, pochex.pochhammer, pochex.series):
         for name in ("poch_eps_series", "series_invert"):
             if hasattr(module, name):
@@ -371,6 +371,7 @@ def test_engine_builds_each_factor_once_and_no_series(monkeypatch):
     expand_general(closed_engine_spec("F5"), 6, 20)
     assert calls["_poch_step"] == 460
     assert calls["_recip_step"] == 230
+    assert calls["_entries"] == 231
     assert calls["poch_eps_series"] == 0
     assert calls["series_invert"] == 0
     assert calls["__mul__"] == 0
@@ -411,27 +412,28 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
 )
 def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
     # Every closed form builds `columns` integer rows per lattice point at K=4,
-    # D=12 (91 points), each of _power_column or _convolve.  A power column's
-    # one denominator is one math.lcm; a convolution's is the product of two,
-    # and no coefficient takes an lcm of its own.  The one other lcm is the
-    # Dual delta's triple, once per call.  A Dual delta takes the same path as
-    # a rational one.
+    # D=12 (91 points), each of _power_column or _product, and turns one
+    # column per point into entries.  A power column's one denominator is one
+    # math.lcm; a convolution's is the product of two, and no coefficient takes
+    # an lcm of its own.  The one other lcm is the Dual delta's triple, once
+    # per call.  A Dual delta takes the same path as a rational one.
     deltas = [F(1, 3), Dual(F(1, 3), 1)] if example in ("F6", "F6_alt", "F7") else [None]
     for delta in deltas:
         calls = Counter()
         with monkeypatch.context() as patched:
-            for name in ("_power_column", "_convolve"):
+            for name in ("_power_column", "_product", "_entries"):
                 _counter(patched, calls, pochex.hyper_expand, name)
             counted_math = types.SimpleNamespace(**vars(math))
             _counter(patched, calls, counted_math, "lcm")
             patched.setattr(pochex.hyper_expand, "math", counted_math)
             expand_closed(example, 4, 12, None if delta is None else {"delta": delta})
-        assert calls["_power_column"] + calls["_convolve"] == columns * 91, delta
+        assert calls["_power_column"] + calls["_product"] == columns * 91, delta
+        assert calls["_entries"] == 91, delta
         assert calls["lcm"] == calls["_power_column"] + isinstance(delta, Dual), delta
 
 
 # -- the closed forms' integer rows ---------------------------------------------
-# The Fraction/Dual loops below are the definitions `_power_column`, `_convolve`
+# The Fraction/Dual loops below are the definitions `_power_column`, `_product`
 # and `_scaled` must reproduce: the same value and type for every entry, an
 # entry being a Dual where a triple that reaches its row, or the prefactor, has
 # a der.
@@ -494,7 +496,7 @@ def test_closed_rows_are_the_fraction_dual_sums(K, lead_a, terms_a, lead_b, term
     ref_a = _reference_power_column(K, lead_a, terms_a)
     ref_b = _reference_power_column(K, lead_b, terms_b)
     assert _typed_list(hx._scaled(pref, a)) == _typed_list(_reference_scaled(pref, ref_a))
-    assert _typed_list(hx._scaled(pref, hx._convolve(a, b))) == _typed_list(
+    assert _typed_list(hx._scaled(pref, pochex.series._product(a, b))) == _typed_list(
         _reference_scaled(pref, _reference_convolve(ref_a, ref_b))
     )
 

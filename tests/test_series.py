@@ -8,9 +8,18 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import pochex.series
 from pochex.duals import Dual
 from pochex.errors import DomainError, ParseError, ZeroSeries
-from pochex.series import EpsSeries, _int_sum, parse_rational, polynomial_series, series_invert
+from pochex.series import (
+    EpsSeries,
+    _entries,
+    _int_row,
+    _int_sum,
+    parse_rational,
+    polynomial_series,
+    series_invert,
+)
 from pochex.verify import _compose, _log1p_power
 
 
@@ -329,10 +338,21 @@ def _typed(series):
 
 
 _small = st.fractions(min_value=-4, max_value=4, max_denominator=4)
-_entries = st.one_of(
+_coefficient = st.one_of(
     st.just(F(0)), _small, st.builds(Dual, _small, _small), st.just(Dual(0, 0))
 )
-_mixed = st.builds(EpsSeries, st.lists(_entries, min_size=1, max_size=8), st.integers(-3, 3))
+_mixed = st.builds(EpsSeries, st.lists(_coefficient, min_size=1, max_size=8), st.integers(-3, 3))
+
+
+@given(st.lists(_coefficient, min_size=1, max_size=13))
+@example([Dual(0, 0), F(1, 2), Dual(F(1, 3), 0), Dual(0, F(-1, 4))])
+def test_a_row_reads_back_every_entry_and_its_type(coeffs):
+    # `_entries` gives back what `_int_row` put over one denominator, by value and
+    # type, except that a Dual(0, 0) is a zero of the row: Fraction(0).
+    row = _int_row(coeffs)
+    assert (row[2] is None) == (row[3] == 0)
+    want = [F(0) if isinstance(c, Dual) and not c else c for c in coeffs]
+    assert [(type(x), x) for x in _entries(row)] == [(type(x), x) for x in want]
 
 
 @given(_mixed, _mixed)
@@ -376,17 +396,22 @@ def test_invert_refuses_a_dual_lead_with_a_zero_value_part():
 def test_products_and_inverses_do_no_fraction_arithmetic(monkeypatch):
     # Order 12: each kernel builds one Fraction per coefficient and makes no
     # Fraction multiply or add; the reference loops, under the same count, do.
+    # A product, of Fractions or of Duals, builds its entries by one `_entries`
+    # call; an inverse has a denominator per entry and builds its own.
     a = EpsSeries([F(j + 1, j + 2) for j in range(13)])
     b = EpsSeries([F(2 * j - 5, 3 + j) for j in range(13)])
-    calls = []
+    dual = EpsSeries([Dual(F(j, 3), 1) if j % 3 else F(j + 1, 5) for j in range(13)])
+    calls, rows = [], []
     for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
         def counted(x, y, _original=getattr(F, name)):
             calls.append(1)
             return _original(x, y)
 
         monkeypatch.setattr(F, name, counted)
+    monkeypatch.setattr(pochex.series, "_entries", lambda row: rows.append(1) or _entries(row))
     product, inverse = a * b, series_invert(a)
-    assert len(calls) == 0
+    assert len(calls) == 0 and len(rows) == 1
+    assert isinstance((a * dual).coefficients[1], Dual) and len(rows) == 2
     _reference_product(a, b)
     assert len(calls) > 0
     monkeypatch.undo()
