@@ -14,15 +14,6 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError, PochexError
-from .hyper_expand import (
-    CLOSED_EXAMPLES,
-    ExpansionTable,
-    emit_table,
-    expand_closed,
-    expand_general,
-    regroup_total_degree,
-)
-from .partial_fractions import PochProductQuotient, decompose_multi, quotient_deriv
 from .pochhammer import (
     LinearParam,
     PochMethod,
@@ -32,8 +23,9 @@ from .pochhammer import (
     recip_poch_laurent,
 )
 from .series import parse_rational
-from .specfile import parse_quotient_text, parse_spec_text
-from .verify import verify_all, verify_ids
+
+# `hyper_expand`, `partial_fractions`, `specfile` and `verify` are imported by
+# the commands that use them, so that `poch` and `recip` start without them.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,9 +139,7 @@ def _build_parser() -> _Parser:
     e = sub.add_parser("expand", help="exact eps-expansion coefficient table")
     src = e.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", help="series description file")
-    src.add_argument(
-        "--closed", choices=CLOSED_EXAMPLES, help="built-in example, closed form"
-    )
+    src.add_argument("--closed", help="built-in example, closed form")
     e.add_argument("--eps-order", type=int, help="highest eps power (default 3)")
     e.add_argument("--degree-bound", type=int, help="highest m1+m2 (default 5)")
     e.add_argument("--regroup", choices=("lattice", "total"), help="table keying")
@@ -201,6 +191,8 @@ def _cmd_recip(args, parser) -> int:
 
 
 def _cmd_quotient(args) -> int:
+    from .partial_fractions import quotient_deriv
+
     value = quotient_deriv(
         LinearParam(*args.num), args.m, LinearParam(*args.den), args.n, args.k, args.at
     )
@@ -218,16 +210,23 @@ def _read_spec(path: str) -> str:
 
 
 def _cmd_pf(args) -> int:
+    from .partial_fractions import PochProductQuotient, decompose_multi
+    from .specfile import parse_quotient_text
+
     numer, denom = parse_quotient_text(_read_spec(args.spec))
     print(str(decompose_multi(PochProductQuotient(numer, denom))))
     return 0
 
 
 def _cmd_expand(args) -> int:
+    from .hyper_expand import emit_table, expand_closed, expand_general, regroup_total_degree
+
     eps_order, degree_bound, regroup = args.eps_order, args.degree_bound, args.regroup
     if args.spec is not None:
         if args.delta is not None:
             raise PochexError("--delta is for --closed; a spec carries delta in its own constants")
+        from .specfile import parse_spec_text
+
         spec, options = parse_spec_text(_read_spec(args.spec))
         if eps_order is None:
             eps_order = options.eps_order
@@ -249,6 +248,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .hyper_expand import ExpansionTable, emit_table, expand_closed, regroup_total_degree
+
     k_lo, k_hi = args.k
     if args.max_m < 0:
         raise PochexError("--max-m must be >= 0")
@@ -260,6 +261,8 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .verify import verify_all, verify_ids
+
     if args.ids and args.all:
         parser.error("--id and --all are mutually exclusive")
     summaries = verify_ids(args.ids) if args.ids else verify_all()

@@ -127,6 +127,16 @@ class ExpansionTable:
     degree_bound: int
     regrouping: str = "lattice"
 
+    def __post_init__(self):
+        # Type checks only, not a walk over the entries: a table costs O(1) to build.
+        _typed("ExpansionTable", Mapping, entries=self.entries)
+        _count("ExpansionTable", eps_order=self.eps_order, degree_bound=self.degree_bound)
+        if self.regrouping not in ("lattice", "total_degree"):
+            raise DomainError(
+                "ExpansionTable needs a regrouping 'lattice' or 'total_degree', "
+                f"got {self.regrouping!r}"
+            )
+
     def get(self, k: int, i: int, j: int):
         key = (k, i, j)
         if key not in self.entries:
@@ -220,6 +230,7 @@ def delta_dual_expand(spec: HyperTermSpec, eps_order: int, degree_bound: int) ->
     yields the all-zero table.
     """
     _typed("delta_dual_expand", HyperTermSpec, spec=spec)
+    _count("delta_dual_expand", eps_order=eps_order, degree_bound=degree_bound)
     table = expand_general(spec, eps_order, degree_bound)
     entries = {key: delta_part(v) for key, v in table.entries.items()}
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")

@@ -372,6 +372,7 @@ class EpsSeries:
 
     @staticmethod
     def one(order: int = 0) -> "EpsSeries":
+        _count("EpsSeries.one", order=order)
         return EpsSeries.constant(_ONE, order)
 
 

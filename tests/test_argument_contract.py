@@ -143,7 +143,10 @@ def _scalar_cases():
 
 @pytest.mark.parametrize("name, param, bad", list(_count_cases()))
 def test_bad_count_is_a_domain_error(name, param, bad):
-    with pytest.raises(DomainError, match=f"needs an integer {param} >= "):
+    # The message names the function called, not one it delegates to.
+    low = FLOORS.get((name, param), 0)
+    message = f"{name} needs an integer {param} >= {low}, got {bad!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         _callable(name)(**{**VALID[name], param: bad})
 
 
@@ -226,6 +229,37 @@ def test_wrong_typed_argument_is_a_domain_error(case):
     message = f"{case.partition('-')[0]} needs {needs}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "use",
+    [pochex.emit_table, lambda table: table.get(0, 0, 0), pochex.regroup_total_degree],
+    ids=["emit_table", "get", "regroup_total_degree"],
+)
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((5, 1, 1), "a Mapping entries, got 5"),
+        (([], 1, 1), "a Mapping entries, got []"),
+        (({}, -1, 1), "an integer eps_order >= 0, got -1"),
+        (({}, 1, True), "an integer degree_bound >= 0, got True"),
+        (({}, 1, 1.0), "an integer degree_bound >= 0, got 1.0"),
+        (({}, 1, 1, "total"), "a regrouping 'lattice' or 'total_degree', got 'total'"),
+    ],
+    ids=["entries-int", "entries-list", "eps_order", "degree_bound-bool", "degree_bound-float",
+         "regrouping"],
+)
+def test_bad_table_field_is_a_domain_error(fields, message, use):
+    # Checked when the table is built, so no use of it meets a TypeError or AttributeError.
+    with pytest.raises(DomainError, match=f"^{re.escape(f'ExpansionTable needs {message}')}$"):
+        use(pochex.ExpansionTable(*fields))
+
+
+def test_table_takes_any_mapping():
+    from types import MappingProxyType
+
+    table = pochex.ExpansionTable(MappingProxyType({(0, 0, 0): F(1)}), 0, 0)
+    assert pochex.emit_table(pochex.regroup_total_degree(table)) == "k,m,n,coefficient\n0,0,0,1"
 
 
 @pytest.mark.parametrize("bad", [5, None, F(1, 2), 1.5])

@@ -390,7 +390,13 @@ def test_expand_source_flags_are_exclusive(capsys, tmp_path):
 
 
 def test_expand_unknown_example(capsys):
-    assert_clean_failure(capsys, "expand", "--closed", "F9")
+    # The name is checked once, by expand_closed, not by argparse as well.
+    assert run(capsys, "expand", "--closed", "F9") == (
+        1,
+        "",
+        "pochex: error: unknown example 'F9'; known: "
+        "F1, F2, F3, F4, F5, F6, F6_alt, F7, dF7_ddelta\n",
+    )
 
 
 # -- tables -----------------------------------------------------------------------
@@ -527,7 +533,8 @@ def _argv(draw):
         argv = ["quotient", "--num", r(), r(), "-m", i(), "--den", r(), r(), "-n", i()]
         return argv + ["-k", i(), "--at", r()]
     if command == "expand":
-        argv = ["expand", "--closed", draw(st.sampled_from(CLOSED_EXAMPLES))]
+        example = draw(st.sampled_from(CLOSED_EXAMPLES) | st.sampled_from(["F9", "f1", ""]))
+        argv = ["expand", "--closed", example]
         argv += ["--eps-order", i(), "--degree-bound", i()]
         if draw(st.booleans()):
             argv += ["--delta", r()]
