@@ -83,6 +83,7 @@ def _build_parser() -> _Parser:
         default="stirling_sum",
         choices=[m.value for m in PochMethod],
     )
+    p.set_defaults(run=_cmd_poch)
 
     r = sub.add_parser(
         "recip",
@@ -105,6 +106,7 @@ def _build_parser() -> _Parser:
     r.add_argument("-n", type=int, help="the argument is -n (laurent mode)")
     r.add_argument("-b", type=_rational, help="slope of the argument (laurent mode)")
     r.add_argument("--order", type=int, help="truncation order (laurent mode)")
+    r.set_defaults(run=_cmd_recip)
 
     q = sub.add_parser(
         "quotient",
@@ -130,11 +132,13 @@ def _build_parser() -> _Parser:
     q.add_argument("-n", type=int, required=True, help="denominator length")
     q.add_argument("-k", type=int, required=True, help="derivative order")
     q.add_argument("--at", type=_rational, default=Fraction(0), help="evaluation point")
+    q.set_defaults(run=_cmd_quotient)
 
     f = sub.add_parser(
         "pf", help="partial-fraction decomposition of a rising-factorial quotient"
     )
     f.add_argument("--spec", required=True, help="quotient description file")
+    f.set_defaults(run=_cmd_pf)
 
     e = sub.add_parser("expand", help="exact eps-expansion coefficient table")
     src = e.add_mutually_exclusive_group(required=True)
@@ -145,6 +149,7 @@ def _build_parser() -> _Parser:
     e.add_argument("--regroup", choices=("lattice", "total"), help="table keying")
     e.add_argument("--format", default="csv", choices=("csv", "aligned"))
     e.add_argument("--delta", type=_rational, help="extra parameter for F6/F6_alt/F7")
+    e.set_defaults(run=_cmd_expand)
 
     t = sub.add_parser(
         "tables", help="coefficient tables of the built-in F5 expansion"
@@ -156,6 +161,7 @@ def _build_parser() -> _Parser:
         help="eps order or range a..b (default 0..3)",
     )
     t.add_argument("--max-m", type=int, default=5, help="highest total degree")
+    t.set_defaults(run=_cmd_tables)
 
     v = sub.add_parser("verify", help="check registered identities exactly")
     v.add_argument(
@@ -166,10 +172,11 @@ def _build_parser() -> _Parser:
         help="relation id (repeatable)",
     )
     v.add_argument("--all", action="store_true", help="check every relation")
+    v.set_defaults(run=_cmd_verify)
     return parser
 
 
-def _cmd_poch(args) -> int:
+def _cmd_poch(args, parser) -> int:
     print(poch_deriv(args.alpha, args.m, args.k, PochMethod(args.method)))
     return 0
 
@@ -190,7 +197,7 @@ def _cmd_recip(args, parser) -> int:
     return 0
 
 
-def _cmd_quotient(args) -> int:
+def _cmd_quotient(args, parser) -> int:
     from .partial_fractions import quotient_deriv
 
     value = quotient_deriv(
@@ -209,7 +216,7 @@ def _read_spec(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
-def _cmd_pf(args) -> int:
+def _cmd_pf(args, parser) -> int:
     from .partial_fractions import PochProductQuotient, decompose_multi
     from .specfile import parse_quotient_text
 
@@ -218,7 +225,7 @@ def _cmd_pf(args) -> int:
     return 0
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args, parser) -> int:
     from .hyper_expand import emit_table, expand_closed, expand_general, regroup_total_degree
 
     eps_order, degree_bound, regroup = args.eps_order, args.degree_bound, args.regroup
@@ -247,7 +254,7 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args, parser) -> int:
     from .hyper_expand import ExpansionTable, emit_table, expand_closed, regroup_total_degree
 
     k_lo, k_hi = args.k
@@ -302,19 +309,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        if args.command == "poch":
-            return _cmd_poch(args)
-        if args.command == "recip":
-            return _cmd_recip(args, parser)
-        if args.command == "quotient":
-            return _cmd_quotient(args)
-        if args.command == "pf":
-            return _cmd_pf(args)
-        if args.command == "expand":
-            return _cmd_expand(args)
-        if args.command == "tables":
-            return _cmd_tables(args)
-        return _cmd_verify(args, parser)
+        return args.run(args, parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (PochexError, OSError) as exc:

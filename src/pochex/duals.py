@@ -102,21 +102,15 @@ class Dual:
             return NotImplemented
         return o * self._inverse()
 
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
+    def __pow__(self, n):
+        # The power rule: (v + d*eps)**n = v**n + n*v**(n-1)*d*eps.
+        if not isinstance(n, int):
             return NotImplemented
-        if exponent < 0:
-            return self._inverse() ** (-exponent)
-        result = Dual(1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        if n == 0:
+            return Dual(1)
+        if n < 0 and self.val == 0:
+            self._inverse()  # raises the DomainError of a zero value part
+        return Dual(self.val**n, n * self.val ** (n - 1) * self.der)
 
 
 def delta_part(x) -> Fraction:

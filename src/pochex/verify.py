@@ -125,23 +125,37 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-def _param(params, name):
-    if name not in params:
-        raise DomainError(f"missing parameter {name!r}")
-    return params[name]
+class _Point(dict):
+    """One parameter point; `where`, as in `identity_eval('A9')`, heads its errors."""
+
+    def __init__(self, where, params):
+        super().__init__(params)
+        self.where = where
 
 
-def _as_int(params, name, minimum):
+def _param(p, name):
+    if name not in p:
+        raise DomainError(f"{p.where} is missing parameter {name!r}")
+    return p[name]
+
+
+def _as_int(p, name, minimum):
     # An integral Fraction counts as its integer.
-    value = _param(params, name)
+    value = _param(p, name)
     if isinstance(value, Fraction) and value.denominator == 1:
         value = int(value)
-    _count("verify", minimum, **{name: value})
+    _count(p.where, minimum, **{name: value})
     return value
 
 
-def _as_rational(params, name):
-    return _coerce(_param(params, name), rational=True)
+def _as_rational(p, name):
+    value = _param(p, name)
+    try:
+        return _coerce(value, rational=True)
+    except DomainError:
+        raise DomainError(
+            f"{p.where} needs a rational {name}, got {value!r}; pass an int or a Fraction"
+        ) from None
 
 
 def _params(where, params) -> dict:
@@ -456,8 +470,18 @@ def identity_eval(identity: IdentityId, params: dict) -> IdentityResult:
     """Evaluate both sides of a scalar identity at one parameter point."""
     identity, evaluate, _ = _relation(identity, (IdentityId,))
     params = _params("identity_eval", params)
-    lhs, rhs = evaluate(dict(params))
-    return IdentityResult(identity, params, _F(lhs), _F(rhs))
+    return _result_at(identity, evaluate, params, f"identity_eval({identity.value!r})")
+
+
+def _result_at(relation, evaluate, params, where, order=None):
+    """`relation` checked at one point, to `order` if it is a generating relation.
+    A bad parameter's DomainError names `where`: the call, the relation and the point."""
+    point = _Point(where, params)
+    if order is None:
+        lhs, rhs = evaluate(point)
+        return IdentityResult(relation, params, _F(lhs), _F(rhs))
+    equal, first = _series_equal(*evaluate(order, point))
+    return GenFunResult(relation, params, order, equal, first)
 
 
 # -- generating-relation checks ------------------------------------------------
@@ -644,9 +668,7 @@ def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
     if order < 1:
         raise DomainError("order must be >= 1")
     params = _params("genfun_check", params)
-    lhs, rhs = evaluate(order, dict(params))
-    equal, first = _series_equal(lhs, rhs)
-    return GenFunResult(identity, params, order, equal, first)
+    return _result_at(identity, evaluate, params, f"genfun_check({identity.value!r})", order)
 
 
 # -- default parameter grids ---------------------------------------------------
@@ -787,18 +809,16 @@ def run_relation(token, grid=None) -> CheckSummary:
 
     A generating relation is compared to DEFAULT_GENFUN_ORDER.
     """
-    relation, _, default = _relation(token)
+    relation, evaluate, default = _relation(token)
     if grid is None:
         grid = default()
     else:
         points = _iterable("run_relation", grid, "parameter mappings")
         grid = [_params("run_relation", params) for params in points]
-    if isinstance(relation, IdentityId):
-        results = [identity_eval(relation, params) for params in grid]
-        failures = tuple(result for result in results if not result.equal)
-    else:
-        results = [genfun_check(relation, DEFAULT_GENFUN_ORDER, params) for params in grid]
-        failures = tuple(result for result in results if not result.equal_to_order)
+    order = None if isinstance(relation, IdentityId) else DEFAULT_GENFUN_ORDER
+    at = f"run_relation({relation.value!r}) at grid point"
+    results = [_result_at(relation, evaluate, p, f"{at} {i}", order) for i, p in enumerate(grid)]
+    failures = tuple(r for r in results if not (r.equal if order is None else r.equal_to_order))
     return CheckSummary(relation.value, len(grid), failures)
 
 

@@ -304,23 +304,77 @@ def test_signed_integer_takes_either_sign(where, param, call):
     call(1)
 
 
+_RATIONAL_HINT = "; pass an int or a Fraction"
+
+
+BAD_VERIFY_PARAMS = [
+    ("A9", {"m": 1.0, "k": 0}, "identity_eval('A9') needs an integer m >= 0, got 1.0"),
+    ("A9", {"m": "2", "k": 0}, "identity_eval('A9') needs an integer m >= 0, got '2'"),
+    (
+        "A9",
+        {"m": F(1, 2), "k": 0},
+        "identity_eval('A9') needs an integer m >= 0, got Fraction(1, 2)",
+    ),
+    ("A9", {"m": -1, "k": 0}, "identity_eval('A9') needs an integer m >= 0, got -1"),
+    ("A9", {"m": None, "k": 0}, "identity_eval('A9') needs an integer m >= 0, got None"),
+    ("A9", {"k": 0}, "identity_eval('A9') is missing parameter 'm'"),
+    (
+        "A13",
+        {"m": 2, "k": 1, "alpha": Dual(1, 1)},
+        "identity_eval('A13') needs a rational alpha, got Dual(1, 1)" + _RATIONAL_HINT,
+    ),
+    (
+        "A13",
+        {"m": 2, "k": 1, "alpha": 0.5},
+        "identity_eval('A13') needs a rational alpha, got 0.5" + _RATIONAL_HINT,
+    ),
+    (
+        "A13",
+        {"m": 2, "k": 1, "alpha": "1/2"},
+        "identity_eval('A13') needs a rational alpha, got '1/2'" + _RATIONAL_HINT,
+    ),
+]
+
+
+# Ids `<relation>-params<i>`, as pytest names a (relation, params) case.
 @pytest.mark.parametrize(
-    "relation, params",
+    "relation, params, message",
+    BAD_VERIFY_PARAMS,
+    ids=[f"{relation}-params{i}" for i, (relation, _, _) in enumerate(BAD_VERIFY_PARAMS)],
+)
+def test_bad_verify_parameter_is_a_domain_error(relation, params, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        identity_eval(relation, params)
+
+
+@pytest.mark.parametrize(
+    "call, message",
     [
-        ("A9", {"m": 1.0, "k": 0}),
-        ("A9", {"m": "2", "k": 0}),
-        ("A9", {"m": F(1, 2), "k": 0}),
-        ("A9", {"m": -1, "k": 0}),
-        ("A9", {"m": None, "k": 0}),
-        ("A9", {"k": 0}),
-        ("A13", {"m": 2, "k": 1, "alpha": Dual(1, 1)}),
-        ("A13", {"m": 2, "k": 1, "alpha": 0.5}),
-        ("A13", {"m": 2, "k": 1, "alpha": "1/2"}),
+        (
+            lambda: identity_eval("A29", {"m": 1, "k": 0, "n": 0}),
+            "identity_eval('A29') needs an integer n >= 1, got 0",
+        ),
+        (
+            lambda: pochex.genfun_check("a4", 3, {"k": 0, "alpha": 0.5}),
+            "genfun_check('a4') needs a rational alpha, got 0.5" + _RATIONAL_HINT,
+        ),
+        (
+            lambda: pochex.genfun_check("A18", 3, {"x": 0}),
+            "genfun_check('A18') is missing parameter 'a'",
+        ),
+        (
+            lambda: pochex.run_relation("A9", [{"m": 1, "k": 0}, {"m": 2, "k": -1}]),
+            "run_relation('A9') at grid point 1 needs an integer k >= 0, got -1",
+        ),
+        (
+            lambda: pochex.run_relation("a7", [{"k": 1}, {}]),
+            "run_relation('a7') at grid point 1 is missing parameter 'k'",
+        ),
     ],
 )
-def test_bad_verify_parameter_is_a_domain_error(relation, params):
-    with pytest.raises(DomainError):
-        identity_eval(relation, params)
+def test_verify_parameter_error_names_the_call_relation_and_point(call, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", [5, [1, 2], None, F(1, 2)])

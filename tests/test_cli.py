@@ -1,5 +1,6 @@
 """Command-line front-end: output format, exit codes, error routing."""
 
+import argparse
 import contextlib
 import io
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pochex.verify
+from pochex import cli
 from pochex.cli import main
 from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import LinearParam, PochMethod, RecipMethod, poch_eps_series
@@ -499,6 +501,14 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
     assert "poch" in out
+
+
+def test_each_subcommand_runs_its_own_command():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    runs = {name: sub.get_default("run") for name, sub in commands.choices.items()}
+    assert runs == {name: getattr(cli, f"_cmd_{name}") for name in runs}
+    assert sorted(runs) == ["expand", "pf", "poch", "quotient", "recip", "tables", "verify"]
 
 
 def test_output_is_deterministic(capsys):

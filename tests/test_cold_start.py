@@ -34,6 +34,12 @@ def fresh(code: str, *argv: str) -> str:
 # -- the package namespace ------------------------------------------------------------
 
 
+def test_import_loads_the_core_only():
+    code = "import sys, pochex; print(*sorted(m for m in sys.modules if m.startswith('pochex')))"
+    core = ("combinatorics", "duals", "errors", "pochhammer", "series")
+    assert fresh(code).split() == ["pochex", *(f"pochex.{m}" for m in core)]
+
+
 @pytest.mark.parametrize(
     "module, name",
     [("hyper_expand", "expand_closed"), ("partial_fractions", "decompose_multi"),

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pochex.duals import Dual, delta_part
 from pochex.errors import DomainError
@@ -49,6 +51,34 @@ def test_power_matches_derivative_formula():
     for n in range(5):
         assert x**n == Dual(F(3) ** n, n * F(3) ** (n - 1) if n else 0)
     assert x**-2 == Dual(F(1, 9), F(-2, 27))
+
+
+def test_power_of_a_zero_value_part():
+    with pytest.raises(DomainError, match=r"^Dual\(0, 1\) has a zero value part and no inverse$"):
+        Dual(0, 1) ** -1
+    assert Dual(0, 0) ** 0 == Dual(1, 0)
+    assert Dual(0, 3) ** 1 == Dual(0, 3)
+    assert Dual(0, 3) ** 2 == Dual(0, 0)
+
+
+_RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(val=_RATIONALS, der=_RATIONALS, n=st.integers(-6, 6))
+def test_power_rule_matches_repeated_multiplication(val, der, n):
+    x = Dual(val, der)
+    if n < 0 and val == 0:
+        with pytest.raises(DomainError, match="zero value part"):
+            x**n
+        return
+    product = Dual(1)
+    for _ in range(abs(n)):
+        product = product * x
+    expected = product if n >= 0 else 1 / product
+    result = x**n
+    assert (result.val, result.der) == (expected.val, expected.der)
+    assert type(result.val) is type(result.der) is F
 
 
 def test_polynomial_derivative_via_duals():

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, once, the count is pinned,
 and the README lists exactly these names."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -12,7 +13,8 @@ import pochex
 # Pinned so that adding or removing a public name shows up in the diff.
 PUBLIC_NAMES = 62
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_every_exported_name_resolves_once():
@@ -23,6 +25,31 @@ def test_every_exported_name_resolves_once():
 
 def test_public_name_count_is_pinned():
     assert len(pochex.__all__) == PUBLIC_NAMES
+
+
+def _misfiled(table):
+    """The (module, name) pairs of a name table whose module does not define the
+    name at its top level; a name it only imports loads that module for nothing."""
+    misfiled = []
+    for module, names in table.items():
+        source = (ROOT / "src" / "pochex" / f"{module}.py").read_text(encoding="utf-8")
+        defined = set()
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        misfiled += [(module, name) for name in names.split() if name not in defined]
+    return misfiled
+
+
+def test_name_table_files_each_name_under_its_defining_module():
+    assert _misfiled(pochex._NAMES) == []
+    assert list(pochex._NAMES) == sorted(pochex._NAMES)
+    # hyper_expand imports LinearParam from pochhammer but does not define it.
+    moved = {**pochex._NAMES, "hyper_expand": pochex._NAMES["hyper_expand"] + " LinearParam"}
+    assert _misfiled(moved) == [("hyper_expand", "LinearParam")]
 
 
 @pytest.mark.parametrize(
