@@ -16,7 +16,6 @@ dP(m, k)/dalpha = (k+1) P(m, k+1) and dQ(m, k)/dbeta = (k+1) Q(m, k+1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -40,16 +39,35 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class LinearParam:
-    """A parameter that is linear in the expansion variable: constant + slope*eps."""
+    """A parameter that is linear in the expansion variable: constant + slope*eps.
 
-    constant: Fraction
-    slope: Fraction
+    A frozen value class with a frozen dataclass's repr, ==, hash and
+    `__match_args__`, but not a dataclass, so `import pochex` loads no `dataclasses`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", _coerce(self.constant))
-        object.__setattr__(self, "slope", _coerce(self.slope))
+    __match_args__ = ("constant", "slope")
+
+    def __init__(self, constant: Fraction, slope: Fraction):
+        object.__setattr__(self, "constant", _coerce(constant))
+        object.__setattr__(self, "slope", _coerce(slope))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(constant={self.constant!r}, slope={self.slope!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.constant, self.slope) == (other.constant, other.slope)
+
+    def __hash__(self):
+        return hash((self.constant, self.slope))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def at(self, eps):
         return self.constant + self.slope * _coerce(eps)

@@ -50,7 +50,10 @@ from .pochhammer import (
 from .series import (
     EpsSeries,
     _coerce,
+    _convolve,
     _count,
+    _entries,
+    _int_row,
     _int_sum,
     _iterable,
     polynomial_series,
@@ -511,13 +514,18 @@ def _log1p_power(k: int, order: int) -> EpsSeries:
 
 
 def _compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
-    # outer(inner(z)) by Horner's rule, each product cut back to the order of
-    # outer; outer starts at z**0 and inner has no constant term.
+    # outer(inner(z)) to outer's order by Horner's rule on one integer row, over
+    # den_o * den_i**t after t steps; inner has no constant term, both are rational.
     order = outer.max_exponent
-    acc = EpsSeries.constant(outer.coefficient(order), order)
+    den_o, top, _, _ = _int_row([outer.coefficient(e) for e in range(order + 1)])
+    den_i, low, _, _ = _int_row([inner.coefficient(e) for e in range(order + 1)])
+    acc = [top[order]] + [0] * order
+    scale = 1
     for e in range(order - 1, -1, -1):
-        acc = (acc * inner).truncated(order) + EpsSeries.constant(outer.coefficient(e), order)
-    return acc
+        scale *= den_i
+        acc = _convolve(acc, low)
+        acc[0] += top[e] * scale
+    return EpsSeries._of(_entries((den_o * scale, acc, None, 0)), 0)
 
 
 def _genfun_a4(order, p):
@@ -664,9 +672,7 @@ def _genfun_nueva2(order, p):
 def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
     """Build both sides of a generating relation and compare coefficientwise."""
     identity, evaluate, _ = _relation(identity, (GenFunId,))
-    _count("genfun_check", order=order)
-    if order < 1:
-        raise DomainError("order must be >= 1")
+    _count("genfun_check", 1, order=order)
     params = _params("genfun_check", params)
     return _result_at(identity, evaluate, params, f"genfun_check({identity.value!r})", order)
 

@@ -85,7 +85,7 @@ COUNTS = {
     "genfun_check": ["order"],
 }
 FLOORS = {("double_factorial", "n"): -1, ("recip_poch_laurent", "order"): -1,
-          ("gen_bernoulli_poly", "a"): 1}
+          ("gen_bernoulli_poly", "a"): 1, ("genfun_check", "order"): 1}
 
 # Every scalar argument; True where it must be rational, so a Dual is refused too.
 SCALARS = {

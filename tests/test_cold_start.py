@@ -19,6 +19,8 @@ from pochex.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFERRED = ("hyper_expand", "partial_fractions", "specfile", "verify")
+# `dataclasses` and the library modules it loads: none is needed by the core.
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def fresh(code: str, *argv: str) -> str:
@@ -38,6 +40,11 @@ def test_import_loads_the_core_only():
     code = "import sys, pochex; print(*sorted(m for m in sys.modules if m.startswith('pochex')))"
     core = ("combinatorics", "duals", "errors", "pochhammer", "series")
     assert fresh(code).split() == ["pochex", *(f"pochex.{m}" for m in core)]
+
+
+def test_import_loads_no_dataclasses():
+    code = f"import sys, pochex; print(*[m for m in {HEAVY!r} if m in sys.modules])"
+    assert fresh(code).split() == []
 
 
 @pytest.mark.parametrize(
@@ -86,7 +93,7 @@ _LOADED = """
 import sys
 from pochex.cli import main
 main(sys.argv[1:])
-print(" ".join(sorted(m for m in sys.modules if m.startswith("pochex."))))
+print(" ".join(sorted(sys.modules)))
 """
 
 
@@ -103,6 +110,17 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("pochex."))))
 def test_command_loads_only_what_it_runs(argv, deferred_loaded):
     loaded = fresh(_LOADED, *argv.split()).splitlines()[-1].split()
     assert [m for m in DEFERRED if f"pochex.{m}" in loaded] == deferred_loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["poch --alpha 1 -m 1 -k 0", "recip --beta 1/2 -m 2 -k 1",
+     "recip --laurent -n 1 -b 1 -m 3 --order 2"],
+    ids=["poch", "recip", "recip-laurent"],
+)
+def test_poch_and_recip_load_no_dataclasses(argv):
+    loaded = fresh(_LOADED, *argv.split()).splitlines()[-1].split()
+    assert [m for m in HEAVY if m in loaded] == []
 
 
 # -- the README lines of the commands whose imports are deferred ------------------------

@@ -256,8 +256,10 @@ def test_relation_guards_refuse_points_outside_their_range(relation, params, mes
 
 
 def test_genfun_check_rejects_tiny_order():
-    with pytest.raises(DomainError):
-        genfun_check(GenFunId.a4, 0, {"k": 0, "alpha": F(1)})
+    for order in (0, -1):
+        message = f"genfun_check needs an integer order >= 1, got {order}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            genfun_check(GenFunId.a4, order, {"k": 0, "alpha": F(1)})
 
 
 def test_run_genfun_low_order_smoke():

@@ -1,6 +1,10 @@
 """Pochhammer derivatives: closed forms, cross-method agreement, poles."""
 
+import copy
+import dataclasses
+import inspect
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction as F
@@ -25,7 +29,7 @@ from pochex.pochhammer import (
     recip_poch_deriv,
     recip_poch_laurent,
 )
-from pochex.series import series_invert
+from pochex.series import _coerce, series_invert
 
 
 # -- plain Pochhammer ------------------------------------------------------------
@@ -106,6 +110,74 @@ def test_linear_param_helpers():
     p = LinearParam(F(1, 2), -2)
     assert p.at(F(1, 4)) == 0
     assert p.shifted(3) == LinearParam(F(7, 2), -2)
+
+
+@dataclasses.dataclass(frozen=True)
+class _DataclassTwin:
+    """LinearParam as the frozen dataclass it was, coercing its fields the same way."""
+
+    constant: "Fraction"
+    slope: "Fraction"
+
+    def __post_init__(self):
+        object.__setattr__(self, "constant", _coerce(self.constant))
+        object.__setattr__(self, "slope", _coerce(self.slope))
+
+
+def _result_or_error(call):
+    """What a call gives: ("ok", its repr), or the type and message of what it raised."""
+    try:
+        return "ok", repr(call())
+    except Exception as exc:  # the exception is the outcome being compared
+        return type(exc).__name__, str(exc)
+
+
+_TWIN_SCALARS = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(max_denominator=30),
+    st.builds(Dual, st.fractions(max_denominator=9), st.fractions(max_denominator=9)),
+)
+
+
+@given(_TWIN_SCALARS, _TWIN_SCALARS, _TWIN_SCALARS, _TWIN_SCALARS)
+def test_linear_param_behaves_like_the_frozen_dataclass(c, s, c2, s2):
+    p, q = LinearParam(c, s), LinearParam(constant=c2, slope=s2)
+    t, u = _DataclassTwin(c, s), _DataclassTwin(constant=c2, slope=s2)
+    assert repr(p) == repr(t).replace("_DataclassTwin(", "LinearParam(", 1)
+    pairs = [(p, q, t, u), (p, p, t, t), (p, LinearParam(c, s), t, _DataclassTwin(c, s))]
+    for x, y, tx, ty in pairs:
+        assert (x == y, x != y) == (tx == ty, tx != ty)
+    for other in [(p.constant, p.slope), t]:
+        assert (p == other, p != other) == (False, True)
+        assert (t == other, t != other) == (other is t, other is not t)
+    assert p.__eq__(t) is NotImplemented
+    # Hashes agree; with a Dual part both raise "unhashable type: 'Dual'".
+    assert _result_or_error(lambda: hash(p)) == _result_or_error(lambda: hash(t))
+    for name in ["constant", "slope", "other"]:
+        for obj in (p, t):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, 1)
+            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+                delattr(obj, name)
+    assert (p.constant, p.slope) == (t.constant, t.slope)
+    for clone in [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]:
+        assert type(clone) is LinearParam
+        assert clone == p and repr(clone) == repr(p)
+        assert (type(clone.constant), type(clone.slope)) == (type(p.constant), type(p.slope))
+    match p:
+        case LinearParam(constant, slope):
+            matched = (constant, slope)
+    assert matched == (t.constant, t.slope)
+
+
+def test_linear_param_has_the_dataclass_signature_and_messages():
+    assert LinearParam.__match_args__ == _DataclassTwin.__match_args__ == ("constant", "slope")
+    assert inspect.signature(LinearParam).parameters == inspect.signature(_DataclassTwin).parameters
+    for bad in ["1/2", None, 1.5, True, False]:
+        for args in [(bad, 1), (1, bad)]:
+            expected = _result_or_error(lambda: _DataclassTwin(*args))
+            assert expected[0] == "DomainError"
+            assert _result_or_error(lambda: LinearParam(*args)) == expected
 
 
 # -- normalized derivatives of (alpha)_m ------------------------------------------
