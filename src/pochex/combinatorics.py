@@ -53,7 +53,9 @@ def stirling_s1(n: int, k: int) -> Fraction:
 
 # Cache: order a -> [B_j^(a)(0)/j! for j = 0..N], the x-free core of every
 # B_n^(a)(x) with n <= N.  It holds at most _BERNOULLI_CACHE_CAP orders, the
-# oldest evicted first; one pass of any benchmark workload asks for at most 16.
+# oldest evicted first.  Its readers are `gen_bernoulli_poly`, the closed dF7
+# (`_bernoulli_core`) and verify's Bernoulli relations through
+# `gen_bernoulli_poly`; the `bernoulli` P-method reads none.
 _BERNOULLI_CACHE_CAP = 1024
 _bernoulli_cache: dict[int, list[Fraction]] = {}
 _bernoulli_lock = threading.Lock()

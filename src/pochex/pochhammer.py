@@ -19,7 +19,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 
-from .combinatorics import _stirling_walk, gen_bernoulli_poly
+from .combinatorics import _stirling_walk
 from .duals import Dual
 from .errors import DomainError, PoleError
 from .series import (
@@ -29,6 +29,7 @@ from .series import (
     _entries,
     _entry,
     _int_sum,
+    _product,
     _signed,
     _typed,
     polynomial_series,
@@ -314,22 +315,51 @@ def _poch_deriv_coffey(alpha, m, k):
     return _factor_sum(coeffs, alpha, 0)
 
 
+def _norlund_row(row: list, p: int, q: int, d: int) -> None:
+    """Row N_{d-1} of `_poch_deriv_bernoulli` becomes N_d in place, n ascending:
+    row[n] += n*(p - (n + d)*q)*row[n-1], len(row) - 1 integer multiply-adds."""
+    c = p - d * q
+    for n in range(1, len(row)):
+        row[n] += n * (c - n * q) * row[n - 1]
+
+
 def _poch_deriv_bernoulli(alpha, m, k):
-    # Single generalized-Bernoulli evaluation at 1 - alpha.
-    return (
-        (-1) ** (m - k)
-        * math.comb(m, k)
-        * gen_bernoulli_poly(m - k, m + 1, _ONE - alpha)
-    )
+    # P = (-1)**(m-k) C(m, k) B_{m-k}^(m+1)(x) at x = 1 - alpha = p/q, where the
+    # generalized Bernoulli value comes from Noerlund's identities (Vorlesungen
+    # ueber Differenzenrechnung, 1924), not from Miller's core:
+    #   B_n^(n+1)(x) = (x - 1)(x - 2)...(x - n),
+    #   B_n^(a+1)(x) = (1 - n/a) B_n^(a)(x) + (x - a)(n/a) B_{n-1}^(a)(x).
+    # Scaled by q**n (n + d)!/d!, E_d(n) = B_n^(n+d+1)(x) is the integer N_d(n):
+    #   N_d(0) = 1,  N_d(n) = N_{d-1}(n) + n (p - (n + d) q) N_d(n-1),
+    # and with N_{-1}(n) = 0 for n >= 1 the d = 0 pass gives the start row
+    # N_0(n) = n! prod(p - j q, j = 1..n).  That row is the rising factorial the
+    # other routes build, as prod(x - j, j = 1..n) = (-1)**n (alpha)_n: at k = 0
+    # the route returns (alpha)_m.  After the passes d = 0..k over n = 0..m - k,
+    # C(m, k) k!/m! = 1/(m - k)! gives P = (-1)**(m-k) N_k(m-k) / (q**(m-k) (m-k)!),
+    # one Fraction, so one gcd.
+    q = alpha.denominator
+    p = q - alpha.numerator
+    row = [1] + [0] * (m - k)
+    for d in range(k + 1):
+        _norlund_row(row, p, q, d)
+    return Fraction((-1) ** (m - k) * row[-1], q ** (m - k) * math.factorial(m - k))
 
 
 def _linear_product(x, m: int, k: int) -> EpsSeries:
     """(x + eps)_m through eps**k as the generic series product of its m linear
-    factors: the series oracles' route, apart from the integer rows."""
-    product = EpsSeries.one(k)
+    factors: the series oracles' route, apart from the engine's steps.
+
+    x is a rational: `_dual_rule` strips a Dual before any method runs.  At
+    x = p/q factor j is the row (q, [p + j*q, q, 0, ...], None) of width k + 1;
+    the rows fold through `series._product` (one integer convolution each)
+    and the product becomes Fractions in one `_entries` call.
+    """
+    p, q = x.numerator, x.denominator
+    pad = [0] * (k - 1)  # empty at k = 0
+    row = (1, [1, 0][: k + 1] + pad, None)
     for j in range(m):
-        product = product * polynomial_series([x + j, _ONE], k)
-    return product
+        row = _product(row, (q, [p + j * q, q][: k + 1] + pad, None))
+    return EpsSeries._of(_entries((*row, 0)), 0)
 
 
 def _poch_deriv_oracle(alpha, m, k):

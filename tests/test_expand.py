@@ -533,8 +533,9 @@ def test_closed_tables_keep_their_digest():
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     # gen_bernoulli_poly keeps one x-free core per order: closed dF7 at D=12
     # asks for orders 2..13, one n each, whatever the arguments (156
-    # (order, argument) pairs).  A bernoulli-method call then reuses the core
-    # of its order m + 1 for a new alpha.
+    # (order, argument) pairs).  The values B_{m-k}^(m+1)(1 - alpha) of the
+    # P(m, k, alpha) identity then reuse the core of order m + 1 for a new
+    # alpha.  The bernoulli method itself reads no core.
     calls = Counter()
     monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
     _counter(monkeypatch, calls, pochex.combinatorics, "_bernoulli_values")
@@ -544,21 +545,28 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     for alpha in (F(2, 7), F(-9, 4)):
         calls.clear()
         for k in range(1, m + 1):
-            poch_deriv(alpha, m, k, PochMethod.BERNOULLI)
+            gen_bernoulli_poly(m - k, m + 1, 1 - alpha)
         assert calls["_bernoulli_values"] == 0, alpha
     calls.clear()
-    poch_deriv(F(5, 3), m, 0, PochMethod.BERNOULLI)
+    gen_bernoulli_poly(m, m + 1, 1 - F(5, 3))
     assert calls["_bernoulli_values"] == 1
     for k in range(m + 1):
-        poch_deriv(F(1, 3), m, k, PochMethod.BERNOULLI)
+        gen_bernoulli_poly(m - k, m + 1, 1 - F(1, 3))
     assert calls["_bernoulli_values"] == 1
+    calls.clear()
+    _counter(monkeypatch, calls, pochex.combinatorics, "_bernoulli_core")
+    for alpha in (F(2, 7), Dual(F(1, 3), 1)):
+        for k in range(m + 1):
+            poch_deriv(alpha, m, k, PochMethod.BERNOULLI)
+    poch_deriv(F(-9, 4), 60, 3, PochMethod.BERNOULLI)
+    assert calls == Counter()
 
 
 def test_bernoulli_core_computes_each_miller_term_once(monkeypatch):
     # Closed dF7 at K=4, D=12 builds the cores of orders 2..13, order 13 up to
-    # term 11.  A bernoulli-method call at m = 12, k = 0 then needs term 12 of
-    # order 13: the core resumes from the cached terms, and no (order, term)
-    # is computed twice.
+    # term 11.  B_12^(13)(1 - alpha), the value behind P(12, 0, alpha), then
+    # needs term 12 of order 13: the core resumes from the cached terms, and
+    # no (order, term) is computed twice.
     terms = Counter()
     miller = pochex.combinatorics._miller_power
 
@@ -572,7 +580,7 @@ def test_bernoulli_core_computes_each_miller_term_once(monkeypatch):
     assert {a for a, _ in terms} == set(range(-13, -1))
     assert max(j for a, j in terms if a == -13) == 11
     cached = pochex.combinatorics._bernoulli_cache[13]
-    poch_deriv(F(2, 7), 12, 0, PochMethod.BERNOULLI)
+    gen_bernoulli_poly(12, 13, 1 - F(2, 7))
     assert terms[(-13, 12)] == 1
     assert set(terms.values()) == {1}
     assert len(pochex.combinatorics._bernoulli_cache[13]) == 13 and len(cached) == 12

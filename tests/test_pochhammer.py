@@ -8,11 +8,13 @@ import pickle
 import re
 import sys
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pochex.combinatorics
 from pochex.combinatorics import binomial, gen_bernoulli_poly
 from pochex.duals import Dual
 from pochex.errors import DomainError, PoleError
@@ -219,10 +221,74 @@ def test_poch_deriv_methods_agree():
 def test_poch_deriv_stirling_routes_match_recurrence_at_large_m(m, k):
     alpha = F(2, 7)
     reference = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
-    methods = [PochMethod.STIRLING_SUM] + ([PochMethod.COFFEY] if m <= 300 else [])
+    methods = [PochMethod.STIRLING_SUM, PochMethod.BERNOULLI, PochMethod.SERIES_ORACLE]
+    methods += [PochMethod.COFFEY] if m <= 300 else []
     for method in methods:
         value = poch_deriv(alpha, m, k, method)
         assert type(value) is type(reference) is F and value == reference, method
+
+
+def test_recip_series_oracle_matches_recurrence_at_large_m():
+    beta, m, k = F(-23, 5), 800, 4
+    reference = recip_poch_deriv(beta, m, k, RecipMethod.RECURRENCE)
+    value = recip_poch_deriv(beta, m, k, RecipMethod.SERIES_ORACLE)
+    assert type(value) is type(reference) is F and value == reference
+
+
+_X = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+_MK = st.integers(0, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_X, mk=_MK)
+def test_norlund_route_is_the_generalized_bernoulli_value(x, mk):
+    # P(m, k, 1 - x) = (-1)**(m-k) C(m, k) B_{m-k}^(m+1)(x): the Noerlund route
+    # against Miller's cached core, which gen_bernoulli_poly still reads.
+    m, k = mk
+    expected = (-1) ** (m - k) * math.comb(m, k) * gen_bernoulli_poly(m - k, m + 1, x)
+    value = poch_deriv(1 - x, m, k, PochMethod.BERNOULLI)
+    assert type(value) is F and value == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=_X, d=_X, mk=_MK)
+def test_bernoulli_and_series_oracles_match_recurrence(x, d, mk):
+    # Rational and Dual arguments; a Dual goes through `_dual_rule`, which
+    # evaluates the route at its value part for P(m, k) and P(m, k + 1).
+    m, k = mk
+    for arg in (x, Dual(x, d)):
+        reference = repr(poch_deriv(arg, m, k, PochMethod.RECURRENCE))
+        for method in (PochMethod.BERNOULLI, PochMethod.SERIES_ORACLE):
+            assert repr(poch_deriv(arg, m, k, method)) == reference, (arg, method)
+        assert _outcome(lambda: recip_poch_deriv(arg, m, k, RecipMethod.SERIES_ORACLE)) == (
+            _outcome(lambda: recip_poch_deriv(arg, m, k, RecipMethod.RECURRENCE))
+        ), arg
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=_X, mk=_MK)
+def test_norlund_route_makes_m_minus_k_steps_per_row(x, mk):
+    # The start row and each of the k recurrence rows take m - k integer
+    # multiply-adds, (m - k)(k + 1) in all, and no Bernoulli core is read.
+    module = sys.modules["pochex.pochhammer"]  # the package's `pochhammer` is the function
+    m, k = mk
+    rows = []
+    norlund_row = module._norlund_row
+
+    def counted(row, p, q, d):
+        rows.append((d, len(row) - 1))
+        norlund_row(row, p, q, d)
+
+    def refuse(*args):
+        raise AssertionError("the bernoulli method read a Bernoulli core")
+
+    with (
+        mock.patch.object(module, "_norlund_row", counted),
+        mock.patch.object(pochex.combinatorics, "_bernoulli_core", refuse),
+    ):
+        poch_deriv(x, m, k, PochMethod.BERNOULLI)
+    assert rows == [(d, m - k) for d in range(k + 1)]
+    assert sum(steps for _, steps in rows) == (m - k) * (k + 1)
 
 
 def test_poch_deriv_rejects_bad_orders():
