@@ -1,5 +1,6 @@
 """Integer/rational combinatorial helpers."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -19,7 +20,10 @@ from pochex.combinatorics import (
     nested_ones_Z,
     stirling_s1,
 )
+from pochex.duals import Dual
 from pochex.errors import DomainError
+from pochex.hyper_expand import expand_closed
+from pochex.pochhammer import PochMethod, poch_deriv
 from pochex.series import EpsSeries, series_invert
 
 
@@ -205,6 +209,34 @@ def test_bernoulli_core_one_pass_equals_two_passes():
     h = miller(base, -1, 40)
     for a in range(1, 13):
         assert pochex.combinatorics._bernoulli_values(40, a) == miller(h, a, 40), a
+
+
+def test_bernoulli_values_are_pinned():
+    # The outputs of every reader of the Bernoulli core, and of the bernoulli
+    # P-method, entry types included, pinned by one digest: gen_bernoulli_poly
+    # over an (n, a, x) grid, the closed dF7 tables and P(m, k, alpha).
+    lines = [
+        f"B {n} {a} {x} {type(v).__name__} {v!r}"
+        for a in (*range(1, 9), 13, 30)
+        for x in (0, 1, -2, F(1, 2), F(-5, 3), F(7, 4))
+        for n in range(31)
+        for v in [gen_bernoulli_poly(n, a, x)]
+    ]
+    for K, D in ((0, 0), (4, 12), (2, 20)):
+        table = expand_closed("dF7_ddelta", K, D)
+        lines += [f"dF7 {key} {type(v).__name__} {v!r}" for key, v in sorted(table.entries.items())]
+    lines += [
+        f"P {alpha!r} {m} {k} {type(v).__name__} {v!r}"
+        for alpha in (F(1, 3), F(-9, 4), F(7, 2), Dual(F(2, 5), 1))
+        for m in range(10)
+        for k in range(m + 1)
+        for v in [poch_deriv(alpha, m, k, PochMethod.BERNOULLI)]
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        3229,
+        "4daabe52e734f0f849c5d8652893ad298fc494ce76d2f39af931e9c3749cf1f9",
+    )
 
 
 def test_gen_bernoulli_additivity_in_order():
