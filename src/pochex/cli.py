@@ -93,11 +93,8 @@ def _build_parser() -> _Parser:
     r.add_argument("--beta", type=_rational, help="argument (p/q)")
     r.add_argument("-m", type=int, required=True, help="length of the rising factorial")
     r.add_argument("-k", type=int, help="derivative order")
-    r.add_argument(
-        "--method",
-        default="closed_sum",
-        choices=[m.value for m in RecipMethod],
-    )
+    # No default here, so that --laurent can refuse an explicit --method.
+    r.add_argument("--method", choices=[m.value for m in RecipMethod])
     r.add_argument(
         "--laurent",
         action="store_true",
@@ -185,15 +182,18 @@ def _cmd_recip(args, parser) -> int:
     if args.laurent:
         if args.n is None or args.b is None or args.order is None:
             parser.error("--laurent needs -n, -b, -m and --order")
-        if args.beta is not None or args.k is not None:
-            parser.error("--laurent does not take --beta or -k")
+        if args.beta is not None or args.k is not None or args.method is not None:
+            parser.error("--laurent does not take --beta, -k or --method")
         series = recip_poch_laurent(args.n, args.b, args.m, args.order)
         for e in range(series.min_exponent, series.max_exponent + 1):
             print(f"{e},{series.coefficient(e)}")
         return 0
+    if args.n is not None or args.b is not None or args.order is not None:
+        parser.error("-n, -b and --order need --laurent")
     if args.beta is None or args.k is None:
         parser.error("recip needs --beta and -k (or --laurent)")
-    print(recip_poch_deriv(args.beta, args.m, args.k, RecipMethod(args.method)))
+    method = RecipMethod(args.method or RecipMethod.CLOSED_SUM)
+    print(recip_poch_deriv(args.beta, args.m, args.k, method))
     return 0
 
 

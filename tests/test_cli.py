@@ -113,6 +113,39 @@ def test_recip_needs_beta_and_k(capsys):
     assert_clean_failure(capsys, "recip", "-m", "3")
 
 
+def assert_usage_error(capsys, message, *argv):
+    # Exit 1 with nothing on stdout, and on stderr the usage line, then one
+    # `error:` line.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, ""), argv
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: pochex ") and error == f"pochex: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "flags", [["-n", "3"], ["-b", "2"], ["--order", "4"], ["-n", "3", "-b", "2", "--order", "4"]]
+)
+def test_recip_refuses_laurent_flags_without_laurent(capsys, flags):
+    argv = ["recip", "--beta", "1", "-m", "2", "-k", "1", *flags]
+    assert_usage_error(capsys, "-n, -b and --order need --laurent", *argv)
+
+
+def test_recip_laurent_refuses_method(capsys):
+    assert_usage_error(
+        capsys,
+        "--laurent does not take --beta, -k or --method",
+        "recip", "--laurent", "-n", "0", "-b", "1", "-m", "2", "--order", "2",
+        "--method", "delta_form",
+    )
+
+
+def test_recip_method_defaults_to_closed_sum(capsys):
+    argv = ["recip", "--beta", "7/3", "-m", "5", "-k", "2"]
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--method", "closed_sum")
+    assert default[0] == 0
+
+
 # -- quotient -------------------------------------------------------------------
 
 
