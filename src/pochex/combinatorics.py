@@ -3,10 +3,10 @@
 Covers signed Stirling numbers of the first kind, generalized Bernoulli
 polynomials, plain/modified harmonic numbers, two flavours of nested unit
 sums, rational-argument binomials, and double factorials.  Everything is a
-Fraction; void sums are zero by convention.  Stirling numbers come from a
-cache-free walk in O(n*k) integer operations and O(n + k) memory; the only
-module-level cache is the capped per-order Bernoulli core, which
-`gen_bernoulli_poly` and the closed dF7's rows read through `_bernoulli_core`.
+Fraction; void sums are zero by convention.  No module-level cache is kept:
+Stirling numbers come from a walk in O(n*k) integer operations and O(n + k)
+memory, and each Bernoulli polynomial from one Miller core of its own.  A
+caller that reuses a core, such as the closed dF7, keeps it for one call.
 
 The sums run on integers and build one Fraction at the end.  The harmonic
 sums and the Bernoulli polynomials add integer pairs over one lcm
@@ -18,7 +18,6 @@ is one integer multiply-add and the result is reduced by one gcd.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 
 from .series import _coerce, _count, _int_sum
@@ -51,28 +50,17 @@ def stirling_s1(n: int, k: int) -> Fraction:
     return Fraction(_stirling_walk(n, k)[1][k]) if k <= n else _ZERO
 
 
-# Cache: order a -> [B_j^(a)(0)/j! for j = 0..N], the x-free core of every
-# B_n^(a)(x) with n <= N.  It holds at most _BERNOULLI_CACHE_CAP orders, the
-# oldest evicted first.  Its readers are `gen_bernoulli_poly`, the closed dF7
-# (`_bernoulli_core`) and verify's Bernoulli relations through
-# `gen_bernoulli_poly`; the `bernoulli` P-method reads none.
-_BERNOULLI_CACHE_CAP = 1024
-_bernoulli_cache: dict[int, list[Fraction]] = {}
-_bernoulli_lock = threading.Lock()
-
-
-def _miller_power(f: list[Fraction], a: int, n: int, known=(_ONE,)) -> list[Fraction]:
-    """Coefficients 0..n of f**a, for a power series f with f[0] == 1, as a new
-    list that starts with `known`, a prefix of them (at least [1]).
+def _miller_power(f: list[Fraction], a: int, n: int) -> list[Fraction]:
+    """Coefficients 0..n of f**a, for a power series f with f[0] == 1.
 
     J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, section 4.7) in O(n**2):
-    g_0 = 1 and g_j = (1/j) sum(((a+1)i - j) f_i g_{j-i}, i = 1..j), resumed
-    after the known terms.  Each g_j is one `_int_sum`: integer numerators over
-    the lcm of the terms' denominators, reduced by one gcd.
+    g_0 = 1 and g_j = (1/j) sum(((a+1)i - j) f_i g_{j-i}, i = 1..j).  Each g_j
+    is one `_int_sum`: integer numerators over the lcm of the terms'
+    denominators, reduced by one gcd.
     """
     nonzero = [(i, c.numerator, c.denominator) for i, c in enumerate(f[1 : n + 1], 1) if c]
-    g = list(known)
-    for j in range(len(g), n + 1):
+    g = [_ONE]
+    for j in range(1, n + 1):
         terms = [
             (((a + 1) * i - j) * p * g[j - i].numerator, q * g[j - i].denominator * j)
             for i, p, q in nonzero
@@ -82,45 +70,37 @@ def _miller_power(f: list[Fraction], a: int, n: int, known=(_ONE,)) -> list[Frac
     return g
 
 
-def _bernoulli_values(n: int, a: int, known=(_ONE,)) -> list[Fraction]:
+def _bernoulli_values(n: int, a: int) -> list[Fraction]:
     # g_j = B_j^(a)(0)/j! for j = 0..n: the coefficients of h**a, where
-    # h = z/(e^z - 1), so h**a is the power -a of sum(z**j/(j+1)!).  The
-    # known prefix of the g_j is not recomputed.
+    # h = z/(e^z - 1), so h**a is the power -a of sum(z**j/(j+1)!).
     base = [Fraction(1, math.factorial(j + 1)) for j in range(n + 1)]
-    return _miller_power(base, -a, n, known)
+    return _miller_power(base, -a, n)
 
 
 def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
     """Generalized Bernoulli polynomial B_n^(a)(x).
 
-    Defined by (z/(e^z - 1))**a * e^{xz} = sum(B_n^(a)(x) z**n / n!).  With
-    g_j = B_j^(a)(0)/j! cached per order a, B_n^(a)(x) = n! sum(g_j x**(n-j)/(n-j)!)
-    costs O(n) per call: the n + 1 terms are summed as integers, reduced by one gcd.
+    Defined by (z/(e^z - 1))**a * e^{xz} = sum(B_n^(a)(x) z**n / n!).  Each call
+    builds the core g_j = B_j^(a)(0)/j!, j = 0..n, by Miller's recurrence in
+    O(n**2) exact operations and keeps no state, so a repeated call pays that
+    again; B_n^(a)(x) = n! sum(g_j x**(n-j)/(n-j)!) is then one integer sum.
     """
     _count("gen_bernoulli_poly", n=n)
     _count("gen_bernoulli_poly", 1, a=a)
     x = _coerce(x, rational=True)
-    # For x = p/q, one integer sum of g_j n!/(n-j)! p**(n-j) / q**(n-j).
+    return _bernoulli_sum(_bernoulli_values(n, a), n, x)
+
+
+def _bernoulli_sum(core: list[Fraction], n: int, x: Fraction) -> Fraction:
+    # B_n^(a)(x) from the core g_0..g_n of order a: for x = p/q, one integer sum
+    # of g_j n!/(n-j)! p**(n-j) / q**(n-j), reduced by one gcd.
     p, q = x.numerator, x.denominator
     return _int_sum(
         [
             (g.numerator * math.perm(n, j) * p ** (n - j), g.denominator * q ** (n - j))
-            for j, g in enumerate(_bernoulli_core(n, a)[: n + 1])
+            for j, g in enumerate(core[: n + 1])
         ]
     )
-
-
-def _bernoulli_core(n: int, a: int) -> list[Fraction]:
-    """The cached core [B_j^(a)(0)/j! for j = 0..N] of order a, with N >= n."""
-    with _bernoulli_lock:
-        core = _bernoulli_cache.get(a)
-        if core is None or len(core) <= n:
-            # A longer core resumes from the cached one into a new list.
-            core = _bernoulli_values(max(n, 8), a, core or (_ONE,))
-            _bernoulli_cache[a] = core
-            if len(_bernoulli_cache) > _BERNOULLI_CACHE_CAP:
-                del _bernoulli_cache[next(iter(_bernoulli_cache))]
-    return core
 
 
 def harmonic(m: int, k: int) -> Fraction:

@@ -42,7 +42,8 @@ products.  A column is one integer row of K + 1 numerators over one den: one
 lcm for a power column, the product of two dens for a convolution (O(K**2)
 products).  The prefactor folds into the one Fraction built per table entry:
 one lcm per column and one gcd per entry.  dF7 builds each Bernoulli
-polynomial it needs once per call, as an integer row, and evaluates it at an
+polynomial it needs once per call, from one Miller core of O(n**2) terms, as
+an integer row kept in a dict of that call alone, and evaluates it at an
 integer by one Horner pass.  A Dual delta carries its t-part as der, by the
 product rule; an entry is a Dual where it depends on delta, as on the engine's
 route.
@@ -56,7 +57,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import _bernoulli_core, _stirling_walk
+from .combinatorics import _bernoulli_values, _stirling_walk
 from .duals import Dual, delta_part
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
@@ -459,10 +460,11 @@ def _closed_f7(delta, K, n1, n2):
 
 def _bernoulli_at(rows: dict, n: int, x: int) -> tuple:
     """B_{n-1}^{(n+1)}(x) at an integer x as (num, den > 0): one Horner pass over
-    rows[n], its coefficients over one den, built once from the cached core."""
+    rows[n], its coefficients over one den, built once per call from one Miller
+    core."""
     if n not in rows:
-        core = _bernoulli_core(n - 1, n + 1)
-        rows[n] = _int_row([g * math.perm(n - 1, j) for j, g in enumerate(core[:n])])[:2]
+        core = _bernoulli_values(n - 1, n + 1)
+        rows[n] = _int_row([g * math.perm(n - 1, j) for j, g in enumerate(core)])[:2]
     den, coeffs = rows[n]
     return functools.reduce(lambda num, c: num * x + c, coeffs, 0), den
 

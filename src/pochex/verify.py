@@ -28,6 +28,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .combinatorics import (
+    _bernoulli_sum,
+    _bernoulli_values,
     _stirling_walk,
     binomial,
     gen_bernoulli_poly,
@@ -575,14 +577,15 @@ def _classical_bernoulli(order):
 
 def _genfun_A18(order, p):
     """Exponential generating function of the generalized Bernoulli
-    polynomials.  The lhs comes from gen_bernoulli_poly, which raises
-    z/(e^z - 1) to the power a by Miller's recurrence; the reference side is
-    built from the classical first-order recurrence plus binomial
+    polynomials.  The lhs is one Miller core per point, z/(e^z - 1) raised to
+    the power a, summed at each n as gen_bernoulli_poly sums it; the reference
+    side is built from the classical first-order recurrence plus binomial
     convolution."""
     a = _as_int(p, "a", 1)
     x = _as_rational(p, "x")
+    core = _bernoulli_values(order, a)
     lhs = EpsSeries(
-        [gen_bernoulli_poly(n, a, x) / _F(math.factorial(n)) for n in range(order + 1)]
+        [_bernoulli_sum(core, n, x) / _F(math.factorial(n)) for n in range(order + 1)]
     )
     level = _classical_bernoulli(order)
     base = list(level)

@@ -93,28 +93,6 @@ def test_gen_bernoulli_order_zero_is_classical():
     assert gen_bernoulli_poly(3, 1, x) == x**3 - F(3, 2) * x**2 + F(1, 2) * x
 
 
-def test_gen_bernoulli_cache_evicts_oldest_past_its_cap(monkeypatch):
-    # A small cap keeps the fill cheap, and a fresh dict keeps the module's
-    # cache as it was.  The cache is keyed by the order a alone.
-    monkeypatch.setattr(pochex.combinatorics, "_BERNOULLI_CACHE_CAP", 16)
-    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
-    cache = pochex.combinatorics._bernoulli_cache
-    x = F(2, 7)
-    orders = range(1, 21)
-    values, cores = {}, {}
-    for a in orders:
-        values[a] = gen_bernoulli_poly(3, a, x)
-        cores[a] = list(cache[a])
-    assert values[1] == x**3 - F(3, 2) * x**2 + F(1, 2) * x
-    assert list(cache) == list(orders)[4:]
-    assert all(cache[a] == cores[a] for a in cache)
-    # An evicted key is recomputed to the same values, and evicts the oldest
-    # key in turn.
-    assert gen_bernoulli_poly(3, 1, x) == values[1]
-    assert cache[1] == cores[1]
-    assert len(cache) == 16 and 5 not in cache and 1 in cache
-
-
 def _power(series, a):
     # series**a for a >= 1 by binary powering: plain EpsSeries products only.
     result = None
@@ -144,10 +122,7 @@ def _assert_matches_series_route(n, a, x):
     assert all(type(v) is F for v in got), (n, a, x)
 
 
-def test_gen_bernoulli_matches_series_route_on_seeded_draws(monkeypatch):
-    # A fresh cache, so the draws build cores, and rebuild them when a draw
-    # asks an order for more terms than an earlier one.
-    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+def test_gen_bernoulli_matches_series_route_on_seeded_draws():
     rng = random.Random(10)
     for _ in range(150):
         n, a = rng.randint(0, 40), rng.randint(1, 45)
@@ -181,24 +156,6 @@ def test_gen_bernoulli_sum_is_the_fraction_horner(n, a, x):
         falling *= n - j
     got = gen_bernoulli_poly(n, a, x)
     assert type(got) is F and got == value
-
-
-def test_gen_bernoulli_longer_core_equals_a_fresh_one(monkeypatch):
-    # A small n builds the order's core at 8 terms; a larger n rebuilds it,
-    # and neither the values nor the list stored first change.
-    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
-    cache = pochex.combinatorics._bernoulli_cache
-    a, x = 7, F(-5, 3)
-    small = [gen_bernoulli_poly(j, a, x) for j in range(4)]
-    short = cache[a]
-    snapshot = list(short)
-    assert len(short) == 9
-    large = gen_bernoulli_poly(30, a, x)
-    assert len(cache[a]) == 31 and cache[a] is not short and short == snapshot
-    assert cache[a] == pochex.combinatorics._bernoulli_values(30, a)
-    fresh = _series_bernoulli(30, a, x)
-    assert small == fresh[:4] and large == fresh[30]
-    assert [gen_bernoulli_poly(j, a, x) for j in range(31)] == fresh
 
 
 def test_bernoulli_core_one_pass_equals_two_passes():

@@ -17,6 +17,7 @@ import pochex.combinatorics
 import pochex.hyper_expand
 import pochex.pochhammer
 import pochex.series
+import pochex.verify
 from pochex.combinatorics import binomial, gen_bernoulli_poly
 from pochex.duals import Dual
 from pochex.errors import DomainError, MissingParameter, PoleError
@@ -383,7 +384,7 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
     # each point evaluates its prefactor and its weights once, as integers, and
     # gets every k from them, so the counts at eps order 4 equal those at eps
     # order 0.  No closed form calls pochhammer, binomial, double_factorial or
-    # gen_bernoulli_poly; dF7 reads one Bernoulli core per distinct n = 1..12
+    # gen_bernoulli_poly; dF7 builds one Bernoulli core per distinct n = 1..12
     # into an integer polynomial row, whatever its n1 + [n2 > 0] evaluations
     # per point.
     calls = Counter()
@@ -391,13 +392,13 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
         ("binomial", pochex.combinatorics),
         ("double_factorial", pochex.combinatorics),
         ("gen_bernoulli_poly", pochex.combinatorics),
-        ("_bernoulli_core", pochex.combinatorics),
+        ("_bernoulli_values", pochex.combinatorics),
         ("pochhammer", pochex.pochhammer),
     ]:
         for owner in (home, pochex.hyper_expand):
             if hasattr(owner, name):
                 _counter(monkeypatch, calls, owner, name)
-    expected = Counter({"_bernoulli_core": 12} if example == "dF7_ddelta" else {})
+    expected = Counter({"_bernoulli_values": 12} if example == "dF7_ddelta" else {})
     extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
     for eps_order in (0, 4):
         calls.clear()
@@ -531,59 +532,61 @@ def test_closed_tables_keep_their_digest():
 
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
-    # gen_bernoulli_poly keeps one x-free core per order: closed dF7 at D=12
-    # asks for orders 2..13, one n each, whatever the arguments (156
-    # (order, argument) pairs).  The values B_{m-k}^(m+1)(1 - alpha) of the
-    # P(m, k, alpha) identity then reuse the core of order m + 1 for a new
-    # alpha.  The bernoulli method itself reads no core.
-    calls = Counter()
-    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
-    _counter(monkeypatch, calls, pochex.combinatorics, "_bernoulli_values")
-    expand_closed("dF7_ddelta", 4, 12)
-    assert calls["_bernoulli_values"] == 12
-    m = 12
-    for alpha in (F(2, 7), F(-9, 4)):
+    # No Bernoulli core outlives the call that builds it.  Closed dF7 at D=12
+    # builds orders 2..13 once each, whatever the arguments (156 (order,
+    # argument) pairs), and a second call builds them again.  gen_bernoulli_poly
+    # builds one core of length n + 1; A18 one per point of its default grid,
+    # of length DEFAULT_GENFUN_ORDER + 1.  The bernoulli method builds none.
+    calls, lengths = Counter(), []
+    build = pochex.combinatorics._bernoulli_values
+
+    def counted(n, a):
+        calls["_bernoulli_values"] += 1
+        lengths.append(n + 1)
+        return build(n, a)
+
+    for owner in (pochex.combinatorics, pochex.hyper_expand, pochex.verify):
+        monkeypatch.setattr(owner, "_bernoulli_values", counted)
+    for _ in range(2):
         calls.clear()
-        for k in range(1, m + 1):
-            gen_bernoulli_poly(m - k, m + 1, 1 - alpha)
-        assert calls["_bernoulli_values"] == 0, alpha
+        expand_closed("dF7_ddelta", 4, 12)
+        assert calls["_bernoulli_values"] == 12
+    for n in (0, 1, 12, 30):
+        calls.clear()
+        lengths.clear()
+        gen_bernoulli_poly(n, 13, F(2, 7))
+        assert (calls["_bernoulli_values"], lengths) == (1, [n + 1])
     calls.clear()
-    gen_bernoulli_poly(m, m + 1, 1 - F(5, 3))
-    assert calls["_bernoulli_values"] == 1
-    for k in range(m + 1):
-        gen_bernoulli_poly(m - k, m + 1, 1 - F(1, 3))
-    assert calls["_bernoulli_values"] == 1
+    lengths.clear()
+    assert pochex.verify.run_relation("A18").passed
+    assert calls["_bernoulli_values"] == 10
+    assert set(lengths) == {pochex.verify.DEFAULT_GENFUN_ORDER + 1}
     calls.clear()
-    _counter(monkeypatch, calls, pochex.combinatorics, "_bernoulli_core")
     for alpha in (F(2, 7), Dual(F(1, 3), 1)):
-        for k in range(m + 1):
-            poch_deriv(alpha, m, k, PochMethod.BERNOULLI)
+        for k in range(13):
+            poch_deriv(alpha, 12, k, PochMethod.BERNOULLI)
     poch_deriv(F(-9, 4), 60, 3, PochMethod.BERNOULLI)
     assert calls == Counter()
 
 
 def test_bernoulli_core_computes_each_miller_term_once(monkeypatch):
-    # Closed dF7 at K=4, D=12 builds the cores of orders 2..13, order 13 up to
-    # term 11.  B_12^(13)(1 - alpha), the value behind P(12, 0, alpha), then
-    # needs term 12 of order 13: the core resumes from the cached terms, and
-    # no (order, term) is computed twice.
+    # Within one call, closed dF7 at K=4, D=12 computes the Miller terms of
+    # orders 2..13, order n + 1 up to term n - 1, and no (order, term) twice;
+    # a second call computes the same terms once more.
     terms = Counter()
     miller = pochex.combinatorics._miller_power
 
-    def recorded(f, a, n, known):
-        terms.update((a, j) for j in range(len(known), n + 1))
-        return miller(f, a, n, known)
+    def recorded(f, a, n):
+        terms.update((a, j) for j in range(1, n + 1))
+        return miller(f, a, n)
 
-    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
     monkeypatch.setattr(pochex.combinatorics, "_miller_power", recorded)
-    expand_closed("dF7_ddelta", 4, 12)
-    assert {a for a, _ in terms} == set(range(-13, -1))
-    assert max(j for a, j in terms if a == -13) == 11
-    cached = pochex.combinatorics._bernoulli_cache[13]
-    gen_bernoulli_poly(12, 13, 1 - F(2, 7))
-    assert terms[(-13, 12)] == 1
-    assert set(terms.values()) == {1}
-    assert len(pochex.combinatorics._bernoulli_cache[13]) == 13 and len(cached) == 12
+    expected = {(-a, j) for a in range(2, 14) for j in range(1, a - 1)}
+    for _ in range(2):
+        terms.clear()
+        expand_closed("dF7_ddelta", 4, 12)
+        assert set(terms) == expected
+        assert set(terms.values()) == {1}
 
 
 def test_each_stirling_reader_takes_one_walk(monkeypatch):

@@ -179,14 +179,13 @@ def test_sum_of_products_is_the_fraction_sum(terms):
     assert repr(_sum_of_products(terms)) == repr(expected)
 
 
-# cProfile call counts in one verify_all(), from an empty Bernoulli cache, of
-# Fraction._add, Fraction._mul and the Stirling walk.  With a Fraction
-# multiply-add per term they were 18,355, 25,046 and 4,108.
+# cProfile call counts in one verify_all() of Fraction._add, Fraction._mul and
+# the Stirling walk.  With a Fraction multiply-add per term they were 18,355,
+# 25,046 and 4,108.
 _VERIFY_ALL_WORK = {"_add": 5270, "_mul": 4507, "_stirling_walk": 2392}
 
 
-def test_verify_all_sums_in_integers(monkeypatch):
-    monkeypatch.setattr(pochex.combinatorics, "_bernoulli_cache", {})
+def test_verify_all_sums_in_integers():
     counted = {
         F._add.__code__: "_add",
         F._mul.__code__: "_mul",

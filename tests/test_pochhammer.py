@@ -284,7 +284,7 @@ def test_norlund_route_makes_m_minus_k_steps_per_row(x, mk):
 
     with (
         mock.patch.object(module, "_norlund_row", counted),
-        mock.patch.object(pochex.combinatorics, "_bernoulli_core", refuse),
+        mock.patch.object(pochex.combinatorics, "_bernoulli_values", refuse),
     ):
         poch_deriv(x, m, k, PochMethod.BERNOULLI)
     assert rows == [(d, m - k) for d in range(k + 1)]

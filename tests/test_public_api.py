@@ -4,6 +4,8 @@ and the README lists exactly these names."""
 import ast
 import importlib
 import re
+import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,47 @@ def test_readme_lists_the_public_api():
             value = getattr(owner, name)
             # A class or function names its module; a constant must live there.
             assert getattr(value, "__module__", owner.__name__) == owner.__name__, (module, name)
+
+
+def _module_state():
+    """The names bound in each loaded pochex module, and the repr of each
+    module-level dict, list and set ('__builtins__' is Python's, not ours)."""
+    names, containers = {}, {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name != "pochex" and not module_name.startswith("pochex."):
+            continue
+        names[module_name] = set(vars(module))
+        for attr, value in vars(module).items():
+            if attr != "__builtins__" and isinstance(value, (dict, list, set)):
+                containers[module_name, attr] = repr(value)
+    return names, containers
+
+
+def test_public_calls_leave_no_module_state():
+    # A sweep of public calls leaves every module-level container of every
+    # pochex module as it found it: no call keeps a cache.  Every module is
+    # loaded first, so the sweep loads none.  The package's own namespace is
+    # left out of the name check: its PEP 562 __getattr__ binds each public
+    # name on first use, and a submodule import binds the submodule there, by
+    # design and at most once per name in __all__ or _NAMES; the containers it
+    # holds (_NAMES, _MODULE, __all__) are still compared.
+    for module in ("cli", *pochex._NAMES):
+        importlib.import_module(f"pochex.{module}")
+    names, containers = _module_state()
+    for a in (1, 2, 5, 13, 211):
+        for n in (0, 7, 45):
+            pochex.gen_bernoulli_poly(n, a, F(-5, 3))
+    for example in pochex.CLOSED_EXAMPLES:
+        extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
+        pochex.expand_closed(example, 3, 8, extra)
+    assert all(summary.passed for summary in pochex.verify_all())
+    for method in pochex.PochMethod:
+        pochex.poch_deriv(F(7, 3), 40, 3, method)
+    for method in pochex.RecipMethod:
+        pochex.recip_poch_deriv(F(-23, 5), 40, 3, method)
+    after_names, after_containers = _module_state()
+    del names["pochex"], after_names["pochex"]
+    assert after_names == names
+    changed = {key for key in containers.keys() | after_containers.keys()
+               if containers.get(key) != after_containers.get(key)}
+    assert changed == set()
