@@ -92,8 +92,8 @@ def gen_bernoulli_poly(n: int, a: int, x) -> Fraction:
 
 
 def _bernoulli_sum(core: list[Fraction], n: int, x: Fraction) -> Fraction:
-    # B_n^(a)(x) from the core g_0..g_n of order a: for x = p/q, one integer sum
-    # of g_j n!/(n-j)! p**(n-j) / q**(n-j), reduced by one gcd.
+    # B_n^(a)(x) from a core g_0..g_N of order a, N >= n: for x = p/q, one
+    # integer sum of g_j n!/(n-j)! p**(n-j) / q**(n-j), reduced by one gcd.
     p, q = x.numerator, x.denominator
     return _int_sum(
         [
