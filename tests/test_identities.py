@@ -15,11 +15,14 @@ import pochex.combinatorics
 from pochex.errors import DomainError
 from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import PochMethod, RecipMethod
+from pochex.series import EpsSeries
 from pochex.verify import (
     DEFAULT_GENFUN_ORDER,
     CheckSummary,
     GenFunId,
+    GenFunResult,
     IdentityId,
+    IdentityResult,
     _sum_of_products,
     default_grid,
     genfun_check,
@@ -300,6 +303,46 @@ def test_verify_ids_resolves_every_token_before_running_any(monkeypatch):
     with pytest.raises(DomainError, match="unknown relation id 'zz'"):
         verify_ids(["A27", "zz"])
     assert ran == []
+
+
+def test_failures_carry_the_failing_points_exactly(monkeypatch, capsys):
+    # The real A9 and a7 evaluators, each off by one at a single grid point:
+    # A9's rhs at m = 3, and a7's rhs at z^5 for k = 2.
+    import pochex.verify
+    from pochex.cli import main
+
+    relations = pochex.verify._RELATIONS
+    eval_A9, genfun_a7 = pochex.verify._eval_A9, pochex.verify._genfun_a7
+
+    def bad_A9(p):
+        lhs, rhs = eval_A9(p)
+        return lhs, rhs + int(p["m"] == 3)
+
+    def bad_a7(order, p):
+        lhs, rhs = genfun_a7(order, p)
+        return lhs, rhs + EpsSeries([0] * 5 + [int(p["k"] == 2)] + [0] * (order - 5))
+
+    A9_grid = [{"m": 2, "k": 1}, {"m": 3, "k": 1}, {"m": 4, "k": 4}]
+    a7_grid = [{"k": 1}, {"k": 2}, {"k": 3}]
+    monkeypatch.setitem(relations, IdentityId.A9, (bad_A9, lambda: A9_grid))
+    monkeypatch.setitem(relations, GenFunId.a7, (bad_a7, lambda: a7_grid))
+    A9, a7 = verify_ids(["A9", "a7"])
+
+    assert A9 == CheckSummary("A9", 3, (IdentityResult(IdentityId.A9, {"m": 3, "k": 1}, F(11), F(12)),))
+    (failure,) = A9.failures
+    assert failure.identity is IdentityId.A9 and not failure.equal
+    assert (type(failure.lhs), type(failure.rhs)) == (F, F)
+    assert a7 == CheckSummary("a7", 3, (GenFunResult(GenFunId.a7, {"k": 2}, 12, False, 5),))
+    assert a7.failures[0].identity is GenFunId.a7
+
+    assert main(["verify", "--id", "A9", "--id", "a7"]) == 2
+    assert capsys.readouterr() == (
+        "A9: FAIL (1/3 points)\n"
+        "  params {'m': '3', 'k': '1'}: lhs 11 rhs 12\n"
+        "a7: FAIL (1/3 points)\n"
+        "  params {'k': '2'}: first discrepancy at exponent 5 (order 12)\n",
+        "",
+    )
 
 
 # -- coverage registry: exhaustive and well-formed ----------------------------------------
