@@ -170,6 +170,9 @@ def _build_parser() -> _Parser:
     )
     v.add_argument("--all", action="store_true", help="check every relation")
     v.set_defaults(run=_cmd_verify)
+    # Each command reports its usage errors through its own parser, as argparse does.
+    for command in sub.choices.values():
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -309,7 +312,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.run(args, parser)
+        return args.run(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (PochexError, OSError) as exc:

@@ -17,6 +17,15 @@ lcm and reduces by one gcd, in place of a Fraction multiply-add per term.  A
 side that needs a Stirling row or column at one point takes it from one
 `_stirling_walk`.  Only how a side adds up its terms is shared: the two sides
 of every relation still run on their separate routes.
+
+Within one `run_relation` call, the grid points share one dict of the pure
+public calls that the grid repeats, keyed by function and arguments: A27's
+P and Q values, the modified harmonic numbers of A28-A30 and A31's Stirling
+numbers.  Each distinct call runs once per grid; the dict is made by that call
+and dropped when it returns, so nothing is kept between calls.  A repeated
+call returns what the same code would compute again, so no check is weakened.
+`run_relation` compares the two sides directly and builds an `IdentityResult`
+or `GenFunResult` only for a point that fails.
 """
 
 from __future__ import annotations
@@ -131,11 +140,25 @@ def _sign(exponent: int) -> int:
 
 
 class _Point(dict):
-    """One parameter point; `where`, as in `identity_eval('A9')`, heads its errors."""
+    """One parameter point; `where`, as in `identity_eval('A9')`, heads its errors.
 
-    def __init__(self, where, params):
+    `calls` is the dict of pure calls shared by the points of one `run_relation`
+    call (a fresh dict for a single point); `shared(f, *args)` is f(*args),
+    computed once per dict.
+    """
+
+    def __init__(self, where, params, calls):
         super().__init__(params)
         self.where = where
+        self.calls = calls
+
+    def shared(self, function, *args):
+        key = (function, *args)
+        try:
+            return self.calls[key]
+        except KeyError:
+            value = self.calls[key] = function(*args)
+            return value
 
 
 def _param(p, name):
@@ -312,8 +335,8 @@ def _eval_A27(p):
     x = _as_rational(p, "x")
     lhs = _sum_of_products(
         (
-            poch_deriv(x, m, k - j, PochMethod.STIRLING_SUM),
-            recip_poch_deriv(x, m, j, RecipMethod.CLOSED_SUM),
+            p.shared(poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
+            p.shared(recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM),
         )
         for j in range(k + 1)
     )
@@ -327,7 +350,7 @@ def _eval_A28(p):
     m = _as_int(p, "m", 0)
     k = _as_int(p, "k", 0)
     row = _stirling_walk(m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
-    lhs = _sum_of_products((row[k + 1 - j], mod_harmonic(m, j)) for j in range(k + 1))
+    lhs = _sum_of_products((row[k + 1 - j], p.shared(mod_harmonic, m, j)) for j in range(k + 1))
     rhs = _F((-1) ** m * math.factorial(m) if k == 0 else 0)
     return lhs, rhs
 
@@ -342,7 +365,7 @@ def _eval_A29(p):
     row = _stirling_walk(m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
     weight = _F(_sign(m + n - 1 - k), math.factorial(n - 1))
     rhs = _sum_of_products(
-        (weight, row[k + 1 - j], mod_harmonic(n - 1, j)) for j in range(k + 1)
+        (weight, row[k + 1 - j], p.shared(mod_harmonic, n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
 
@@ -357,7 +380,7 @@ def _eval_A30(p):
     row = _stirling_walk(n, k + 1)[1]  # s(n, i) for i = 0..k+1
     weight = _F(_sign(n - 1 - k), math.factorial(m + n - 1))
     rhs = _sum_of_products(
-        (weight, row[k + 1 - j], mod_harmonic(m + n - 1, j)) for j in range(k + 1)
+        (weight, row[k + 1 - j], p.shared(mod_harmonic, m + n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
 
@@ -373,7 +396,7 @@ def _eval_A31(p):
         rhs = _sign(m - k) * poch_deriv(_F(n + 1 - m), m, k, PochMethod.STIRLING_SUM)
     else:
         acc = sum(
-            (-1) ** j * stirling_s1(n + 1, j + 1) * stirling_s1(m - n, k - j)
+            (-1) ** j * p.shared(stirling_s1, n + 1, j + 1) * p.shared(stirling_s1, m - n, k - j)
             for j in range(k)
         )
         rhs = _F(_sign(m - n - k)) * acc
@@ -475,18 +498,28 @@ def identity_eval(identity: IdentityId, params: dict) -> IdentityResult:
     """Evaluate both sides of a scalar identity at one parameter point."""
     identity, evaluate, _ = _relation(identity, (IdentityId,))
     params = _params("identity_eval", params)
-    return _result_at(identity, evaluate, params, f"identity_eval({identity.value!r})")
+    point = _Point(f"identity_eval({identity.value!r})", params, {})
+    return _result(identity, params, None, *_check(evaluate, point, None))
 
 
-def _result_at(relation, evaluate, params, where, order=None):
-    """`relation` checked at one point, to `order` if it is a generating relation.
-    A bad parameter's DomainError names `where`: the call, the relation and the point."""
-    point = _Point(where, params)
+def _check(evaluate, point, order):
+    """(equal, detail) for a relation at one point, to `order` if it is a
+    generating relation.  detail is (lhs, rhs) for an identity and the first
+    exponent where the sides differ (None if none) for a generating relation.
+    A bad parameter's DomainError names `point.where`: the call, the relation
+    and the point."""
     if order is None:
         lhs, rhs = evaluate(point)
+        return lhs == rhs, (lhs, rhs)
+    return _series_equal(*evaluate(order, point))
+
+
+def _result(relation, params, order, equal, detail):
+    """The result record of a point that `_check` gave (equal, detail)."""
+    if order is None:
+        lhs, rhs = detail
         return IdentityResult(relation, params, _F(lhs), _F(rhs))
-    equal, first = _series_equal(*evaluate(order, point))
-    return GenFunResult(relation, params, order, equal, first)
+    return GenFunResult(relation, params, order, equal, detail)
 
 
 # -- generating-relation checks ------------------------------------------------
@@ -677,7 +710,8 @@ def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
     identity, evaluate, _ = _relation(identity, (GenFunId,))
     _count("genfun_check", 1, order=order)
     params = _params("genfun_check", params)
-    return _result_at(identity, evaluate, params, f"genfun_check({identity.value!r})", order)
+    point = _Point(f"genfun_check({identity.value!r})", params, {})
+    return _result(identity, params, order, *_check(evaluate, point, order))
 
 
 # -- default parameter grids ---------------------------------------------------
@@ -816,7 +850,9 @@ class CheckSummary:
 def run_relation(token, grid=None) -> CheckSummary:
     """Check one relation at every point of `grid` (its default grid if None).
 
-    A generating relation is compared to DEFAULT_GENFUN_ORDER.
+    A generating relation is compared to DEFAULT_GENFUN_ORDER.  The points share
+    one dict of pure calls, dropped when this call returns; a result record is
+    built only for a point that fails.
     """
     relation, evaluate, default = _relation(token)
     if grid is None:
@@ -826,9 +862,13 @@ def run_relation(token, grid=None) -> CheckSummary:
         grid = [_params("run_relation", params) for params in points]
     order = None if isinstance(relation, IdentityId) else DEFAULT_GENFUN_ORDER
     at = f"run_relation({relation.value!r}) at grid point"
-    results = [_result_at(relation, evaluate, p, f"{at} {i}", order) for i, p in enumerate(grid)]
-    failures = tuple(r for r in results if not (r.equal if order is None else r.equal_to_order))
-    return CheckSummary(relation.value, len(grid), failures)
+    calls = {}
+    failures = []
+    for i, params in enumerate(grid):
+        equal, detail = _check(evaluate, _Point(f"{at} {i}", params, calls), order)
+        if not equal:
+            failures.append(_result(relation, params, order, equal, detail))
+    return CheckSummary(relation.value, len(grid), tuple(failures))
 
 
 def verify_ids(tokens):

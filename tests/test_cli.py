@@ -113,13 +113,21 @@ def test_recip_needs_beta_and_k(capsys):
     assert_clean_failure(capsys, "recip", "-m", "3")
 
 
+def subcommands():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
 def assert_usage_error(capsys, message, *argv):
-    # Exit 1 with nothing on stdout, and on stderr the usage line, then one
-    # `error:` line.
+    # Exit 1 with nothing on stdout, and on stderr the command's own usage,
+    # then one `error:` line that names the command, as argparse's own errors
+    # for that command do.
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, ""), argv
-    usage, error = err.splitlines()
-    assert usage.startswith("usage: pochex ") and error == f"pochex: error: {message}"
+    usage = subcommands()[argv[0]].format_usage()
+    assert usage.startswith(f"usage: pochex {argv[0]} ")
+    assert err == f"{usage}pochex {argv[0]}: error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -519,6 +527,10 @@ def test_verify_id_and_all_conflict(capsys):
     assert_clean_failure(capsys, "verify", "--id", "A9", "--all")
 
 
+def test_verify_id_and_all_is_a_verify_usage_error(capsys):
+    assert_usage_error(capsys, "--id and --all are mutually exclusive", "verify", "--id", "A5", "--all")
+
+
 # -- top-level behavior --------------------------------------------------------------
 
 
@@ -537,10 +549,10 @@ def test_help_exits_zero(capsys):
 
 
 def test_each_subcommand_runs_its_own_command():
-    parser = cli._build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    runs = {name: sub.get_default("run") for name, sub in commands.choices.items()}
+    commands = subcommands()
+    runs = {name: sub.get_default("run") for name, sub in commands.items()}
     assert runs == {name: getattr(cli, f"_cmd_{name}") for name in runs}
+    assert all(sub.get_default("parser") is sub for sub in commands.values())
     assert sorted(runs) == ["expand", "pf", "poch", "quotient", "recip", "tables", "verify"]
 
 

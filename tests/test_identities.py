@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 
 import pochex
 import pochex.combinatorics
+from pochex.combinatorics import mod_harmonic, stirling_s1
 from pochex.errors import DomainError
 from pochex.hyper_expand import CLOSED_EXAMPLES
-from pochex.pochhammer import PochMethod, RecipMethod
+from pochex.pochhammer import PochMethod, RecipMethod, poch_deriv, recip_poch_deriv
 from pochex.series import EpsSeries
 from pochex.verify import (
     DEFAULT_GENFUN_ORDER,
@@ -182,30 +183,77 @@ def test_sum_of_products_is_the_fraction_sum(terms):
     assert repr(_sum_of_products(terms)) == repr(expected)
 
 
-# cProfile call counts in one verify_all() of Fraction._add, Fraction._mul and
-# the Stirling walk.  With a Fraction multiply-add per term they were 18,355,
-# 25,046 and 4,108.
-_VERIFY_ALL_WORK = {"_add": 5270, "_mul": 4507, "_stirling_walk": 2392}
-
-
-def test_verify_all_sums_in_integers():
-    counted = {
-        F._add.__code__: "_add",
-        F._mul.__code__: "_mul",
-        pochex.combinatorics._stirling_walk.__code__: "_stirling_walk",
-    }
+def profiled_calls(run, functions):
+    """run()'s result and the cProfile call count of each of `functions`, by name."""
+    counted = {function.__code__: function.__name__ for function in functions}
     profile = cProfile.Profile()
     profile.enable()
     try:
-        summaries = verify_all()
+        result = run()
     finally:
         profile.disable()
-    assert all(summary.passed for summary in summaries)
-    calls = dict.fromkeys(_VERIFY_ALL_WORK, 0)
+    calls = dict.fromkeys(counted.values(), 0)
     for entry in profile.getstats():
         if entry.code in counted:
             calls[counted[entry.code]] += entry.callcount
+    return result, calls
+
+
+# cProfile call counts in one verify_all() of Fraction._add, Fraction._mul and
+# the Stirling walk.  With a Fraction multiply-add per term they were 18,355,
+# 25,046 and 4,108; before each relation shared its repeated calls across its
+# grid, 2,774, 4,507 and 2,392.
+_VERIFY_ALL_WORK = {"_add": 2606, "_mul": 4507, "_stirling_walk": 1280}
+
+# Exact call counts of the building blocks in one verify_all().  Each relation
+# computes a repeated (function, arguments) once per grid: without that they
+# were 2,050, 1,645, 2,199 and 945.
+_VERIFY_ALL_CALLS = {
+    "poch_deriv": 1294, "recip_poch_deriv": 889, "mod_harmonic": 684, "stirling_s1": 307
+}
+
+
+def test_verify_all_sums_in_integers():
+    counted = (F._add, F._mul, pochex.combinatorics._stirling_walk)
+    blocks = (poch_deriv, recip_poch_deriv, mod_harmonic, stirling_s1)
+    summaries, calls = profiled_calls(verify_all, counted + blocks)
+    assert all(summary.passed for summary in summaries)
     assert all(calls[name] <= bound for name, bound in _VERIFY_ALL_WORK.items()), calls
+    assert {name: calls[name] for name in _VERIFY_ALL_CALLS} == _VERIFY_ALL_CALLS
+
+
+def test_A27_computes_each_P_and_Q_value_once():
+    # One P and one Q call per distinct (x, m, i); without sharing, A27 made
+    # 1,008 of each, four per distinct (x, m, i).
+    summary, calls = profiled_calls(lambda: run_relation("A27"), (poch_deriv, recip_poch_deriv))
+    assert summary == CheckSummary("A27", 252, ())
+    assert calls == {"poch_deriv": 252, "recip_poch_deriv": 252}
+
+
+def test_back_to_back_verify_all_calls_agree():
+    first = verify_all()
+    assert all(summary.passed for summary in first)
+    assert verify_all() == first
+
+
+@pytest.mark.parametrize("token", ["A27", "A28", "A29", "A30", "A31"])
+def test_a_grid_that_repeats_points_checks_as_one_call_per_point(monkeypatch, token):
+    # The real evaluator with rhs off by one wherever k = 1, so that the
+    # failure records show the lhs that the shared calls built.
+    import pochex.verify
+
+    evaluate, default = pochex.verify._RELATIONS[IdentityId(token)]
+
+    def off_at_k1(p):
+        lhs, rhs = evaluate(p)
+        return lhs, rhs + int(p["k"] == 1)
+
+    monkeypatch.setitem(pochex.verify._RELATIONS, IdentityId(token), (off_at_k1, default))
+    grid = default() + default()[::-1]
+    summary = run_relation(token, grid)
+    one_by_one = [run_relation(token, [params]) for params in grid]
+    assert summary == CheckSummary(token, len(grid), sum((s.failures for s in one_by_one), ()))
+    assert len(summary.failures) == 2 * sum(params["k"] == 1 for params in default())
 
 
 # -- generating relations ------------------------------------------------------------
