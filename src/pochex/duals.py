@@ -36,8 +36,12 @@ class Dual:
 
             _coerce(val, rational=True)
             _coerce(der, rational=True)
-        self.val = Fraction(val)
-        self.der = Fraction(der)
+        # A part that is exactly a Fraction is kept as it is: Fractions are
+        # immutable, and Fraction(x) of one would rebuild it through the
+        # numbers.Rational checks.  An int or a Fraction subclass becomes a
+        # plain Fraction.
+        self.val = val if type(val) is Fraction else Fraction(val)
+        self.der = der if type(der) is Fraction else Fraction(der)
 
     def __repr__(self):
         return f"Dual({self.val}, {self.der})"

@@ -26,15 +26,21 @@ formulas.  One table, `_EXAMPLES`, gives each its closed-form column function,
 delta rule and engine spec as a function of delta, resolved once for both
 `closed_engine_spec` and `expand_closed`.  Engine and closed forms are
 independent code paths that must agree entry by entry, and that fail on the
-same inputs: `expand_closed` first checks each lattice point of the engine
-spec, so it raises the engine's PoleError.  dF7_ddelta is taken at delta = 0
-on both routes.
+same inputs: `expand_closed` first checks the lattice against the engine
+spec's denominator, so it raises the engine's PoleError.  That check costs one
+`_vanishing_shift` per denominator factor, at the factor's longest length on
+the lattice; only where one can vanish does a scan in m1-major order name the
+first pole.  dF7_ddelta is taken at delta = 0 on both routes.
 
 Cost model of `expand_closed` at eps order K: each closed coefficient is a
 signed power sum lead*delta_{k,0} + sum_j w_j r_j**k, for F1, F5 and F6 joined
 over k1 by a Cauchy product.  Each example returns the whole k-column of a
 lattice point, so its weights w_j are evaluated once per lattice point,
-independent of K.  Every weight, ratio, lead term and prefactor is an integer
+independent of K.  A part that depends on one index only is built once per
+table: F1's Stirling row once per total degree m, F5's inner power column once
+per m1 and its outer one once per m2, and F6's t1 column once per n1.  Each
+call of `expand_closed` keeps these parts in one dict of its own, dropped on
+return (`_part`).  Every weight, ratio, lead term and prefactor is an integer
 triple (num, der, den), never reduced: a rising factorial (delta + c)_m at
 delta = p/q is the product of the m integers p + (c + j)*q over q**m, binomials
 are `math.comb` and factorials are ints.  So a weight costs O(D) integer
@@ -43,10 +49,11 @@ lcm for a power column, the product of two dens for a convolution (O(K**2)
 products).  The prefactor folds into the one Fraction built per table entry:
 one lcm per column and one gcd per entry.  dF7 builds each Bernoulli
 polynomial it needs once per call, from one Miller core of O(n**2) terms, as
-an integer row kept in a dict of that call alone, and evaluates it at an
-integer by one Horner pass.  A Dual delta carries its t-part as der, by the
-product rule; an entry is a Dual where it depends on delta, as on the engine's
-route.
+an integer row kept in that dict, and evaluates it once per call at each
+integer it needs, by one Horner pass.  The delta rising factorials of F6,
+F6_alt and F7 are not kept: at D = 12 a lookup cost more than the product it
+saved.  A Dual delta carries its t-part as der, by the product rule; an entry
+is a Dual where it depends on delta, as on the engine's route.
 """
 
 from __future__ import annotations
@@ -153,6 +160,15 @@ def _checked_points(spec: HyperTermSpec, degree_bound: int) -> list:
     """The lattice points m1 + m2 <= degree_bound, m1-major, once each is checked for a
     denominator factor of spec that vanishes at eps = 0 there: the first raises PoleError."""
     points = [(m1, m2) for m1 in range(degree_bound + 1) for m2 in range(degree_bound + 1 - m1)]
+    # A factor's longest length on the lattice is c0 + max(c1, c2)*degree_bound,
+    # as law coefficients are >= 0, and a rising factorial with no zero factor at
+    # some length has none at a shorter one.  So one check per factor clears it
+    # for every point, and the scan below runs only to name the first pole.
+    if all(
+        _vanishing_shift(param.constant, law.c0 + max(law.c1, law.c2) * degree_bound) is None
+        for param, law in spec.denom
+    ):
+        return points
     for m1, m2 in points:
         for idx, (param, law) in enumerate(spec.denom):
             if _vanishing_shift(param.constant, law(m1, m2)) is not None:
@@ -368,15 +384,32 @@ _NEGATE = (-1, None, 1)
 _TWO = (2, None, 1)
 
 
-def _closed_f1(K, m1, m2):
-    n, m = m1, m1 + m2
+def _part(parts: dict, build, *args):
+    """build(*args) from parts, the dict of one `expand_closed` call: each part is
+    built once per table, and a repeated call returns the same object, which no
+    caller changes."""
+    key = (build, *args)
+    try:
+        return parts[key]
+    except KeyError:
+        value = parts[key] = build(*args)
+        return value
+
+
+def _f1_stirling(K, m):
+    # 2**k1 (-1)**m s(m + 1, k1 + 1), k1 = 0..K, from one walk.
     walk = _stirling_walk(m + 1, K + 1)[1][1:]
-    stirling = 1, [2**k1 * (-1) ** m * s for k1, s in enumerate(walk)], None
+    return 1, [2**k1 * (-1) ** m * s for k1, s in enumerate(walk)], None
+
+
+def _closed_f1(parts, K, m1, m2):
+    n, m = m1, m1 + m2
     terms = [
         (((-1) ** (j + 1) * math.comb(m - j, n) * math.comb(n, j), None, 1), (1, None, j))
         for j in range(1, n + 1)
     ]
     scale = _sign_over_factorials(0, n, m - n)
+    stirling = _part(parts, _f1_stirling, K, m)
     return _scaled(scale, _product(stirling, _power_column(K, _UNIT, terms)))
 
 
@@ -389,53 +422,64 @@ def _closed_f2_to_f4(K, n, m, shift, lead):
     return _scaled((math.comb(m, n), None, 1), _power_column(K, (lead, None, 1), terms))
 
 
-def _closed_f2(K, m1, m2):
+def _closed_f2(parts, K, m1, m2):
     return _closed_f2_to_f4(K, m2, m1 + m2, 1, (-1) ** m2)
 
 
-def _closed_f3(K, m1, m2):
+def _closed_f3(parts, K, m1, m2):
     return _closed_f2_to_f4(K, m1, m1 + m2, 1, (-1) ** m1)
 
 
-def _closed_f4(K, m1, m2):
+def _closed_f4(parts, K, m1, m2):
     return _closed_f2_to_f4(K, m1, m1 + m2, -1, 1)
 
 
-def _closed_f5(K, m1, m2):
-    n, d = m1, m2
-    inner = [
+def _f5_inner(K, n):
+    terms = [
         (_mul(_sign_over_factorials(l + 1, l - 1, n - l), (1, None, 1 + l)), (1, None, 1 + l))
         for l in range(1, n + 1)
     ]
-    outer = []
+    return _power_column(K, (1 if n == 0 else 0, None, 1), terms)
+
+
+def _f5_outer(K, d):
+    terms = []
     for j in range(1, d // 2 + 1):
         # (-1)**(j+1) (2d - 2j - 1)!! / (2**j (d - 2j)! (j - 1)! (1 + j))
         w = _sign_over_factorials(j + 1, d - 2 * j, j - 1)
         w = _mul(w, (math.prod(range(2 * d - 2 * j - 1, 0, -2)), None, 2**j * (1 + j)))
-        outer.append((w, (1, None, 1 + j)))
-    inner = _power_column(K, (1 if n == 0 else 0, None, 1), inner)
+        terms.append((w, (1, None, 1 + j)))
+    return _power_column(K, _UNIT, terms)
+
+
+def _closed_f5(parts, K, m1, m2):
+    n, d = m1, m2
     # C(n + d, n) (2n - 1)!! / 2**(n + d), with (-1)!! = 1.
     pref = (math.comb(n + d, n) * math.prod(range(2 * n - 1, 0, -2)), None, 2 ** (n + d))
-    return _scaled(pref, _product(inner, _power_column(K, _UNIT, outer)))
+    return _scaled(pref, _product(_part(parts, _f5_inner, K, n), _part(parts, _f5_outer, K, d)))
 
 
-def _closed_f6(delta, K, n1, n2):
-    t1 = [
+def _f6_t1(delta, K, n1):
+    terms = [
         (_mul(_rising(delta, 1 - l, n1), _sign_over_factorials(l + 1, l, n1 - l)), (1, None, l))
         for l in range(1, n1 + 1)
     ]
+    return _power_column(K, _UNIT, terms)
+
+
+def _closed_f6(delta, parts, K, n1, n2):
     t2 = []  # t2 holds (-1)**k times the tail's k-th coefficient
     two_delta = _mul(delta, _TWO)
     for j in range(n2):
         inv = _inv(_rising(delta, 1 + j, 1))
         w = _mul(_rising(two_delta, 2 + n1 + j, n2), _sign_over_factorials(j, j, n2 - 1 - j))
         t2.append((_mul(w, inv), _mul(inv, _NEGATE)))
-    t1 = _power_column(K, _UNIT, t1)
+    t1 = _part(parts, _f6_t1, delta, K, n1)
     t2 = _power_column(K, ((-1) ** n2, None, 1), t2)
     return _scaled(_prefactor(delta, n1, n2), _product(t1, t2))
 
 
-def _closed_f6_alt(delta, K, n1, n2):
+def _closed_f6_alt(delta, parts, K, n1, n2):
     terms = []
     for j1 in range(1, n1 + 1):
         w = _mul(_rising(delta, 1 - j1, n1 + n2), _inv(_rising(delta, 1 + j1, n2)))
@@ -450,7 +494,7 @@ def _closed_f6_alt(delta, K, n1, n2):
     return _scaled(_prefactor(delta, n1, n2), _power_column(K, lead, terms))
 
 
-def _closed_f7(delta, K, n1, n2):
+def _closed_f7(delta, parts, K, n1, n2):
     terms = []
     for j in range(1, n1 + 1):
         w = _mul(_rising(delta, n2 + 1 - j, n1), _sign_over_factorials(j + 1, j, n1 - j))
@@ -458,28 +502,34 @@ def _closed_f7(delta, K, n1, n2):
     return _scaled(_prefactor(delta, n1, n2), _power_column(K, _UNIT, terms))
 
 
-def _bernoulli_at(rows: dict, n: int, x: int) -> tuple:
-    """B_{n-1}^{(n+1)}(x) at an integer x as (num, den > 0): one Horner pass over
-    rows[n], its coefficients over one den, built once per call from one Miller
-    core."""
-    if n not in rows:
-        core = _bernoulli_values(n - 1, n + 1)
-        rows[n] = _int_row([g * math.perm(n - 1, j) for j, g in enumerate(core)])[:2]
-    den, coeffs = rows[n]
-    return functools.reduce(lambda num, c: num * x + c, coeffs, 0), den
+def _bernoulli_row(n: int) -> tuple:
+    """B_{n-1}^{(n+1)}(x) as the integer row (den > 0, coefficients from the
+    highest power of x), built from one Miller core."""
+    core = _bernoulli_values(n - 1, n + 1)
+    return _int_row([g * math.perm(n - 1, j) for j, g in enumerate(core)])[:2]
 
 
-def _closed_df7(rows, K, n1, n2):
+def _bernoulli_at(parts: dict, n: int, x: int) -> tuple:
+    """B_{n-1}^{(n+1)}(x) at an integer x as (num, den > 0), once per call for
+    each (n, x): one Horner pass over the row of n, itself built once per call."""
+    key = (_bernoulli_at, n, x)
+    if key not in parts:
+        den, coeffs = _part(parts, _bernoulli_row, n)
+        parts[key] = functools.reduce(lambda num, c: num * x + c, coeffs, 0), den
+    return parts[key]
+
+
+def _closed_df7(parts, K, n1, n2):
     # (-1)**k / n2! times piece1 * bracket1 + piece2 * bracket2, one weight per j,
     # with piece1 = p1/q1 and piece2 = p2/q2: each weight is (u*t - s*v) / (v*t).
     p1, q1 = 0, 1
     if n2 > 0:
-        b, q1 = _bernoulli_at(rows, n2, -n1)
+        b, q1 = _bernoulli_at(parts, n2, -n1)
         p1 = (-1) ** (n2 - 1) * n2 * b
     p2, q2 = (-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2
     terms = []
     for j in range(1, n1 + 1):
-        b, e = _bernoulli_at(rows, n1, j - n2)
+        b, e = _bernoulli_at(parts, n1, j - n2)
         u, v = p2 * math.comb(n1, j) * b, q2 * e
         s = p1 * math.prod(range(n2 + 1 - j, n2 + 1 - j + n1))
         t = q1 * math.factorial(j) * math.factorial(n1 - j)
@@ -492,9 +542,9 @@ def _closed_df7(rows, K, n1, n2):
 _TAKES_NONE, _NEEDS_ONE, _ONLY_ZERO = "takes none", "needs one", "only delta = 0"
 
 # The built-in examples, one row each: the closed-form column function
-# (K, m1, m2) -> [value for k = 0..K], which takes the delta triple first where
-# the rule needs one, and dF7 its per-call Bernoulli rows; the delta rule; and
-# the engine spec as a function of the delta.
+# (parts, K, m1, m2) -> [value for k = 0..K], which takes the delta triple first
+# where the rule needs one; the delta rule; and the engine spec as a function of
+# the delta.  parts is the dict of one `expand_closed` call (see `_part`).
 _EXAMPLES = {
     "F1": (_closed_f1, _TAKES_NONE, _f1_to_f4_spec("F1", -2, -1, -1, -1)),
     "F2": (_closed_f2, _TAKES_NONE, _f1_to_f4_spec("F2", 0, -1, -1, 1)),
@@ -519,8 +569,8 @@ CLOSED_EXAMPLES = tuple(_EXAMPLES)
 
 
 def _resolved(example, delta) -> tuple:
-    """The column function (K, m1, m2) -> column of a built-in example, bound to
-    its first argument for one call where it takes one, and its engine spec.
+    """The column function (parts, K, m1, m2) -> column of a built-in example,
+    bound to the delta triple where it takes one, and its engine spec.
     Rejects an unknown example, a missing delta where one is needed, a delta
     where none is taken, and a nonzero delta where only delta = 0 is.
     """
@@ -538,7 +588,7 @@ def _resolved(example, delta) -> tuple:
         raise MissingParameter(f"example {example} needs the extra parameter delta")
     if rule == _NEEDS_ONE:
         return functools.partial(column, _delta_triple(delta)), spec(delta)
-    return (functools.partial(column, {}) if rule == _ONLY_ZERO else column), spec(None)
+    return column, spec(None)
 
 
 def closed_engine_spec(example: str, delta=None) -> HyperTermSpec:
@@ -555,8 +605,9 @@ def expand_closed(
     its weights are evaluated once per point whatever eps_order K is, in
     integers; each column is then one integer row over one denominator (one
     lcm for a power sum), and each entry one Fraction, one gcd, or a Dual where
-    a Dual delta reaches it (see the module docstring).  Every point is checked
-    for a pole before any is computed.
+    a Dual delta reaches it (see the module docstring).  A part that depends on
+    one index only is built once per table, in a dict dropped on return.  Every
+    point is checked for a pole before any is computed.
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
     extra = extra or {}
@@ -564,9 +615,9 @@ def expand_closed(
     if set(extra) - {"delta"}:
         raise DomainError(f"expand_closed takes only the extra parameter delta, got {list(extra)}")
     column, spec = _resolved(example, extra.get("delta"))
-    entries = {}
+    entries, parts = {}, {}
     for m1, m2 in _checked_points(spec, degree_bound):
-        for k, value in enumerate(column(eps_order, m1, m2)):
+        for k, value in enumerate(column(parts, eps_order, m1, m2)):
             entries[(k, m1, m2)] = value
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 

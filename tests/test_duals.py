@@ -18,6 +18,37 @@ def test_construction_coerces_to_fractions():
     assert Dual(F(1, 2)).der == 0
 
 
+class _Ratio(F):
+    """A Fraction subclass, which a Dual part does not keep."""
+
+
+def test_construction_keeps_fractions_and_converts_the_rest():
+    # A part that is exactly a Fraction is the same object; an int or a
+    # Fraction subclass becomes a plain Fraction of the same value.
+    f, g = F(2, 3), F(-5, 7)
+    d = Dual(f, g)
+    assert d.val is f and d.der is g
+    d = Dual(4, _Ratio(1, 2))
+    assert (type(d.val), d.val) == (F, F(4)) and (type(d.der), d.der) == (F, F(1, 2))
+    d = Dual(_Ratio(3, 4))
+    assert (type(d.val), d.val) == (F, F(3, 4)) and (type(d.der), d.der) == (F, F(0))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 1), "True is not a rational; pass an int or a Fraction"),
+        ((1, False), "False is not a rational; pass an int or a Fraction"),
+        ((1.5, 1), "inexact float 1.5; pass an int or a Fraction"),
+        ((F(1, 2), 0.25), "inexact float 0.25; pass an int or a Fraction"),
+    ],
+)
+def test_construction_refuses_bools_and_floats(args, message):
+    with pytest.raises(DomainError) as exc:
+        Dual(*args)
+    assert str(exc.value) == message
+
+
 def test_equality_lifts_plain_scalars():
     assert Dual(3) == 3
     assert Dual(3, 1) != 3

@@ -39,6 +39,7 @@ from pochex.pochhammer import (
     _int_factor,
     _poch_step,
     _recip_step,
+    _vanishing_shift,
     poch_deriv,
     poch_eps_series,
     pochhammer,
@@ -406,18 +407,29 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
         assert calls == expected, eps_order
 
 
+# How often each kind of column a closed form reads is built per table at K=4,
+# D=12 (91 points, 13 values of each index): F1's power column and product once
+# per point; F5's inner power column once per m1, its outer one once per m2 and
+# their product once per point; F6's t1 once per n1, its t2 and product once per
+# point; the one power column of the others once per point.
+_COLUMN_BUILDS = {"F1": (91, 91), "F5": (13, 13, 91), "F6": (13, 91, 91)}
+
+
 @pytest.mark.parametrize(
-    "example, columns",
+    "example, kinds",
     [("F1", 2), ("F2", 1), ("F3", 1), ("F4", 1), ("F5", 3)]
     + [("F6", 3), ("F6_alt", 1), ("F7", 1), ("dF7_ddelta", 1)],
 )
-def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
-    # Every closed form builds `columns` integer rows per lattice point at K=4,
-    # D=12 (91 points), each of _power_column or _product, and turns one
-    # column per point into entries.  A power column's one denominator is one
+def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, kinds):
+    # Every closed form builds its `kinds` kinds of integer row, each of
+    # _power_column or _product, as often as _COLUMN_BUILDS says: a column that
+    # depends on one index only is built once per table.  It turns one column
+    # per point into entries.  A power column's one denominator is one
     # math.lcm; a convolution's is the product of two, and no coefficient takes
     # an lcm of its own.  The one other lcm is the Dual delta's triple, once
     # per call.  A Dual delta takes the same path as a rational one.
+    builds = _COLUMN_BUILDS.get(example, (91,))
+    assert len(builds) == kinds
     deltas = [F(1, 3), Dual(F(1, 3), 1)] if example in ("F6", "F6_alt", "F7") else [None]
     for delta in deltas:
         calls = Counter()
@@ -428,7 +440,7 @@ def test_closed_forms_sum_each_coefficient_once(monkeypatch, example, columns):
             _counter(patched, calls, counted_math, "lcm")
             patched.setattr(pochex.hyper_expand, "math", counted_math)
             expand_closed(example, 4, 12, None if delta is None else {"delta": delta})
-        assert calls["_power_column"] + calls["_product"] == columns * 91, delta
+        assert calls["_power_column"] + calls["_product"] == sum(builds), delta
         assert calls["_entries"] == 91, delta
         assert calls["lcm"] == calls["_power_column"] + isinstance(delta, Dual), delta
 
@@ -504,12 +516,17 @@ def test_closed_rows_are_the_fraction_dual_sums(K, lead_a, terms_a, lead_b, term
 
 @given(st.integers(1, 30), st.integers(-40, 40))
 def test_closed_df7_bernoulli_rows_are_the_polynomials(n, x):
-    # One integer row per n, read from the cached core, and one Horner pass per
-    # integer x give gen_bernoulli_poly(n - 1, n + 1, x).
-    rows = {}
-    num, den = pochex.hyper_expand._bernoulli_at(rows, n, x)
+    # One integer row per n, built from one core, and one Horner pass per
+    # integer x give gen_bernoulli_poly(n - 1, n + 1, x).  The call's dict holds
+    # the row of n once and the value at each x, and a repeated x reads it back.
+    hx = pochex.hyper_expand
+    parts = {}
+    num, den = hx._bernoulli_at(parts, n, x)
     assert den > 0 and F(num, den) == gen_bernoulli_poly(n - 1, n + 1, x)
-    assert pochex.hyper_expand._bernoulli_at(rows, n, -x)[1] == den and list(rows) == [n]
+    assert hx._bernoulli_at(parts, n, -x)[1] == den
+    assert hx._bernoulli_at(parts, n, x) is parts[(hx._bernoulli_at, n, x)]
+    row, at = hx._bernoulli_row, hx._bernoulli_at
+    assert set(parts) == {(row, n), (at, n, x), (at, n, -x)}
 
 
 def test_closed_tables_keep_their_digest():
@@ -593,7 +610,8 @@ def test_each_stirling_reader_takes_one_walk(monkeypatch):
     # The stirling_sum method reads one column of one walk: s(i, 3) for
     # i = 0..2000 and the row cut at width 4.  The coffey method reads row m
     # of one walk of width m + 1.  Closed F1 at K=4, D=12 reads row m + 1 of
-    # one walk per lattice point, cut at width K + 2.
+    # one walk per total degree m = 0..12, cut at width K + 2, and shares it
+    # among the points of that degree.
     # pochex.pochhammer is the function the package exports; take the module.
     shapes = []
     for module in (sys.modules["pochex.pochhammer"], pochex.hyper_expand):
@@ -609,9 +627,7 @@ def test_each_stirling_reader_takes_one_walk(monkeypatch):
     assert shapes == [(2001, 4), (61, 61)]
     shapes.clear()
     expand_closed("F1", 4, 12)
-    points = [(m1, m2) for m1 in range(13) for m2 in range(13 - m1)]
-    assert len(shapes) == len(points) == 91
-    assert sorted(shapes) == sorted((m1 + m2 + 2, 6) for m1, m2 in points)
+    assert sorted(shapes) == [(m + 2, 6) for m in range(13)]
 
 
 # -- regrouping ------------------------------------------------------------------
@@ -815,6 +831,101 @@ def test_closed_pole_computes_no_point(monkeypatch):
     assert str(exc_info.value) == (
         "denominator factor 2 of F6 vanishes at eps = 0 on lattice point (0, 13)"
     )
+
+
+def _scanned_points(spec, degree_bound):
+    # The per-point pole scan that one check per factor replaces: every lattice
+    # point in m1-major order, every denominator factor in order, the first
+    # factor that vanishes at eps = 0 raising PoleError.
+    points = [(m1, m2) for m1 in range(degree_bound + 1) for m2 in range(degree_bound + 1 - m1)]
+    for m1, m2 in points:
+        for idx, (param, law) in enumerate(spec.denom):
+            if _vanishing_shift(param.constant, law(m1, m2)) is not None:
+                raise PoleError(
+                    f"denominator factor {idx} of {spec.name or 'spec'} "
+                    f"vanishes at eps = 0 on lattice point ({m1}, {m2})",
+                    lattice_point=(m1, m2),
+                    factor=idx,
+                )
+    return points
+
+
+def _points_or_pole(build):
+    # What a call returns, or its PoleError in full: message, point and factor.
+    try:
+        return build()
+    except PoleError as exc:
+        return ("PoleError", str(exc), exc.lattice_point, exc.factor)
+
+
+def _table_points(table):
+    return sorted({(m1, m2) for _, m1, m2 in table.entries})
+
+
+def _check_pole_routes(spec, degree_bound, *builds):
+    # `_checked_points` and each table build against the per-point scan.
+    reference = _points_or_pole(lambda: _scanned_points(spec, degree_bound))
+    assert _points_or_pole(lambda: pochex.hyper_expand._checked_points(spec, degree_bound)) == (
+        reference
+    )
+    expected = reference if isinstance(reference, tuple) else sorted(reference)
+    for build in builds:
+        assert _points_or_pole(lambda: _table_points(build())) == expected
+    return reference
+
+
+# Nonpositive-integer constants, plain or as the value of a Dual, put poles on
+# the lattice at every length past their shift.
+_POLE_CONSTANTS = st.integers(-6, 2) | st.builds(F, st.integers(-9, 9), st.integers(1, 3))
+_POLE_FACTORS = st.tuples(
+    st.builds(
+        LinearParam,
+        _POLE_CONSTANTS | st.builds(Dual, _POLE_CONSTANTS, st.integers(-2, 2)),
+        _SLOPES,
+    ),
+    _LAWS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    numer=[],
+    denom=[
+        (LinearParam(1, 0), IndexLaw(0, 1, 0)),
+        (LinearParam(Dual(-2, 1), 0), IndexLaw(0, 0, 2)),
+    ],
+    degree_bound=3,
+)
+@example(numer=[], denom=[(LinearParam(-3, 1), IndexLaw(1, 2, 0))], degree_bound=1)
+@given(
+    numer=st.lists(_POLE_FACTORS, max_size=2),
+    denom=st.lists(_POLE_FACTORS, max_size=3),
+    degree_bound=st.integers(0, 6),
+)
+def test_pole_check_equals_the_per_point_scan(numer, denom, degree_bound):
+    # One check per denominator factor at its longest length clears the
+    # lattice, or the m1-major scan names the same first pole: the same points,
+    # or the same PoleError message, lattice point and factor, as the scan.
+    spec = HyperTermSpec("drawn", numer=numer, denom=denom)
+    _check_pole_routes(spec, degree_bound, lambda: expand_general(spec, 1, degree_bound))
+
+
+@pytest.mark.parametrize("example", ["F6", "F6_alt", "F7"])
+@pytest.mark.parametrize("delta", [F(-1), F(-2), F(-3), Dual(-2, 1)])
+def test_closed_pole_check_equals_the_per_point_scan(example, delta):
+    # The engine and the closed form against the per-point scan of the engine
+    # spec, on lattices too small and large enough for the first pole.
+    spec = closed_engine_spec(example, delta)
+    poles = 0
+    for degree_bound in range(7):
+        reference = _check_pole_routes(
+            spec,
+            degree_bound,
+            lambda: expand_general(spec, 1, degree_bound),
+            lambda: expand_closed(example, 1, degree_bound, {"delta": delta}),
+        )
+        poles += isinstance(reference, tuple)
+    assert 0 < poles < 7
 
 
 def test_f6_alt_is_another_route_to_f6():
