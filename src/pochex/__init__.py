@@ -18,21 +18,21 @@ name resolves on first use, which loads `hyper_expand`, `partial_fractions`,
 from .pochhammer import pochhammer
 
 _NAMES = {
-    "combinatorics": "binomial double_factorial gen_bernoulli_poly harmonic mod_harmonic "
+    "combinatorics": "binomial gen_bernoulli_poly harmonic mod_harmonic "
     "nested_ones_S nested_ones_Z stirling_s1",
     "duals": "Dual",
     "errors": "DegreeError DomainError MissingParameter ParseError PochexError PoleError "
-    "RepeatedRoot ZeroSeries ZeroSlope",
+    "RepeatedRoot ZeroSeries",
     "hyper_expand": "CLOSED_EXAMPLES ExpansionTable HyperTermSpec IndexLaw closed_engine_spec "
     "delta_dual_expand emit_table expand_closed expand_general regroup_total_degree",
     "partial_fractions": "PartialFractionForm PFTerm PochProductQuotient decompose_multi "
-    "decompose_single pf_derivative quotient_deriv",
+    "pf_derivative quotient_deriv",
     "pochhammer": "LinearParam PochMethod RecipMethod poch_deriv poch_eps_series pochhammer "
     "recip_poch_deriv recip_poch_laurent",
     "series": "EpsSeries parse_rational polynomial_series series_invert",
     "specfile": "SpecOptions parse_quotient_text parse_spec_text",
-    "verify": "DEFAULT_GENFUN_ORDER CheckSummary GenFunId GenFunResult IdentityId "
-    "IdentityResult default_grid genfun_check identity_eval run_relation verify_all verify_ids",
+    "verify": "CheckSummary GenFunId GenFunResult IdentityId IdentityResult run_relation "
+    "verify_all verify_ids",
 }
 _MODULE = {name: module for module, names in _NAMES.items() for name in names.split()}
 __all__ = list(_MODULE)

@@ -2,11 +2,11 @@
 
 Covers signed Stirling numbers of the first kind, generalized Bernoulli
 polynomials, plain/modified harmonic numbers, two flavours of nested unit
-sums, rational-argument binomials, and double factorials.  Everything is a
-Fraction; void sums are zero by convention.  No module-level cache is kept:
-Stirling numbers come from a walk in O(n*k) integer operations and O(n + k)
-memory, and each Bernoulli polynomial from one Miller core of its own.  A
-caller that reuses a core, such as the closed dF7, keeps it for one call.
+sums and rational-argument binomials.  Everything is a Fraction; void sums are
+zero by convention.  No module-level cache is kept: Stirling numbers come from
+a walk in O(n*k) integer operations and O(n + k) memory, and each Bernoulli
+polynomial from one Miller core of its own.  A caller that reuses a core, such
+as the closed dF7, keeps it for one call.
 
 The sums run on integers and build one Fraction at the end.  The harmonic
 sums and the Bernoulli polynomials add integer pairs over one lcm
@@ -165,13 +165,3 @@ def binomial(top, k: int) -> Fraction:
     if q == 1 and p >= 0:
         return Fraction(math.comb(p, k))
     return Fraction(math.prod(range(p, p - k * q, -q)), q**k * math.factorial(k))
-
-
-def double_factorial(n: int) -> Fraction:
-    """n!! for n >= -1, with (-1)!! = 0!! = 1."""
-    _count("double_factorial", -1, n=n)
-    value = 1
-    while n > 1:
-        value *= n
-        n -= 2
-    return Fraction(value)

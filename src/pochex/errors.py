@@ -43,10 +43,6 @@ class DegreeError(PochexError):
     """Numerator degree exceeds what the decomposition admits."""
 
 
-class ZeroSlope(PochexError):
-    """A denominator factor without slope has no poles to decompose over."""
-
-
 class RepeatedRoot(PochexError):
     """Two denominator factors share a pole location.
 

@@ -40,8 +40,8 @@ independent of K.  A part that depends on one index only is built once per
 table: F1's Stirling row once per total degree m, F5's inner power column once
 per m1 and its outer one once per m2, and F6's t1 column once per n1.  Each
 call of `expand_closed` keeps these parts in one dict of its own, dropped on
-return (`_part`).  Every weight, ratio, lead term and prefactor is an integer
-triple (num, der, den), never reduced: a rising factorial (delta + c)_m at
+return (`series._shared`).  Every weight, ratio, lead term and prefactor is an
+integer triple (num, der, den), never reduced: a rising factorial (delta + c)_m at
 delta = p/q is the product of the m integers p + (c + j)*q over q**m, binomials
 are `math.comb` and factorials are ints.  So a weight costs O(D) integer
 products.  A column is one integer row of K + 1 numerators over one den: one
@@ -76,7 +76,7 @@ from .pochhammer import (
     _unit_row,
     _vanishing_shift,
 )
-from .series import _coerce, _count, _entries, _int_row, _iterable, _product, _typed
+from .series import _coerce, _count, _entries, _int_row, _iterable, _product, _shared, _typed
 
 _ZERO = Fraction(0)
 
@@ -384,18 +384,6 @@ _NEGATE = (-1, None, 1)
 _TWO = (2, None, 1)
 
 
-def _part(parts: dict, build, *args):
-    """build(*args) from parts, the dict of one `expand_closed` call: each part is
-    built once per table, and a repeated call returns the same object, which no
-    caller changes."""
-    key = (build, *args)
-    try:
-        return parts[key]
-    except KeyError:
-        value = parts[key] = build(*args)
-        return value
-
-
 def _f1_stirling(K, m):
     # 2**k1 (-1)**m s(m + 1, k1 + 1), k1 = 0..K, from one walk.
     walk = _stirling_walk(m + 1, K + 1)[1][1:]
@@ -409,7 +397,7 @@ def _closed_f1(parts, K, m1, m2):
         for j in range(1, n + 1)
     ]
     scale = _sign_over_factorials(0, n, m - n)
-    stirling = _part(parts, _f1_stirling, K, m)
+    stirling = _shared(parts, _f1_stirling, K, m)
     return _scaled(scale, _product(stirling, _power_column(K, _UNIT, terms)))
 
 
@@ -456,7 +444,8 @@ def _closed_f5(parts, K, m1, m2):
     n, d = m1, m2
     # C(n + d, n) (2n - 1)!! / 2**(n + d), with (-1)!! = 1.
     pref = (math.comb(n + d, n) * math.prod(range(2 * n - 1, 0, -2)), None, 2 ** (n + d))
-    return _scaled(pref, _product(_part(parts, _f5_inner, K, n), _part(parts, _f5_outer, K, d)))
+    inner, outer = _shared(parts, _f5_inner, K, n), _shared(parts, _f5_outer, K, d)
+    return _scaled(pref, _product(inner, outer))
 
 
 def _f6_t1(delta, K, n1):
@@ -474,7 +463,7 @@ def _closed_f6(delta, parts, K, n1, n2):
         inv = _inv(_rising(delta, 1 + j, 1))
         w = _mul(_rising(two_delta, 2 + n1 + j, n2), _sign_over_factorials(j, j, n2 - 1 - j))
         t2.append((_mul(w, inv), _mul(inv, _NEGATE)))
-    t1 = _part(parts, _f6_t1, delta, K, n1)
+    t1 = _shared(parts, _f6_t1, delta, K, n1)
     t2 = _power_column(K, ((-1) ** n2, None, 1), t2)
     return _scaled(_prefactor(delta, n1, n2), _product(t1, t2))
 
@@ -514,7 +503,7 @@ def _bernoulli_at(parts: dict, n: int, x: int) -> tuple:
     each (n, x): one Horner pass over the row of n, itself built once per call."""
     key = (_bernoulli_at, n, x)
     if key not in parts:
-        den, coeffs = _part(parts, _bernoulli_row, n)
+        den, coeffs = _shared(parts, _bernoulli_row, n)
         parts[key] = functools.reduce(lambda num, c: num * x + c, coeffs, 0), den
     return parts[key]
 
@@ -544,7 +533,7 @@ _TAKES_NONE, _NEEDS_ONE, _ONLY_ZERO = "takes none", "needs one", "only delta = 0
 # The built-in examples, one row each: the closed-form column function
 # (parts, K, m1, m2) -> [value for k = 0..K], which takes the delta triple first
 # where the rule needs one; the delta rule; and the engine spec as a function of
-# the delta.  parts is the dict of one `expand_closed` call (see `_part`).
+# the delta.  parts is the dict of one `expand_closed` call (see `series._shared`).
 _EXAMPLES = {
     "F1": (_closed_f1, _TAKES_NONE, _f1_to_f4_spec("F1", -2, -1, -1, -1)),
     "F2": (_closed_f2, _TAKES_NONE, _f1_to_f4_spec("F2", 0, -1, -1, 1)),

@@ -7,6 +7,9 @@ C / (B_q + j_q + b_q eps).  The k-th normalized derivative of the quotient
 is then a single finite sum over those poles; `quotient_deriv` takes that
 route for a single-factor quotient, peeling off any excess numerator degree
 first.
+
+`decompose_multi` is the one decomposition: a single factor pair (num)_m /
+(den)_n is `decompose_multi(PochProductQuotient([(num, m)], [(den, n)]))`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .duals import Dual
-from .errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
+from .errors import DegreeError, DomainError, PoleError, RepeatedRoot
 from .pochhammer import LinearParam, _vanishing_shift, poch_deriv, pochhammer
 from .series import _coerce, _count, _iterable, _typed
 
@@ -34,6 +37,11 @@ class PFTerm:
 
     @property
     def pole_location(self) -> Fraction:
+        if self.pole_slope == 0:
+            raise DomainError(
+                f"term {self.coefficient}/({self.pole_constant}+0*eps) has pole slope 0, "
+                "so it has no pole"
+            )
         return -self.pole_constant / self.pole_slope
 
 
@@ -145,24 +153,6 @@ class PochProductQuotient:
             f"PochProductQuotient(numer={list(self.numer)}, "
             f"denom={list(self.denom)}, scalar={self.scalar})"
         )
-
-
-def decompose_single(num: LinearParam, m: int, den: LinearParam, n: int) -> PartialFractionForm:
-    """Decompose (num)_m / (den)_n for m <= n, den.slope != 0.
-
-    The poles of a single denominator factor are automatically simple.  The
-    constant is (a/b)**n when the degrees are equal, else 0.
-    """
-    _typed("decompose_single", LinearParam, num=num, den=den)
-    _count("decompose_single", m=m, n=n)
-    if den.slope == 0:
-        raise ZeroSlope("denominator factor has zero slope: nothing to decompose over")
-    if m > n:
-        raise DegreeError(
-            f"numerator length {m} exceeds denominator length {n}; "
-            "quotient_deriv splits off the excess"
-        )
-    return decompose_multi(PochProductQuotient([(num, m)], [(den, n)]))
 
 
 def decompose_multi(quotient: PochProductQuotient) -> PartialFractionForm:

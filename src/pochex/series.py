@@ -131,6 +131,18 @@ def _typed(where: str, kind: type, **values) -> None:
             raise DomainError(f"{where} needs {article} {kind.__name__} {name}, got {value!r}")
 
 
+def _shared(calls: dict, build, *args):
+    """build(*args), computed once per `calls` dict and keyed (build, *args): a
+    repeated call returns the same object, which no caller changes.  The dict
+    belongs to one public call and is dropped when it returns."""
+    key = (build, *args)
+    try:
+        return calls[key]
+    except KeyError:
+        value = calls[key] = build(*args)
+        return value
+
+
 def _int_row(coeffs) -> tuple:
     """A nonempty run of Fractions and Duals as a row over one lcm.  Bit i of mask
     marks a nonzero Dual: a Dual(0, 0) counts as a zero Fraction."""

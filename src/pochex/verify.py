@@ -2,13 +2,15 @@
 
 Every checkable relation is either an `IdentityId` (an exact scalar equation
 evaluated with both sides computed by maximally independent code paths) or a
-`GenFunId` (a power-series equation compared coefficientwise to a requested
-order).  The enum tokens are opaque stable labels; each evaluator's docstring
-states the mathematical content.
+`GenFunId` (a power-series equation compared coefficientwise to order
+`_GENFUN_ORDER`).  The enum tokens are opaque stable labels; each evaluator's
+docstring states the mathematical content.
 
 `_RELATIONS` gives each checkable relation its evaluator and its default
-parameter grid, built by `_grid`.  `run_relation` checks one relation over a
-grid; `verify_ids` and `verify_all` run it for each relation they are given.
+parameter grid, built by `_grid`.  There are three entry points:
+`run_relation` checks one relation over a grid, its default grid or one the
+caller gives (a single point is a grid of one); `verify_ids` and `verify_all`
+run it for each relation they are given.
 
 Cost model: a side that is a sum adds its terms as one integer sum.
 `_sum_of_products` makes each term, a product of ints and Fractions, one
@@ -19,13 +21,14 @@ side that needs a Stirling row or column at one point takes it from one
 of every relation still run on their separate routes.
 
 Within one `run_relation` call, the grid points share one dict of the pure
-public calls that the grid repeats, keyed by function and arguments: A27's
-P and Q values, the modified harmonic numbers of A28-A30 and A31's Stirling
-numbers.  Each distinct call runs once per grid; the dict is made by that call
-and dropped when it returns, so nothing is kept between calls.  A repeated
-call returns what the same code would compute again, so no check is weakened.
-`run_relation` compares the two sides directly and builds an `IdentityResult`
-or `GenFunResult` only for a point that fails.
+public calls that the grid repeats, keyed by function and arguments
+(`series._shared`): A27's P and Q values, the modified harmonic numbers of
+A28-A30 and A31's Stirling numbers.  Each distinct call runs once per grid; the
+dict is made by that call and dropped when it returns, so nothing is kept
+between calls.  A repeated call returns what the same code would compute
+again, so no check is weakened.  `run_relation` compares the two sides
+directly and builds an `IdentityResult` or `GenFunResult` only for a point
+that fails.
 """
 
 from __future__ import annotations
@@ -67,6 +70,7 @@ from .series import (
     _int_row,
     _int_sum,
     _iterable,
+    _shared,
     polynomial_series,
     series_invert,
 )
@@ -140,25 +144,14 @@ def _sign(exponent: int) -> int:
 
 
 class _Point(dict):
-    """One parameter point; `where`, as in `identity_eval('A9')`, heads its errors.
-
-    `calls` is the dict of pure calls shared by the points of one `run_relation`
-    call (a fresh dict for a single point); `shared(f, *args)` is f(*args),
-    computed once per dict.
-    """
+    """One parameter point.  `where`, as in `run_relation('A9') at grid point 0`,
+    heads its errors; `calls` is the dict of pure calls shared by the points of
+    one `run_relation` call."""
 
     def __init__(self, where, params, calls):
         super().__init__(params)
         self.where = where
         self.calls = calls
-
-    def shared(self, function, *args):
-        key = (function, *args)
-        try:
-            return self.calls[key]
-        except KeyError:
-            value = self.calls[key] = function(*args)
-            return value
 
 
 def _param(p, name):
@@ -184,13 +177,6 @@ def _as_rational(p, name):
         raise DomainError(
             f"{p.where} needs a rational {name}, got {value!r}; pass an int or a Fraction"
         ) from None
-
-
-def _params(where, params) -> dict:
-    """A copy of a parameter mapping, or a DomainError naming `where` and the argument."""
-    if not isinstance(params, Mapping):
-        raise DomainError(f"{where} needs a mapping of parameters, got {params!r}")
-    return dict(params)
 
 
 def _sum_of_products(terms) -> Fraction:
@@ -224,7 +210,7 @@ def _eval_A5(p):
     k = _as_int(p, "k", 0)
     alpha = _as_rational(p, "alpha")
     if not (m == 0 or k == 0 or k > m):
-        raise DomainError("A5 covers only m = 0, k = 0, or k > m")
+        raise DomainError(f"{p.where} needs m = 0, k = 0 or k > m")
     lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
     if m == 0:
         rhs = _F(1 if k == 0 else 0)
@@ -240,7 +226,7 @@ def _eval_A6(p):
     m = _as_int(p, "m", 1)
     k = _as_int(p, "k", 1)
     if k > m:
-        raise DomainError("A6 needs 0 < k <= m")
+        raise DomainError(f"{p.where} needs 0 < k <= m")
     lhs = poch_deriv(_F(0), m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * stirling_s1(m, k)
     return lhs, rhs
@@ -273,7 +259,7 @@ def _eval_AA19(p):
     m = _as_int(p, "m", 0)
     k = _as_int(p, "k", 0)
     if k > m:
-        raise DomainError("AA19 needs k <= m")
+        raise DomainError(f"{p.where} needs k <= m")
     lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * binomial(m, k) * gen_bernoulli_poly(m - k, m + 1, _F(0))
     return lhs, rhs
@@ -294,7 +280,7 @@ def _eval_A13(p):
     k = _as_int(p, "k", 0)
     alpha = _as_rational(p, "alpha")
     if k > m:
-        raise DomainError("A13 needs k <= m")
+        raise DomainError(f"{p.where} needs k <= m")
     lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
     row = _stirling_walk(m + 1, m + 1)[1]  # s(m+1, i) for i = 0..m+1
     shift = alpha - 1
@@ -335,8 +321,8 @@ def _eval_A27(p):
     x = _as_rational(p, "x")
     lhs = _sum_of_products(
         (
-            p.shared(poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
-            p.shared(recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM),
+            _shared(p.calls, poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
+            _shared(p.calls, recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM),
         )
         for j in range(k + 1)
     )
@@ -350,7 +336,9 @@ def _eval_A28(p):
     m = _as_int(p, "m", 0)
     k = _as_int(p, "k", 0)
     row = _stirling_walk(m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
-    lhs = _sum_of_products((row[k + 1 - j], p.shared(mod_harmonic, m, j)) for j in range(k + 1))
+    lhs = _sum_of_products(
+        (row[k + 1 - j], _shared(p.calls, mod_harmonic, m, j)) for j in range(k + 1)
+    )
     rhs = _F((-1) ** m * math.factorial(m) if k == 0 else 0)
     return lhs, rhs
 
@@ -365,7 +353,7 @@ def _eval_A29(p):
     row = _stirling_walk(m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
     weight = _F(_sign(m + n - 1 - k), math.factorial(n - 1))
     rhs = _sum_of_products(
-        (weight, row[k + 1 - j], p.shared(mod_harmonic, n - 1, j)) for j in range(k + 1)
+        (weight, row[k + 1 - j], _shared(p.calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
 
@@ -380,7 +368,7 @@ def _eval_A30(p):
     row = _stirling_walk(n, k + 1)[1]  # s(n, i) for i = 0..k+1
     weight = _F(_sign(n - 1 - k), math.factorial(m + n - 1))
     rhs = _sum_of_products(
-        (weight, row[k + 1 - j], p.shared(mod_harmonic, m + n - 1, j)) for j in range(k + 1)
+        (weight, row[k + 1 - j], _shared(p.calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
 
@@ -396,7 +384,9 @@ def _eval_A31(p):
         rhs = _sign(m - k) * poch_deriv(_F(n + 1 - m), m, k, PochMethod.STIRLING_SUM)
     else:
         acc = sum(
-            (-1) ** j * p.shared(stirling_s1, n + 1, j + 1) * p.shared(stirling_s1, m - n, k - j)
+            (-1) ** j
+            * _shared(p.calls, stirling_s1, n + 1, j + 1)
+            * _shared(p.calls, stirling_s1, m - n, k - j)
             for j in range(k)
         )
         rhs = _F(_sign(m - n - k)) * acc
@@ -410,7 +400,7 @@ def _eval_A32(p):
     k = _as_int(p, "k", 0)
     n = _as_int(p, "n", 1)
     if m > n:
-        raise DomainError("A32 needs m <= n")
+        raise DomainError(f"{p.where} needs m <= n")
     lhs = recip_poch_deriv(_F(-n), m, k, RecipMethod.RECURRENCE)
     rhs = _sign(m - k) * recip_poch_deriv(
         _F(n + 1 - m), m, k, RecipMethod.CLOSED_SUM
@@ -418,12 +408,12 @@ def _eval_A32(p):
     return lhs, rhs
 
 
-def _pf_sum(A, B, x, m, n):
+def _pf_sum(p, A, B, x, m, n):
     # sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)), the shared
-    # right side of ii16 and ii17; (B)_n must have no zero factor.
+    # right side of ii16 and ii17 at point p; (B)_n must have no zero factor.
     j = _vanishing_shift(B, n)
     if j is not None:
-        raise DomainError(f"argument B = {B} puts a zero at shift {j}")
+        raise DomainError(f"{p.where} has B = {B}, which puts a zero at shift {j}")
     terms = []
     for j in range(n):
         shifted = B + j
@@ -440,11 +430,11 @@ def _eval_ii16(p):
     m = _as_int(p, "m", 0)
     n = _as_int(p, "n", 1)
     if m >= n:
-        raise DomainError("ii16 needs m < n")
+        raise DomainError(f"{p.where} needs m < n")
     A = _as_rational(p, "A")
     B = _as_rational(p, "B")
     x = _as_rational(p, "x")
-    rhs = _pf_sum(A, B, x, m, n)
+    rhs = _pf_sum(p, A, B, x, m, n)
     return pochhammer(A, m) / pochhammer(B, n), rhs
 
 
@@ -454,7 +444,7 @@ def _eval_ii17(p):
     A = _as_rational(p, "A")
     B = _as_rational(p, "B")
     x = _as_rational(p, "x")
-    rhs = x**n + _pf_sum(A, B, x, n, n)
+    rhs = x**n + _pf_sum(p, A, B, x, n, n)
     return pochhammer(A, n) / pochhammer(B, n), rhs
 
 
@@ -470,7 +460,7 @@ def _eval_iii5(p):
     m = _as_int(p, "m", 0)
     n = _as_int(p, "n", 0)
     if n > m:
-        raise DomainError("iii5 needs n <= m")
+        raise DomainError(f"{p.where} needs n <= m")
     lhs = 1 - sum(
         (-1) ** j * binomial(m - j, n) * binomial(n, j) for j in range(1, n + 1)
     )
@@ -494,44 +484,17 @@ def _eval_conjugate_HS(p):
     return mod_harmonic(m, k), nested_ones_S(m, k)
 
 
-def identity_eval(identity: IdentityId, params: dict) -> IdentityResult:
-    """Evaluate both sides of a scalar identity at one parameter point."""
-    identity, evaluate, _ = _relation(identity, (IdentityId,))
-    params = _params("identity_eval", params)
-    point = _Point(f"identity_eval({identity.value!r})", params, {})
-    return _result(identity, params, None, *_check(evaluate, point, None))
-
-
-def _check(evaluate, point, order):
-    """(equal, detail) for a relation at one point, to `order` if it is a
-    generating relation.  detail is (lhs, rhs) for an identity and the first
-    exponent where the sides differ (None if none) for a generating relation.
-    A bad parameter's DomainError names `point.where`: the call, the relation
-    and the point."""
-    if order is None:
-        lhs, rhs = evaluate(point)
-        return lhs == rhs, (lhs, rhs)
-    return _series_equal(*evaluate(order, point))
-
-
-def _result(relation, params, order, equal, detail):
-    """The result record of a point that `_check` gave (equal, detail)."""
-    if order is None:
-        lhs, rhs = detail
-        return IdentityResult(relation, params, _F(lhs), _F(rhs))
-    return GenFunResult(relation, params, order, equal, detail)
-
-
 # -- generating-relation checks ------------------------------------------------
 
 
-def _series_equal(lhs: EpsSeries, rhs: EpsSeries):
+def _first_discrepancy(lhs: EpsSeries, rhs: EpsSeries):
+    # The lowest exponent known on both sides where they differ, or None.
     lo = min(lhs.min_exponent, rhs.min_exponent)
     hi = min(lhs.max_exponent, rhs.max_exponent)
     for e in range(lo, hi + 1):
         if lhs.coefficient(e) != rhs.coefficient(e):
-            return False, e
-    return True, None
+            return e
+    return None
 
 
 def _geometric_minus(order: int) -> EpsSeries:
@@ -646,7 +609,7 @@ def _genfun_A25(order, p):
     beta = _as_rational(p, "beta")
     j = _vanishing_shift(beta, order + 2)
     if j is not None:
-        raise DomainError(f"beta = {beta} hits a pole at shift {j}")
+        raise DomainError(f"{p.where} has beta = {beta}, which hits a pole at shift {j}")
     outer = EpsSeries([1 / (beta + j) ** (k + 1) for j in range(order + 1)])
     composed = _compose(outer, _geometric_minus(order))
     lhs = composed * series_invert(polynomial_series([1, -1], order))
@@ -685,7 +648,7 @@ def _genfun_nueva1(order, p):
     m = _as_int(p, "m", 0)
     c = _as_rational(p, "c")
     if c <= 0:
-        raise DomainError("nueva1 needs c > 0")
+        raise DomainError(f"{p.where} needs c > 0")
     lhs = _nueva_product_side(order, m, c)
     rhs = EpsSeries([c**k * mod_harmonic(m, k) for k in range(order + 1)])
     return lhs, rhs
@@ -696,22 +659,13 @@ def _genfun_nueva2(order, p):
     m = _as_int(p, "m", 1)
     c = _as_rational(p, "c")
     if c <= 0:
-        raise DomainError("nueva2 needs c > 0")
+        raise DomainError(f"{p.where} needs c > 0")
     lhs = _nueva_product_side(order, m, c)
     ratios = [(_sign(j - 1) * math.comb(m, j), c / j) for j in range(1, m + 1)]
     rhs = EpsSeries(
         [_sum_of_products((w, r**k) for w, r in ratios) for k in range(order + 1)]
     )
     return lhs, rhs
-
-
-def genfun_check(identity: GenFunId, order: int, params: dict) -> GenFunResult:
-    """Build both sides of a generating relation and compare coefficientwise."""
-    identity, evaluate, _ = _relation(identity, (GenFunId,))
-    _count("genfun_check", 1, order=order)
-    params = _params("genfun_check", params)
-    point = _Point(f"genfun_check({identity.value!r})", params, {})
-    return _result(identity, params, order, *_check(evaluate, point, order))
 
 
 # -- default parameter grids ---------------------------------------------------
@@ -811,27 +765,22 @@ _RELATIONS = {
 }
 
 
-def _relation(token, kinds=(IdentityId, GenFunId)):
+def _relation(token):
     """Resolve a relation token to (id, evaluator, default grid).
 
-    A token that names no relation of the given kinds raises DomainError.
+    A token that names no relation raises DomainError.
     """
-    for kind in kinds:
+    for kind in (IdentityId, GenFunId):
         try:
             identity = kind(token)
         except ValueError:
             continue
         return (identity, *_RELATIONS[identity])
-    known = ", ".join(key.value for key in _RELATIONS if isinstance(key, kinds))
+    known = ", ".join(key.value for key in _RELATIONS)
     raise DomainError(f"unknown relation id {token!r}; known ids: {known}")
 
 
-def default_grid(identity):
-    """The documented parameter grid for an identity or generating relation."""
-    return tuple(_relation(identity)[2]())
-
-
-DEFAULT_GENFUN_ORDER = 12
+_GENFUN_ORDER = 12
 
 
 @dataclass(frozen=True)
@@ -850,24 +799,34 @@ class CheckSummary:
 def run_relation(token, grid=None) -> CheckSummary:
     """Check one relation at every point of `grid` (its default grid if None).
 
-    A generating relation is compared to DEFAULT_GENFUN_ORDER.  The points share
+    A generating relation is compared to order _GENFUN_ORDER.  The points share
     one dict of pure calls, dropped when this call returns; a result record is
-    built only for a point that fails.
+    built only for a point that fails.  A DomainError for a bad or out-of-range
+    parameter names the call, the relation and the point.
     """
     relation, evaluate, default = _relation(token)
     if grid is None:
         grid = default()
     else:
-        points = _iterable("run_relation", grid, "parameter mappings")
-        grid = [_params("run_relation", params) for params in points]
-    order = None if isinstance(relation, IdentityId) else DEFAULT_GENFUN_ORDER
+        grid = list(_iterable("run_relation", grid, "parameter mappings"))
+        for i, params in enumerate(grid):
+            if not isinstance(params, Mapping):
+                raise DomainError(f"run_relation needs a mapping of parameters, got {params!r}")
+            grid[i] = dict(params)
     at = f"run_relation({relation.value!r}) at grid point"
     calls = {}
     failures = []
-    for i, params in enumerate(grid):
-        equal, detail = _check(evaluate, _Point(f"{at} {i}", params, calls), order)
-        if not equal:
-            failures.append(_result(relation, params, order, equal, detail))
+    if isinstance(relation, IdentityId):
+        for i, params in enumerate(grid):
+            lhs, rhs = evaluate(_Point(f"{at} {i}", params, calls))
+            if lhs != rhs:
+                failures.append(IdentityResult(relation, params, _F(lhs), _F(rhs)))
+    else:
+        for i, params in enumerate(grid):
+            sides = evaluate(_GENFUN_ORDER, _Point(f"{at} {i}", params, calls))
+            first = _first_discrepancy(*sides)
+            if first is not None:
+                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, False, first))
     return CheckSummary(relation.value, len(grid), tuple(failures))
 
 

@@ -20,11 +20,11 @@ from pochex import (
     LinearParam,
     PochProductQuotient,
     closed_engine_spec,
-    decompose_single,
-    identity_eval,
+    decompose_multi,
+    run_relation,
 )
 
-_FORM = decompose_single(LinearParam(1, 1), 1, LinearParam(2, 1), 2)
+_FORM = decompose_multi(PochProductQuotient([(LinearParam(1, 1), 1)], [(LinearParam(2, 1), 2)]))
 
 # Valid keyword arguments for every public callable with a count or scalar argument.
 VALID = {
@@ -40,11 +40,9 @@ VALID = {
     "nested_ones_Z": dict(m=3, k=1),
     "nested_ones_S": dict(m=3, k=1),
     "binomial": dict(top=3, k=2),
-    "double_factorial": dict(n=3),
     "polynomial_series": dict(coefficients=[1, 2], order=2),
     "EpsSeries.constant": dict(value=1, order=2),
     "EpsSeries.one": dict(order=2),
-    "decompose_single": dict(num=LinearParam(1, 1), m=1, den=LinearParam(2, 1), n=2),
     "pf_derivative": dict(form=_FORM, k=1, at_eps=0),
     "quotient_deriv": dict(num=LinearParam(1, 1), m=1, den=LinearParam(2, 1), n=2, k=1, at_eps=0),
     "IndexLaw": dict(c0=0, c1=1, c2=1),
@@ -52,7 +50,6 @@ VALID = {
     "expand_closed": dict(example="F1", eps_order=1, degree_bound=2),
     "delta_dual_expand": dict(spec=closed_engine_spec("dF7_ddelta"), eps_order=1, degree_bound=2),
     "closed_engine_spec": dict(example="F6", delta=F(1, 3)),
-    "genfun_check": dict(identity="a4", order=3, params={"k": 0, "alpha": 1}),
     "LinearParam": dict(constant=1, slope=1),
     "Dual": dict(val=1, der=1),
 }
@@ -71,21 +68,17 @@ COUNTS = {
     "nested_ones_Z": ["m", "k"],
     "nested_ones_S": ["m", "k"],
     "binomial": ["k"],
-    "double_factorial": ["n"],
     "polynomial_series": ["order"],
     "EpsSeries.constant": ["order"],
     "EpsSeries.one": ["order"],
-    "decompose_single": ["m", "n"],
     "pf_derivative": ["k"],
     "quotient_deriv": ["m", "n", "k"],
     "IndexLaw": ["c0", "c1", "c2"],
     "expand_general": ["eps_order", "degree_bound"],
     "expand_closed": ["eps_order", "degree_bound"],
     "delta_dual_expand": ["eps_order", "degree_bound"],
-    "genfun_check": ["order"],
 }
-FLOORS = {("double_factorial", "n"): -1, ("recip_poch_laurent", "order"): -1,
-          ("gen_bernoulli_poly", "a"): 1, ("genfun_check", "order"): 1}
+FLOORS = {("recip_poch_laurent", "order"): -1, ("gen_bernoulli_poly", "a"): 1}
 
 # Every scalar argument; True where it must be rational, so a Dual is refused too.
 SCALARS = {
@@ -194,8 +187,6 @@ TYPED = {
         lambda: pochex.decompose_multi(5),
         "a PochProductQuotient quotient, got 5",
     ),
-    "decompose_single-num": (lambda: decompose_single(5, 1, _L, 2), "a LinearParam num, got 5"),
-    "decompose_single-den": (lambda: decompose_single(_L, 1, 5, 2), "a LinearParam den, got 5"),
     "quotient_deriv-num": (
         lambda: pochex.quotient_deriv(5, 1, _L, 2, 1),
         "a LinearParam num, got 5",
@@ -308,30 +299,26 @@ _RATIONAL_HINT = "; pass an int or a Fraction"
 
 
 BAD_VERIFY_PARAMS = [
-    ("A9", {"m": 1.0, "k": 0}, "identity_eval('A9') needs an integer m >= 0, got 1.0"),
-    ("A9", {"m": "2", "k": 0}, "identity_eval('A9') needs an integer m >= 0, got '2'"),
-    (
-        "A9",
-        {"m": F(1, 2), "k": 0},
-        "identity_eval('A9') needs an integer m >= 0, got Fraction(1, 2)",
-    ),
-    ("A9", {"m": -1, "k": 0}, "identity_eval('A9') needs an integer m >= 0, got -1"),
-    ("A9", {"m": None, "k": 0}, "identity_eval('A9') needs an integer m >= 0, got None"),
-    ("A9", {"k": 0}, "identity_eval('A9') is missing parameter 'm'"),
+    ("A9", {"m": 1.0, "k": 0}, "needs an integer m >= 0, got 1.0"),
+    ("A9", {"m": "2", "k": 0}, "needs an integer m >= 0, got '2'"),
+    ("A9", {"m": F(1, 2), "k": 0}, "needs an integer m >= 0, got Fraction(1, 2)"),
+    ("A9", {"m": -1, "k": 0}, "needs an integer m >= 0, got -1"),
+    ("A9", {"m": None, "k": 0}, "needs an integer m >= 0, got None"),
+    ("A9", {"k": 0}, "is missing parameter 'm'"),
     (
         "A13",
         {"m": 2, "k": 1, "alpha": Dual(1, 1)},
-        "identity_eval('A13') needs a rational alpha, got Dual(1, 1)" + _RATIONAL_HINT,
+        "needs a rational alpha, got Dual(1, 1)" + _RATIONAL_HINT,
     ),
     (
         "A13",
         {"m": 2, "k": 1, "alpha": 0.5},
-        "identity_eval('A13') needs a rational alpha, got 0.5" + _RATIONAL_HINT,
+        "needs a rational alpha, got 0.5" + _RATIONAL_HINT,
     ),
     (
         "A13",
         {"m": 2, "k": 1, "alpha": "1/2"},
-        "identity_eval('A13') needs a rational alpha, got '1/2'" + _RATIONAL_HINT,
+        "needs a rational alpha, got '1/2'" + _RATIONAL_HINT,
     ),
 ]
 
@@ -343,24 +330,25 @@ BAD_VERIFY_PARAMS = [
     ids=[f"{relation}-params{i}" for i, (relation, _, _) in enumerate(BAD_VERIFY_PARAMS)],
 )
 def test_bad_verify_parameter_is_a_domain_error(relation, params, message):
+    message = f"run_relation({relation!r}) at grid point 0 {message}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        identity_eval(relation, params)
+        run_relation(relation, [params])
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
         (
-            lambda: identity_eval("A29", {"m": 1, "k": 0, "n": 0}),
-            "identity_eval('A29') needs an integer n >= 1, got 0",
+            lambda: run_relation("A29", [{"m": 1, "k": 0, "n": 0}]),
+            "run_relation('A29') at grid point 0 needs an integer n >= 1, got 0",
         ),
         (
-            lambda: pochex.genfun_check("a4", 3, {"k": 0, "alpha": 0.5}),
-            "genfun_check('a4') needs a rational alpha, got 0.5" + _RATIONAL_HINT,
+            lambda: run_relation("a4", [{"k": 0, "alpha": 1}, {"k": 0, "alpha": 0.5}]),
+            "run_relation('a4') at grid point 1 needs a rational alpha, got 0.5" + _RATIONAL_HINT,
         ),
         (
-            lambda: pochex.genfun_check("A18", 3, {"x": 0}),
-            "genfun_check('A18') is missing parameter 'a'",
+            lambda: run_relation("A18", [{"x": 0}]),
+            "run_relation('A18') at grid point 0 is missing parameter 'a'",
         ),
         (
             lambda: pochex.run_relation("A9", [{"m": 1, "k": 0}, {"m": 2, "k": -1}]),
@@ -388,11 +376,6 @@ def test_series_invert_refuses_a_non_series(bad):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: identity_eval("A5", 5), "identity_eval needs a mapping of parameters, got 5"),
-        (
-            lambda: pochex.genfun_check("a4", 3, None),
-            "genfun_check needs a mapping of parameters, got None",
-        ),
         (
             lambda: pochex.run_relation("A5", 5),
             "run_relation needs an iterable of parameter mappings, got 5",
@@ -407,7 +390,7 @@ def test_series_invert_refuses_a_non_series(bad):
         ),
         (lambda: pochex.verify_ids(5), "verify_ids needs an iterable of relation ids, got 5"),
     ],
-    ids=["identity_eval", "genfun_check", "run_relation-grid", "run_relation-point",
+    ids=["run_relation-grid", "run_relation-point",
          "run_relation-second-point", "verify_ids"],
 )
 def test_verify_entry_points_refuse_non_mappings_and_non_iterables(call, message):
@@ -419,13 +402,12 @@ def test_verify_entry_points_take_any_mapping_and_iterable():
     from types import MappingProxyType
 
     point = MappingProxyType({"m": 2, "k": 1})
-    assert identity_eval("A9", point).params == {"m": 2, "k": 1}
     assert pochex.run_relation("A9", iter([point])).points == 1
     assert [s.identity for s in pochex.verify_ids(iter(["A9"]))] == ["A9"]
 
 
 def test_integral_fraction_counts_as_its_integer_in_verify():
-    assert identity_eval("A9", {"m": F(3), "k": F(1)}).equal
+    assert run_relation("A9", [{"m": F(3), "k": F(1)}]).passed
 
 
 def test_every_public_count_parameter_is_listed():

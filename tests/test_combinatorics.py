@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import pochex.combinatorics
 from pochex.combinatorics import (
     binomial,
-    double_factorial,
     gen_bernoulli_poly,
     harmonic,
     mod_harmonic,
@@ -307,12 +306,3 @@ def test_binomial_is_the_fraction_product(top, k):
     for i in range(k):
         product *= top - i
     assert binomial(top, k) == product / math.factorial(k)
-
-
-def test_double_factorial():
-    assert double_factorial(-1) == 1
-    assert double_factorial(0) == 1
-    assert double_factorial(5) == 15
-    assert double_factorial(6) == 48
-    with pytest.raises(DomainError):
-        double_factorial(-3)

@@ -384,14 +384,12 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
     # Deterministic work counts of the closed forms at D=12 (91 lattice points):
     # each point evaluates its prefactor and its weights once, as integers, and
     # gets every k from them, so the counts at eps order 4 equal those at eps
-    # order 0.  No closed form calls pochhammer, binomial, double_factorial or
-    # gen_bernoulli_poly; dF7 builds one Bernoulli core per distinct n = 1..12
-    # into an integer polynomial row, whatever its n1 + [n2 > 0] evaluations
-    # per point.
+    # order 0.  No closed form calls pochhammer, binomial or gen_bernoulli_poly;
+    # dF7 builds one Bernoulli core per distinct n = 1..12 into an integer
+    # polynomial row, whatever its n1 + [n2 > 0] evaluations per point.
     calls = Counter()
     for name, home in [
         ("binomial", pochex.combinatorics),
-        ("double_factorial", pochex.combinatorics),
         ("gen_bernoulli_poly", pochex.combinatorics),
         ("_bernoulli_values", pochex.combinatorics),
         ("pochhammer", pochex.pochhammer),
@@ -553,7 +551,7 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     # builds orders 2..13 once each, whatever the arguments (156 (order,
     # argument) pairs), and a second call builds them again.  gen_bernoulli_poly
     # builds one core of length n + 1; A18 one per point of its default grid,
-    # of length DEFAULT_GENFUN_ORDER + 1.  The bernoulli method builds none.
+    # of length _GENFUN_ORDER + 1.  The bernoulli method builds none.
     calls, lengths = Counter(), []
     build = pochex.combinatorics._bernoulli_values
 
@@ -577,7 +575,7 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     lengths.clear()
     assert pochex.verify.run_relation("A18").passed
     assert calls["_bernoulli_values"] == 10
-    assert set(lengths) == {pochex.verify.DEFAULT_GENFUN_ORDER + 1}
+    assert set(lengths) == {pochex.verify._GENFUN_ORDER + 1}
     calls.clear()
     for alpha in (F(2, 7), Dual(F(1, 3), 1)):
         for k in range(13):

@@ -18,16 +18,16 @@ from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import PochMethod, RecipMethod, poch_deriv, recip_poch_deriv
 from pochex.series import EpsSeries
 from pochex.verify import (
-    DEFAULT_GENFUN_ORDER,
+    _GENFUN_ORDER,
     CheckSummary,
     GenFunId,
     GenFunResult,
     IdentityId,
     IdentityResult,
+    _first_discrepancy,
+    _Point,
+    _relation,
     _sum_of_products,
-    default_grid,
-    genfun_check,
-    identity_eval,
     run_relation,
     verify_all,
     verify_ids,
@@ -35,32 +35,28 @@ from pochex.verify import (
 from relation_catalog import IN_SCOPE_TAGS, RELATION_COVERAGE
 
 
-# -- pointwise identity evaluation ------------------------------------------------
+# -- pointwise evaluation ------------------------------------------------------------
 
 
-def test_identity_eval_examples():
-    r = identity_eval(IdentityId.A9, {"m": 2, "k": 1})
-    assert (r.lhs, r.rhs) == (F(3), F(3))
-    assert r.equal
-
-    r = identity_eval(IdentityId.A28, {"m": 2, "k": 1})
-    assert (r.lhs, r.rhs) == (F(0), F(0))
-
-    r = identity_eval(IdentityId.A27, {"x": F(1), "m": 2, "k": 1})
-    assert (r.lhs, r.rhs) == (F(0), F(0))
+def default_grid(token):
+    """The default parameter grid of a relation, as `run_relation(token)` runs it."""
+    return _relation(token)[2]()
 
 
-def test_identity_eval_accepts_string_ids():
-    assert identity_eval("A6", {"m": 3, "k": 2}).equal
+def evaluate(token, params, order=_GENFUN_ORDER):
+    """Both sides of a relation at one point, from its private evaluator: two
+    scalars for an identity, two series to `order` for a generating relation."""
+    relation, evaluator, _ = _relation(token)
+    point = _Point(f"{relation.value} at {params}", params, {})
+    if isinstance(relation, IdentityId):
+        return evaluator(point)
+    return evaluator(order, point)
 
 
-def test_identity_eval_validates_params():
-    with pytest.raises(DomainError):
-        identity_eval(IdentityId.A9, {"m": 2})  # k missing
-    with pytest.raises(DomainError):
-        identity_eval(IdentityId.A9, {"m": -1, "k": 0})
-    with pytest.raises(DomainError):
-        identity_eval(IdentityId.A13, {"m": 2, "k": 1, "alpha": "x"})
+def test_identity_spot_values():
+    assert evaluate(IdentityId.A9, {"m": 2, "k": 1}) == (F(3), F(3))
+    assert evaluate(IdentityId.A28, {"m": 2, "k": 1}) == (F(0), F(0))
+    assert evaluate(IdentityId.A27, {"x": F(1), "m": 2, "k": 1}) == (F(0), F(0))
 
 
 def test_run_identity_over_explicit_grid():
@@ -72,22 +68,10 @@ def test_run_identity_over_explicit_grid():
     assert summary.failures == ()
 
 
-@pytest.mark.parametrize(
-    "entry, token, rest",
-    [
-        (default_grid, "A99", ()),
-        (identity_eval, "A99", ({},)),
-        (identity_eval, "nueva1", ({},)),
-        (genfun_check, "zz", (3, {})),
-        (genfun_check, "A9", (3, {})),
-        (run_relation, "zz", ()),
-        (run_relation, "zz", (None,)),
-    ],
-    ids=lambda value: value.__name__ if callable(value) else None,
-)
-def test_unknown_relation_token_is_a_domain_error(entry, token, rest):
-    with pytest.raises(DomainError, match=f"unknown relation id '{token}'"):
-        entry(token, *rest)
+@pytest.mark.parametrize("token, grid", [("zz", None), ("A99", [{}]), ("", [])])
+def test_unknown_relation_token_is_a_domain_error(token, grid):
+    with pytest.raises(DomainError, match=f"^unknown relation id '{token}'; known ids: A5, "):
+        run_relation(token, grid)
 
 
 def test_default_grids_are_nonempty():
@@ -149,12 +133,12 @@ def relation_value_lines():
     generating relation.  Run this file as a script to print them for a diff."""
     for relation in (*IdentityId, *GenFunId):
         for params in default_grid(relation):
+            lhs, rhs = evaluate(relation, params)
             if isinstance(relation, IdentityId):
-                result = identity_eval(relation, params)
-                value = (result.lhs, result.rhs)
+                value = (F(lhs), F(rhs))
             else:
-                result = genfun_check(relation, DEFAULT_GENFUN_ORDER, params)
-                value = (result.equal_to_order, result.first_discrepancy)
+                first = _first_discrepancy(lhs, rhs)
+                value = (first is None, first)
             yield f"{relation.value} {value!r}"
 
 
@@ -259,67 +243,58 @@ def test_a_grid_that_repeats_points_checks_as_one_call_per_point(monkeypatch, to
 # -- generating relations ------------------------------------------------------------
 
 
-def test_genfun_check_spot_values():
-    r = genfun_check(GenFunId.a4, 6, {"k": 1, "alpha": F(1)})
-    assert r.equal_to_order
-    assert r.first_discrepancy is None
-    assert r.order == 6
+def test_genfun_spot_values():
+    for relation, params, order in [
+        (GenFunId.a4, {"k": 1, "alpha": F(1)}, 6),
+        (GenFunId.nueva1, {"m": 2, "c": F(1)}, 5),
+        (GenFunId.A25, {"k": 0, "beta": F(1)}, 6),
+    ]:
+        lhs, rhs = evaluate(relation, params, order)
+        assert min(lhs.max_exponent, rhs.max_exponent) == order
+        assert _first_discrepancy(lhs, rhs) is None
 
-    r = genfun_check(GenFunId.nueva1, 5, {"m": 2, "c": F(1)})
-    assert r.equal_to_order
 
-    r = genfun_check(GenFunId.A25, 6, {"k": 0, "beta": F(1)})
-    assert r.equal_to_order
+# Six ii16 points, five in range, then one whose B = -1 puts a zero in (B)_n.
+_II16_GRID = [{"m": 0, "n": 2, "A": F(1), "B": b, "x": F(0)} for b in (1, 2, 3, 4, 5, -1)]
 
 
 @pytest.mark.parametrize(
-    "relation, params, message",
+    "relation, grid, message",
     [
-        (IdentityId.A5, {"m": 2, "k": 1, "alpha": F(1)}, "A5 covers only m = 0, k = 0, or k > m"),
-        (IdentityId.A6, {"m": 2, "k": 3}, "A6 needs 0 < k <= m"),
-        (IdentityId.AA19, {"m": 1, "k": 2}, "AA19 needs k <= m"),
-        (IdentityId.A13, {"m": 1, "k": 2, "alpha": F(0)}, "A13 needs k <= m"),
-        (IdentityId.A32, {"m": 3, "k": 0, "n": 2}, "A32 needs m <= n"),
-        (IdentityId.ii16, {"m": 2, "n": 2, "A": F(1), "B": F(1), "x": F(0)}, "ii16 needs m < n"),
-        (IdentityId.iii5, {"m": 1, "n": 2}, "iii5 needs n <= m"),
+        (IdentityId.A5, [{"m": 2, "k": 1, "alpha": F(1)}], "0 needs m = 0, k = 0 or k > m"),
+        (IdentityId.A6, [{"m": 2, "k": 3}], "0 needs 0 < k <= m"),
+        (IdentityId.AA19, [{"m": 1, "k": 2}], "0 needs k <= m"),
+        (IdentityId.A13, [{"m": 1, "k": 2, "alpha": F(0)}], "0 needs k <= m"),
+        (IdentityId.A32, [{"m": 3, "k": 0, "n": 2}], "0 needs m <= n"),
+        (IdentityId.ii16, [{"m": 2, "n": 2, "A": F(1), "B": F(1), "x": F(0)}], "0 needs m < n"),
+        (IdentityId.iii5, [{"m": 1, "n": 2}], "0 needs n <= m"),
         (
             IdentityId.ii16,
-            {"m": 0, "n": 2, "A": F(1), "B": F(-1), "x": F(0)},
-            "argument B = -1 puts a zero at shift 1",
+            [{"m": 0, "n": 2, "A": F(1), "B": F(-1), "x": F(0)}],
+            "0 has B = -1, which puts a zero at shift 1",
         ),
+        (IdentityId.ii16, _II16_GRID, "5 has B = -1, which puts a zero at shift 1"),
         (
             IdentityId.ii17,
-            {"n": 1, "A": F(1), "B": F(0), "x": F(0)},
-            "argument B = 0 puts a zero at shift 0",
+            [{"n": 1, "A": F(1), "B": F(0), "x": F(0)}],
+            "0 has B = 0, which puts a zero at shift 0",
         ),
-        (GenFunId.A25, {"k": 0, "beta": F(-1)}, "beta = -1 hits a pole at shift 1"),
-        (GenFunId.nueva1, {"m": 1, "c": F(0)}, "nueva1 needs c > 0"),
-        (GenFunId.nueva2, {"m": 1, "c": F(-1)}, "nueva2 needs c > 0"),
+        (GenFunId.A25, [{"k": 0, "beta": F(-1)}], "0 has beta = -1, which hits a pole at shift 1"),
+        (GenFunId.nueva1, [{"m": 1, "c": F(0)}], "0 needs c > 0"),
+        (GenFunId.nueva2, [{"m": 1, "c": F(-1)}], "0 needs c > 0"),
     ],
 )
-def test_relation_guards_refuse_points_outside_their_range(relation, params, message):
+def test_relation_guards_refuse_points_outside_their_range(relation, grid, message):
+    # Each message is headed by the call, the relation and the grid point.
+    message = f"run_relation({relation.value!r}) at grid point {message}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-        if isinstance(relation, IdentityId):
-            identity_eval(relation, params)
-        else:
-            genfun_check(relation, 4, params)
-
-
-def test_genfun_check_rejects_tiny_order():
-    for order in (0, -1):
-        message = f"genfun_check needs an integer order >= 1, got {order}"
-        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
-            genfun_check(GenFunId.a4, order, {"k": 0, "alpha": F(1)})
+        run_relation(relation, grid)
 
 
 def test_run_genfun_low_order_smoke():
     summary = run_relation(GenFunId.a7)
     assert summary.passed
     assert summary.points == len(default_grid(GenFunId.a7))
-
-
-def test_default_genfun_order():
-    assert DEFAULT_GENFUN_ORDER == 12
 
 
 # -- dispatch ---------------------------------------------------------------------------

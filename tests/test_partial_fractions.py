@@ -1,6 +1,7 @@
 """Partial-fraction splitting of rising-factorial quotients."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,13 +9,12 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from pochex.duals import Dual
-from pochex.errors import DegreeError, DomainError, PoleError, RepeatedRoot, ZeroSlope
+from pochex.errors import DegreeError, DomainError, PoleError, RepeatedRoot
 from pochex.partial_fractions import (
     PartialFractionForm,
     PFTerm,
     PochProductQuotient,
     decompose_multi,
-    decompose_single,
     pf_derivative,
     quotient_deriv,
 )
@@ -30,6 +30,11 @@ def _series_deriv(num, m, den, n, k, at_eps):
 
 
 # -- single-factor decomposition ---------------------------------------------------
+
+
+def decompose_single(num, m, den, n):
+    """(num)_m / (den)_n decomposed: a quotient of one factor over one factor."""
+    return decompose_multi(PochProductQuotient([(num, m)], [(den, n)]))
 
 
 def test_single_reciprocal_rising_factorial():
@@ -60,11 +65,6 @@ def test_single_zero_slope_numerator_becomes_scalar():
     assert form.render() == "12*(1/(1+eps) - 1/(2+eps))"
 
 
-def test_single_rejects_zero_slope_denominator():
-    with pytest.raises(ZeroSlope):
-        decompose_single(LinearParam(1, 1), 1, LinearParam(2, 0), 2)
-
-
 def test_single_rejects_excess_degree():
     with pytest.raises(DegreeError):
         decompose_single(LinearParam(1, 1), 3, LinearParam(2, 1), 2)
@@ -72,6 +72,10 @@ def test_single_rejects_excess_degree():
 
 def test_pf_term_pole_location():
     assert PFTerm(F(1), F(3), F(-2)).pole_location == F(3, 2)
+    # A term without slope has no pole: a DomainError names it.
+    message = "term 1/2/(3+0*eps) has pole slope 0, so it has no pole"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        PFTerm(F(1, 2), F(3), F(0)).pole_location
 
 
 # -- derivative of a decomposed form ------------------------------------------------
@@ -296,10 +300,9 @@ def test_render_constant_only():
     "call",
     [
         lambda den: decompose_multi(PochProductQuotient([], [(den, 1)])),
-        lambda den: decompose_single(LinearParam(1, 1), 1, den, 1),
         lambda den: quotient_deriv(LinearParam(1, 1), 1, den, 1, 1),
     ],
-    ids=["decompose_multi", "decompose_single", "quotient_deriv"],
+    ids=["decompose_multi", "quotient_deriv"],
 )
 @pytest.mark.parametrize("den", [LinearParam(2, Dual(1, 1)), LinearParam(Dual(2, 1), 1)])
 def test_dual_in_a_sloped_denominator_is_a_domain_error(call, den):

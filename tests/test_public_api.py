@@ -13,7 +13,7 @@ import pytest
 import pochex
 
 # Pinned so that adding or removing a public name shows up in the diff.
-PUBLIC_NAMES = 62
+PUBLIC_NAMES = 55
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -64,6 +64,21 @@ def test_reference_only_names_are_gone(name):
     # test data (tests/relation_catalog.py).
     for module in (pochex, pochex.series, pochex.errors, pochex.verify):
         assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["identity_eval", "genfun_check", "default_grid", "DEFAULT_GENFUN_ORDER", "decompose_single",
+     "ZeroSlope", "double_factorial"],
+)
+def test_second_entry_points_and_unused_names_are_gone(name):
+    # run_relation checks a relation at one point or over a grid, and
+    # decompose_multi decomposes a single factor pair too; F5 computes its own
+    # double factorials.
+    assert name not in pochex.__all__
+    assert name not in dir(pochex)
+    with pytest.raises(AttributeError, match=f"has no attribute {name!r}"):
+        getattr(pochex, name)
 
 
 def test_readme_lists_the_public_api():
