@@ -115,8 +115,3 @@ class Dual:
         if n < 0 and self.val == 0:
             self._inverse()  # raises the DomainError of a zero value part
         return Dual(self.val**n, n * self.val ** (n - 1) * self.der)
-
-
-def delta_part(x) -> Fraction:
-    """The derivative component of a scalar; 0 for plain rationals."""
-    return x.der if isinstance(x, Dual) else Fraction(0)

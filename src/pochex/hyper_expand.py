@@ -17,8 +17,13 @@ denominator, and reduces the row by one gcd: O(sum_f c_f*K) integer products
 and one gcd per lattice move, with c_f the law coefficient of f for the
 index moved.  For c = p/q and s = u/v a numerator step scales the
 denominator by q*v and a reciprocal step by (p*v)**(K+1); the gcd takes back
-what the entries do not need.  Fractions are built only for the table.
-A Dual constant or slope adds the row's der, K + 1 more numerators.
+what the entries do not need.  A Dual constant or slope adds the row's der,
+K + 1 more numerators.  One walk, `_walk`, serves `expand_general` and
+`delta_dual_expand`: it checks the lattice for a pole, then builds its factor
+plan once per call, each factor's integer linear factor and law coefficients,
+so a move finds its j-range in a few integer products.  `expand_general`
+builds the Fractions and Duals of each row's entries; `delta_dual_expand`
+builds one Fraction per delta-part, from der, and no value part.
 
 Seven built-in examples F1..F7 (plus an alternative route to F6 and the
 delta-derivative of F7) also have hand-derived closed-form coefficient
@@ -65,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import _bernoulli_values, _stirling_walk
-from .duals import Dual, delta_part
+from .duals import Dual
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
     LinearParam,
@@ -163,7 +168,9 @@ def _checked_points(spec: HyperTermSpec, degree_bound: int) -> list:
     # A factor's longest length on the lattice is c0 + max(c1, c2)*degree_bound,
     # as law coefficients are >= 0, and a rising factorial with no zero factor at
     # some length has none at a shorter one.  So one check per factor clears it
-    # for every point, and the scan below runs only to name the first pole.
+    # for every point, and the scan below runs only to name the first pole.  It
+    # always finds one: a factor that vanishes at its longest length does so on
+    # lattice point (D, 0) or (0, D).
     if all(
         _vanishing_shift(param.constant, law.c0 + max(law.c1, law.c2) * degree_bound) is None
         for param, law in spec.denom
@@ -178,7 +185,42 @@ def _checked_points(spec: HyperTermSpec, degree_bound: int) -> list:
                     lattice_point=(m1, m2),
                     factor=idx,
                 )
-    return points
+
+
+def _walk(spec: HyperTermSpec, eps_order: int, degree_bound: int):
+    """Yield (m1, m2, row), m1-major, for the term's integer row (see `series`) at
+    every lattice point m1 + m2 <= degree_bound, once no pole is on the lattice."""
+    _checked_points(spec, degree_bound)
+    width = eps_order + 1
+    plan = [
+        (_int_factor(p.constant, p.slope), (law.c0, law.c1, law.c2), step)
+        for side, step in ((spec.numer, _poch_step), (spec.denom, _recip_step))
+        for p, law in side
+    ]
+
+    def move(row, m1, m2, moved, m):
+        # The term at (m1, m2) from the term `row` one unit back in m_moved (or,
+        # for moved = 0, from the empty product): each factor's linear factors
+        # c + j + s*eps for L(m1, m2) - c_moved <= j < L(m1, m2), multiplied in
+        # for a numerator and divided out for a denominator, then over m,
+        # reduced by one gcd.
+        for factor, law, step in plan:
+            c0, c1, c2 = law
+            end = c0 + c1 * m1 + c2 * m2
+            for j in range(end - law[moved], end):
+                row = step(row, factor, j, width)
+        return _divided(row, m)
+
+    # A term with a denominator holds all `width` coefficients; one without is
+    # an exact polynomial until it reaches that width.
+    column = [move(_unit_row(width if spec.denom else 1), 0, 0, 0, 1)]
+    for m1 in range(1, degree_bound + 1):
+        column.append(move(column[-1], m1, 0, 1, m1))
+    for m1, row in enumerate(column):
+        yield m1, 0, row
+        for m2 in range(1, degree_bound + 1 - m1):
+            row = move(row, m1, m2, 2, m2)
+            yield m1, m2, row
 
 
 def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> ExpansionTable:
@@ -199,34 +241,11 @@ def expand_general(spec: HyperTermSpec, eps_order: int, degree_bound: int) -> Ex
     """
     _typed("expand_general", HyperTermSpec, spec=spec)
     _count("expand_general", eps_order=eps_order, degree_bound=degree_bound)
-    _checked_points(spec, degree_bound)
-    width = eps_order + 1
-    factors = [(_int_factor(p.constant, p.slope), law, _poch_step) for p, law in spec.numer]
-    factors += [(_int_factor(p.constant, p.slope), law, _recip_step) for p, law in spec.denom]
-
-    def move(row, old, new, m):
-        # The term at `new` from the term `row` at `old`: each factor's linear
-        # factors c + j + s*eps for L(old) <= j < L(new), multiplied in for a
-        # numerator and divided out for a denominator, then over the new m_i,
-        # reduced by one gcd.
-        for factor, law, step in factors:
-            for j in range(law(*old) if old else 0, law(*new)):
-                row = step(row, factor, j, width)
-        return _divided(row, m)
-
-    # A term with a denominator holds all `width` coefficients; one without is
-    # an exact polynomial until it reaches that width.
-    column = [move(_unit_row(width if spec.denom else 1), None, (0, 0), 1)]
-    for m1 in range(1, degree_bound + 1):
-        column.append(move(column[-1], (m1 - 1, 0), (m1, 0), m1))
     entries = {}
-    for m1, term in enumerate(column):
-        for m2 in range(degree_bound + 1 - m1):
-            if m2:
-                term = move(term, (m1, m2 - 1), (m1, m2), m2)
-            values = _entries(term)
-            for k in range(width):
-                entries[(k, m1, m2)] = values[k] if k < len(values) else _ZERO
+    for m1, m2, row in _walk(spec, eps_order, degree_bound):
+        values = _entries(row)
+        for k in range(eps_order + 1):
+            entries[(k, m1, m2)] = values[k] if k < len(values) else _ZERO
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 
@@ -244,12 +263,17 @@ def delta_dual_expand(spec: HyperTermSpec, eps_order: int, degree_bound: int) ->
 
     The spec must carry its delta-dependence as Dual scalars inside the
     LinearParam constants (see `closed_engine_spec`); a delta-free spec
-    yields the all-zero table.
+    yields the all-zero table.  The walk is `expand_general`'s, with the same
+    pole check and the same steps, but each entry is read straight from the
+    row's der: one Fraction where the engine's entry would be a Dual, and 0
+    elsewhere.  No value part and no Dual is built.
     """
     _typed("delta_dual_expand", HyperTermSpec, spec=spec)
     _count("delta_dual_expand", eps_order=eps_order, degree_bound=degree_bound)
-    table = expand_general(spec, eps_order, degree_bound)
-    entries = {key: delta_part(v) for key, v in table.entries.items()}
+    entries = {}
+    for m1, m2, (den, _, der, mask) in _walk(spec, eps_order, degree_bound):
+        for k in range(eps_order + 1):
+            entries[(k, m1, m2)] = Fraction(der[k], den) if mask >> k & 1 else _ZERO
     return ExpansionTable(entries, eps_order, degree_bound, "lattice")
 
 

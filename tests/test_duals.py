@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pochex.duals import Dual, delta_part
+from pochex.duals import Dual
 from pochex.errors import DomainError
 from pochex.series import EpsSeries, series_invert
 
@@ -118,11 +118,6 @@ def test_polynomial_derivative_via_duals():
     p = t**3 - 2 * t + 5
     assert p.val == F(7, 5) ** 3 - 2 * F(7, 5) + 5
     assert p.der == 3 * F(7, 5) ** 2 - 2
-
-
-def test_value_and_delta_part_handle_plain_scalars():
-    assert delta_part(F(5, 3)) == 0
-    assert delta_part(Dual(1, 2)) == 2
 
 
 def test_truthiness():

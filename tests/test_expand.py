@@ -4,10 +4,13 @@ import hashlib
 import math
 import random
 import re
+import shutil
+import subprocess
 import sys
 import types
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -546,6 +549,32 @@ def test_closed_tables_keep_their_digest():
     )
 
 
+# `engine_digest.py` over three engine tables and the dF7 delta-parts, with entry
+# types (see the script).  requires-python says >=3.10.7, so every such Python
+# on PATH must print the same digest.
+_ENGINE_DIGEST = "c116219f4b9e568d14ace1ca1acfae651100aa5a7d1bbf13b2d75f87d66332e6"
+
+
+def _starts(python):
+    # An interpreter counts as present when it is on PATH and runs `pass`.
+    if shutil.which(python) is None:
+        return False
+    done = subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60)
+    return done.returncode == 0
+
+
+def test_engine_digest_is_the_same_on_every_interpreter():
+    # An interpreter that is absent or does not start is skipped.
+    script = Path(__file__).with_name("engine_digest.py")
+    for python in [sys.executable, "python3.10", "python3.12", "python3.13"]:
+        if python != sys.executable and not _starts(python):
+            continue
+        done = subprocess.run(
+            [python, str(script)], capture_output=True, text=True, timeout=120, check=True
+        )
+        assert done.stdout == _ENGINE_DIGEST + "\n", python
+
+
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     # No Bernoulli core outlives the call that builds it.  Closed dF7 at D=12
     # builds orders 2..13 once each, whatever the arguments (156 (order,
@@ -959,6 +988,70 @@ def test_dual_delta_at_a_pole_is_a_pole_error():
 def test_delta_free_spec_has_zero_delta_derivative():
     table = delta_dual_expand(closed_engine_spec("F1"), 1, 2)
     assert all(v == 0 for v in table.entries.values())
+
+
+def test_delta_dual_expand_is_the_delta_part_of_the_engine_table():
+    # 400 seeded specs with Dual constants and slopes, K, D <= 4: every entry is
+    # the Fraction delta-part of expand_general's entry (0 for a Fraction entry),
+    # or both routes raise the same PoleError.
+    rng = random.Random(20261020)
+    seen = Counter()
+
+    def scalar(dual):
+        x = F(rng.randint(-4, 3)) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 4))
+        if rng.random() < dual:
+            return Dual(x, F(rng.randint(-3, 3), rng.randint(1, 3)))
+        return x
+
+    def factor():
+        c, s = scalar(0.35), scalar(0.2)
+        seen["Dual constant"] += isinstance(c, Dual)
+        seen["Dual slope"] += isinstance(s, Dual)
+        law = IndexLaw(rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2))
+        return LinearParam(c, s), law
+
+    for _ in range(400):
+        numer = [factor() for _ in range(rng.randint(0, 3))]
+        denom = [factor() for _ in range(rng.randint(0, 2))]
+        spec = HyperTermSpec("seeded", numer=numer, denom=denom)
+        eps_order, degree_bound = rng.randint(0, 4), rng.randint(0, 4)
+        got = _points_or_pole(lambda: delta_dual_expand(spec, eps_order, degree_bound).entries)
+        table = _points_or_pole(lambda: expand_general(spec, eps_order, degree_bound).entries)
+        if isinstance(table, tuple):
+            seen["pole"] += 1
+            assert got == table
+            continue
+        # The definition delta_dual_expand had as a pass over the Dual table.
+        want = {key: v.der if isinstance(v, Dual) else F(0) for key, v in table.items()}
+        assert got == want
+        assert all(type(v) is F for v in got.values())
+        seen["nonzero delta-part"] += any(got.values())
+    kinds = ("Dual constant", "Dual slope", "pole", "nonzero delta-part")
+    assert all(seen[kind] >= 20 for kind in kinds), seen
+
+
+def test_delta_dual_expand_takes_the_engine_steps_and_builds_no_entries(monkeypatch):
+    # On dF7 (K=4, D=10) the delta-parts come from the same walk as the Dual
+    # table: as many linear-factor steps as expand_general makes, and no
+    # `_entries` call, so no value part and no Dual is built.  F7's spec has two
+    # numerator factors of law m1 + m2 and one of law m1, and two denominator
+    # factors of law m1 and one of law m2; the walk makes 10 moves in m1 and 55
+    # in m2, so 2*65 + 10 = 140 numerator and 2*10 + 55 = 75 denominator steps.
+    spec = closed_engine_spec("dF7_ddelta")
+    engine, dual = Counter(), Counter()
+    with monkeypatch.context() as patched:
+        for name in ("_poch_step", "_recip_step"):
+            _counter(patched, engine, pochex.hyper_expand, name)
+        expand_general(spec, 4, 10)
+
+    def refused(row):
+        raise AssertionError("delta_dual_expand built a row's entries")
+
+    monkeypatch.setattr(pochex.hyper_expand, "_entries", refused)
+    for name in ("_poch_step", "_recip_step"):
+        _counter(monkeypatch, dual, pochex.hyper_expand, name)
+    delta_dual_expand(spec, 4, 10)
+    assert dual == engine == Counter({"_poch_step": 140, "_recip_step": 75})
 
 
 # -- parameter validation -------------------------------------------------------------

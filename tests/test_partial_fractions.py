@@ -116,6 +116,18 @@ def test_quotient_folds_slope_free_factors():
     assert q.denom == ((LinearParam(1, 1), 2),)
 
 
+def test_quotient_repr_shows_the_kept_factors_and_scalar():
+    q = PochProductQuotient(
+        numer=[(LinearParam(3, 0), 2), (LinearParam(1, 1), 1)],
+        denom=[(LinearParam(2, 0), 1), (LinearParam(1, 1), 2)],
+    )
+    assert repr(q) == (
+        "PochProductQuotient("
+        "numer=[(LinearParam(constant=Fraction(1, 1), slope=Fraction(1, 1)), 1)], "
+        "denom=[(LinearParam(constant=Fraction(1, 1), slope=Fraction(1, 1)), 2)], scalar=6)"
+    )
+
+
 def test_quotient_vanishing_constant_denominator_is_a_pole():
     with pytest.raises(PoleError) as exc_info:
         PochProductQuotient(denom=[(LinearParam(-1, 0), 3)])
@@ -279,6 +291,14 @@ def test_render_scalar_prefactor_and_negative_slopes():
         scalar=F(5),
     )
     assert form.render() == "5*(1/2/(3-eps) - 2/(1-2*eps))"
+
+
+def test_render_positive_slopes_other_than_one():
+    # A positive slope other than 1, whole or fractional, is printed as +s*eps.
+    form = PartialFractionForm(F(0), (PFTerm(F(1), F(2), F(3)), PFTerm(F(-1, 2), F(1), F(1, 2))))
+    assert form.render() == "1/(2+3*eps) - 1/2/(1+1/2*eps)"
+    form = decompose_multi(PochProductQuotient([], [(LinearParam(1, 3), 1)]))
+    assert form.render() == "1/(1+3*eps)"
 
 
 def test_render_zero_coefficient_is_added():

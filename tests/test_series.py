@@ -97,6 +97,12 @@ def test_all_zero_series_has_min_exponent_zero():
     assert z.max_exponent == 0
 
 
+def test_empty_window_is_a_domain_error():
+    with pytest.raises(DomainError) as exc:
+        EpsSeries([])
+    assert str(exc.value) == "a series needs at least one coefficient in its window"
+
+
 def test_laurent_leading_zeros_are_stripped():
     s = S([0, 1, 2], min_exponent=-1)
     assert s.min_exponent == 0
