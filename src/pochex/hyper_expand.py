@@ -66,7 +66,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import _bernoulli_values, _stirling_walk
@@ -81,42 +80,44 @@ from .pochhammer import (
     _unit_row,
     _vanishing_shift,
 )
-from .series import _coerce, _count, _entries, _int_row, _iterable, _product, _shared, _typed
+from .series import (
+    _coerce,
+    _count,
+    _entries,
+    _int_row,
+    _iterable,
+    _product,
+    _Record,
+    _shared,
+    _typed,
+)
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class IndexLaw:
+class IndexLaw(_Record):
     """Affine length law L(m1, m2) = c0 + c1*m1 + c2*m2 with nonnegative coefficients."""
 
-    c0: int
-    c1: int
-    c2: int
-
-    def __post_init__(self):
-        _count("IndexLaw", c0=self.c0, c1=self.c1, c2=self.c2)
+    def __init__(self, c0: int, c1: int, c2: int):
+        _count("IndexLaw", c0=c0, c1=c1, c2=c2)
+        self._store(c0, c1, c2)
 
     def __call__(self, m1: int, m2: int) -> int:
         return self.c0 + self.c1 * m1 + self.c2 * m2
 
 
-@dataclass(frozen=True)
-class HyperTermSpec:
-    """General term of a double series (see module docstring).
-
-    A denominator that vanishes at eps = 0 on some lattice point makes
-    `expand_general` raise PoleError there.
+class HyperTermSpec(_Record):
+    """General term of a double series (see module docstring): numer and denom are
+    kept as tuples, and extra_params defaults to a fresh {}.  A denominator that
+    vanishes at eps = 0 on some lattice point makes `expand_general` raise PoleError.
     """
 
-    name: str
-    numer: tuple = ()
-    denom: tuple = ()
-    extra_params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for side in ("numer", "denom"):
-            factors = tuple(_iterable("HyperTermSpec", getattr(self, side), f"{side} factors"))
+    def __init__(
+        self, name: str, numer: tuple = (), denom: tuple = (), extra_params: dict | None = None
+    ):
+        sides = []
+        for side, given in (("numer", numer), ("denom", denom)):
+            factors = tuple(_iterable("HyperTermSpec", given, f"{side} factors"))
             for idx, factor in enumerate(factors):
                 if not (
                     isinstance(factor, tuple)
@@ -125,30 +126,28 @@ class HyperTermSpec:
                     and isinstance(factor[1], IndexLaw)
                 ):
                     raise DomainError(
-                        f"{side} factor {idx} of {self.name or 'spec'} is not a "
+                        f"{side} factor {idx} of {name or 'spec'} is not a "
                         f"(LinearParam, IndexLaw) pair: {factor!r}"
                     )
-            object.__setattr__(self, side, factors)
+            sides.append(factors)
+        self._store(name, *sides, {} if extra_params is None else extra_params)
 
 
-@dataclass
-class ExpansionTable:
+class ExpansionTable(_Record, frozen=False):
     """Exact coefficient table keyed (k, m1, m2) — or (k, m, n) after regrouping."""
 
-    entries: dict
-    eps_order: int
-    degree_bound: int
-    regrouping: str = "lattice"
-
-    def __post_init__(self):
+    def __init__(
+        self, entries: dict, eps_order: int, degree_bound: int, regrouping: str = "lattice"
+    ):
         # Type checks only, not a walk over the entries: a table costs O(1) to build.
-        _typed("ExpansionTable", Mapping, entries=self.entries)
-        _count("ExpansionTable", eps_order=self.eps_order, degree_bound=self.degree_bound)
-        if self.regrouping not in ("lattice", "total_degree"):
+        _typed("ExpansionTable", Mapping, entries=entries)
+        _count("ExpansionTable", eps_order=eps_order, degree_bound=degree_bound)
+        if regrouping not in ("lattice", "total_degree"):
             raise DomainError(
                 "ExpansionTable needs a regrouping 'lattice' or 'total_degree', "
-                f"got {self.regrouping!r}"
+                f"got {regrouping!r}"
             )
+        self._store(entries, eps_order, degree_bound, regrouping)
 
     def get(self, k: int, i: int, j: int):
         key = (k, i, j)

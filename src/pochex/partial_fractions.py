@@ -15,25 +15,22 @@ first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .duals import Dual
 from .errors import DegreeError, DomainError, PoleError, RepeatedRoot
 from .pochhammer import LinearParam, _vanishing_shift, poch_deriv, pochhammer
-from .series import _coerce, _count, _iterable, _typed
+from .series import _coerce, _count, _iterable, _Record, _typed
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class PFTerm:
+class PFTerm(_Record):
     """One simple-pole contribution: coefficient / (pole_constant + pole_slope*eps)."""
 
-    coefficient: Fraction
-    pole_constant: Fraction
-    pole_slope: Fraction
+    def __init__(self, coefficient: Fraction, pole_constant: Fraction, pole_slope: Fraction):
+        self._store(coefficient, pole_constant, pole_slope)
 
     @property
     def pole_location(self) -> Fraction:
@@ -45,13 +42,11 @@ class PFTerm:
         return -self.pole_constant / self.pole_slope
 
 
-@dataclass(frozen=True)
-class PartialFractionForm:
+class PartialFractionForm(_Record):
     """constant + sum of PFTerms, the whole thing times a scalar prefactor."""
 
-    constant: Fraction
-    terms: tuple
-    scalar: Fraction = _ONE
+    def __init__(self, constant: Fraction, terms: tuple, scalar: Fraction = _ONE):
+        self._store(constant, terms, scalar)
 
     def render(self) -> str:
         """Human-readable sum, e.g. `2/(1+eps) - 3/(2+eps)`."""

@@ -8,9 +8,10 @@ The two derivative families are normalized by k!:
 Each family has several closed forms plus a series oracle; they are kept as
 separate code paths on purpose so they can cross-check one another, and all
 of them must agree exactly.  `recip_poch_laurent` expands a reciprocal around
-a simple pole in eps.  Every method computes in rationals: `poch_deriv` and
-`recip_poch_deriv` apply a Dual argument once, by the identities (`_dual_rule`)
-dP(m, k)/dalpha = (k+1) P(m, k+1) and dQ(m, k)/dbeta = (k+1) Q(m, k+1).
+a simple pole in eps.  Every method computes in rationals: `pochhammer` (which
+is P(m, 0)), `poch_deriv` and `recip_poch_deriv` apply a Dual argument once, by
+the identities (`_dual_rule`) dP(m, k)/dalpha = (k+1) P(m, k+1) and
+dQ(m, k)/dbeta = (k+1) Q(m, k+1).  `LinearParam` is a frozen `series._Record`.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from .series import (
     _coerce,
     _count,
     _entries,
-    _entry,
     _int_sum,
     _product,
+    _Record,
     _signed,
     _typed,
     polynomial_series,
@@ -40,35 +41,15 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-class LinearParam:
+class LinearParam(_Record):
     """A parameter that is linear in the expansion variable: constant + slope*eps.
 
-    A frozen value class with a frozen dataclass's repr, ==, hash and
-    `__match_args__`, but not a dataclass, so `import pochex` loads no `dataclasses`.
+    A frozen record (`series._Record`) whose two fields are exact scalars: an int
+    becomes a Fraction, and a Dual is kept.
     """
 
-    __match_args__ = ("constant", "slope")
-
     def __init__(self, constant: Fraction, slope: Fraction):
-        object.__setattr__(self, "constant", _coerce(constant))
-        object.__setattr__(self, "slope", _coerce(slope))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(constant={self.constant!r}, slope={self.slope!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.constant, self.slope) == (other.constant, other.slope)
-
-    def __hash__(self):
-        return hash((self.constant, self.slope))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._store(_coerce(constant), _coerce(slope))
 
     def at(self, eps):
         return self.constant + self.slope * _coerce(eps)
@@ -108,12 +89,12 @@ def pochhammer(alpha, m: int):
     """Rising factorial (alpha)_m = alpha (alpha+1) ... (alpha+m-1); empty product is 1.
 
     For alpha = p/q it is prod(p + j*q) / q**m in integers, reduced by one gcd.
-    A Dual alpha takes the width-1 integer row: a Dual for m >= 1, Fraction 1 at m = 0.
+    At a Dual v + d*delta it is Dual((v)_m, d*P(m, 1, v)) by `_dual_rule`, 1 at m = 0.
     """
     _count("pochhammer", m=m)
     alpha = _coerce(alpha)
     if isinstance(alpha, Dual):
-        return _poch_deriv_recurrence(alpha, m, 0)
+        return _dual_rule(_poch_deriv_recurrence, alpha, m, 0, m > 0)
     p, q = alpha.numerator, alpha.denominator
     return Fraction(math.prod(range(p, p + m * q, q)), q**m)
 
@@ -276,7 +257,7 @@ def _poch_deriv_recurrence(alpha, m, k):
     row = _unit_row(1)
     for j in range(m):
         row = _poch_step(row, factor, j, k + 1)
-    return _entry(row, k)
+    return Fraction(row[1][k], row[0])
 
 
 def _factor_sum(coeffs: list, alpha, step: int):
@@ -406,7 +387,7 @@ def _recip_deriv_recurrence(beta, m, k):
     row = _unit_row(k + 1)
     for j in range(m):
         row = _recip_step(row, factor, j, k + 1)
-    return _entry(row, k)
+    return Fraction(row[1][k], row[0])
 
 
 def _recip_deriv_closed_sum(beta, m, k):

@@ -143,6 +143,50 @@ def _shared(calls: dict, build, *args):
         return value
 
 
+class _Record:
+    """The base of the public records, with the repr, `==`, hash, `__match_args__`
+    and refused assignment and deletion of a frozen dataclass, but no `dataclasses`.
+
+    A record's fields are the parameters of its `__init__`, which checks them and
+    passes their values, in order, to `_store`.  `class Name(_Record, frozen=False)`
+    is mutable and, like a plain dataclass, unhashable.  Copies and pickles restore
+    the fields unchecked.
+    """
+
+    def __init_subclass__(cls, frozen: bool = True):
+        code = cls.__init__.__code__
+        cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _int_row(coeffs) -> tuple:
     """A nonempty run of Fractions and Duals as a row over one lcm.  Bit i of mask
     marks a nonzero Dual: a Dual(0, 0) counts as a zero Fraction."""
@@ -185,14 +229,6 @@ def _entries(row: tuple) -> list:
         Dual(Fraction(x, den), Fraction(y, den)) if mask >> i & 1 else Fraction(x, den)
         for i, (x, y) in enumerate(zip(val, der))
     ]
-
-
-def _entry(row: tuple, i: int):
-    """Coefficient i of a row, as `_entries` gives it."""
-    den, val, der, mask = row
-    if mask >> i & 1:
-        return Dual(Fraction(val[i], den), Fraction(der[i], den))
-    return Fraction(val[i], den)
 
 
 class EpsSeries:
@@ -310,11 +346,6 @@ class EpsSeries:
         new_max = min(self.max_exponent, other.max_exponent)
         coeffs = [self._get(e) + other._get(e) for e in range(new_min, new_max + 1)]
         return EpsSeries(coeffs, new_min)
-
-    def __sub__(self, other):
-        if not isinstance(other, EpsSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self):
         return EpsSeries([-c for c in self._coeffs], self._min)

@@ -25,33 +25,27 @@ for `pf --spec` use a two-section subset where each `poch` line is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .errors import ParseError
 from .hyper_expand import HyperTermSpec, IndexLaw
 from .pochhammer import LinearParam
-from .series import _typed, parse_rational
+from .series import _Record, _typed, parse_rational
 
 _SECTIONS = ("function", "numerator", "denominator", "params", "options")
 _OPTION_KEYS = ("eps_order", "degree_bound", "regroup")
 
 
-@dataclass
-class SpecOptions:
+class SpecOptions(_Record, frozen=False):
     """Optional [options] block: expansion depth and table keying."""
 
-    eps_order: int | None = None
-    degree_bound: int | None = None
-    regroup: str | None = None
-
-
-@dataclass
-class _Raw:
-    name: str | None = None
-    numer: list = field(default_factory=list)
-    denom: list = field(default_factory=list)
-    params: dict = field(default_factory=dict)
-    options: SpecOptions = field(default_factory=SpecOptions)
+    def __init__(
+        self,
+        eps_order: int | None = None,
+        degree_bound: int | None = None,
+        regroup: str | None = None,
+    ):
+        self._store(eps_order, degree_bound, regroup)
 
 
 def _logical_lines(text: str):
@@ -114,8 +108,8 @@ def _split_key_value(line: str, lineno: int):
     return key, value
 
 
-def _scan(text: str) -> _Raw:
-    raw = _Raw()
+def _scan(text: str) -> SimpleNamespace:
+    raw = SimpleNamespace(name=None, numer=[], denom=[], params={}, options=SpecOptions())
     section = None
     seen = set()
     for lineno, line in _logical_lines(text):

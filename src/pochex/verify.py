@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -70,6 +69,7 @@ from .series import (
     _int_row,
     _int_sum,
     _iterable,
+    _Record,
     _shared,
     polynomial_series,
     series_invert,
@@ -116,25 +116,25 @@ class GenFunId(str, Enum):
     nueva2 = "nueva2"
 
 
-@dataclass(frozen=True)
-class IdentityResult:
-    identity: IdentityId
-    params: dict
-    lhs: Fraction
-    rhs: Fraction
+class IdentityResult(_Record):
+    def __init__(self, identity: IdentityId, params: dict, lhs: Fraction, rhs: Fraction):
+        self._store(identity, params, lhs, rhs)
 
     @property
     def equal(self) -> bool:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class GenFunResult:
-    identity: GenFunId
-    params: dict
-    order: int
-    equal_to_order: bool
-    first_discrepancy: int | None
+class GenFunResult(_Record):
+    def __init__(
+        self,
+        identity: GenFunId,
+        params: dict,
+        order: int,
+        equal_to_order: bool,
+        first_discrepancy: int | None,
+    ):
+        self._store(identity, params, order, equal_to_order, first_discrepancy)
 
 
 def _sign(exponent: int) -> int:
@@ -783,13 +783,11 @@ def _relation(token):
 _GENFUN_ORDER = 12
 
 
-@dataclass(frozen=True)
-class CheckSummary:
+class CheckSummary(_Record):
     """Outcome of one relation checked over a whole parameter grid."""
 
-    identity: str
-    points: int
-    failures: tuple
+    def __init__(self, identity: str, points: int, failures: tuple):
+        self._store(identity, points, failures)
 
     @property
     def passed(self) -> bool:

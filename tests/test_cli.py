@@ -2,10 +2,14 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import math
+import re
+import shlex
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -614,3 +618,90 @@ def test_argv_fuzz_exits_cleanly(argv):
     if code == 1:
         assert out.getvalue() == "", argv
         assert any("error:" in line for line in err.getvalue().splitlines()), argv
+
+
+# -- golden gate: the bytes of every documented line, help page and refusal --------------
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# Every `pochex ...` line of the README's code blocks, without its comment.
+README_LINES = re.findall(r"^pochex (.+?)(?:\s+#.*)?$", README, re.MULTILINE)
+# The README's example files, which its `--spec` lines read from the working directory.
+README_FILES = {
+    name: re.search(rf"^```\n({head}.*?)```", README, re.M | re.S)[1]
+    for name, head in [("myseries.spec", r"\[function\]\n"), ("quotient.txt", r"\[numerator\]\n")]
+}
+# Spec files read by the refusals below, by name; `nope.txt` does not exist.
+BIG = b"7" * 5000
+REFUSED_FILES = {
+    "f1.spec": F1_SPEC.encode(),
+    "latin.txt": b"\xff\xfe[numerator]\n",
+    "repeated.txt": b"[denominator]\npoch = 1 1 : 2\npoch = 2 1 : 1\n",
+    "badline.txt": b"[denominator]\npoch = 1 1 : 0 1 0\n",
+    "big_pf.txt": b"[numerator]\npoch = %s 1 : 1\n[denominator]\npoch = 2 1 : 2\n" % BIG,
+    "big_expand.txt": b"[denominator]\npoch = 1 1 : 0 1 0\npoch = 1/%s 1 : 0 0 1\n" % BIG,
+}
+# The usage and domain errors that the tests above trigger, one argv each.
+REFUSALS = [
+    "poch --alpha 1.5 -m 2 -k 1",
+    "poch --alpha 1 -m 2 -k 1 --method magic",
+    "poch --alpha 1 -m -2 -k 0",
+    "recip --beta=-2 -m 4 -k 1",
+    "recip --laurent -m 3",
+    "recip --laurent -n 1 -b 1 -m 3 --order 3 --beta 2",
+    "recip -m 3",
+    "recip --beta 1 -m 2 -k 1 -n 3",
+    "recip --beta 1 -m 2 -k 1 -b 2",
+    "recip --beta 1 -m 2 -k 1 --order 4",
+    "recip --beta 1 -m 2 -k 1 -n 3 -b 2 --order 4",
+    "recip --laurent -n 0 -b 1 -m 2 --order 2 --method delta_form",
+    "quotient --num 1 1 -m 1 --den 2 1 -n 1 -k 0 --at=-2",
+    "pf --spec nope.txt",
+    "pf --spec latin.txt",
+    "expand --spec latin.txt",
+    "pf --spec repeated.txt",
+    "pf --spec badline.txt",
+    "pf --spec big_pf.txt",
+    "expand --spec big_expand.txt",
+    "expand --closed F6 --delta=-1",
+    "expand --closed F7 --delta -2",
+    "expand --closed F7",
+    *(f"expand --closed {example} --delta 1/3" for example in ["F1", "F2", "F3", "F4", "F5"]),
+    "expand --spec f1.spec --delta 1/3",
+    "expand --spec f1.spec --closed F1",
+    "expand",
+    "expand --closed F9",
+    "tables --k 3..1",
+    "tables --k x",
+    "tables --max-m -1",
+    "verify --id A99",
+    "verify --id A27 --id zz",
+    "verify --id A9 --all",
+    "verify --id A5 --all",
+    "",
+    "frobnicate",
+]
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
+    # One sha256 over (argv, exit code, stdout, stderr) of each README line, each
+    # `--help` and each refusal above, run in a directory that holds their files.
+    # argparse wraps its help and usage to the terminal width, so the width is fixed.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in README_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    for name, data in REFUSED_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    helps = [["--help"]] + [[command, "--help"] for command in subcommands()]
+    argvs = [shlex.split(line) for line in README_LINES + REFUSALS] + helps
+    h = hashlib.sha256()
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        h.update(f"{[argv, code, out.getvalue(), err.getvalue()]!r}\n".encode())
+    assert (len(README_LINES), len(argvs), h.hexdigest()) == (
+        15,
+        64,
+        "0539993ac9e3a5f3dea5edc6ce366181ede88d1ea3ca698021320bd93de8978a",
+    )

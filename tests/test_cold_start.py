@@ -43,8 +43,15 @@ def test_import_loads_the_core_only():
 
 
 def test_import_loads_no_dataclasses():
-    code = f"import sys, pochex; print(*[m for m in {HEAVY!r} if m in sys.modules])"
-    assert fresh(code).split() == []
+    # Neither after `import pochex` nor once every module of the package is loaded.
+    code = f"""
+import importlib, sys, pochex
+print(*[m for m in {HEAVY!r} if m in sys.modules])
+for module in pochex._NAMES:
+    importlib.import_module(f"pochex.{{module}}")
+print(*[m for m in {HEAVY!r} if m in sys.modules])
+"""
+    assert fresh(code).splitlines() == ["", ""]
 
 
 @pytest.mark.parametrize(
@@ -115,11 +122,15 @@ def test_command_loads_only_what_it_runs(argv, deferred_loaded):
 @pytest.mark.parametrize(
     "argv",
     ["poch --alpha 1 -m 1 -k 0", "recip --beta 1/2 -m 2 -k 1",
-     "recip --laurent -n 1 -b 1 -m 3 --order 2"],
-    ids=["poch", "recip", "recip-laurent"],
+     "recip --laurent -n 1 -b 1 -m 3 --order 2", "expand --closed F5", "tables",
+     "pf --spec {quotient}", "quotient --num 1 1 -m 1 --den 2 1 -n 1 -k 1", "verify --id A9"],
+    ids=["poch", "recip", "recip-laurent", "expand-closed", "tables", "pf", "quotient", "verify"],
 )
-def test_poch_and_recip_load_no_dataclasses(argv):
-    loaded = fresh(_LOADED, *argv.split()).splitlines()[-1].split()
+def test_poch_and_recip_load_no_dataclasses(argv, tmp_path):
+    # Every command, not only poch and recip: no record is a dataclass.
+    quotient = tmp_path / "quotient.txt"
+    quotient.write_text("[denominator]\npoch = 1 1 : 1\npoch = 2 1 : 1\n")
+    loaded = fresh(_LOADED, *argv.format(quotient=quotient).split()).splitlines()[-1].split()
     assert [m for m in HEAVY if m in loaded] == []
 
 

@@ -550,9 +550,11 @@ def test_closed_tables_keep_their_digest():
 
 
 # `engine_digest.py` over three engine tables and the dF7 delta-parts, with entry
-# types (see the script).  requires-python says >=3.10.7, so every such Python
-# on PATH must print the same digest.
+# types, then over one instance of each public record (see the script).
+# requires-python says >=3.10.7, so every such Python on PATH must print the
+# same digests.
 _ENGINE_DIGEST = "c116219f4b9e568d14ace1ca1acfae651100aa5a7d1bbf13b2d75f87d66332e6"
+_RECORD_DIGEST = "fc7bbd654389f4a2fde6e0cca45273824cd6fe065a203c660aee86bbc226e16f"
 
 
 def _starts(python):
@@ -572,7 +574,7 @@ def test_engine_digest_is_the_same_on_every_interpreter():
         done = subprocess.run(
             [python, str(script)], capture_output=True, text=True, timeout=120, check=True
         )
-        assert done.stdout == _ENGINE_DIGEST + "\n", python
+        assert done.stdout == f"{_ENGINE_DIGEST}\n{_RECORD_DIGEST}\n", python
 
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):

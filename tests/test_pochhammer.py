@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import inspect
+import itertools
 import math
 import pickle
 import re
 import sys
+from collections.abc import Mapping
 from fractions import Fraction as F
 from unittest import mock
 
@@ -18,7 +20,8 @@ import pochex.combinatorics
 from pochex.combinatorics import binomial, gen_bernoulli_poly
 from pochex.duals import Dual
 from pochex.errors import DomainError, PoleError
-from pochex.partial_fractions import quotient_deriv
+from pochex.hyper_expand import ExpansionTable, HyperTermSpec, IndexLaw
+from pochex.partial_fractions import PartialFractionForm, PFTerm, quotient_deriv
 from pochex.pochhammer import (
     LinearParam,
     PochMethod,
@@ -31,7 +34,11 @@ from pochex.pochhammer import (
     recip_poch_deriv,
     recip_poch_laurent,
 )
-from pochex.series import _coerce, series_invert
+from pochex.series import _coerce, _count, _iterable, _typed, series_invert
+from pochex.specfile import SpecOptions
+from pochex.verify import CheckSummary, GenFunId, GenFunResult, IdentityId, IdentityResult
+
+from engine_digest import matched
 
 
 # -- plain Pochhammer ------------------------------------------------------------
@@ -50,6 +57,22 @@ from pochex.series import _coerce, series_invert
 )
 def test_pochhammer_values(alpha, m, value):
     assert pochhammer(alpha, m) == value
+
+
+@given(
+    v=st.fractions(max_denominator=12),
+    d=st.one_of(st.integers(-5, 5), st.fractions(max_denominator=7)),
+    m=st.integers(0, 12),
+)
+def test_pochhammer_at_a_dual_is_the_value_and_its_derivative(v, d, m):
+    # d/dalpha (alpha)_m = P(m, 1, alpha): a Dual for m >= 1, the empty product 1 at m = 0.
+    result = pochhammer(Dual(v, d), m)
+    if m == 0:
+        assert (type(result), result) == (F, 1)
+        return
+    expected = Dual(pochhammer(v, m), d * poch_deriv(v, m, 1))
+    assert (type(result), type(result.val), type(result.der)) == (Dual, F, F)
+    assert (result.val, result.der) == (expected.val, expected.der)
 
 
 def test_pochhammer_negative_length_rejected():
@@ -114,24 +137,120 @@ def test_linear_param_helpers():
     assert p.shifted(3) == LinearParam(F(7, 2), -2)
 
 
-@dataclasses.dataclass(frozen=True)
-class _DataclassTwin:
-    """LinearParam as the frozen dataclass it was, coercing its fields the same way."""
+class _Twin:
+    """Each public record as the dataclass it was, with the same checks: a frozen
+    dataclass, or a plain one for the two mutable records.  A twin's repr and
+    messages say `_Twin.Name` where the record's say `Name`."""
 
-    constant: "Fraction"
-    slope: "Fraction"
+    @dataclasses.dataclass(frozen=True)
+    class LinearParam:
+        constant: "Fraction"
+        slope: "Fraction"
 
-    def __post_init__(self):
-        object.__setattr__(self, "constant", _coerce(self.constant))
-        object.__setattr__(self, "slope", _coerce(self.slope))
+        def __post_init__(self):
+            object.__setattr__(self, "constant", _coerce(self.constant))
+            object.__setattr__(self, "slope", _coerce(self.slope))
+
+    @dataclasses.dataclass(frozen=True)
+    class IndexLaw:
+        c0: "int"
+        c1: "int"
+        c2: "int"
+
+        def __post_init__(self):
+            _count("IndexLaw", c0=self.c0, c1=self.c1, c2=self.c2)
+
+    @dataclasses.dataclass(frozen=True)
+    class HyperTermSpec:
+        name: "str"
+        numer: "tuple" = ()
+        denom: "tuple" = ()
+        extra_params: "dict" = dataclasses.field(default_factory=dict)
+
+        def __post_init__(self):
+            for side in ("numer", "denom"):
+                what = f"{side} factors"
+                factors = tuple(_iterable("HyperTermSpec", getattr(self, side), what))
+                for idx, factor in enumerate(factors):
+                    if not (
+                        isinstance(factor, tuple)
+                        and len(factor) == 2
+                        and isinstance(factor[0], LinearParam)
+                        and isinstance(factor[1], IndexLaw)
+                    ):
+                        raise DomainError(
+                            f"{side} factor {idx} of {self.name or 'spec'} is not a "
+                            f"(LinearParam, IndexLaw) pair: {factor!r}"
+                        )
+                object.__setattr__(self, side, factors)
+
+    @dataclasses.dataclass
+    class ExpansionTable:
+        entries: "dict"
+        eps_order: "int"
+        degree_bound: "int"
+        regrouping: "str" = "lattice"
+
+        def __post_init__(self):
+            _typed("ExpansionTable", Mapping, entries=self.entries)
+            _count("ExpansionTable", eps_order=self.eps_order, degree_bound=self.degree_bound)
+            if self.regrouping not in ("lattice", "total_degree"):
+                raise DomainError(
+                    "ExpansionTable needs a regrouping 'lattice' or 'total_degree', "
+                    f"got {self.regrouping!r}"
+                )
+
+    @dataclasses.dataclass(frozen=True)
+    class PFTerm:
+        coefficient: "Fraction"
+        pole_constant: "Fraction"
+        pole_slope: "Fraction"
+
+    @dataclasses.dataclass(frozen=True)
+    class PartialFractionForm:
+        constant: "Fraction"
+        terms: "tuple"
+        scalar: "Fraction" = F(1)
+
+    @dataclasses.dataclass
+    class SpecOptions:
+        eps_order: "int | None" = None
+        degree_bound: "int | None" = None
+        regroup: "str | None" = None
+
+    @dataclasses.dataclass(frozen=True)
+    class IdentityResult:
+        identity: "IdentityId"
+        params: "dict"
+        lhs: "Fraction"
+        rhs: "Fraction"
+
+    @dataclasses.dataclass(frozen=True)
+    class GenFunResult:
+        identity: "GenFunId"
+        params: "dict"
+        order: "int"
+        equal_to_order: "bool"
+        first_discrepancy: "int | None"
+
+    @dataclasses.dataclass(frozen=True)
+    class CheckSummary:
+        identity: "str"
+        points: "int"
+        failures: "tuple"
 
 
 def _result_or_error(call):
-    """What a call gives: ("ok", its repr), or the type and message of what it raised."""
+    """What a call gives: ("ok", its repr), or the type and message of what it raised,
+    with `_Twin.` dropped.  A frozen dataclass's FrozenInstanceError counts as the
+    AttributeError it subclasses."""
     try:
-        return "ok", repr(call())
+        outcome = "ok", repr(call())
+    except AttributeError as exc:
+        outcome = "AttributeError", str(exc)
     except Exception as exc:  # the exception is the outcome being compared
-        return type(exc).__name__, str(exc)
+        outcome = type(exc).__name__, str(exc)
+    return tuple(text.replace("_Twin.", "") for text in outcome)
 
 
 _TWIN_SCALARS = st.one_of(
@@ -144,42 +263,126 @@ _TWIN_SCALARS = st.one_of(
 @given(_TWIN_SCALARS, _TWIN_SCALARS, _TWIN_SCALARS, _TWIN_SCALARS)
 def test_linear_param_behaves_like_the_frozen_dataclass(c, s, c2, s2):
     p, q = LinearParam(c, s), LinearParam(constant=c2, slope=s2)
-    t, u = _DataclassTwin(c, s), _DataclassTwin(constant=c2, slope=s2)
-    assert repr(p) == repr(t).replace("_DataclassTwin(", "LinearParam(", 1)
-    pairs = [(p, q, t, u), (p, p, t, t), (p, LinearParam(c, s), t, _DataclassTwin(c, s))]
+    t, u = _Twin.LinearParam(c, s), _Twin.LinearParam(constant=c2, slope=s2)
+    pairs = [(p, q, t, u), (p, p, t, t), (p, LinearParam(c, s), t, _Twin.LinearParam(c, s))]
     for x, y, tx, ty in pairs:
         assert (x == y, x != y) == (tx == ty, tx != ty)
-    for other in [(p.constant, p.slope), t]:
-        assert (p == other, p != other) == (False, True)
-        assert (t == other, t != other) == (other is t, other is not t)
-    assert p.__eq__(t) is NotImplemented
     # Hashes agree; with a Dual part both raise "unhashable type: 'Dual'".
-    assert _result_or_error(lambda: hash(p)) == _result_or_error(lambda: hash(t))
-    for name in ["constant", "slope", "other"]:
-        for obj in (p, t):
-            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
-                setattr(obj, name, 1)
-            with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
-                delattr(obj, name)
-    assert (p.constant, p.slope) == (t.constant, t.slope)
-    for clone in [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))]:
-        assert type(clone) is LinearParam
-        assert clone == p and repr(clone) == repr(p)
-        assert (type(clone.constant), type(clone.slope)) == (type(p.constant), type(p.slope))
-    match p:
-        case LinearParam(constant, slope):
-            matched = (constant, slope)
-    assert matched == (t.constant, t.slope)
+    _assert_record_behaves_like_its_twin(p, t)
 
 
 def test_linear_param_has_the_dataclass_signature_and_messages():
-    assert LinearParam.__match_args__ == _DataclassTwin.__match_args__ == ("constant", "slope")
-    assert inspect.signature(LinearParam).parameters == inspect.signature(_DataclassTwin).parameters
+    twin = _Twin.LinearParam
+    assert LinearParam.__match_args__ == twin.__match_args__
+    assert inspect.signature(LinearParam).parameters == inspect.signature(twin).parameters
     for bad in ["1/2", None, 1.5, True, False]:
         for args in [(bad, 1), (1, bad)]:
-            expected = _result_or_error(lambda: _DataclassTwin(*args))
+            expected = _result_or_error(lambda: twin(*args))
             assert expected[0] == "DomainError"
             assert _result_or_error(lambda: LinearParam(*args)) == expected
+
+
+def _assert_record_behaves_like_its_twin(record, twin):
+    """`record` and the `_Twin` instance built from the same arguments agree on repr,
+    fields, `==` against a tuple, hash, refused or allowed assignment and deletion,
+    copies and a class pattern."""
+    cls = type(record)
+    assert repr(record) == repr(twin).replace("_Twin.", "")
+    fields = tuple(getattr(twin, name) for name in cls.__match_args__)
+    types = list(map(type, fields))
+    mine = tuple(getattr(record, name) for name in cls.__match_args__)
+    assert (mine, list(map(type, mine))) == (fields, types)
+    assert _result_or_error(lambda: hash(record)) == _result_or_error(lambda: hash(twin))
+    assert record.__eq__(twin) is NotImplemented
+    for other in (fields, twin):
+        assert (record == other, record != other) == (False, True)
+        assert (twin == other, twin != other) == (other is twin, other is not twin)
+    for name in [*cls.__match_args__, "other"]:
+        changes = [lambda obj: setattr(obj, name, 1)]
+        if type(twin).__dataclass_params__.frozen:
+            # Not on a mutable record: once deleted, a plain dataclass's field with
+            # a default reads its class attribute, where a record's field is gone.
+            changes.append(lambda obj: delattr(obj, name))
+        for change in changes:
+            mine, theirs = copy.deepcopy(record), copy.deepcopy(twin)
+            assert _result_or_error(lambda: change(mine) or mine) == _result_or_error(
+                lambda: change(theirs) or theirs
+            )
+    for clone in [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]:
+        assert type(clone) is cls
+        assert clone == record and repr(clone) == repr(record)
+        assert [type(getattr(clone, name)) for name in cls.__match_args__] == types
+    assert matched(record) == fields
+
+
+_SPEC_FACTOR = (LinearParam(1, -2), IndexLaw(0, 1, 1))
+_IDENTITY = IdentityResult(IdentityId.A9, {"m": 2}, F(1), F(2))
+# Per record: arguments of instances, which are compared with one another too, and
+# arguments that each constructor refuses.
+_RECORDS = {
+    LinearParam: (
+        [(F(1, 2), -2), (1, 1), (Dual(1, 2), 3)],
+        [(), (1,), (1, 2, 3)],
+    ),
+    IndexLaw: (
+        [(0, 1, 1), (2, 0, 3), (0, 1, 1)],
+        [(), (0, 1), (0, 1, 1, 1), (-1, 0, 0), (1.5, 0, 0), (True, 0, 0), (0, 0, "1")],
+    ),
+    HyperTermSpec: (
+        [("s", (_SPEC_FACTOR,), [_SPEC_FACTOR]), ("t",), ("u", [], (), {"delta": F(1, 3)})],
+        [(), ("s", 5), ("s", [(1, 2)]), ("", (), [LinearParam(1, 1)]), ("s", (), (), {}, 1)],
+    ),
+    ExpansionTable: (
+        [({(0, 0, 0): F(1)}, 0, 0), ({}, 2, 3, "total_degree"), ({(0, 0, 0): F(1)}, 0, 0)],
+        [(), ({},), ([], 0, 0), ({}, -1, 0), ({}, 0, 0.5), ({}, 0, 0, "x")],
+    ),
+    PFTerm: (
+        [(F(1), F(2), F(1)), (F(3), Dual(1, 1), F(-1))],
+        [(), (1, 2), (1, 2, 3, 4)],
+    ),
+    PartialFractionForm: (
+        [(F(0), (PFTerm(1, 1, 1),)), (F(1), (), F(3)), (F(1), (), F(1)), (F(1), ())],
+        [(), (1,), (1, (), 1, 1)],
+    ),
+    SpecOptions: ([(), (3, 5, "lattice"), (None, None, None)], [(1, 2, 3, 4)]),
+    IdentityResult: (
+        [(IdentityId.A9, {"m": 2}, F(1), F(2)), (IdentityId.A5, {}, F(0), F(0))],
+        [(), (IdentityId.A9, {}, 1)],
+    ),
+    GenFunResult: (
+        [(GenFunId.a7, {"k": 0}, 12, False, 2), (GenFunId.A18, {}, 12, True, None)],
+        [(), (GenFunId.a7, {}, 12, False)],
+    ),
+    CheckSummary: (
+        [("A9", 2, ()), ("A9", 1, (_IDENTITY,)), ("A9", 2, ())],
+        [(), ("A9", 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", _RECORDS, ids=[cls.__name__ for cls in _RECORDS])
+def test_record_behaves_like_its_dataclass_twin(cls):
+    twin_cls = getattr(_Twin, cls.__name__)
+    made, refused = _RECORDS[cls]
+    assert cls.__match_args__ == twin_cls.__match_args__
+    assert not dataclasses.is_dataclass(cls)
+    # The signatures agree, but for the default of HyperTermSpec's extra_params:
+    # None, which makes a fresh {}, where the dataclass shows its factory.
+    mine = dict(inspect.signature(cls).parameters)
+    theirs = dict(inspect.signature(twin_cls).parameters)
+    if cls is HyperTermSpec:
+        assert (mine.pop("extra_params").default, cls("s").extra_params) == (None, {})
+        theirs.pop("extra_params")
+    assert mine == theirs
+    for args in refused:
+        assert _result_or_error(lambda: cls(*args)) == _result_or_error(lambda: twin_cls(*args))
+    kwargs = {"bogus": 1}
+    assert _result_or_error(lambda: cls(**kwargs)) == _result_or_error(lambda: twin_cls(**kwargs))
+    pairs = [(cls(*args), twin_cls(*args)) for args in made]
+    for record, twin in pairs:
+        _assert_record_behaves_like_its_twin(record, twin)
+    for (x, tx), (y, ty) in itertools.product(pairs, repeat=2):
+        assert (x == y, x != y) == (tx == ty, tx != ty)
 
 
 # -- normalized derivatives of (alpha)_m ------------------------------------------
