@@ -108,13 +108,12 @@ class IndexLaw(_Record):
 
 class HyperTermSpec(_Record):
     """General term of a double series (see module docstring): numer and denom are
-    kept as tuples, and extra_params defaults to a fresh {}.  A denominator that
-    vanishes at eps = 0 on some lattice point makes `expand_general` raise PoleError.
+    kept as tuples.  A parameter such as delta lives in the LinearParam constants.  A
+    denominator that vanishes at eps = 0 on some lattice point makes `expand_general`
+    raise PoleError.
     """
 
-    def __init__(
-        self, name: str, numer: tuple = (), denom: tuple = (), extra_params: dict | None = None
-    ):
+    def __init__(self, name: str, numer: tuple = (), denom: tuple = ()):
         sides = []
         for side, given in (("numer", numer), ("denom", denom)):
             factors = tuple(_iterable("HyperTermSpec", given, f"{side} factors"))
@@ -130,7 +129,7 @@ class HyperTermSpec(_Record):
                         f"(LinearParam, IndexLaw) pair: {factor!r}"
                     )
             sides.append(factors)
-        self._store(name, *sides, {} if extra_params is None else extra_params)
+        self._store(name, *sides)
 
 
 class ExpansionTable(_Record, frozen=False):
@@ -296,12 +295,11 @@ def _f1_to_f4_spec(name, a, b, c, d):
 
 
 def _f6_f7_spec(name, s):
-    """The engine spec builder of F6 (s = -1) or F7 (s = 1), which records delta."""
+    """The engine spec builder of F6 (s = -1) or F7 (s = 1), delta in its constants."""
     return lambda d: HyperTermSpec(
         name,
         numer=[(_LP(1 + d, 0), _LAW_SUM), (_LP(1 + d, s), _LAW_SUM), (_LP(1, 0), _LAW_M1)],
         denom=[(_LP(1 + d, 0), _LAW_M1), (_LP(1, s), _LAW_M1), (_LP(1 + d, 1), _LAW_M2)],
-        extra_params={"delta": d},
     )
 
 

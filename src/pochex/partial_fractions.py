@@ -48,21 +48,21 @@ class PartialFractionForm(_Record):
     def __init__(self, constant: Fraction, terms: tuple, scalar: Fraction = _ONE):
         self._store(constant, terms, scalar)
 
-    def render(self) -> str:
+    def __str__(self):
         """Human-readable sum, e.g. `2/(1+eps) - 3/(2+eps)`."""
         pieces: list[str] = []
         if self.constant != 0 or not self.terms:
             pieces.append((str(self.constant), False))
         for t in self.terms:
             c = t.coefficient
-            # A Dual has no sign: it is printed whole, after " + ".
+            # A Dual has no sign: a Dual coefficient or slope is printed whole, after "+".
             negative = not isinstance(c, Dual) and c < 0
             c = -c if negative else c
             if t.pole_slope == 1:
                 slope_txt = "+eps"
             elif t.pole_slope == -1:
                 slope_txt = "-eps"
-            elif t.pole_slope < 0:
+            elif not isinstance(t.pole_slope, Dual) and t.pole_slope < 0:
                 slope_txt = f"-{-t.pole_slope}*eps"
             else:
                 slope_txt = f"+{t.pole_slope}*eps"
@@ -76,9 +76,6 @@ class PartialFractionForm(_Record):
         if self.scalar != 1:
             return f"{self.scalar}*({text})"
         return text
-
-    def __str__(self):
-        return self.render()
 
 
 def _factors(side) -> list:

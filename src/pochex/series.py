@@ -36,7 +36,6 @@ from .duals import Dual
 from .errors import DomainError, ParseError, ZeroSeries
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(?:/[0-9]+)?$")
 # The most digits `parse_rational` reads in `p` or `q`: Python's default
@@ -314,9 +313,6 @@ class EpsSeries:
         i = self._lead_index()
         return self._min + i if self._coeffs[i] else None
 
-    def is_zero(self) -> bool:
-        return self.leading_exponent() is None
-
     # -- basic reshaping ---------------------------------------------------
 
     def truncated(self, new_max: int) -> "EpsSeries":
@@ -405,18 +401,6 @@ class EpsSeries:
                 terms.append(f"{c}*eps^{e}")
         body = " + ".join(terms) if terms else "0"
         return f"EpsSeries({body} + O(eps^{self.max_exponent + 1}))"
-
-    # -- constructors --------------------------------------------------------
-
-    @staticmethod
-    def constant(value, order: int = 0) -> "EpsSeries":
-        _count("EpsSeries.constant", order=order)
-        return EpsSeries([_coerce(value)] + [_ZERO] * order, 0)
-
-    @staticmethod
-    def one(order: int = 0) -> "EpsSeries":
-        _count("EpsSeries.one", order=order)
-        return EpsSeries.constant(_ONE, order)
 
 
 def polynomial_series(coefficients: Iterable, order: int) -> EpsSeries:

@@ -9,8 +9,6 @@ Series spec files drive `expand --spec`:
     [denominator]
     poch = 1 -1 : 0 1 0
     poch = 1 -1 : 0 0 1
-    [params]
-    delta = 1/3
     [options]
     eps_order = 3
     degree_bound = 5
@@ -18,9 +16,9 @@ Series spec files drive `expand --spec`:
 
 Each `poch` line is `<constant> <slope> : <c0> <c1> <c2>` — a rising factorial
 with a linear-in-eps argument and an affine-in-(m1, m2) length.  Rationals use
-`p/q` syntax.  `#` starts a comment; blank lines are skipped.  Quotient files
-for `pf --spec` use a two-section subset where each `poch` line is
-`<constant> <slope> : <length>`.
+`p/q` syntax.  `#` starts a comment; blank lines are skipped.  A parameter such
+as delta is written into the constants.  Quotient files for `pf --spec` use a
+two-section subset where each `poch` line is `<constant> <slope> : <length>`.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .hyper_expand import HyperTermSpec, IndexLaw
 from .pochhammer import LinearParam
 from .series import _Record, _typed, parse_rational
 
-_SECTIONS = ("function", "numerator", "denominator", "params", "options")
+_SECTIONS = ("function", "numerator", "denominator", "options")
 _OPTION_KEYS = ("eps_order", "degree_bound", "regroup")
 
 
@@ -109,7 +107,7 @@ def _split_key_value(line: str, lineno: int):
 
 
 def _scan(text: str) -> SimpleNamespace:
-    raw = SimpleNamespace(name=None, numer=[], denom=[], params={}, options=SpecOptions())
+    raw = SimpleNamespace(name=None, numer=[], denom=[], options=SpecOptions())
     section = None
     seen = set()
     for lineno, line in _logical_lines(text):
@@ -141,10 +139,6 @@ def _scan(text: str) -> SimpleNamespace:
                 raise ParseError(f"line {lineno}: [{section}] only takes 'poch' lines")
             target = raw.numer if section == "numerator" else raw.denom
             target.append(_parse_poch_line(value, lineno))
-        elif section == "params":
-            if key in raw.params:
-                raise ParseError(f"line {lineno}: duplicate parameter {key!r}")
-            raw.params[key] = _parse_rational_at(value, lineno)
         else:  # options
             if key not in _OPTION_KEYS:
                 raise ParseError(
@@ -177,10 +171,7 @@ def parse_spec_text(text: str):
     denom = tuple(
         (param, _law_from_tokens(tokens, lineno)) for param, tokens, lineno in raw.denom
     )
-    spec = HyperTermSpec(
-        raw.name or "spec", numer=numer, denom=denom, extra_params=dict(raw.params)
-    )
-    return spec, raw.options
+    return HyperTermSpec(raw.name or "spec", numer=numer, denom=denom), raw.options
 
 
 def parse_quotient_text(text: str):
@@ -190,8 +181,6 @@ def parse_quotient_text(text: str):
     """
     _typed("parse_quotient_text", str, text=text)
     raw = _scan(text)
-    if raw.params:
-        raise ParseError("[params] is not used in quotient files")
     if raw.options != SpecOptions():
         raise ParseError("[options] is not used in quotient files")
 

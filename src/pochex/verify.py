@@ -120,21 +120,10 @@ class IdentityResult(_Record):
     def __init__(self, identity: IdentityId, params: dict, lhs: Fraction, rhs: Fraction):
         self._store(identity, params, lhs, rhs)
 
-    @property
-    def equal(self) -> bool:
-        return self.lhs == self.rhs
-
 
 class GenFunResult(_Record):
-    def __init__(
-        self,
-        identity: GenFunId,
-        params: dict,
-        order: int,
-        equal_to_order: bool,
-        first_discrepancy: int | None,
-    ):
-        self._store(identity, params, order, equal_to_order, first_discrepancy)
+    def __init__(self, identity: GenFunId, params: dict, order: int, first_discrepancy: int):
+        self._store(identity, params, order, first_discrepancy)
 
 
 def _sign(exponent: int) -> int:
@@ -505,7 +494,7 @@ def _geometric_minus(order: int) -> EpsSeries:
 def _log1p_power(k: int, order: int) -> EpsSeries:
     # log(1+z)**k, known at least through z**order, by k plain products.
     log1p = EpsSeries([_F(0)] + [_F(_sign(n - 1), n) for n in range(1, order + 1)])
-    power = EpsSeries.one(order)
+    power = polynomial_series([1], order)
     for _ in range(k):
         power = power * log1p
     return power
@@ -824,7 +813,7 @@ def run_relation(token, grid=None) -> CheckSummary:
             sides = evaluate(_GENFUN_ORDER, _Point(f"{at} {i}", params, calls))
             first = _first_discrepancy(*sides)
             if first is not None:
-                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, False, first))
+                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, first))
     return CheckSummary(relation.value, len(grid), tuple(failures))
 
 

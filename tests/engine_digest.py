@@ -1,5 +1,5 @@
-"""Print two sha256 lines, over the engine's output and over the public records,
-for comparing Python versions.
+"""Print three sha256 lines, over the engine's output, over the public records and
+over a sweep of the library's calls, for comparing Python versions.
 
 The first digest covers the csv tables of `expand_general` on the engine specs
 of F1 (K=6, D=18), F5 (K=6, D=30) and F6 at delta = 1/3 (K=6, D=18), and the
@@ -7,8 +7,10 @@ type name and repr of every entry of `delta_dual_expand` on dF7 (K=4, D=10), in
 key order.  The second covers one instance of each public record: its repr, its
 `==` with a copy rebuilt from its fields, whether it hashes as the tuple of its
 fields (or the type of error that hashing raises), its pickle round trip and a
-class pattern that binds every field.  Standard library only; it imports pochex
-from the checkout's src/:
+class pattern that binds every field.  The third covers each call of `sweep()`
+with its arguments and its result's type name and repr (an `EpsSeries` also with
+the type of each coefficient), or its `PochexError`'s type and message.  Standard
+library only; it imports pochex from the checkout's src/:
 
     python3 tests/engine_digest.py
 """
@@ -21,6 +23,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from pochex.duals import Dual  # noqa: E402
+from pochex.errors import PochexError  # noqa: E402
 from pochex.hyper_expand import (  # noqa: E402
     closed_engine_spec,
     delta_dual_expand,
@@ -28,8 +32,23 @@ from pochex.hyper_expand import (  # noqa: E402
     expand_closed,
     expand_general,
 )
-from pochex.partial_fractions import PochProductQuotient, decompose_multi  # noqa: E402
-from pochex.pochhammer import LinearParam  # noqa: E402
+from pochex.partial_fractions import (  # noqa: E402
+    PochProductQuotient,
+    decompose_multi,
+    pf_derivative,
+    quotient_deriv,
+)
+from pochex.pochhammer import (  # noqa: E402
+    LinearParam,
+    PochMethod,
+    RecipMethod,
+    poch_deriv,
+    poch_eps_series,
+    pochhammer,
+    recip_poch_deriv,
+    recip_poch_laurent,
+)
+from pochex.series import EpsSeries  # noqa: E402
 from pochex.specfile import parse_spec_text  # noqa: E402
 from pochex.verify import (  # noqa: E402
     CheckSummary,
@@ -48,8 +67,6 @@ name = mine
 poch = 1 -2 : 0 1 1
 [denominator]
 poch = 1/2 -1 : 1 1 0
-[params]
-delta = 1/3
 [options]
 eps_order = 2
 regroup = total
@@ -75,7 +92,7 @@ def records() -> list:
     quotient = PochProductQuotient([(LinearParam(3, 0), 1)], [(LinearParam(1, 1), 2)])
     form = decompose_multi(quotient)
     identity = IdentityResult(IdentityId.A9, {"m": 2}, Fraction(1), Fraction(2, 3))
-    genfun = GenFunResult(GenFunId.a7, {"k": 0}, 12, False, 2)
+    genfun = GenFunResult(GenFunId.a7, {"k": 0}, 12, 2)
     return [
         param, law, spec, expand_closed("F1", 1, 2), form.terms[0], form, options,
         identity, genfun, CheckSummary("A9", 2, (identity, genfun)),
@@ -115,6 +132,104 @@ def record_digest() -> str:
     return h.hexdigest()
 
 
+F, LP = Fraction, LinearParam
+SCALARS = (F(0), F(1, 3), F(-5, 2), F(7, 4), -1, -3, Dual(F(1, 3), 1), Dual(-2, F(1, 2)))
+SLOPES = (F(1), F(-1, 2), F(0), Dual(1, 1))
+QUOTIENTS = (
+    ([(LP(1, 1), 2)], [(LP(2, 1), 1), (LP(F(1, 2), -1), 3)]),
+    ([(LP(3, 0), 1)], [(LP(1, 1), 2)]),
+    ([], [(LP(F(1, 3), 2), 3)]),
+    ([(LP(1, -1), 2)], [(LP(1, 2), 1), (LP(F(-3, 2), 1), 2)]),
+    ([(LP(Dual(F(1, 3), 1), 1), 1)], [(LP(1, 1), 2)]),
+    ([(LP(1, Dual(1, 1)), 1)], [(LP(1, 1), 2)]),
+    ([], [(LP(1, 1), 2), (LP(2, 1), 1)]),
+    ([(LP(1, 1), 3)], [(LP(1, 2), 2)]),
+    ([], [(LP(Dual(1, 1), 1), 2)]),
+    ([], [(LP(-1, 0), 2)]),
+)
+
+
+def shown(result) -> str:
+    text = f"{type(result).__name__} {result!r}"
+    if isinstance(result, EpsSeries):
+        text += " " + " ".join(type(c).__name__ for c in result.coefficients)
+    return text
+
+
+def outcome(call, *args) -> str:
+    """`call(*args)` as its result, or as the PochexError it raises."""
+    try:
+        return shown(call(*args))
+    except PochexError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def sweep():
+    """Yield (name, arguments, outcome) for each public call of the sweep."""
+    for alpha in SCALARS:
+        for m in range(9):
+            yield "pochhammer", (alpha, m), outcome(pochhammer, alpha, m)
+            for k in range(m + 2):
+                for method in PochMethod:
+                    yield "poch_deriv", (alpha, m, k, method.value), outcome(
+                        poch_deriv, alpha, m, k, method
+                    )
+                for method in RecipMethod:
+                    yield "recip_poch_deriv", (alpha, m, k, method.value), outcome(
+                        recip_poch_deriv, alpha, m, k, method
+                    )
+    for constant in (F(1, 3), -2, 1, Dual(F(1, 3), 1)):
+        for slope in SLOPES:
+            for m in range(7):
+                for order in (-1, 0, 2, 4):
+                    param = LP(constant, slope)
+                    yield "poch_eps_series", (param, m, order), outcome(
+                        poch_eps_series, param, m, order
+                    )
+    for n in range(4):
+        for b in (*SLOPES, F(2, 3)):
+            for m in range(6):
+                for order in range(4):
+                    yield "recip_poch_laurent", (n, b, m, order), outcome(
+                        recip_poch_laurent, n, b, m, order
+                    )
+    for index, (numer, denom) in enumerate(QUOTIENTS):
+        try:
+            form = decompose_multi(PochProductQuotient(numer, denom))
+        except PochexError as exc:
+            yield "decompose_multi", (index,), f"{type(exc).__name__}: {exc}"
+            continue
+        yield "decompose_multi", (index,), shown(form)
+        yield "str", (index,), str(form)
+        for k in range(4):
+            for at_eps in (0, F(1, 5), -1, F(1, 2), Dual(0, 1)):
+                yield "pf_derivative", (index, k, at_eps), outcome(
+                    pf_derivative, form, k, at_eps
+                )
+    for num in (LP(1, 1), LP(F(1, 3), -2), LP(Dual(F(1, 2), 1), 1)):
+        for den in (LP(2, 1), LP(F(1, 2), -1), LP(3, 0), LP(-1, 0)):
+            for m in range(4):
+                for n in range(4):
+                    for k in (0, 2):
+                        for at_eps in (0, F(1, 7)):
+                            yield "quotient_deriv", (num, m, den, n, k, at_eps), outcome(
+                                quotient_deriv, num, m, den, n, k, at_eps
+                            )
+    for name in ("F6", "F7"):
+        spec = closed_engine_spec(name, Dual(F(1, 3), 1))
+        entries = expand_general(spec, 3, 6).entries
+        for key in sorted(entries):
+            yield "expand_general", (name, key), shown(entries[key])
+
+
+def library_digest() -> str:
+    h = hashlib.sha256()
+    for name, args, result in sweep():
+        h.update(f"{name}{args!r} -> {result}\n".encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     print(digest())
     print(record_digest())
+    print(library_digest())

@@ -41,8 +41,6 @@ VALID = {
     "nested_ones_S": dict(m=3, k=1),
     "binomial": dict(top=3, k=2),
     "polynomial_series": dict(coefficients=[1, 2], order=2),
-    "EpsSeries.constant": dict(value=1, order=2),
-    "EpsSeries.one": dict(order=2),
     "pf_derivative": dict(form=_FORM, k=1, at_eps=0),
     "quotient_deriv": dict(num=LinearParam(1, 1), m=1, den=LinearParam(2, 1), n=2, k=1, at_eps=0),
     "IndexLaw": dict(c0=0, c1=1, c2=1),
@@ -69,8 +67,6 @@ COUNTS = {
     "nested_ones_S": ["m", "k"],
     "binomial": ["k"],
     "polynomial_series": ["order"],
-    "EpsSeries.constant": ["order"],
-    "EpsSeries.one": ["order"],
     "pf_derivative": ["k"],
     "quotient_deriv": ["m", "n", "k"],
     "IndexLaw": ["c0", "c1", "c2"],
@@ -88,7 +84,6 @@ SCALARS = {
     "recip_poch_laurent": {"b": False},
     "gen_bernoulli_poly": {"x": True},
     "binomial": {"top": True},
-    "EpsSeries.constant": {"value": False},
     "pf_derivative": {"at_eps": False},
     "quotient_deriv": {"at_eps": False},
     "closed_engine_spec": {"delta": False},

@@ -9,7 +9,6 @@ import re
 import shlex
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +21,7 @@ from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import LinearParam, PochMethod, RecipMethod, poch_eps_series
 from pochex.series import EpsSeries, series_invert
 from pochex.verify import GenFunId, IdentityId
+from test_readme import README, README_FILES
 
 
 def run(capsys, *argv):
@@ -622,14 +622,8 @@ def test_argv_fuzz_exits_cleanly(argv):
 
 # -- golden gate: the bytes of every documented line, help page and refusal --------------
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 # Every `pochex ...` line of the README's code blocks, without its comment.
 README_LINES = re.findall(r"^pochex (.+?)(?:\s+#.*)?$", README, re.MULTILINE)
-# The README's example files, which its `--spec` lines read from the working directory.
-README_FILES = {
-    name: re.search(rf"^```\n({head}.*?)```", README, re.M | re.S)[1]
-    for name, head in [("myseries.spec", r"\[function\]\n"), ("quotient.txt", r"\[numerator\]\n")]
-}
 # Spec files read by the refusals below, by name; `nope.txt` does not exist.
 BIG = b"7" * 5000
 REFUSED_FILES = {

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import random
 import re
 import shutil
@@ -47,7 +48,7 @@ from pochex.pochhammer import (
     poch_eps_series,
     pochhammer,
 )
-from pochex.series import EpsSeries, _entries, series_invert
+from pochex.series import EpsSeries, _entries, polynomial_series, series_invert
 
 
 # -- index laws and specs -----------------------------------------------------
@@ -155,10 +156,10 @@ def _per_point_reference(spec, eps_order, degree_bound):
                 value = pochhammer(param.constant, law(m1, m2))
                 if (value.val if isinstance(value, Dual) else value) == 0:
                     return ("PoleError", (m1, m2), idx)
-            num = EpsSeries.one(eps_order)
+            num = polynomial_series([1], eps_order)
             for param, law in spec.numer:
                 num = num * poch_eps_series(param, law(m1, m2), eps_order)
-            den = EpsSeries.one(eps_order)
+            den = polynomial_series([1], eps_order)
             for param, law in spec.denom:
                 den = den * poch_eps_series(param, law(m1, m2), eps_order)
             term = (num * series_invert(den)).scaled(
@@ -550,31 +551,45 @@ def test_closed_tables_keep_their_digest():
 
 
 # `engine_digest.py` over three engine tables and the dF7 delta-parts, with entry
-# types, then over one instance of each public record (see the script).
-# requires-python says >=3.10.7, so every such Python on PATH must print the
-# same digests.
+# types, then over one instance of each public record, then over a sweep of the
+# library's calls (see the script).  requires-python says >=3.10.7, so every such
+# Python found must print the same digests.
 _ENGINE_DIGEST = "c116219f4b9e568d14ace1ca1acfae651100aa5a7d1bbf13b2d75f87d66332e6"
-_RECORD_DIGEST = "fc7bbd654389f4a2fde6e0cca45273824cd6fe065a203c660aee86bbc226e16f"
+_RECORD_DIGEST = "839b5a345928ecdaf230130461e831ddf68f15d809b1a20a517111e80fa33f2d"
+_LIBRARY_DIGEST = "773fc03eee3ecc1054cefb91fabceb3b73b78d908a897b1e74fc695da89fd7cb"
 
 
 def _starts(python):
-    # An interpreter counts as present when it is on PATH and runs `pass`.
+    # An interpreter counts as present when it is found and runs `pass`.
     if shutil.which(python) is None:
         return False
     done = subprocess.run([python, "-c", "pass"], capture_output=True, timeout=60)
     return done.returncode == 0
 
 
+def _interpreter(version):
+    # The `python3.X` on PATH if it starts (a pyenv shim may not), else the first
+    # $PYENV_ROOT/versions/3.X.*/bin/python3 that starts, oldest first; None if none.
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    installed = sorted(
+        root.glob(f"versions/{version}.*/bin/python3"),
+        key=lambda path: [int(n) for n in re.findall(r"\d+", path.parts[-3])],
+    )
+    return next(
+        (python for python in [f"python{version}", *map(str, installed)] if _starts(python)),
+        None,
+    )
+
+
 def test_engine_digest_is_the_same_on_every_interpreter():
-    # An interpreter that is absent or does not start is skipped.
+    # A version with no interpreter that starts is skipped.
     script = Path(__file__).with_name("engine_digest.py")
-    for python in [sys.executable, "python3.10", "python3.12", "python3.13"]:
-        if python != sys.executable and not _starts(python):
-            continue
+    others = [_interpreter(version) for version in ("3.10", "3.12", "3.13")]
+    for python in [sys.executable, *filter(None, others)]:
         done = subprocess.run(
             [python, str(script)], capture_output=True, text=True, timeout=120, check=True
         )
-        assert done.stdout == f"{_ENGINE_DIGEST}\n{_RECORD_DIGEST}\n", python
+        assert done.stdout == f"{_ENGINE_DIGEST}\n{_RECORD_DIGEST}\n{_LIBRARY_DIGEST}\n", python
 
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):

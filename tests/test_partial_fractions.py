@@ -40,14 +40,14 @@ def decompose_single(num, m, den, n):
 def test_single_reciprocal_rising_factorial():
     form = decompose_single(LinearParam(1, -1), 1, LinearParam(1, 1), 2)
     assert form.constant == 0
-    assert form.render() == "2/(1+eps) - 3/(2+eps)"
+    assert str(form) == "2/(1+eps) - 3/(2+eps)"
 
 
 def test_single_equal_degrees_has_constant():
     form = decompose_single(LinearParam(1, 2), 1, LinearParam(1, 1), 1)
     assert form.constant == 2
     assert form.terms == (PFTerm(F(-1), F(1), F(1)),)
-    assert form.render() == "2 - 1/(1+eps)"
+    assert str(form) == "2 - 1/(1+eps)"
 
 
 def test_single_matches_direct_evaluation():
@@ -62,7 +62,7 @@ def test_single_zero_slope_numerator_becomes_scalar():
     # (3)_2 = 12 carries no eps-dependence, so it is the form's scalar prefactor
     form = decompose_single(LinearParam(3, 0), 2, LinearParam(1, 1), 2)
     assert form.scalar == 12
-    assert form.render() == "12*(1/(1+eps) - 1/(2+eps))"
+    assert str(form) == "12*(1/(1+eps) - 1/(2+eps))"
 
 
 def test_single_rejects_excess_degree():
@@ -290,26 +290,26 @@ def test_render_scalar_prefactor_and_negative_slopes():
         (PFTerm(F(1, 2), F(3), F(-1)), PFTerm(F(-2), F(1), F(-2))),
         scalar=F(5),
     )
-    assert form.render() == "5*(1/2/(3-eps) - 2/(1-2*eps))"
+    assert str(form) == "5*(1/2/(3-eps) - 2/(1-2*eps))"
 
 
 def test_render_positive_slopes_other_than_one():
     # A positive slope other than 1, whole or fractional, is printed as +s*eps.
     form = PartialFractionForm(F(0), (PFTerm(F(1), F(2), F(3)), PFTerm(F(-1, 2), F(1), F(1, 2))))
-    assert form.render() == "1/(2+3*eps) - 1/2/(1+1/2*eps)"
+    assert str(form) == "1/(2+3*eps) - 1/2/(1+1/2*eps)"
     form = decompose_multi(PochProductQuotient([], [(LinearParam(1, 3), 1)]))
-    assert form.render() == "1/(1+3*eps)"
+    assert str(form) == "1/(1+3*eps)"
 
 
 def test_render_zero_coefficient_is_added():
     # A zero coefficient has no sign: it is printed after " + ".
     form = PartialFractionForm(F(0), (PFTerm(F(1), F(2), F(1)), PFTerm(F(0), F(3), F(1))))
-    assert form.render() == "1/(2+eps) + 0/(3+eps)"
-    assert PartialFractionForm(F(1), (PFTerm(F(0), F(1), F(-1)),)).render() == "1 + 0/(1-eps)"
+    assert str(form) == "1/(2+eps) + 0/(3+eps)"
+    assert str(PartialFractionForm(F(1), (PFTerm(F(0), F(1), F(-1)),))) == "1 + 0/(1-eps)"
 
 
 def test_render_constant_only():
-    assert PartialFractionForm(F(7), ()).render() == "7"
+    assert str(PartialFractionForm(F(7), ())) == "7"
     assert str(PartialFractionForm(F(0), ())) == "0"
 
 
@@ -345,3 +345,11 @@ def test_render_prints_a_dual_coefficient_whole():
         PochProductQuotient([(LinearParam(Dual(1, 1), 1), 1)], [(LinearParam(2, 1), 1), (LinearParam(3, 1), 1)])
     )
     assert str(form) == "Dual(-1, 1)/(2+eps) + Dual(2, -1)/(3+eps)"
+
+
+def test_render_prints_a_dual_slope_whole():
+    # A Dual slope has no sign either: it is printed whole, after "+".
+    form = PartialFractionForm(F(0), (PFTerm(F(1), F(1), Dual(1, 1)),))
+    assert str(form) == "1/(1+Dual(1, 1)*eps)"
+    form = PartialFractionForm(F(2), (PFTerm(F(-3), F(1, 2), Dual(-1, 2)),))
+    assert str(form) == "2 - 3/(1/2+Dual(-1, 2)*eps)"

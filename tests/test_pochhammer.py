@@ -165,7 +165,6 @@ class _Twin:
         name: "str"
         numer: "tuple" = ()
         denom: "tuple" = ()
-        extra_params: "dict" = dataclasses.field(default_factory=dict)
 
         def __post_init__(self):
             for side in ("numer", "denom"):
@@ -230,8 +229,7 @@ class _Twin:
         identity: "GenFunId"
         params: "dict"
         order: "int"
-        equal_to_order: "bool"
-        first_discrepancy: "int | None"
+        first_discrepancy: "int"
 
     @dataclasses.dataclass(frozen=True)
     class CheckSummary:
@@ -329,8 +327,8 @@ _RECORDS = {
         [(), (0, 1), (0, 1, 1, 1), (-1, 0, 0), (1.5, 0, 0), (True, 0, 0), (0, 0, "1")],
     ),
     HyperTermSpec: (
-        [("s", (_SPEC_FACTOR,), [_SPEC_FACTOR]), ("t",), ("u", [], (), {"delta": F(1, 3)})],
-        [(), ("s", 5), ("s", [(1, 2)]), ("", (), [LinearParam(1, 1)]), ("s", (), (), {}, 1)],
+        [("s", (_SPEC_FACTOR,), [_SPEC_FACTOR]), ("t",), ("u", [], ())],
+        [(), ("s", 5), ("s", [(1, 2)]), ("", (), [LinearParam(1, 1)]), ("s", (), (), 1)],
     ),
     ExpansionTable: (
         [({(0, 0, 0): F(1)}, 0, 0), ({}, 2, 3, "total_degree"), ({(0, 0, 0): F(1)}, 0, 0)],
@@ -350,8 +348,8 @@ _RECORDS = {
         [(), (IdentityId.A9, {}, 1)],
     ),
     GenFunResult: (
-        [(GenFunId.a7, {"k": 0}, 12, False, 2), (GenFunId.A18, {}, 12, True, None)],
-        [(), (GenFunId.a7, {}, 12, False)],
+        [(GenFunId.a7, {"k": 0}, 12, 2), (GenFunId.A18, {}, 12, 7)],
+        [(), (GenFunId.a7, {}, 12)],
     ),
     CheckSummary: (
         [("A9", 2, ()), ("A9", 1, (_IDENTITY,)), ("A9", 2, ())],
@@ -366,14 +364,7 @@ def test_record_behaves_like_its_dataclass_twin(cls):
     made, refused = _RECORDS[cls]
     assert cls.__match_args__ == twin_cls.__match_args__
     assert not dataclasses.is_dataclass(cls)
-    # The signatures agree, but for the default of HyperTermSpec's extra_params:
-    # None, which makes a fresh {}, where the dataclass shows its factory.
-    mine = dict(inspect.signature(cls).parameters)
-    theirs = dict(inspect.signature(twin_cls).parameters)
-    if cls is HyperTermSpec:
-        assert (mine.pop("extra_params").default, cls("s").extra_params) == (None, {})
-        theirs.pop("extra_params")
-    assert mine == theirs
+    assert inspect.signature(cls).parameters == inspect.signature(twin_cls).parameters
     for args in refused:
         assert _result_or_error(lambda: cls(*args)) == _result_or_error(lambda: twin_cls(*args))
     kwargs = {"bogus": 1}

@@ -44,13 +44,17 @@ def test_parsed_spec_expands_like_builtin():
     assert ours.entries == builtin.entries
 
 
+UNKNOWN_PARAMS = (
+    "unknown section [params]; expected one of function, numerator, denominator, options"
+)
+
+
 def test_params_and_options_sections():
+    # A parameter such as delta lives in the poch constants, so there is no
+    # [params] section: it is refused like any unknown section.
     text = """\
 [function]
 name = shifted   # trailing comment
-
-[params]
-delta = 1/3
 
 [options]
 eps_order = 4
@@ -58,8 +62,11 @@ degree_bound = 6
 regroup = total
 """
     spec, options = parse_spec_text(text)
-    assert spec.extra_params == {"delta": F(1, 3)}
+    assert spec.name == "shifted"
     assert options == SpecOptions(eps_order=4, degree_bound=6, regroup="total")
+    with pytest.raises(ParseError) as exc_info:
+        parse_spec_text(text.replace("[options]", "[params]\ndelta = 1/3\n[options]"))
+    assert str(exc_info.value) == f"line 4: {UNKNOWN_PARAMS}"
 
 
 def test_comments_and_blank_lines_skipped():
@@ -89,10 +96,10 @@ def test_missing_name_gets_default():
         ("[numerator]\npoch = 1 1 : 1 0\n", "line 2: expected three length coefficients"),
         ("[numerator]\npoch = 1 1 : 1 0 -1\n", "line 2: length coefficients must be nonnegative"),
         ("[numerator]\npoch = 1 1 : a 0 0\n", "line 2: length coefficient must be an integer"),
-        ("[params]\ndelta = 1/3\ndelta = 2\n", "line 3: duplicate parameter"),
-        ("[params]\ndelta 1/3\n", "line 2: expected 'key = value'"),
-        ("[params]\n1d = 1\n", "line 2: '1d' is not a valid key"),
-        ("[params]\ndelta =\n", "line 2: empty value"),
+        ("[params]\ndelta = 1/3\n", f"line 1: {UNKNOWN_PARAMS}"),
+        ("[function]\nname 1/3\n", "line 2: expected 'key = value'"),
+        ("[function]\n1key = 1\n", "line 2: '1key' is not a valid key"),
+        ("[function]\nname =\n", "line 2: empty value"),
         ("[options]\nspeed = 9\n", "line 2: unknown option"),
         ("[options]\neps_order = 2\neps_order = 3\n", "line 3: duplicate option"),
         ("[options]\neps_order = -1\n", "line 2: eps_order must be >= 0"),
@@ -104,6 +111,8 @@ def test_spec_errors_carry_line_numbers(text, fragment):
     with pytest.raises(ParseError) as exc_info:
         parse_spec_text(text)
     assert fragment in str(exc_info.value)
+    if "[params]" in text:
+        assert str(exc_info.value) == fragment
 
 
 # -- quotient files ----------------------------------------------------------------
@@ -140,7 +149,8 @@ def test_quotient_rejects_negative_length():
 
 
 def test_quotient_rejects_params_and_options():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc_info:
         parse_quotient_text("[params]\ndelta = 1\n")
+    assert str(exc_info.value) == f"line 1: {UNKNOWN_PARAMS}"
     with pytest.raises(ParseError):
         parse_quotient_text("[options]\neps_order = 1\n")
