@@ -132,7 +132,7 @@ class HyperTermSpec(_Record):
         self._store(name, *sides)
 
 
-class ExpansionTable(_Record, frozen=False):
+class ExpansionTable(_Record):
     """Exact coefficient table keyed (k, m1, m2) — or (k, m, n) after regrouping."""
 
     def __init__(

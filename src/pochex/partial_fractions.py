@@ -35,11 +35,18 @@ class PFTerm(_Record):
     @property
     def pole_location(self) -> Fraction:
         if self.pole_slope == 0:
-            raise DomainError(
-                f"term {self.coefficient}/({self.pole_constant}+0*eps) has pole slope 0, "
-                "so it has no pole"
-            )
+            raise DomainError(f"term {self} has pole slope 0, so it has no pole")
         return -self.pole_constant / self.pole_slope
+
+    def __str__(self):
+        """The term with its sign, e.g. `-5/2/(3/2-eps)`."""
+        s = self.pole_slope
+        if s == 1 or s == -1:
+            slope = "+eps" if s == 1 else "-eps"
+        else:
+            # A Dual has no sign: a Dual slope is printed whole, after "+".
+            slope = f"{s}*eps" if not isinstance(s, Dual) and s < 0 else f"+{s}*eps"
+        return f"{self.coefficient}/({self.pole_constant}{slope})"
 
 
 class PartialFractionForm(_Record):
@@ -50,29 +57,12 @@ class PartialFractionForm(_Record):
 
     def __str__(self):
         """Human-readable sum, e.g. `2/(1+eps) - 3/(2+eps)`."""
-        pieces: list[str] = []
-        if self.constant != 0 or not self.terms:
-            pieces.append((str(self.constant), False))
-        for t in self.terms:
-            c = t.coefficient
-            # A Dual has no sign: a Dual coefficient or slope is printed whole, after "+".
-            negative = not isinstance(c, Dual) and c < 0
-            c = -c if negative else c
-            if t.pole_slope == 1:
-                slope_txt = "+eps"
-            elif t.pole_slope == -1:
-                slope_txt = "-eps"
-            elif not isinstance(t.pole_slope, Dual) and t.pole_slope < 0:
-                slope_txt = f"-{-t.pole_slope}*eps"
-            else:
-                slope_txt = f"+{t.pole_slope}*eps"
-            pieces.append((f"{c}/({t.pole_constant}{slope_txt})", negative))
-        text = ""
-        for i, (piece, negative) in enumerate(pieces):
-            if i == 0:
-                text = ("-" if negative else "") + piece
-            else:
-                text += (" - " if negative else " + ") + piece
+        pieces = [str(self.constant)] if self.constant != 0 or not self.terms else []
+        pieces += map(str, self.terms)
+        # Only a term with a negative (so not a Dual) coefficient starts with "-".
+        text = pieces[0] + "".join(
+            f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in pieces[1:]
+        )
         if self.scalar != 1:
             return f"{self.scalar}*({text})"
         return text
@@ -208,8 +198,7 @@ def pf_derivative(form: PartialFractionForm, k: int, at_eps=0) -> Fraction:
         denominator = t.pole_constant + t.pole_slope * at_eps
         if _vanishing_shift(denominator, 1) is not None:  # a zero value part
             raise PoleError(
-                f"term {t.coefficient}/({t.pole_constant}+{t.pole_slope}*eps) "
-                f"has its pole at eps = {at_eps}",
+                f"term {t} has its pole at eps = {at_eps}",
                 index=i,
             )
         acc += (-t.pole_slope) ** k * t.coefficient / denominator ** (k + 1)

@@ -143,22 +143,19 @@ def _shared(calls: dict, build, *args):
 
 
 class _Record:
-    """The base of the public records, with the repr, `==`, hash, `__match_args__`
-    and refused assignment and deletion of a frozen dataclass, but no `dataclasses`.
+    """The base of the public records: each has the repr, `==`, hash and
+    `__match_args__` of a dataclass, refuses assignment to and deletion of its
+    fields, and uses no `dataclasses`.
 
     A record's fields are the parameters of its `__init__`, which checks them and
-    passes their values, in order, to `_store`.  `class Name(_Record, frozen=False)`
-    is mutable and, like a plain dataclass, unhashable.  Copies and pickles restore
-    the fields unchecked.
+    passes their values, in order, to `_store`, the one place a field is set.  A
+    record hashes as the tuple of its fields, so one holding a dict or a `Dual`
+    is unhashable.  Copies and pickles restore the fields unchecked.
     """
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
-        if not frozen:
-            cls.__hash__ = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def _store(self, *values) -> None:
         for name, value in zip(self.__match_args__, values, strict=True):

@@ -17,13 +17,13 @@ Series spec files drive `expand --spec`:
 Each `poch` line is `<constant> <slope> : <c0> <c1> <c2>` — a rising factorial
 with a linear-in-eps argument and an affine-in-(m1, m2) length.  Rationals use
 `p/q` syntax.  `#` starts a comment; blank lines are skipped.  A parameter such
-as delta is written into the constants.  Quotient files for `pf --spec` use a
-two-section subset where each `poch` line is `<constant> <slope> : <length>`.
+as delta is written into the constants.  Quotient files for `pf --spec` take
+only the first three sections, and each `poch` line is
+`<constant> <slope> : <length>`.  A file is read top to bottom in one pass, and
+its first error, with its line number, is the one raised.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 from .errors import ParseError
 from .hyper_expand import HyperTermSpec, IndexLaw
@@ -34,7 +34,7 @@ _SECTIONS = ("function", "numerator", "denominator", "options")
 _OPTION_KEYS = ("eps_order", "degree_bound", "regroup")
 
 
-class SpecOptions(_Record, frozen=False):
+class SpecOptions(_Record):
     """Optional [options] block: expansion depth and table keying."""
 
     def __init__(
@@ -67,7 +67,9 @@ def _parse_int_at(token: str, lineno: int, what: str):
         raise ParseError(f"line {lineno}: {what} must be an integer, got {token!r}") from None
 
 
-def _parse_poch_line(value: str, lineno: int):
+def _parse_poch_line(value: str, lineno: int, length):
+    """A `poch` line's (LinearParam, length), with `length(tokens, lineno)` the
+    parser of the tokens after ':'."""
     if ":" not in value:
         raise ParseError(f"line {lineno}: poch line needs ':' between argument and length")
     arg_part, len_part = value.split(":", 1)
@@ -78,7 +80,7 @@ def _parse_poch_line(value: str, lineno: int):
         )
     constant = _parse_rational_at(arg_tokens[0], lineno)
     slope = _parse_rational_at(arg_tokens[1], lineno)
-    return LinearParam(constant, slope), len_part.split(), lineno
+    return LinearParam(constant, slope), length(len_part.split(), lineno)
 
 
 def _law_from_tokens(tokens: list, lineno: int) -> IndexLaw:
@@ -90,6 +92,15 @@ def _law_from_tokens(tokens: list, lineno: int) -> IndexLaw:
     if min(c0, c1, c2) < 0:
         raise ParseError(f"line {lineno}: length coefficients must be nonnegative")
     return IndexLaw(c0, c1, c2)
+
+
+def _single_length(tokens: list, lineno: int) -> int:
+    if len(tokens) != 1:
+        raise ParseError(f"line {lineno}: quotient poch lines take a single length after ':'")
+    length = _parse_int_at(tokens[0], lineno, "length")
+    if length < 0:
+        raise ParseError(f"line {lineno}: length must be >= 0")
+    return length
 
 
 _IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -106,24 +117,27 @@ def _split_key_value(line: str, lineno: int):
     return key, value
 
 
-def _scan(text: str) -> SimpleNamespace:
-    raw = SimpleNamespace(name=None, numer=[], denom=[], options=SpecOptions())
+def _scan(text: str, sections: tuple, length) -> tuple:
+    """(name, numer, denom, options) of a file with the given `sections`: numer and
+    denom as tuples of (LinearParam, length(tokens, lineno)), options as a dict of
+    the keys set.  The first error, in line order, is the one raised."""
+    name, sides, options = None, {"numerator": [], "denominator": []}, {}
     section = None
     seen = set()
     for lineno, line in _logical_lines(text):
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ParseError(f"line {lineno}: unterminated section header {line!r}")
-            name = line[1:-1].strip()
-            if name not in _SECTIONS:
+            header = line[1:-1].strip()
+            if header not in sections:
                 raise ParseError(
-                    f"line {lineno}: unknown section [{name}]; "
-                    f"expected one of {', '.join(_SECTIONS)}"
+                    f"line {lineno}: unknown section [{header}]; "
+                    f"expected one of {', '.join(sections)}"
                 )
-            if name in seen:
-                raise ParseError(f"line {lineno}: duplicate section [{name}]")
-            seen.add(name)
-            section = name
+            if header in seen:
+                raise ParseError(f"line {lineno}: duplicate section [{header}]")
+            seen.add(header)
+            section = header
             continue
         if section is None:
             raise ParseError(f"line {lineno}: content before any section header")
@@ -131,47 +145,39 @@ def _scan(text: str) -> SimpleNamespace:
         if section == "function":
             if key != "name":
                 raise ParseError(f"line {lineno}: [function] only takes 'name'")
-            if raw.name is not None:
+            if name is not None:
                 raise ParseError(f"line {lineno}: duplicate name")
-            raw.name = value
-        elif section in ("numerator", "denominator"):
+            name = value
+        elif section in sides:
             if key != "poch":
                 raise ParseError(f"line {lineno}: [{section}] only takes 'poch' lines")
-            target = raw.numer if section == "numerator" else raw.denom
-            target.append(_parse_poch_line(value, lineno))
+            sides[section].append(_parse_poch_line(value, lineno, length))
         else:  # options
             if key not in _OPTION_KEYS:
                 raise ParseError(
                     f"line {lineno}: unknown option {key!r}; "
                     f"expected one of {', '.join(_OPTION_KEYS)}"
                 )
-            if getattr(raw.options, key) is not None:
+            if key in options:
                 raise ParseError(f"line {lineno}: duplicate option {key!r}")
             if key == "regroup":
                 if value not in ("lattice", "total"):
                     raise ParseError(
                         f"line {lineno}: regroup must be 'lattice' or 'total', got {value!r}"
                     )
-                raw.options.regroup = value
             else:
-                n = _parse_int_at(value, lineno, key)
-                if n < 0:
+                value = _parse_int_at(value, lineno, key)
+                if value < 0:
                     raise ParseError(f"line {lineno}: {key} must be >= 0")
-                setattr(raw.options, key, n)
-    return raw
+            options[key] = value
+    return name, tuple(sides["numerator"]), tuple(sides["denominator"]), options
 
 
 def parse_spec_text(text: str):
     """Parse a series spec file; returns (HyperTermSpec, SpecOptions)."""
     _typed("parse_spec_text", str, text=text)
-    raw = _scan(text)
-    numer = tuple(
-        (param, _law_from_tokens(tokens, lineno)) for param, tokens, lineno in raw.numer
-    )
-    denom = tuple(
-        (param, _law_from_tokens(tokens, lineno)) for param, tokens, lineno in raw.denom
-    )
-    return HyperTermSpec(raw.name or "spec", numer=numer, denom=denom), raw.options
+    name, numer, denom, options = _scan(text, _SECTIONS, _law_from_tokens)
+    return HyperTermSpec(name or "spec", numer=numer, denom=denom), SpecOptions(**options)
 
 
 def parse_quotient_text(text: str):
@@ -180,21 +186,5 @@ def parse_quotient_text(text: str):
     Returns (numer, denom) as tuples of (LinearParam, length).
     """
     _typed("parse_quotient_text", str, text=text)
-    raw = _scan(text)
-    if raw.options != SpecOptions():
-        raise ParseError("[options] is not used in quotient files")
-
-    def factors(entries):
-        out = []
-        for param, tokens, lineno in entries:
-            if len(tokens) != 1:
-                raise ParseError(
-                    f"line {lineno}: quotient poch lines take a single length after ':'"
-                )
-            length = _parse_int_at(tokens[0], lineno, "length")
-            if length < 0:
-                raise ParseError(f"line {lineno}: length must be >= 0")
-            out.append((param, length))
-        return tuple(out)
-
-    return factors(raw.numer), factors(raw.denom)
+    _, numer, denom, _ = _scan(text, _SECTIONS[:3], _single_length)
+    return numer, denom

@@ -13,6 +13,10 @@ the type of each coefficient), or its `PochexError`'s type and message.  Standar
 library only; it imports pochex from the checkout's src/:
 
     python3 tests/engine_digest.py
+
+With `--lines` it prints, in place of the three digests, each hashed line of the
+sweep, `name(args) -> outcome`, so that two checkouts' outcomes can be diffed
+when the third digest moves.
 """
 
 import hashlib
@@ -48,7 +52,7 @@ from pochex.pochhammer import (  # noqa: E402
     recip_poch_deriv,
     recip_poch_laurent,
 )
-from pochex.series import EpsSeries  # noqa: E402
+from pochex.series import EpsSeries, polynomial_series, series_invert  # noqa: E402
 from pochex.specfile import parse_spec_text  # noqa: E402
 from pochex.verify import (  # noqa: E402
     CheckSummary,
@@ -147,6 +151,18 @@ QUOTIENTS = (
     ([], [(LP(Dual(1, 1), 1), 2)]),
     ([], [(LP(-1, 0), 2)]),
 )
+# Coefficient runs of the series calls: rationals, with and without a zero lead,
+# nonzero Duals (one with a zero value part), a Dual(0, 0) inside and in the lead,
+# and all zeros.  Each is used at min exponents -1, 0 and 2.
+ROWS = (
+    (F(1, 3), F(-2), F(5, 4), F(1)),
+    (F(0), F(3, 2), F(-1, 5)),
+    (Dual(F(1, 2), 1), F(0), Dual(-1, F(1, 3))),
+    (Dual(0, 1), F(2), F(1, 7)),
+    (F(2), Dual(0, 0), F(-1, 2), Dual(F(1, 4), -2)),
+    (Dual(0, 0), F(1), F(0)),
+    (F(0), F(0)),
+)
 
 
 def shown(result) -> str:
@@ -165,7 +181,9 @@ def outcome(call, *args) -> str:
 
 
 def sweep():
-    """Yield (name, arguments, outcome) for each public call of the sweep."""
+    """Yield (name, arguments, outcome) for each public call of the sweep.  The
+    series calls name their operands by index: series i is the `EpsSeries` line
+    whose arguments start with i."""
     for alpha in SCALARS:
         for m in range(9):
             yield "pochhammer", (alpha, m), outcome(pochhammer, alpha, m)
@@ -220,16 +238,45 @@ def sweep():
         entries = expand_general(spec, 3, 6).entries
         for key in sorted(entries):
             yield "expand_general", (name, key), shown(entries[key])
+    windows = [(row, low) for row in ROWS for low in (-1, 0, 2)]
+    series = [EpsSeries(row, low) for row, low in windows]
+    for index, (row, low) in enumerate(windows):
+        yield "EpsSeries", (index, row, low), shown(series[index])
+    for i, a in enumerate(series):
+        for j, b in enumerate(series):
+            yield "mul", (i, j), outcome(a.__mul__, b)
+            yield "add", (i, j), outcome(a.__add__, b)
+            yield "eq", (i, j), outcome(a.__eq__, b)
+        yield "neg", (i,), outcome(a.__neg__)
+        yield "series_invert", (i,), outcome(series_invert, a)
+        for factor in (0, F(-3, 2), Dual(1, 1), Dual(0, 0)):
+            yield "scaled", (i, factor), outcome(a.scaled, factor)
+        for offset in (-2, 0, 3):
+            yield "shifted", (i, offset), outcome(a.shifted, offset)
+        for new_max in (-2, 0, 1, 4):
+            yield "truncated", (i, new_max), outcome(a.truncated, new_max)
+    for row in ROWS:
+        for order in (0, 2, 5):
+            yield "polynomial_series", (row, order), outcome(polynomial_series, row, order)
+
+
+def library_lines():
+    """The hashed line of each call of `sweep()`: `name(args) -> outcome`."""
+    for name, args, result in sweep():
+        yield f"{name}{args!r} -> {result}\n"
 
 
 def library_digest() -> str:
     h = hashlib.sha256()
-    for name, args, result in sweep():
-        h.update(f"{name}{args!r} -> {result}\n".encode())
+    for line in library_lines():
+        h.update(line.encode())
     return h.hexdigest()
 
 
 if __name__ == "__main__":
-    print(digest())
-    print(record_digest())
-    print(library_digest())
+    if sys.argv[1:] == ["--lines"]:
+        sys.stdout.writelines(library_lines())
+    else:
+        print(digest())
+        print(record_digest())
+        print(library_digest())

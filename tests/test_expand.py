@@ -555,8 +555,8 @@ def test_closed_tables_keep_their_digest():
 # library's calls (see the script).  requires-python says >=3.10.7, so every such
 # Python found must print the same digests.
 _ENGINE_DIGEST = "c116219f4b9e568d14ace1ca1acfae651100aa5a7d1bbf13b2d75f87d66332e6"
-_RECORD_DIGEST = "839b5a345928ecdaf230130461e831ddf68f15d809b1a20a517111e80fa33f2d"
-_LIBRARY_DIGEST = "773fc03eee3ecc1054cefb91fabceb3b73b78d908a897b1e74fc695da89fd7cb"
+_RECORD_DIGEST = "33662b72c35fa7d55337a4e672b3f246ae4d4f3ef66fe38c4e3eb73f8c7e944c"
+_LIBRARY_DIGEST = "3fa15fde51b3c18d9c6c9cb5de0eb5426de5dc65a9a51e87ab6133ebebaafbf0"
 
 
 def _starts(python):

@@ -97,6 +97,24 @@ def test_pf_derivative_at_pole_raises():
             pf_derivative(form, 1, at_eps=at_eps)
 
 
+@pytest.mark.parametrize(
+    "term, at_eps, printed",
+    [
+        (PFTerm(F(3, 4), F(1, 2), F(-1)), F(1, 2), "3/4/(1/2-eps)"),
+        (PFTerm(F(-5, 2), F(3, 2), F(-1)), F(3, 2), "-5/2/(3/2-eps)"),
+        (PFTerm(F(2), F(1), F(1)), F(-1), "2/(1+eps)"),
+        (PFTerm(F(1), F(1), F(-3, 2)), F(2, 3), "1/(1-3/2*eps)"),
+    ],
+)
+def test_pf_derivative_pole_names_the_term_as_str_prints_it(term, at_eps, printed):
+    # The message prints the term as str(term) and str(form) do, sign included.
+    form = PartialFractionForm(F(0), (term,))
+    assert str(term) == str(form) == printed
+    message = f"term {printed} has its pole at eps = {at_eps}"
+    with pytest.raises(PoleError, match=f"^{re.escape(message)}$"):
+        pf_derivative(form, 0, at_eps)
+
+
 def test_pf_derivative_rejects_negative_order():
     form = decompose_single(LinearParam(1, 1), 1, LinearParam(1, 1), 2)
     with pytest.raises(DomainError):

@@ -138,9 +138,9 @@ def test_linear_param_helpers():
 
 
 class _Twin:
-    """Each public record as the dataclass it was, with the same checks: a frozen
-    dataclass, or a plain one for the two mutable records.  A twin's repr and
-    messages say `_Twin.Name` where the record's say `Name`."""
+    """Each public record as the frozen dataclass it stands for, with the same
+    checks.  A twin's repr and messages say `_Twin.Name` where the record's say
+    `Name`."""
 
     @dataclasses.dataclass(frozen=True)
     class LinearParam:
@@ -183,7 +183,7 @@ class _Twin:
                         )
                 object.__setattr__(self, side, factors)
 
-    @dataclasses.dataclass
+    @dataclasses.dataclass(frozen=True)
     class ExpansionTable:
         entries: "dict"
         eps_order: "int"
@@ -211,7 +211,7 @@ class _Twin:
         terms: "tuple"
         scalar: "Fraction" = F(1)
 
-    @dataclasses.dataclass
+    @dataclasses.dataclass(frozen=True)
     class SpecOptions:
         eps_order: "int | None" = None
         degree_bound: "int | None" = None
@@ -282,8 +282,8 @@ def test_linear_param_has_the_dataclass_signature_and_messages():
 
 def _assert_record_behaves_like_its_twin(record, twin):
     """`record` and the `_Twin` instance built from the same arguments agree on repr,
-    fields, `==` against a tuple, hash, refused or allowed assignment and deletion,
-    copies and a class pattern."""
+    fields, `==` against a tuple, hash, refused assignment and deletion, copies and
+    a class pattern."""
     cls = type(record)
     assert repr(record) == repr(twin).replace("_Twin.", "")
     fields = tuple(getattr(twin, name) for name in cls.__match_args__)
@@ -296,12 +296,7 @@ def _assert_record_behaves_like_its_twin(record, twin):
         assert (record == other, record != other) == (False, True)
         assert (twin == other, twin != other) == (other is twin, other is not twin)
     for name in [*cls.__match_args__, "other"]:
-        changes = [lambda obj: setattr(obj, name, 1)]
-        if type(twin).__dataclass_params__.frozen:
-            # Not on a mutable record: once deleted, a plain dataclass's field with
-            # a default reads its class attribute, where a record's field is gone.
-            changes.append(lambda obj: delattr(obj, name))
-        for change in changes:
+        for change in [lambda obj: setattr(obj, name, 1), lambda obj: delattr(obj, name)]:
             mine, theirs = copy.deepcopy(record), copy.deepcopy(twin)
             assert _result_or_error(lambda: change(mine) or mine) == _result_or_error(
                 lambda: change(theirs) or theirs

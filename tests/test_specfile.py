@@ -115,6 +115,15 @@ def test_spec_errors_carry_line_numbers(text, fragment):
         assert str(exc_info.value) == fragment
 
 
+def test_first_error_in_the_file_is_raised():
+    # Line 2's bad law is met before line 3's unknown section.
+    with pytest.raises(ParseError) as exc_info:
+        parse_spec_text("[numerator]\npoch = 1 0 : 0 1\n[bogus]\n")
+    assert str(exc_info.value) == (
+        "line 2: expected three length coefficients '<c0> <c1> <c2>' after ':'"
+    )
+
+
 # -- quotient files ----------------------------------------------------------------
 
 
@@ -148,9 +157,29 @@ def test_quotient_rejects_negative_length():
         parse_quotient_text("[numerator]\npoch = 1 1 : -2\n")
 
 
+QUOTIENT_SECTIONS = "expected one of function, numerator, denominator"
+
+
 def test_quotient_rejects_params_and_options():
     with pytest.raises(ParseError) as exc_info:
         parse_quotient_text("[params]\ndelta = 1\n")
-    assert str(exc_info.value) == f"line 1: {UNKNOWN_PARAMS}"
-    with pytest.raises(ParseError):
+    assert str(exc_info.value) == f"line 1: unknown section [params]; {QUOTIENT_SECTIONS}"
+    with pytest.raises(ParseError) as exc_info:
         parse_quotient_text("[options]\neps_order = 1\n")
+    assert str(exc_info.value) == f"line 1: unknown section [options]; {QUOTIENT_SECTIONS}"
+
+
+@pytest.mark.parametrize("options", ["[options]\n", "[options]\neps_order = 1\n"])
+def test_quotient_refuses_options_at_its_header_line(options):
+    # A quotient file takes only the first three sections: [options], even an
+    # empty one, is an unknown section.
+    with pytest.raises(ParseError) as exc_info:
+        parse_quotient_text(QUOTIENT_TEXT + options)
+    assert str(exc_info.value) == f"line 7: unknown section [options]; {QUOTIENT_SECTIONS}"
+
+
+def test_quotient_first_error_in_the_file_is_raised():
+    # Line 2's bad length is met before the [options] block.
+    with pytest.raises(ParseError) as exc_info:
+        parse_quotient_text("[numerator]\npoch = 1 1 : 0 1 0\n[options]\neps_order = 1\n")
+    assert str(exc_info.value) == "line 2: quotient poch lines take a single length after ':'"
