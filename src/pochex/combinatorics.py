@@ -6,7 +6,7 @@ sums and rational-argument binomials.  Everything is a Fraction; void sums are
 zero by convention.  No module-level cache is kept: Stirling numbers come from
 a walk in O(n*k) integer operations and O(n + k) memory, and each Bernoulli
 polynomial from one Miller core of its own.  A caller that reuses a core, such
-as the closed dF7, keeps it for one call.
+as verify's A18, keeps it for one call.
 
 The sums run on integers and build one Fraction at the end.  The harmonic
 sums and the Bernoulli polynomials add integer pairs over one lcm

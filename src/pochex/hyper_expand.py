@@ -52,13 +52,12 @@ are `math.comb` and factorials are ints.  So a weight costs O(D) integer
 products.  A column is one integer row of K + 1 numerators over one den: one
 lcm for a power column, the product of two dens for a convolution (O(K**2)
 products).  The prefactor folds into the one Fraction built per table entry:
-one lcm per column and one gcd per entry.  dF7 builds each Bernoulli
-polynomial it needs once per call, from one Miller core of O(n**2) terms, as
-an integer row kept in that dict, and evaluates it once per call at each
-integer it needs, by one Horner pass.  The delta rising factorials of F6,
-F6_alt and F7 are not kept: at D = 12 a lookup cost more than the product it
-saved.  A Dual delta carries its t-part as der, by the product rule; an entry
-is a Dual where it depends on delta, as on the engine's route.
+one lcm per column and one gcd per entry.  dF7 is F7's column differentiated
+at delta = 0: its triples are F7's at delta = (0, 1, 1), whose ders are the
+delta-derivatives, so it needs no Bernoulli polynomial.  The delta rising
+factorials of F6, F6_alt and F7 are not kept: at D = 12 a lookup cost more than
+the product it saved.  A Dual delta carries its t-part as der, by the product
+rule; an entry is a Dual where it depends on delta, as on the engine's route.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .combinatorics import _bernoulli_values, _stirling_walk
+from .combinatorics import _stirling_walk
 from .duals import Dual
 from .errors import DomainError, MissingParameter, PoleError
 from .pochhammer import (
@@ -84,7 +83,6 @@ from .series import (
     _coerce,
     _count,
     _entries,
-    _int_row,
     _iterable,
     _product,
     _Record,
@@ -512,39 +510,18 @@ def _closed_f7(delta, parts, K, n1, n2):
     return _scaled(_prefactor(delta, n1, n2), _power_column(K, _UNIT, terms))
 
 
-def _bernoulli_row(n: int) -> tuple:
-    """B_{n-1}^{(n+1)}(x) as the integer row (den > 0, coefficients from the
-    highest power of x), built from one Miller core."""
-    core = _bernoulli_values(n - 1, n + 1)
-    return _int_row([g * math.perm(n - 1, j) for j, g in enumerate(core)])[:2]
-
-
-def _bernoulli_at(parts: dict, n: int, x: int) -> tuple:
-    """B_{n-1}^{(n+1)}(x) at an integer x as (num, den > 0), once per call for
-    each (n, x): one Horner pass over the row of n, itself built once per call."""
-    key = (_bernoulli_at, n, x)
-    if key not in parts:
-        den, coeffs = _shared(parts, _bernoulli_row, n)
-        parts[key] = functools.reduce(lambda num, c: num * x + c, coeffs, 0), den
-    return parts[key]
-
-
 def _closed_df7(parts, K, n1, n2):
-    # (-1)**k / n2! times piece1 * bracket1 + piece2 * bracket2, one weight per j,
-    # with piece1 = p1/q1 and piece2 = p2/q2: each weight is (u*t - s*v) / (v*t).
-    p1, q1 = 0, 1
-    if n2 > 0:
-        b, q1 = _bernoulli_at(parts, n2, -n1)
-        p1 = (-1) ** (n2 - 1) * n2 * b
-    p2, q2 = (-1) ** n1 * n1 * math.factorial(n1 + n2), math.factorial(n1) ** 2
+    # F7's column differentiated in delta at delta = 0.  At the triple (0, 1, 1),
+    # delta = 0 with der 1, each triple's der is its delta-derivative: the lead is
+    # the prefactor's, and weight j that of the prefactor times F7's weight j.
+    delta = (0, 1, 1)
+    pref = _prefactor(delta, n1, n2)
     terms = []
     for j in range(1, n1 + 1):
-        b, e = _bernoulli_at(parts, n1, j - n2)
-        u, v = p2 * math.comb(n1, j) * b, q2 * e
-        s = p1 * math.prod(range(n2 + 1 - j, n2 + 1 - j + n1))
-        t = q1 * math.factorial(j) * math.factorial(n1 - j)
-        terms.append((((-1) ** j * (u * t - s * v), None, v * t), (-1, None, j)))
-    return _scaled((1, None, math.factorial(n2)), _power_column(K, (p1, None, q1), terms))
+        w = _mul(_rising(delta, n2 + 1 - j, n1), _sign_over_factorials(j + 1, j, n1 - j))
+        _, der, den = _mul(pref, w)
+        terms.append(((der, None, den), (-1, None, j)))
+    return _scaled(_UNIT, _power_column(K, (pref[1] or 0, None, pref[2]), terms))
 
 
 # A built-in example's delta rule: it takes no delta, needs one, or is taken

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable
 
 from .duals import Dual
@@ -156,13 +156,12 @@ class _Record:
     def __init_subclass__(cls):
         code = cls.__init__.__code__
         cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+        # Every record has at least two fields, so this getter returns a tuple.
+        cls._fields = attrgetter(*cls.__match_args__)
 
     def _store(self, *values) -> None:
         for name, value in zip(self.__match_args__, values, strict=True):
             object.__setattr__(self, name, value)
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -171,10 +170,10 @@ class _Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._fields(self) == other._fields(other)
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

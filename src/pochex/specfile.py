@@ -18,7 +18,7 @@ Each `poch` line is `<constant> <slope> : <c0> <c1> <c2>` — a rising factorial
 with a linear-in-eps argument and an affine-in-(m1, m2) length.  Rationals use
 `p/q` syntax.  `#` starts a comment; blank lines are skipped.  A parameter such
 as delta is written into the constants.  Quotient files for `pf --spec` take
-only the first three sections, and each `poch` line is
+only [numerator] and [denominator], and each `poch` line is
 `<constant> <slope> : <length>`.  A file is read top to bottom in one pass, and
 its first error, with its line number, is the one raised.
 """
@@ -186,5 +186,5 @@ def parse_quotient_text(text: str):
     Returns (numer, denom) as tuples of (LinearParam, length).
     """
     _typed("parse_quotient_text", str, text=text)
-    _, numer, denom, _ = _scan(text, _SECTIONS[:3], _single_length)
+    _, numer, denom, _ = _scan(text, ("numerator", "denominator"), _single_length)
     return numer, denom

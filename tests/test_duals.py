@@ -1,5 +1,6 @@
 """First-order dual numbers used for exact parameter derivatives."""
 
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -124,3 +125,21 @@ def test_truthiness():
     assert not Dual(0, 0)
     assert Dual(0, 1)
     assert Dual(1, 0)
+
+
+@pytest.mark.parametrize("other", ["x", None, 1.5], ids=["str", "None", "float"])
+@pytest.mark.parametrize(
+    "op", [operator.add, operator.sub, operator.mul, operator.truediv, operator.pow]
+)
+def test_operators_refuse_other_types(op, other):
+    # Each operator returns NotImplemented for an operand that is not an int, a
+    # Fraction or a Dual, on either side, so Python raises TypeError.
+    with pytest.raises(TypeError):
+        op(Dual(1, 2), other)
+    with pytest.raises(TypeError):
+        op(other, Dual(1, 2))
+
+
+def test_comparison_with_other_types_is_unequal():
+    assert (Dual(1, 2) == "x") is False
+    assert (Dual(1, 2) != 1.5) is True

@@ -388,25 +388,25 @@ def test_closed_forms_evaluate_each_weight_once_per_point(monkeypatch, example):
     # Deterministic work counts of the closed forms at D=12 (91 lattice points):
     # each point evaluates its prefactor and its weights once, as integers, and
     # gets every k from them, so the counts at eps order 4 equal those at eps
-    # order 0.  No closed form calls pochhammer, binomial or gen_bernoulli_poly;
-    # dF7 builds one Bernoulli core per distinct n = 1..12 into an integer
-    # polynomial row, whatever its n1 + [n2 > 0] evaluations per point.
+    # order 0.  No closed form calls pochhammer, binomial or gen_bernoulli_poly,
+    # or builds a Bernoulli core or a Miller term: dF7 is F7's column
+    # differentiated at delta = 0.
     calls = Counter()
     for name, home in [
         ("binomial", pochex.combinatorics),
         ("gen_bernoulli_poly", pochex.combinatorics),
         ("_bernoulli_values", pochex.combinatorics),
+        ("_miller_power", pochex.combinatorics),
         ("pochhammer", pochex.pochhammer),
     ]:
         for owner in (home, pochex.hyper_expand):
             if hasattr(owner, name):
                 _counter(monkeypatch, calls, owner, name)
-    expected = Counter({"_bernoulli_values": 12} if example == "dF7_ddelta" else {})
     extra = {"delta": F(1, 3)} if example in ("F6", "F6_alt", "F7") else None
     for eps_order in (0, 4):
         calls.clear()
         expand_closed(example, eps_order, 12, extra)
-        assert calls == expected, eps_order
+        assert calls == Counter(), eps_order
 
 
 # How often each kind of column a closed form reads is built per table at K=4,
@@ -516,19 +516,17 @@ def test_closed_rows_are_the_fraction_dual_sums(K, lead_a, terms_a, lead_b, term
     )
 
 
-@given(st.integers(1, 30), st.integers(-40, 40))
-def test_closed_df7_bernoulli_rows_are_the_polynomials(n, x):
-    # One integer row per n, built from one core, and one Horner pass per
-    # integer x give gen_bernoulli_poly(n - 1, n + 1, x).  The call's dict holds
-    # the row of n once and the value at each x, and a repeated x reads it back.
-    hx = pochex.hyper_expand
-    parts = {}
-    num, den = hx._bernoulli_at(parts, n, x)
-    assert den > 0 and F(num, den) == gen_bernoulli_poly(n - 1, n + 1, x)
-    assert hx._bernoulli_at(parts, n, -x)[1] == den
-    assert hx._bernoulli_at(parts, n, x) is parts[(hx._bernoulli_at, n, x)]
-    row, at = hx._bernoulli_row, hx._bernoulli_at
-    assert set(parts) == {(row, n), (at, n, x), (at, n, -x)}
+@given(st.integers(0, 30), st.integers(-40, 40))
+def test_closed_df7_rising_der_is_the_pochhammer_derivative(n, c):
+    # Closed dF7 rests on this: at the triple (0, 1, 1), delta = 0 with der 1, the
+    # der of the rising factorial (delta + c)_n over its den is d/d delta of it
+    # at delta = 0, poch_deriv(c, n, 1).  For n >= 1 it is also the generalized
+    # Bernoulli form (-1)**(n-1) n B_{n-1}^{(n+1)}(1 - c).
+    _, der, den = pochex.hyper_expand._rising((0, 1, 1), c, n)
+    value = F(der or 0, den)
+    assert value == poch_deriv(c, n, 1)
+    if n >= 1:
+        assert value == (-1) ** (n - 1) * n * gen_bernoulli_poly(n - 1, n + 1, 1 - c)
 
 
 def test_closed_tables_keep_their_digest():
@@ -594,10 +592,10 @@ def test_engine_digest_is_the_same_on_every_interpreter():
 
 def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     # No Bernoulli core outlives the call that builds it.  Closed dF7 at D=12
-    # builds orders 2..13 once each, whatever the arguments (156 (order,
-    # argument) pairs), and a second call builds them again.  gen_bernoulli_poly
-    # builds one core of length n + 1; A18 one per point of its default grid,
-    # of length _GENFUN_ORDER + 1.  The bernoulli method builds none.
+    # builds none, on each of two calls: it is F7's column differentiated at
+    # delta = 0.  gen_bernoulli_poly builds one core of length n + 1; A18 one
+    # per point of its default grid, of length _GENFUN_ORDER + 1.  The
+    # bernoulli method builds none.
     calls, lengths = Counter(), []
     build = pochex.combinatorics._bernoulli_values
 
@@ -607,11 +605,12 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
         return build(n, a)
 
     for owner in (pochex.combinatorics, pochex.hyper_expand, pochex.verify):
-        monkeypatch.setattr(owner, "_bernoulli_values", counted)
+        if hasattr(owner, "_bernoulli_values"):
+            monkeypatch.setattr(owner, "_bernoulli_values", counted)
     for _ in range(2):
         calls.clear()
         expand_closed("dF7_ddelta", 4, 12)
-        assert calls["_bernoulli_values"] == 12
+        assert calls["_bernoulli_values"] == 0
     for n in (0, 1, 12, 30):
         calls.clear()
         lengths.clear()
@@ -631,9 +630,9 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
 
 
 def test_bernoulli_core_computes_each_miller_term_once(monkeypatch):
-    # Within one call, closed dF7 at K=4, D=12 computes the Miller terms of
-    # orders 2..13, order n + 1 up to term n - 1, and no (order, term) twice;
-    # a second call computes the same terms once more.
+    # Within one call, gen_bernoulli_poly(12, a, x) computes the Miller terms
+    # (-a, j), j = 1..12, of its order a, and no (order, term) twice; a second
+    # call computes the same terms once more.
     terms = Counter()
     miller = pochex.combinatorics._miller_power
 
@@ -642,12 +641,12 @@ def test_bernoulli_core_computes_each_miller_term_once(monkeypatch):
         return miller(f, a, n)
 
     monkeypatch.setattr(pochex.combinatorics, "_miller_power", recorded)
-    expected = {(-a, j) for a in range(2, 14) for j in range(1, a - 1)}
-    for _ in range(2):
-        terms.clear()
-        expand_closed("dF7_ddelta", 4, 12)
-        assert set(terms) == expected
-        assert set(terms.values()) == {1}
+    for a in range(2, 14):
+        for _ in range(2):
+            terms.clear()
+            gen_bernoulli_poly(12, a, F(2, 7))
+            assert set(terms) == {(-a, j) for j in range(1, 13)}
+            assert set(terms.values()) == {1}
 
 
 def test_each_stirling_reader_takes_one_walk(monkeypatch):

@@ -137,3 +137,14 @@ def test_public_calls_leave_no_module_state():
     del names["pochex"], after_names["pochex"]
     assert after_names == names
     assert after_containers == containers
+
+
+def test_src_lines_are_at_most_100_characters():
+    # The source's line limit, checked here since no linter runs in tier-1.
+    long = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in sorted((ROOT / "src" / "pochex").glob("*.py"))
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 100
+    ]
+    assert long == []

@@ -157,7 +157,7 @@ def test_quotient_rejects_negative_length():
         parse_quotient_text("[numerator]\npoch = 1 1 : -2\n")
 
 
-QUOTIENT_SECTIONS = "expected one of function, numerator, denominator"
+QUOTIENT_SECTIONS = "expected one of numerator, denominator"
 
 
 def test_quotient_rejects_params_and_options():
@@ -171,11 +171,19 @@ def test_quotient_rejects_params_and_options():
 
 @pytest.mark.parametrize("options", ["[options]\n", "[options]\neps_order = 1\n"])
 def test_quotient_refuses_options_at_its_header_line(options):
-    # A quotient file takes only the first three sections: [options], even an
-    # empty one, is an unknown section.
+    # A quotient file takes only [numerator] and [denominator]: [options], even
+    # an empty one, is an unknown section.
     with pytest.raises(ParseError) as exc_info:
         parse_quotient_text(QUOTIENT_TEXT + options)
     assert str(exc_info.value) == f"line 7: unknown section [options]; {QUOTIENT_SECTIONS}"
+
+
+@pytest.mark.parametrize("function", ["[function]\n", "[function]\nname = mine\n"])
+def test_quotient_refuses_function_at_its_header_line(function):
+    # A quotient has no name: [function], with or without one, is an unknown section.
+    with pytest.raises(ParseError) as exc_info:
+        parse_quotient_text("# a quotient\n" + function + QUOTIENT_TEXT)
+    assert str(exc_info.value) == f"line 2: unknown section [function]; {QUOTIENT_SECTIONS}"
 
 
 def test_quotient_first_error_in_the_file_is_raised():
