@@ -6,11 +6,20 @@ evaluated with both sides computed by maximally independent code paths) or a
 `_GENFUN_ORDER`).  The enum tokens are opaque stable labels; each evaluator's
 docstring states the mathematical content.
 
-`_RELATIONS` gives each checkable relation its evaluator and its default
-parameter grid, built by `_grid`.  There are three entry points:
+`_RELATIONS` gives each checkable relation its evaluator, its parameters and
+its default parameter grid, built by `_grid`.  There are three entry points:
 `run_relation` checks one relation over a grid, its default grid or one the
 caller gives (a single point is a grid of one); `verify_ids` and `verify_all`
 run it for each relation they are given.
+
+Each relation declares its parameters once, in the order they are read and
+passed: `"m>=0 k>=0 alpha:Q"` is two integers of at least 0 and a rational.
+`_read` checks a point against it, and the evaluator takes the plain values
+after the dict of shared calls (an identity) or the series order (a generating
+relation).  A missing or bad parameter is found first, in declared order, then
+a key not declared, then the point's range: an evaluator raises `_OutOfRange`
+with the message's tail (`needs k <= m`), and `run_relation` heads every fault
+with the call, the relation and the point.
 
 Cost model: a side that is a sum adds its terms as one integer sum.
 `_sum_of_products` makes each term, a product of ints and Fractions, one
@@ -132,40 +141,37 @@ def _sign(exponent: int) -> int:
     return 1 if exponent % 2 == 0 else -1
 
 
-class _Point(dict):
-    """One parameter point.  `where`, as in `run_relation('A9') at grid point 0`,
-    heads its errors; `calls` is the dict of pure calls shared by the points of
-    one `run_relation` call."""
-
-    def __init__(self, where, params, calls):
-        super().__init__(params)
-        self.where = where
-        self.calls = calls
+class _OutOfRange(DomainError):
+    """A point outside its relation's range; the message is its tail (`needs k <= m`)."""
 
 
-def _param(p, name):
-    if name not in p:
-        raise DomainError(f"{p.where} is missing parameter {name!r}")
-    return p[name]
-
-
-def _as_int(p, name, minimum):
-    # An integral Fraction counts as its integer.
-    value = _param(p, name)
-    if isinstance(value, Fraction) and value.denominator == 1:
-        value = int(value)
-    _count(p.where, minimum, **{name: value})
-    return value
-
-
-def _as_rational(p, name):
-    value = _param(p, name)
-    try:
-        return _coerce(value, rational=True)
-    except DomainError:
+def _read(where, params, relation, declared):
+    """The values in `params` of the (name, minimum) pairs `declared` for `relation`,
+    in order, or a DomainError headed by `where`.  A minimum of None marks a
+    rational, and an integral Fraction counts as its integer."""
+    values = {}
+    for name, low in declared:
+        if name not in params:
+            raise DomainError(f"{where} is missing parameter {name!r}")
+        value = params[name]
+        if low is not None:
+            if isinstance(value, Fraction) and value.denominator == 1:
+                value = int(value)
+            _count(where, low, **{name: value})
+        else:
+            try:
+                value = _coerce(value, rational=True)
+            except DomainError:
+                raise DomainError(
+                    f"{where} needs a rational {name}, got {value!r}; pass an int or a Fraction"
+                ) from None
+        values[name] = value
+    if len(params) > len(values):
+        unknown = next(key for key in params if key not in values)
         raise DomainError(
-            f"{p.where} needs a rational {name}, got {value!r}; pass an int or a Fraction"
-        ) from None
+            f"{where} has unknown parameter {unknown!r}; {relation} takes {', '.join(values)}"
+        )
+    return values.values()
 
 
 def _sum_of_products(terms) -> Fraction:
@@ -192,14 +198,11 @@ def _sum_of_products(terms) -> Fraction:
 # form under test.
 
 
-def _eval_A5(p):
+def _eval_A5(calls, m, k, alpha):
     """Derivative boundary cases: m = 0 gives delta_{k,0}; k = 0 gives the
     plain rising factorial; k > m gives zero."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    alpha = _as_rational(p, "alpha")
     if not (m == 0 or k == 0 or k > m):
-        raise DomainError(f"{p.where} needs m = 0, k = 0 or k > m")
+        raise _OutOfRange("needs m = 0, k = 0 or k > m")
     lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
     if m == 0:
         rhs = _F(1 if k == 0 else 0)
@@ -210,21 +213,17 @@ def _eval_A5(p):
     return lhs, rhs
 
 
-def _eval_A6(p):
+def _eval_A6(calls, m, k):
     """k-th derivative coefficient at argument 0 is a signed Stirling number."""
-    m = _as_int(p, "m", 1)
-    k = _as_int(p, "k", 1)
     if k > m:
-        raise DomainError(f"{p.where} needs 0 < k <= m")
+        raise _OutOfRange("needs 0 < k <= m")
     lhs = poch_deriv(_F(0), m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * stirling_s1(m, k)
     return lhs, rhs
 
 
-def _eval_A8(p):
+def _eval_A8(calls, n, k):
     """Stirling row recurrence expressed as a factorial-weighted column sum."""
-    n = _as_int(p, "n", 0)
-    k = _as_int(p, "k", 0)
     lhs = stirling_s1(n + 1, k + 1)
     column = _stirling_walk(n, k)[0]  # s(j, k) for j = 0..n
     rhs = _sum_of_products(
@@ -234,42 +233,33 @@ def _eval_A8(p):
     return lhs, rhs
 
 
-def _eval_A9(p):
+def _eval_A9(calls, m, k):
     """Derivative coefficient at argument 1 is a shifted signed Stirling number."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
     lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * stirling_s1(m + 1, k + 1)
     return lhs, rhs
 
 
-def _eval_AA19(p):
+def _eval_AA19(calls, m, k):
     """Derivative coefficient at argument 1 via a generalized Bernoulli value."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
     if k > m:
-        raise DomainError(f"{p.where} needs k <= m")
+        raise _OutOfRange("needs k <= m")
     lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * binomial(m, k) * gen_bernoulli_poly(m - k, m + 1, _F(0))
     return lhs, rhs
 
 
-def _eval_A12(p):
+def _eval_A12(calls, m, k):
     """Reciprocal derivative at argument 1 via the modified harmonic numbers."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
     lhs = recip_poch_deriv(_F(1), m, k, RecipMethod.RECURRENCE)
     rhs = _F((-1) ** k) / math.factorial(m) * mod_harmonic(m, k)
     return lhs, rhs
 
 
-def _eval_A13(p):
+def _eval_A13(calls, m, k, alpha):
     """Taylor expansion of the derivative coefficient around argument 1."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    alpha = _as_rational(p, "alpha")
     if k > m:
-        raise DomainError(f"{p.where} needs k <= m")
+        raise _OutOfRange("needs k <= m")
     lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
     row = _stirling_walk(m + 1, m + 1)[1]  # s(m+1, i) for i = 0..m+1
     shift = alpha - 1
@@ -280,38 +270,30 @@ def _eval_A13(p):
     return lhs, rhs
 
 
-def _eval_A14coeff(p):
+def _eval_A14coeff(calls, m, k, j):
     """Taylor coefficients of the reciprocal derivative around argument 1:
     the j-th coefficient of Q_m^(k) is (±) C(k+j, k) Hhat_m^(k+j) / m!."""
-    m = _as_int(p, "m", 1)
-    k = _as_int(p, "k", 0)
-    j = _as_int(p, "j", 0)
     c = binomial(k + j, k)
     lhs = c * recip_poch_deriv(_F(1), m, k + j, RecipMethod.RECURRENCE)
     rhs = _F((-1) ** (k + j)) * c * mod_harmonic(m, k + j) / math.factorial(m)
     return lhs, rhs
 
 
-def _eval_A15(p):
+def _eval_A15(calls, m, k):
     """Derivative coefficient at argument 1 equals m! times the strictly
     nested all-ones harmonic sum of depth k."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
     lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
     rhs = math.factorial(m) * nested_ones_Z(m, k)
     return lhs, _F(rhs)
 
 
-def _eval_A27(p):
+def _eval_A27(calls, m, k, x):
     """Cauchy-product orthogonality of derivative and reciprocal-derivative
     coefficients at a common argument."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    x = _as_rational(p, "x")
     lhs = _sum_of_products(
         (
-            _shared(p.calls, poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
-            _shared(p.calls, recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM),
+            _shared(calls, poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
+            _shared(calls, recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM),
         )
         for j in range(k + 1)
     )
@@ -319,77 +301,63 @@ def _eval_A27(p):
     return lhs, rhs
 
 
-def _eval_A28(p):
+def _eval_A28(calls, m, k):
     """Convolution of a Stirling row with the modified harmonic numbers
     telescopes to delta_{k,0} (-1)^m m!."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
     row = _stirling_walk(m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
     lhs = _sum_of_products(
-        (row[k + 1 - j], _shared(p.calls, mod_harmonic, m, j)) for j in range(k + 1)
+        (row[k + 1 - j], _shared(calls, mod_harmonic, m, j)) for j in range(k + 1)
     )
     rhs = _F((-1) ** m * math.factorial(m) if k == 0 else 0)
     return lhs, rhs
 
 
-def _eval_A29(p):
+def _eval_A29(calls, m, k, n):
     """Derivative coefficient at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    n = _as_int(p, "n", 1)
     lhs = poch_deriv(_F(n), m, k, PochMethod.RECURRENCE)
     row = _stirling_walk(m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
     weight = _F(_sign(m + n - 1 - k), math.factorial(n - 1))
     rhs = _sum_of_products(
-        (weight, row[k + 1 - j], _shared(p.calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
+        (weight, row[k + 1 - j], _shared(calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
 
 
-def _eval_A30(p):
+def _eval_A30(calls, m, k, n):
     """Reciprocal derivative at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    n = _as_int(p, "n", 1)
     lhs = recip_poch_deriv(_F(n), m, k, RecipMethod.RECURRENCE)
     row = _stirling_walk(n, k + 1)[1]  # s(n, i) for i = 0..k+1
     weight = _F(_sign(n - 1 - k), math.factorial(m + n - 1))
     rhs = _sum_of_products(
-        (weight, row[k + 1 - j], _shared(p.calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
+        (weight, row[k + 1 - j], _shared(calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
 
 
-def _eval_A31(p):
+def _eval_A31(calls, m, k, n):
     """Derivative coefficient at a negative integer argument: a reflection
     when the pole order allows, a finite Stirling double product otherwise."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    n = _as_int(p, "n", 1)
     lhs = poch_deriv(_F(-n), m, k, PochMethod.RECURRENCE)
     if m <= n:
         rhs = _sign(m - k) * poch_deriv(_F(n + 1 - m), m, k, PochMethod.STIRLING_SUM)
     else:
         acc = sum(
             (-1) ** j
-            * _shared(p.calls, stirling_s1, n + 1, j + 1)
-            * _shared(p.calls, stirling_s1, m - n, k - j)
+            * _shared(calls, stirling_s1, n + 1, j + 1)
+            * _shared(calls, stirling_s1, m - n, k - j)
             for j in range(k)
         )
         rhs = _F(_sign(m - n - k)) * acc
     return lhs, _F(rhs)
 
 
-def _eval_A32(p):
+def _eval_A32(calls, m, k, n):
     """Reciprocal derivative at a negative integer argument reflects to a
     positive one while the factorial cast holds (m <= n)."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
-    n = _as_int(p, "n", 1)
     if m > n:
-        raise DomainError(f"{p.where} needs m <= n")
+        raise _OutOfRange("needs m <= n")
     lhs = recip_poch_deriv(_F(-n), m, k, RecipMethod.RECURRENCE)
     rhs = _sign(m - k) * recip_poch_deriv(
         _F(n + 1 - m), m, k, RecipMethod.CLOSED_SUM
@@ -397,12 +365,12 @@ def _eval_A32(p):
     return lhs, rhs
 
 
-def _pf_sum(p, A, B, x, m, n):
+def _pf_sum(A, B, x, m, n):
     # sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)), the shared
-    # right side of ii16 and ii17 at point p; (B)_n must have no zero factor.
+    # right side of ii16 and ii17; (B)_n must have no zero factor.
     j = _vanishing_shift(B, n)
     if j is not None:
-        raise DomainError(f"{p.where} has B = {B}, which puts a zero at shift {j}")
+        raise _OutOfRange(f"has B = {B}, which puts a zero at shift {j}")
     terms = []
     for j in range(n):
         shifted = B + j
@@ -413,63 +381,47 @@ def _pf_sum(p, A, B, x, m, n):
     return _sum_of_products(terms)
 
 
-def _eval_ii16(p):
+def _eval_ii16(calls, m, n, A, B, x):
     """Partial-fraction value identity for a rising-factorial quotient with
     numerator shorter than denominator; holds for an arbitrary slope ratio x."""
-    m = _as_int(p, "m", 0)
-    n = _as_int(p, "n", 1)
     if m >= n:
-        raise DomainError(f"{p.where} needs m < n")
-    A = _as_rational(p, "A")
-    B = _as_rational(p, "B")
-    x = _as_rational(p, "x")
-    rhs = _pf_sum(p, A, B, x, m, n)
+        raise _OutOfRange("needs m < n")
+    rhs = _pf_sum(A, B, x, m, n)
     return pochhammer(A, m) / pochhammer(B, n), rhs
 
 
-def _eval_ii17(p):
+def _eval_ii17(calls, n, A, B, x):
     """Equal-length variant of ii16; the free parameter x survives as x**n."""
-    n = _as_int(p, "n", 1)
-    A = _as_rational(p, "A")
-    B = _as_rational(p, "B")
-    x = _as_rational(p, "x")
-    rhs = x**n + _pf_sum(p, A, B, x, n, n)
+    rhs = x**n + _pf_sum(A, B, x, n, n)
     return pochhammer(A, n) / pochhammer(B, n), rhs
 
 
-def _eval_iii4(p):
+def _eval_iii4(calls, m):
     """First Stirling column: s(m+1, 1) = (-1)^m m!."""
-    m = _as_int(p, "m", 0)
     return stirling_s1(m + 1, 1), _F((-1) ** m * math.factorial(m))
 
 
-def _eval_iii5(p):
+def _eval_iii5(calls, m, n):
     """Alternating binomial double sum collapsing to a single binomial
     (the eps^0 normalization of the first expansion family)."""
-    m = _as_int(p, "m", 0)
-    n = _as_int(p, "n", 0)
     if n > m:
-        raise DomainError(f"{p.where} needs n <= m")
+        raise _OutOfRange("needs n <= m")
     lhs = 1 - sum(
         (-1) ** j * binomial(m - j, n) * binomial(n, j) for j in range(1, n + 1)
     )
     return _F(lhs), binomial(m, n)
 
 
-def _eval_iii10(p):
+def _eval_iii10(calls, m, n):
     """Companion alternating binomial sum with upward-shifted top index."""
-    m = _as_int(p, "m", 0)
-    n = _as_int(p, "n", 0)
     lhs = _F((-1) ** n) - sum(
         (-1) ** j * binomial(m + j, n) * binomial(n, j) for j in range(1, n + 1)
     )
     return _F(lhs), binomial(m, n)
 
 
-def _eval_conjugate_HS(p):
+def _eval_conjugate_HS(calls, m, k):
     """The modified harmonic number equals the depth-k non-strict nested sum."""
-    m = _as_int(p, "m", 0)
-    k = _as_int(p, "k", 0)
     return mod_harmonic(m, k), nested_ones_S(m, k)
 
 
@@ -515,11 +467,9 @@ def _compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
     return EpsSeries._of(_entries((den_o * scale, acc, None, 0)), 0)
 
 
-def _genfun_a4(order, p):
+def _genfun_a4(order, k, alpha):
     """Exponential-type generating relation for the derivative coefficients:
     sum_m k! P_m^(k)(alpha) (-t)^m / m! = (-1)^k (1+t)^(-alpha) log(1+t)^k."""
-    k = _as_int(p, "k", 0)
-    alpha = _as_rational(p, "alpha")
     lhs = EpsSeries(
         [
             _F((-1) ** m * math.factorial(k), math.factorial(m))
@@ -534,9 +484,8 @@ def _genfun_a4(order, p):
     return lhs, rhs
 
 
-def _genfun_a7(order, p):
+def _genfun_a7(order, k):
     """Powers of log(1+t) generate a Stirling column."""
-    k = _as_int(p, "k", 0)
     lhs = _log1p_power(k, order)
     rhs = EpsSeries(
         [
@@ -560,14 +509,12 @@ def _classical_bernoulli(order):
     return values
 
 
-def _genfun_A18(order, p):
+def _genfun_A18(order, a, x):
     """Exponential generating function of the generalized Bernoulli
     polynomials.  The lhs is one Miller core per point, z/(e^z - 1) raised to
     the power a, summed at each n as gen_bernoulli_poly sums it; the reference
     side is built from the classical first-order recurrence plus binomial
     convolution."""
-    a = _as_int(p, "a", 1)
-    x = _as_rational(p, "x")
     core = _bernoulli_values(order, a)
     lhs = EpsSeries(
         [_bernoulli_sum(core, n, x) / _F(math.factorial(n)) for n in range(order + 1)]
@@ -591,14 +538,12 @@ def _genfun_A18(order, p):
     return lhs, EpsSeries(shifted)
 
 
-def _genfun_A25(order, p):
+def _genfun_A25(order, k, beta):
     """Composed-series transform of the shifted-pole sum reproduces the
     reciprocal-derivative coefficients of one extra length."""
-    k = _as_int(p, "k", 0)
-    beta = _as_rational(p, "beta")
     j = _vanishing_shift(beta, order + 2)
     if j is not None:
-        raise DomainError(f"{p.where} has beta = {beta}, which hits a pole at shift {j}")
+        raise _OutOfRange(f"has beta = {beta}, which hits a pole at shift {j}")
     outer = EpsSeries([1 / (beta + j) ** (k + 1) for j in range(order + 1)])
     composed = _compose(outer, _geometric_minus(order))
     lhs = composed * series_invert(polynomial_series([1, -1], order))
@@ -612,10 +557,9 @@ def _genfun_A25(order, p):
     return lhs, rhs
 
 
-def _genfun_A26(order, p):
+def _genfun_A26(order, k):
     """Composed-series transform of the polylogarithm sum generates the
     modified harmonic numbers weighted by 1/m."""
-    k = _as_int(p, "k", 0)
     outer = EpsSeries(
         [_F(0)] + [_F(1) / _F(j) ** (k + 1) for j in range(1, order + 1)]
     )
@@ -632,23 +576,19 @@ def _nueva_product_side(order, m, c):
     return series_invert(product.scaled(_F(1, math.factorial(m))))
 
 
-def _genfun_nueva1(order, p):
+def _genfun_nueva1(order, m, c):
     """The inverse of prod_j (1 - (c/j) z) generates c^k Hhat_m^(k) in z^k."""
-    m = _as_int(p, "m", 0)
-    c = _as_rational(p, "c")
     if c <= 0:
-        raise DomainError(f"{p.where} needs c > 0")
+        raise _OutOfRange("needs c > 0")
     lhs = _nueva_product_side(order, m, c)
     rhs = EpsSeries([c**k * mod_harmonic(m, k) for k in range(order + 1)])
     return lhs, rhs
 
 
-def _genfun_nueva2(order, p):
+def _genfun_nueva2(order, m, c):
     """Same product, decomposed into simple geometric pieces."""
-    m = _as_int(p, "m", 1)
-    c = _as_rational(p, "c")
     if c <= 0:
-        raise DomainError(f"{p.where} needs c > 0")
+        raise _OutOfRange("needs c > 0")
     lhs = _nueva_product_side(order, m, c)
     ratios = [(_sign(j - 1) * math.comb(m, j), c / j) for j in range(1, m + 1)]
     rhs = EpsSeries(
@@ -703,59 +643,73 @@ def _c_choices(point):
     return map(_F, dict.fromkeys((1, math.lcm(*range(1, m + 1)), math.factorial(m))))
 
 
-# Every checkable relation: its evaluator and its default parameter grid (a
-# function returning parameter dicts), in the order `verify_all` reports them.
+# Every checkable relation: its evaluator, its parameter declaration and its
+# default parameter grid (a function returning parameter dicts), in the order
+# `verify_all` reports them.
 _RELATIONS = {
     IdentityId.A5: (
         _eval_A5,
+        "m>=0 k>=0 alpha:Q",
         lambda: [{"m": m, "k": k, "alpha": a} for a in _ALPHA_GRID for m, k in _A5_MK],
     ),
-    IdentityId.A6: (_eval_A6, _grid(m=range(11), k=lambda p: range(1, p["m"] + 1))),
-    IdentityId.A8: (_eval_A8, _grid(n=range(11), k=lambda p: range(p["n"] + 1))),
-    IdentityId.A9: (_eval_A9, _grid(m=range(11), k=_up_to_m)),
-    IdentityId.AA19: (_eval_AA19, _grid(m=range(11), k=_up_to_m)),
-    IdentityId.A12: (_eval_A12, _grid(m=range(11), k=range(7))),
+    IdentityId.A6: (_eval_A6, "m>=1 k>=1", _grid(m=range(11), k=lambda p: range(1, p["m"] + 1))),
+    IdentityId.A8: (_eval_A8, "n>=0 k>=0", _grid(n=range(11), k=lambda p: range(p["n"] + 1))),
+    IdentityId.A9: (_eval_A9, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
+    IdentityId.AA19: (_eval_AA19, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
+    IdentityId.A12: (_eval_A12, "m>=0 k>=0", _grid(m=range(11), k=range(7))),
     IdentityId.A13: (
         _eval_A13,
+        "m>=0 k>=0 alpha:Q",
         _grid(
             alpha=(_F(0), _F(3, 2), _F(-2)) + _RAT_SPOTS, m=range(8), k=_up_to_m, key_last="alpha"
         ),
     ),
-    IdentityId.A14coeff: (_eval_A14coeff, _grid(m=range(1, 9), k=range(4), j=range(4))),
-    IdentityId.A15: (_eval_A15, _grid(m=range(11), k=_up_to_m)),
+    IdentityId.A14coeff: (
+        _eval_A14coeff, "m>=1 k>=0 j>=0", _grid(m=range(1, 9), k=range(4), j=range(4))
+    ),
+    IdentityId.A15: (_eval_A15, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
     IdentityId.A27: (
         _eval_A27,
+        "m>=0 k>=0 x:Q",
         _grid(x=(_F(1), _F(2), _F(1, 2), _F(7, 3)), m=range(9), k=range(7), key_last="x"),
     ),
-    IdentityId.A28: (_eval_A28, _grid(m=range(11), k=lambda p: range(p["m"] + 3))),
-    IdentityId.A29: (_eval_A29, _grid(n=(1, 2, 3, 4), m=range(9), k=_up_to_m, key_last="n")),
-    IdentityId.A30: (_eval_A30, _grid(n=(1, 2, 3, 4), m=range(7), k=range(6), key_last="n")),
-    IdentityId.A31: (_eval_A31, _grid(n=(1, 2, 3), m=range(9), k=_up_to_m, key_last="n")),
+    IdentityId.A28: (_eval_A28, "m>=0 k>=0", _grid(m=range(11), k=lambda p: range(p["m"] + 3))),
+    IdentityId.A29: (
+        _eval_A29, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3, 4), m=range(9), k=_up_to_m, key_last="n")
+    ),
+    IdentityId.A30: (
+        _eval_A30, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3, 4), m=range(7), k=range(6), key_last="n")
+    ),
+    IdentityId.A31: (
+        _eval_A31, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3), m=range(9), k=_up_to_m, key_last="n")
+    ),
     IdentityId.A32: (
         _eval_A32,
+        "m>=0 k>=0 n>=1",
         _grid(n=(1, 2, 3), m=lambda p: range(p["n"] + 1), k=range(6), key_last="n"),
     ),
     IdentityId.ii16: (
         _eval_ii16,
+        "m>=0 n>=1 A:Q B:Q x:Q",
         _grid(m=range(4), n=lambda p: ((1, 2), (2, 3), (3, 5), (4,))[p["m"]], **_II_ARGS),
     ),
-    IdentityId.ii17: (_eval_ii17, _grid(n=range(1, 6), **_II_ARGS)),
-    IdentityId.iii4: (_eval_iii4, _grid(m=range(13))),
-    IdentityId.iii5: (_eval_iii5, _grid(m=range(11), n=lambda p: range(p["m"] + 1))),
-    IdentityId.iii10: (_eval_iii10, _grid(m=range(9), n=range(7))),
-    IdentityId.conjugate_HS: (_eval_conjugate_HS, _grid(m=range(13), k=range(7))),
-    GenFunId.a4: (_genfun_a4, _grid(k=range(4), alpha=(_F(1), _F(1, 2)))),
-    GenFunId.a7: (_genfun_a7, _grid(k=range(5))),
-    GenFunId.A18: (_genfun_A18, _grid(a=range(1, 6), x=(_F(0), _F(1, 2)))),
-    GenFunId.A25: (_genfun_A25, _grid(k=range(4), beta=(_F(1), _F(2), _F(1, 2)))),
-    GenFunId.A26: (_genfun_A26, _grid(k=range(4))),
-    GenFunId.nueva1: (_genfun_nueva1, _grid(m=range(6), c=_c_choices)),
-    GenFunId.nueva2: (_genfun_nueva2, _grid(m=range(1, 6), c=_c_choices)),
+    IdentityId.ii17: (_eval_ii17, "n>=1 A:Q B:Q x:Q", _grid(n=range(1, 6), **_II_ARGS)),
+    IdentityId.iii4: (_eval_iii4, "m>=0", _grid(m=range(13))),
+    IdentityId.iii5: (_eval_iii5, "m>=0 n>=0", _grid(m=range(11), n=lambda p: range(p["m"] + 1))),
+    IdentityId.iii10: (_eval_iii10, "m>=0 n>=0", _grid(m=range(9), n=range(7))),
+    IdentityId.conjugate_HS: (_eval_conjugate_HS, "m>=0 k>=0", _grid(m=range(13), k=range(7))),
+    GenFunId.a4: (_genfun_a4, "k>=0 alpha:Q", _grid(k=range(4), alpha=(_F(1), _F(1, 2)))),
+    GenFunId.a7: (_genfun_a7, "k>=0", _grid(k=range(5))),
+    GenFunId.A18: (_genfun_A18, "a>=1 x:Q", _grid(a=range(1, 6), x=(_F(0), _F(1, 2)))),
+    GenFunId.A25: (_genfun_A25, "k>=0 beta:Q", _grid(k=range(4), beta=(_F(1), _F(2), _F(1, 2)))),
+    GenFunId.A26: (_genfun_A26, "k>=0", _grid(k=range(4))),
+    GenFunId.nueva1: (_genfun_nueva1, "m>=0 c:Q", _grid(m=range(6), c=_c_choices)),
+    GenFunId.nueva2: (_genfun_nueva2, "m>=1 c:Q", _grid(m=range(1, 6), c=_c_choices)),
 }
 
 
 def _relation(token):
-    """Resolve a relation token to (id, evaluator, default grid).
+    """Resolve a relation token to (id, evaluator, declared parameters, default grid).
 
     A token that names no relation raises DomainError.
     """
@@ -764,7 +718,10 @@ def _relation(token):
             identity = kind(token)
         except ValueError:
             continue
-        return (identity, *_RELATIONS[identity])
+        evaluate, declaration, default = _RELATIONS[identity]
+        parts = (item.partition(">=") for item in declaration.split())
+        declared = [(name.removesuffix(":Q"), int(low) if low else None) for name, _, low in parts]
+        return identity, evaluate, declared, default
     known = ", ".join(key.value for key in _RELATIONS)
     raise DomainError(f"unknown relation id {token!r}; known ids: {known}")
 
@@ -788,10 +745,11 @@ def run_relation(token, grid=None) -> CheckSummary:
 
     A generating relation is compared to order _GENFUN_ORDER.  The points share
     one dict of pure calls, dropped when this call returns; a result record is
-    built only for a point that fails.  A DomainError for a bad or out-of-range
-    parameter names the call, the relation and the point.
+    built only for a point that fails.  A DomainError for a missing, bad,
+    undeclared or out-of-range parameter names the call, the relation and the
+    point.
     """
-    relation, evaluate, default = _relation(token)
+    relation, evaluate, declared, default = _relation(token)
     if grid is None:
         grid = default()
     else:
@@ -801,19 +759,22 @@ def run_relation(token, grid=None) -> CheckSummary:
                 raise DomainError(f"run_relation needs a mapping of parameters, got {params!r}")
             grid[i] = dict(params)
     at = f"run_relation({relation.value!r}) at grid point"
-    calls = {}
+    identity = isinstance(relation, IdentityId)
+    first = {} if identity else _GENFUN_ORDER  # the shared calls, or the series order
     failures = []
-    if isinstance(relation, IdentityId):
-        for i, params in enumerate(grid):
-            lhs, rhs = evaluate(_Point(f"{at} {i}", params, calls))
+    for i, params in enumerate(grid):
+        where = f"{at} {i}"
+        try:
+            lhs, rhs = evaluate(first, *_read(where, params, relation.value, declared))
+        except _OutOfRange as fault:
+            raise DomainError(f"{where} {fault}") from None
+        if identity:
             if lhs != rhs:
                 failures.append(IdentityResult(relation, params, _F(lhs), _F(rhs)))
-    else:
-        for i, params in enumerate(grid):
-            sides = evaluate(_GENFUN_ORDER, _Point(f"{at} {i}", params, calls))
-            first = _first_discrepancy(*sides)
-            if first is not None:
-                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, first))
+        else:
+            discrepancy = _first_discrepancy(lhs, rhs)
+            if discrepancy is not None:
+                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, discrepancy))
     return CheckSummary(relation.value, len(grid), tuple(failures))
 
 

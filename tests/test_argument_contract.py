@@ -401,8 +401,95 @@ def test_verify_entry_points_take_any_mapping_and_iterable():
     assert [s.identity for s in pochex.verify_ids(iter(["A9"]))] == ["A9"]
 
 
+@pytest.mark.parametrize(
+    "relation, params, message",
+    [
+        ("A9", {"m": 2, "k": 1, "alpha": 1}, "has unknown parameter 'alpha'; A9 takes m, k"),
+        ("a7", {"j": 0, "k": 1}, "has unknown parameter 'j'; a7 takes k"),
+        # A bad declared parameter comes before an unknown key, and an unknown
+        # key before the point's range (AA19 needs k <= m).
+        ("A9", {"m": 2, "k": -1, "alpha": 1}, "needs an integer k >= 0, got -1"),
+        ("AA19", {"m": 1, "k": 2, "z": 0}, "has unknown parameter 'z'; AA19 takes m, k"),
+    ],
+)
+def test_verify_refuses_a_parameter_the_relation_does_not_declare(relation, params, message):
+    message = f"run_relation({relation!r}) at grid point 0 {message}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_relation(relation, [params])
+
+
 def test_integral_fraction_counts_as_its_integer_in_verify():
     assert run_relation("A9", [{"m": F(3), "k": F(1)}]).passed
+
+
+# Every relation's parameters in the order they are read: `name>=low` is an
+# integer of at least low, `name:Q` a rational.
+VERIFY_DECLARATIONS = {
+    "A5": "m>=0 k>=0 alpha:Q",
+    "A6": "m>=1 k>=1",
+    "A8": "n>=0 k>=0",
+    "A9": "m>=0 k>=0",
+    "AA19": "m>=0 k>=0",
+    "A12": "m>=0 k>=0",
+    "A13": "m>=0 k>=0 alpha:Q",
+    "A14coeff": "m>=1 k>=0 j>=0",
+    "A15": "m>=0 k>=0",
+    "A27": "m>=0 k>=0 x:Q",
+    "A28": "m>=0 k>=0",
+    "A29": "m>=0 k>=0 n>=1",
+    "A30": "m>=0 k>=0 n>=1",
+    "A31": "m>=0 k>=0 n>=1",
+    "A32": "m>=0 k>=0 n>=1",
+    "ii16": "m>=0 n>=1 A:Q B:Q x:Q",
+    "ii17": "n>=1 A:Q B:Q x:Q",
+    "iii4": "m>=0",
+    "iii5": "m>=0 n>=0",
+    "iii10": "m>=0 n>=0",
+    "conjugate_HS": "m>=0 k>=0",
+    "a4": "k>=0 alpha:Q",
+    "a7": "k>=0",
+    "A18": "a>=1 x:Q",
+    "A25": "k>=0 beta:Q",
+    "A26": "k>=0",
+    "nueva1": "m>=0 c:Q",
+    "nueva2": "m>=1 c:Q",
+}
+
+
+def _parameter_faults(declaration, point):
+    """Each (bad point, message tail) for one parameter of `point` dropped or
+    replaced by a value that `declaration` refuses."""
+    for item in declaration.split():
+        name, _, low = item.partition(">=")
+        if low:
+            low = int(low)
+            bad = [0.5, "1", None, True, low - 1, F(1, 2)]
+            tail = f"needs an integer {name} >= {low}, got {{!r}}"
+        else:
+            name = name.removesuffix(":Q")
+            bad = [0.5, "1", None, True, Dual(1, 1)]
+            tail = f"needs a rational {name}, got {{!r}}" + _RATIONAL_HINT
+        yield {key: value for key, value in point.items() if key != name}, (
+            f"is missing parameter {name!r}"
+        )
+        for value in bad:
+            yield {**point, name: value}, tail.format(value)
+
+
+@pytest.mark.parametrize("relation", VERIFY_DECLARATIONS)
+def test_every_declared_verify_parameter_refuses_a_bad_value(relation):
+    # From the relation's first default point, drop or spoil one parameter at a
+    # time; each fault names the parameter exactly as the declaration does.
+    relation_id, _, _, default = pochex.verify._relation(relation)
+    assert pochex.verify._RELATIONS[relation_id][1] == VERIFY_DECLARATIONS[relation]
+    point = default()[0]
+    expected, got = [], []
+    for params, tail in _parameter_faults(VERIFY_DECLARATIONS[relation], point):
+        expected.append(f"run_relation({relation!r}) at grid point 0 {tail}")
+        with pytest.raises(DomainError) as fault:
+            run_relation(relation, [params])
+        got.append(str(fault.value))
+    assert got == expected
 
 
 def test_every_public_count_parameter_is_listed():

@@ -25,7 +25,7 @@ from pochex.verify import (
     IdentityId,
     IdentityResult,
     _first_discrepancy,
-    _Point,
+    _read,
     _relation,
     _sum_of_products,
     run_relation,
@@ -40,17 +40,17 @@ from relation_catalog import IN_SCOPE_TAGS, RELATION_COVERAGE
 
 def default_grid(token):
     """The default parameter grid of a relation, as `run_relation(token)` runs it."""
-    return _relation(token)[2]()
+    return _relation(token)[3]()
 
 
 def evaluate(token, params, order=_GENFUN_ORDER):
     """Both sides of a relation at one point, from its private evaluator: two
     scalars for an identity, two series to `order` for a generating relation."""
-    relation, evaluator, _ = _relation(token)
-    point = _Point(f"{relation.value} at {params}", params, {})
+    relation, evaluator, declared, _ = _relation(token)
+    values = _read(f"{relation.value} at {params}", params, relation.value, declared)
     if isinstance(relation, IdentityId):
-        return evaluator(point)
-    return evaluator(order, point)
+        return evaluator({}, *values)
+    return evaluator(order, *values)
 
 
 def test_identity_spot_values():
@@ -125,6 +125,19 @@ def test_default_grids_are_pinned():
         )
         assert (len(grid), hashlib.sha256(text.encode()).hexdigest()) == (count, digest), token
     assert sum(count for count, _ in _GRID_PINS.values()) == 2479
+
+
+def test_declarations_match_their_evaluators_and_grids():
+    # Each relation's declared parameters are, in order, its evaluator's
+    # arguments after the first (the shared calls or the series order) and the
+    # keys of every default grid point; `key_last` keeps the grid in that order.
+    for relation in (*IdentityId, *GenFunId):
+        _, evaluate, declared, default = _relation(relation)
+        names = [name for name, _ in declared]
+        code = evaluate.__code__
+        first = "calls" if isinstance(relation, IdentityId) else "order"
+        assert code.co_varnames[: code.co_argcount] == (first, *names), relation
+        assert all(list(point) == names for point in default()), relation
 
 
 def relation_value_lines():
@@ -226,13 +239,15 @@ def test_a_grid_that_repeats_points_checks_as_one_call_per_point(monkeypatch, to
     # failure records show the lhs that the shared calls built.
     import pochex.verify
 
-    evaluate, default = pochex.verify._RELATIONS[IdentityId(token)]
+    evaluate, declared, default = pochex.verify._RELATIONS[IdentityId(token)]
 
-    def off_at_k1(p):
-        lhs, rhs = evaluate(p)
-        return lhs, rhs + int(p["k"] == 1)
+    def off_at_k1(calls, m, k, *rest):
+        lhs, rhs = evaluate(calls, m, k, *rest)
+        return lhs, rhs + int(k == 1)
 
-    monkeypatch.setitem(pochex.verify._RELATIONS, IdentityId(token), (off_at_k1, default))
+    monkeypatch.setitem(
+        pochex.verify._RELATIONS, IdentityId(token), (off_at_k1, declared, default)
+    )
     grid = default() + default()[::-1]
     summary = run_relation(token, grid)
     one_by_one = [run_relation(token, [params]) for params in grid]
@@ -282,6 +297,13 @@ _II16_GRID = [{"m": 0, "n": 2, "A": F(1), "B": b, "x": F(0)} for b in (1, 2, 3, 
         (GenFunId.A25, [{"k": 0, "beta": F(-1)}], "0 has beta = -1, which hits a pole at shift 1"),
         (GenFunId.nueva1, [{"m": 1, "c": F(0)}], "0 needs c > 0"),
         (GenFunId.nueva2, [{"m": 1, "c": F(-1)}], "0 needs c > 0"),
+        # Every parameter is read before any range is checked.
+        (
+            IdentityId.ii16,
+            [{"m": 2, "n": 2, "A": 0.5, "B": F(1), "x": F(0)}],
+            "0 needs a rational A, got 0.5; pass an int or a Fraction",
+        ),
+        (IdentityId.ii16, [{"m": 2, "n": 2, "B": F(1), "x": F(0)}], "0 is missing parameter 'A'"),
     ],
 )
 def test_relation_guards_refuse_points_outside_their_range(relation, grid, message):
@@ -337,18 +359,18 @@ def test_failures_carry_the_failing_points_exactly(monkeypatch, capsys):
     relations = pochex.verify._RELATIONS
     eval_A9, genfun_a7 = pochex.verify._eval_A9, pochex.verify._genfun_a7
 
-    def bad_A9(p):
-        lhs, rhs = eval_A9(p)
-        return lhs, rhs + int(p["m"] == 3)
+    def bad_A9(calls, m, k):
+        lhs, rhs = eval_A9(calls, m, k)
+        return lhs, rhs + int(m == 3)
 
-    def bad_a7(order, p):
-        lhs, rhs = genfun_a7(order, p)
-        return lhs, rhs + EpsSeries([0] * 5 + [int(p["k"] == 2)] + [0] * (order - 5))
+    def bad_a7(order, k):
+        lhs, rhs = genfun_a7(order, k)
+        return lhs, rhs + EpsSeries([0] * 5 + [int(k == 2)] + [0] * (order - 5))
 
     A9_grid = [{"m": 2, "k": 1}, {"m": 3, "k": 1}, {"m": 4, "k": 4}]
     a7_grid = [{"k": 1}, {"k": 2}, {"k": 3}]
-    monkeypatch.setitem(relations, IdentityId.A9, (bad_A9, lambda: A9_grid))
-    monkeypatch.setitem(relations, GenFunId.a7, (bad_a7, lambda: a7_grid))
+    monkeypatch.setitem(relations, IdentityId.A9, (bad_A9, "m>=0 k>=0", lambda: A9_grid))
+    monkeypatch.setitem(relations, GenFunId.a7, (bad_a7, "k>=0", lambda: a7_grid))
     A9, a7 = verify_ids(["A9", "a7"])
 
     assert A9 == CheckSummary("A9", 3, (IdentityResult(IdentityId.A9, {"m": 3, "k": 1}, F(11), F(12)),))
