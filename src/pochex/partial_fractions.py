@@ -27,10 +27,13 @@ _ONE = Fraction(1)
 
 
 class PFTerm(_Record):
-    """One simple-pole contribution: coefficient / (pole_constant + pole_slope*eps)."""
+    """One simple-pole contribution: coefficient / (pole_constant + pole_slope*eps).
+
+    Each field is an exact scalar: an int becomes a Fraction, and a Dual is kept.
+    """
 
     def __init__(self, coefficient: Fraction, pole_constant: Fraction, pole_slope: Fraction):
-        self._store(coefficient, pole_constant, pole_slope)
+        self._store(_coerce(coefficient), _coerce(pole_constant), _coerce(pole_slope))
 
     @property
     def pole_location(self) -> Fraction:
@@ -50,10 +53,18 @@ class PFTerm(_Record):
 
 
 class PartialFractionForm(_Record):
-    """constant + sum of PFTerms, the whole thing times a scalar prefactor."""
+    """constant + sum of PFTerms, the whole thing times a scalar prefactor.
+
+    constant and scalar are exact scalars, as a PFTerm's fields are; terms is an
+    iterable of PFTerms, kept as a tuple.
+    """
 
     def __init__(self, constant: Fraction, terms: tuple, scalar: Fraction = _ONE):
-        self._store(constant, terms, scalar)
+        constant = _coerce(constant)
+        terms = tuple(_iterable("PartialFractionForm", terms, "PFTerm terms"))
+        for term in terms:
+            _typed("PartialFractionForm", PFTerm, term=term)
+        self._store(constant, terms, _coerce(scalar))
 
     def __str__(self):
         """Human-readable sum, e.g. `2/(1+eps) - 3/(2+eps)`."""

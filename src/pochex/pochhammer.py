@@ -12,6 +12,11 @@ a simple pole in eps.  Every method computes in rationals: `pochhammer` (which
 is P(m, 0)), `poch_deriv` and `recip_poch_deriv` apply a Dual argument once, by
 the identities (`_dual_rule`) dP(m, k)/dalpha = (k+1) P(m, k+1) and
 dQ(m, k)/dbeta = (k+1) Q(m, k+1).  `LinearParam` is a frozen `series._Record`.
+
+`_POCH_DISPATCH` and `_RECIP_DISPATCH` map each method's name to its code, and
+are the only list of the names: `PochMethod` and `RecipMethod` are built from
+them, member NAME with the value "name".  A method is a member of its family's
+enum or a plain str that names one.
 """
 
 from __future__ import annotations
@@ -58,31 +63,6 @@ class LinearParam(_Record):
         """The parameter with its constant moved by the integer offset."""
         _signed("LinearParam.shifted", offset=offset)
         return LinearParam(self.constant + offset, self.slope)
-
-
-class PochMethod(str, Enum):
-    RECURRENCE = "recurrence"
-    STIRLING_SUM = "stirling_sum"
-    COFFEY = "coffey"
-    BERNOULLI = "bernoulli"
-    SERIES_ORACLE = "series_oracle"
-
-
-class RecipMethod(str, Enum):
-    RECURRENCE = "recurrence"
-    CLOSED_SUM = "closed_sum"
-    DELTA_FORM = "delta_form"
-    SERIES_ORACLE = "series_oracle"
-
-
-def _as_method(method, enum_cls):
-    if isinstance(method, enum_cls):
-        return method
-    try:
-        return enum_cls(method)
-    except ValueError:
-        names = ", ".join(m.value for m in enum_cls)
-        raise DomainError(f"unknown method {method!r}; expected one of: {names}") from None
 
 
 def pochhammer(alpha, m: int):
@@ -347,13 +327,30 @@ def _poch_deriv_oracle(alpha, m, k):
     return _linear_product(alpha, m, k).coefficient(k)
 
 
+def _method_enum(name: str, dispatch: dict) -> type:
+    """The public enum of a dispatch table: member NAME has the value "name"."""
+    return Enum(name, {key.upper(): key for key in dispatch}, type=str, module=__name__)
+
+
+def _method(method, enum_cls, dispatch: dict):
+    """The entry of `dispatch` that `method` names: a member of `enum_cls`, or a plain
+    str equal to a member's value.  A member of another enum is refused."""
+    if isinstance(method, enum_cls):
+        method = method.value
+    if type(method) is str and method in dispatch:
+        return dispatch[method]
+    names = ", ".join(dispatch)
+    raise DomainError(f"unknown method {method!r}; expected one of: {names}")
+
+
 _POCH_DISPATCH = {
-    PochMethod.RECURRENCE: _poch_deriv_recurrence,
-    PochMethod.STIRLING_SUM: _poch_deriv_stirling,
-    PochMethod.COFFEY: _poch_deriv_coffey,
-    PochMethod.BERNOULLI: _poch_deriv_bernoulli,
-    PochMethod.SERIES_ORACLE: _poch_deriv_oracle,
+    "recurrence": _poch_deriv_recurrence,
+    "stirling_sum": _poch_deriv_stirling,
+    "coffey": _poch_deriv_coffey,
+    "bernoulli": _poch_deriv_bernoulli,
+    "series_oracle": _poch_deriv_oracle,
 }
+PochMethod = _method_enum("PochMethod", _POCH_DISPATCH)
 
 
 def _dual_rule(run, x, m: int, k: int, depends: bool):
@@ -375,7 +372,7 @@ def poch_deriv(alpha, m: int, k: int, method=PochMethod.STIRLING_SUM):
     alpha = _coerce(alpha)
     if k > m:
         return _ZERO
-    return _dual_rule(_POCH_DISPATCH[_as_method(method, PochMethod)], alpha, m, k, k < m)
+    return _dual_rule(_method(method, PochMethod, _POCH_DISPATCH), alpha, m, k, k < m)
 
 
 # -- derivatives of the reciprocal -------------------------------------------
@@ -426,11 +423,12 @@ def _recip_deriv_oracle(beta, m, k):
 
 
 _RECIP_DISPATCH = {
-    RecipMethod.RECURRENCE: _recip_deriv_recurrence,
-    RecipMethod.CLOSED_SUM: _recip_deriv_closed_sum,
-    RecipMethod.DELTA_FORM: _recip_deriv_delta_form,
-    RecipMethod.SERIES_ORACLE: _recip_deriv_oracle,
+    "recurrence": _recip_deriv_recurrence,
+    "closed_sum": _recip_deriv_closed_sum,
+    "delta_form": _recip_deriv_delta_form,
+    "series_oracle": _recip_deriv_oracle,
 }
+RecipMethod = _method_enum("RecipMethod", _RECIP_DISPATCH)
 
 
 def recip_poch_deriv(beta, m: int, k: int, method=RecipMethod.CLOSED_SUM):
@@ -446,7 +444,7 @@ def recip_poch_deriv(beta, m: int, k: int, method=RecipMethod.CLOSED_SUM):
         raise PoleError(
             f"1/(beta)_{m} has a pole at beta = {beta}: factor beta + {l} vanishes", index=l
         )
-    return _dual_rule(_RECIP_DISPATCH[_as_method(method, RecipMethod)], beta, m, k, m > 0)
+    return _dual_rule(_method(method, RecipMethod, _RECIP_DISPATCH), beta, m, k, m > 0)
 
 
 def recip_poch_laurent(n: int, b, m: int, order: int) -> EpsSeries:

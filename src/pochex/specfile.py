@@ -31,7 +31,6 @@ from .pochhammer import LinearParam
 from .series import _Record, _typed, parse_rational
 
 _SECTIONS = ("function", "numerator", "denominator", "options")
-_OPTION_KEYS = ("eps_order", "degree_bound", "regroup")
 
 
 class SpecOptions(_Record):
@@ -44,6 +43,9 @@ class SpecOptions(_Record):
         regroup: str | None = None,
     ):
         self._store(eps_order, degree_bound, regroup)
+
+
+_OPTION_KEYS = SpecOptions.__match_args__
 
 
 def _logical_lines(text: str):

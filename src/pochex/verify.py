@@ -6,20 +6,23 @@ evaluated with both sides computed by maximally independent code paths) or a
 `_GENFUN_ORDER`).  The enum tokens are opaque stable labels; each evaluator's
 docstring states the mathematical content.
 
-`_RELATIONS` gives each checkable relation its evaluator, its parameters and
-its default parameter grid, built by `_grid`.  There are three entry points:
-`run_relation` checks one relation over a grid, its default grid or one the
-caller gives (a single point is a grid of one); `verify_ids` and `verify_all`
-run it for each relation they are given.
+`_IDENTITIES` and `_GENFUNS` give each relation, keyed by its token, its
+evaluator, its parameters and its default parameter grid, built by `_grid`.
+They are the only list of the tokens: `IdentityId` and `GenFunId` are read from
+them, each member named as its token, and `_RELATIONS` joins the two.  There
+are three entry points: `run_relation` checks one relation over a grid, its
+default grid or one the caller gives (a single point is a grid of one);
+`verify_ids` and `verify_all` run it for each relation they are given.
 
 Each relation declares its parameters once, in the order they are read and
 passed: `"m>=0 k>=0 alpha:Q"` is two integers of at least 0 and a rational.
 `_read` checks a point against it, and the evaluator takes the plain values
 after the dict of shared calls (an identity) or the series order (a generating
-relation).  A missing or bad parameter is found first, in declared order, then
-a key not declared, then the point's range: an evaluator raises `_OutOfRange`
-with the message's tail (`needs k <= m`), and `run_relation` heads every fault
-with the call, the relation and the point.
+relation); a default grid's points get their keys in declared order.  A
+missing or bad parameter is found first, in declared order, then a key not
+declared, then the point's range: an evaluator raises `_OutOfRange` with the
+message's tail (`needs k <= m`), and `run_relation` heads every fault with the
+call, the relation and the point.
 
 Cost model: a side that is a sum adds its terms as one integer sum.
 `_sum_of_products` makes each term, a product of ints and Fractions, one
@@ -85,44 +88,6 @@ from .series import (
 )
 
 _F = Fraction
-
-
-class IdentityId(str, Enum):
-    """Exact scalar relations checkable at a parameter point."""
-
-    A5 = "A5"
-    A6 = "A6"
-    A8 = "A8"
-    A9 = "A9"
-    AA19 = "AA19"
-    A12 = "A12"
-    A13 = "A13"
-    A14coeff = "A14coeff"
-    A15 = "A15"
-    A27 = "A27"
-    A28 = "A28"
-    A29 = "A29"
-    A30 = "A30"
-    A31 = "A31"
-    A32 = "A32"
-    ii16 = "ii16"
-    ii17 = "ii17"
-    iii4 = "iii4"
-    iii5 = "iii5"
-    iii10 = "iii10"
-    conjugate_HS = "conjugate_HS"
-
-
-class GenFunId(str, Enum):
-    """Power-series relations compared coefficientwise to a truncation order."""
-
-    a4 = "a4"
-    a7 = "a7"
-    A18 = "A18"
-    A25 = "A25"
-    A26 = "A26"
-    nueva1 = "nueva1"
-    nueva2 = "nueva2"
 
 
 class IdentityResult(_Record):
@@ -609,12 +574,11 @@ _II_ARGS = {
 }
 
 
-def _grid(key_last=None, **axes):
+def _grid(**axes):
     """A default grid: a function returning the points of nested loops over `axes`.
 
     The first axis is the outermost loop.  An axis is a sequence of values or a
-    function of the point built so far (a dict) that returns one.  Each point's
-    keys follow the axes, except that `key_last`, if given, is moved to the end.
+    function of the point built so far (a dict) that returns one.
     """
 
     def points():
@@ -625,9 +589,6 @@ def _grid(key_last=None, **axes):
                 for point in built
                 for value in (axis(point) if callable(axis) else axis)
             ]
-        if key_last is not None:
-            for point in built:
-                point[key_last] = point.pop(key_last)
         return built
 
     return points
@@ -643,86 +604,88 @@ def _c_choices(point):
     return map(_F, dict.fromkeys((1, math.lcm(*range(1, m + 1)), math.factorial(m))))
 
 
-# Every checkable relation: its evaluator, its parameter declaration and its
-# default parameter grid (a function returning parameter dicts), in the order
-# `verify_all` reports them.
-_RELATIONS = {
-    IdentityId.A5: (
+# Every checkable relation by its token: its evaluator, its parameter declaration
+# and its default parameter grid (a function returning parameter dicts), in the
+# order `verify_all` reports them.  The identities come first.
+_IDENTITIES = {
+    "A5": (
         _eval_A5,
         "m>=0 k>=0 alpha:Q",
         lambda: [{"m": m, "k": k, "alpha": a} for a in _ALPHA_GRID for m, k in _A5_MK],
     ),
-    IdentityId.A6: (_eval_A6, "m>=1 k>=1", _grid(m=range(11), k=lambda p: range(1, p["m"] + 1))),
-    IdentityId.A8: (_eval_A8, "n>=0 k>=0", _grid(n=range(11), k=lambda p: range(p["n"] + 1))),
-    IdentityId.A9: (_eval_A9, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
-    IdentityId.AA19: (_eval_AA19, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
-    IdentityId.A12: (_eval_A12, "m>=0 k>=0", _grid(m=range(11), k=range(7))),
-    IdentityId.A13: (
+    "A6": (_eval_A6, "m>=1 k>=1", _grid(m=range(11), k=lambda p: range(1, p["m"] + 1))),
+    "A8": (_eval_A8, "n>=0 k>=0", _grid(n=range(11), k=lambda p: range(p["n"] + 1))),
+    "A9": (_eval_A9, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
+    "AA19": (_eval_AA19, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
+    "A12": (_eval_A12, "m>=0 k>=0", _grid(m=range(11), k=range(7))),
+    "A13": (
         _eval_A13,
         "m>=0 k>=0 alpha:Q",
-        _grid(
-            alpha=(_F(0), _F(3, 2), _F(-2)) + _RAT_SPOTS, m=range(8), k=_up_to_m, key_last="alpha"
-        ),
+        _grid(alpha=(_F(0), _F(3, 2), _F(-2)) + _RAT_SPOTS, m=range(8), k=_up_to_m),
     ),
-    IdentityId.A14coeff: (
-        _eval_A14coeff, "m>=1 k>=0 j>=0", _grid(m=range(1, 9), k=range(4), j=range(4))
-    ),
-    IdentityId.A15: (_eval_A15, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
-    IdentityId.A27: (
+    "A14coeff": (_eval_A14coeff, "m>=1 k>=0 j>=0", _grid(m=range(1, 9), k=range(4), j=range(4))),
+    "A15": (_eval_A15, "m>=0 k>=0", _grid(m=range(11), k=_up_to_m)),
+    "A27": (
         _eval_A27,
         "m>=0 k>=0 x:Q",
-        _grid(x=(_F(1), _F(2), _F(1, 2), _F(7, 3)), m=range(9), k=range(7), key_last="x"),
+        _grid(x=(_F(1), _F(2), _F(1, 2), _F(7, 3)), m=range(9), k=range(7)),
     ),
-    IdentityId.A28: (_eval_A28, "m>=0 k>=0", _grid(m=range(11), k=lambda p: range(p["m"] + 3))),
-    IdentityId.A29: (
-        _eval_A29, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3, 4), m=range(9), k=_up_to_m, key_last="n")
-    ),
-    IdentityId.A30: (
-        _eval_A30, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3, 4), m=range(7), k=range(6), key_last="n")
-    ),
-    IdentityId.A31: (
-        _eval_A31, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3), m=range(9), k=_up_to_m, key_last="n")
-    ),
-    IdentityId.A32: (
+    "A28": (_eval_A28, "m>=0 k>=0", _grid(m=range(11), k=lambda p: range(p["m"] + 3))),
+    "A29": (_eval_A29, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3, 4), m=range(9), k=_up_to_m)),
+    "A30": (_eval_A30, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3, 4), m=range(7), k=range(6))),
+    "A31": (_eval_A31, "m>=0 k>=0 n>=1", _grid(n=(1, 2, 3), m=range(9), k=_up_to_m)),
+    "A32": (
         _eval_A32,
         "m>=0 k>=0 n>=1",
-        _grid(n=(1, 2, 3), m=lambda p: range(p["n"] + 1), k=range(6), key_last="n"),
+        _grid(n=(1, 2, 3), m=lambda p: range(p["n"] + 1), k=range(6)),
     ),
-    IdentityId.ii16: (
+    "ii16": (
         _eval_ii16,
         "m>=0 n>=1 A:Q B:Q x:Q",
         _grid(m=range(4), n=lambda p: ((1, 2), (2, 3), (3, 5), (4,))[p["m"]], **_II_ARGS),
     ),
-    IdentityId.ii17: (_eval_ii17, "n>=1 A:Q B:Q x:Q", _grid(n=range(1, 6), **_II_ARGS)),
-    IdentityId.iii4: (_eval_iii4, "m>=0", _grid(m=range(13))),
-    IdentityId.iii5: (_eval_iii5, "m>=0 n>=0", _grid(m=range(11), n=lambda p: range(p["m"] + 1))),
-    IdentityId.iii10: (_eval_iii10, "m>=0 n>=0", _grid(m=range(9), n=range(7))),
-    IdentityId.conjugate_HS: (_eval_conjugate_HS, "m>=0 k>=0", _grid(m=range(13), k=range(7))),
-    GenFunId.a4: (_genfun_a4, "k>=0 alpha:Q", _grid(k=range(4), alpha=(_F(1), _F(1, 2)))),
-    GenFunId.a7: (_genfun_a7, "k>=0", _grid(k=range(5))),
-    GenFunId.A18: (_genfun_A18, "a>=1 x:Q", _grid(a=range(1, 6), x=(_F(0), _F(1, 2)))),
-    GenFunId.A25: (_genfun_A25, "k>=0 beta:Q", _grid(k=range(4), beta=(_F(1), _F(2), _F(1, 2)))),
-    GenFunId.A26: (_genfun_A26, "k>=0", _grid(k=range(4))),
-    GenFunId.nueva1: (_genfun_nueva1, "m>=0 c:Q", _grid(m=range(6), c=_c_choices)),
-    GenFunId.nueva2: (_genfun_nueva2, "m>=1 c:Q", _grid(m=range(1, 6), c=_c_choices)),
+    "ii17": (_eval_ii17, "n>=1 A:Q B:Q x:Q", _grid(n=range(1, 6), **_II_ARGS)),
+    "iii4": (_eval_iii4, "m>=0", _grid(m=range(13))),
+    "iii5": (_eval_iii5, "m>=0 n>=0", _grid(m=range(11), n=lambda p: range(p["m"] + 1))),
+    "iii10": (_eval_iii10, "m>=0 n>=0", _grid(m=range(9), n=range(7))),
+    "conjugate_HS": (_eval_conjugate_HS, "m>=0 k>=0", _grid(m=range(13), k=range(7))),
 }
+_GENFUNS = {
+    "a4": (_genfun_a4, "k>=0 alpha:Q", _grid(k=range(4), alpha=(_F(1), _F(1, 2)))),
+    "a7": (_genfun_a7, "k>=0", _grid(k=range(5))),
+    "A18": (_genfun_A18, "a>=1 x:Q", _grid(a=range(1, 6), x=(_F(0), _F(1, 2)))),
+    "A25": (_genfun_A25, "k>=0 beta:Q", _grid(k=range(4), beta=(_F(1), _F(2), _F(1, 2)))),
+    "A26": (_genfun_A26, "k>=0", _grid(k=range(4))),
+    "nueva1": (_genfun_nueva1, "m>=0 c:Q", _grid(m=range(6), c=_c_choices)),
+    "nueva2": (_genfun_nueva2, "m>=1 c:Q", _grid(m=range(1, 6), c=_c_choices)),
+}
+_RELATIONS = {**_IDENTITIES, **_GENFUNS}
+
+IdentityId = Enum("IdentityId", {token: token for token in _IDENTITIES}, type=str, module=__name__)
+IdentityId.__doc__ = "Exact scalar relations checkable at a parameter point."
+GenFunId = Enum("GenFunId", {token: token for token in _GENFUNS}, type=str, module=__name__)
+GenFunId.__doc__ = "Power-series relations compared coefficientwise to a truncation order."
 
 
 def _relation(token):
     """Resolve a relation token to (id, evaluator, declared parameters, default grid).
 
-    A token that names no relation raises DomainError.
+    The default grid's points have their keys in declared order.  A token that
+    names no relation raises DomainError.
     """
     for kind in (IdentityId, GenFunId):
         try:
             identity = kind(token)
         except ValueError:
             continue
-        evaluate, declaration, default = _RELATIONS[identity]
+        evaluate, declaration, default = _RELATIONS[identity.value]
         parts = (item.partition(">=") for item in declaration.split())
         declared = [(name.removesuffix(":Q"), int(low) if low else None) for name, _, low in parts]
-        return identity, evaluate, declared, default
-    known = ", ".join(key.value for key in _RELATIONS)
+        names = [name for name, _ in declared]
+        return identity, evaluate, declared, lambda: [
+            {name: point[name] for name in names} for point in default()
+        ]
+    known = ", ".join(_RELATIONS)
     raise DomainError(f"unknown relation id {token!r}; known ids: {known}")
 
 

@@ -203,6 +203,14 @@ TYPED = {
         lambda: PochProductQuotient([], [(5, 2)]),
         "a LinearParam param, got 5",
     ),
+    "PartialFractionForm-terms": (
+        lambda: pochex.PartialFractionForm(1, 5),
+        "an iterable of PFTerm terms, got 5",
+    ),
+    "PartialFractionForm-term": (
+        lambda: pochex.PartialFractionForm(1, (pochex.PFTerm(1, 1, 1), 5)),
+        "a PFTerm term, got 5",
+    ),
     "parse_rational": (lambda: pochex.parse_rational(5), "a str text, got 5"),
     "parse_spec_text": (lambda: pochex.parse_spec_text(5), "a str text, got 5"),
     "parse_quotient_text": (lambda: pochex.parse_quotient_text(5), "a str text, got 5"),
@@ -215,6 +223,53 @@ def test_wrong_typed_argument_is_a_domain_error(case):
     message = f"{case.partition('-')[0]} needs {needs}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()
+
+
+_P_NAMES = "recurrence, stirling_sum, coffey, bernoulli, series_oracle"
+_Q_NAMES = "recurrence, closed_sum, delta_form, series_oracle"
+
+
+@pytest.mark.parametrize(
+    "call, method, message",
+    [
+        (
+            "poch_deriv",
+            pochex.RecipMethod.RECURRENCE,
+            f"unknown method <RecipMethod.RECURRENCE: 'recurrence'>; expected one of: {_P_NAMES}",
+        ),
+        (
+            "recip_poch_deriv",
+            pochex.PochMethod.SERIES_ORACLE,
+            "unknown method <PochMethod.SERIES_ORACLE: 'series_oracle'>; "
+            f"expected one of: {_Q_NAMES}",
+        ),
+        ("poch_deriv", b"coffey", f"unknown method b'coffey'; expected one of: {_P_NAMES}"),
+        ("poch_deriv", ["coffey"], f"unknown method ['coffey']; expected one of: {_P_NAMES}"),
+        ("recip_poch_deriv", None, f"unknown method None; expected one of: {_Q_NAMES}"),
+    ],
+    ids=["poch_deriv-RecipMethod", "recip_poch_deriv-PochMethod", "bytes", "list", "None"],
+)
+def test_a_method_that_names_no_member_of_its_family_is_refused(call, method, message):
+    # A member of the other enum names no method of this family, even where the
+    # two share a value ("recurrence", "series_oracle").
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        getattr(pochex, call)(F(1, 3), 5, 2, method)
+
+
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        ((0.5, 1, 1), "inexact float 0.5; pass an int or a Fraction"),
+        ((1, 0.5, 1), "inexact float 0.5; pass an int or a Fraction"),
+        ((1, 1, True), "True is not an exact scalar; pass an int or a Fraction"),
+        ((1, 1, "1"), "'1' is not an exact scalar; pass an int or a Fraction"),
+    ],
+    ids=["coefficient", "pole_constant", "pole_slope-bool", "pole_slope-str"],
+)
+def test_a_partial_fraction_term_refuses_an_inexact_field(term, message):
+    # A float coefficient once gave pf_derivative a float result.
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        pochex.pf_derivative(pochex.PartialFractionForm(F(1), (pochex.PFTerm(*term),)), 1)
 
 
 @pytest.mark.parametrize(
@@ -480,8 +535,8 @@ def _parameter_faults(declaration, point):
 def test_every_declared_verify_parameter_refuses_a_bad_value(relation):
     # From the relation's first default point, drop or spoil one parameter at a
     # time; each fault names the parameter exactly as the declaration does.
-    relation_id, _, _, default = pochex.verify._relation(relation)
-    assert pochex.verify._RELATIONS[relation_id][1] == VERIFY_DECLARATIONS[relation]
+    default = pochex.verify._relation(relation)[3]
+    assert pochex.verify._RELATIONS[relation][1] == VERIFY_DECLARATIONS[relation]
     point = default()[0]
     expected, got = [], []
     for params, tail in _parameter_faults(VERIFY_DECLARATIONS[relation], point):

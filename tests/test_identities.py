@@ -130,7 +130,9 @@ def test_default_grids_are_pinned():
 def test_declarations_match_their_evaluators_and_grids():
     # Each relation's declared parameters are, in order, its evaluator's
     # arguments after the first (the shared calls or the series order) and the
-    # keys of every default grid point; `key_last` keeps the grid in that order.
+    # keys of every default grid point.  `_relation` puts a point's keys in
+    # declared order, so every point of the table's own grid must have exactly
+    # the declared keys: a wrong or extra axis would be dropped unseen.
     for relation in (*IdentityId, *GenFunId):
         _, evaluate, declared, default = _relation(relation)
         names = [name for name, _ in declared]
@@ -138,6 +140,8 @@ def test_declarations_match_their_evaluators_and_grids():
         first = "calls" if isinstance(relation, IdentityId) else "order"
         assert code.co_varnames[: code.co_argcount] == (first, *names), relation
         assert all(list(point) == names for point in default()), relation
+        raw = pochex.verify._RELATIONS[relation.value][2]()
+        assert all(set(point) == set(names) for point in raw), relation
 
 
 def relation_value_lines():
@@ -239,15 +243,13 @@ def test_a_grid_that_repeats_points_checks_as_one_call_per_point(monkeypatch, to
     # failure records show the lhs that the shared calls built.
     import pochex.verify
 
-    evaluate, declared, default = pochex.verify._RELATIONS[IdentityId(token)]
+    evaluate, declared, default = pochex.verify._RELATIONS[token]
 
     def off_at_k1(calls, m, k, *rest):
         lhs, rhs = evaluate(calls, m, k, *rest)
         return lhs, rhs + int(k == 1)
 
-    monkeypatch.setitem(
-        pochex.verify._RELATIONS, IdentityId(token), (off_at_k1, declared, default)
-    )
+    monkeypatch.setitem(pochex.verify._RELATIONS, token, (off_at_k1, declared, default))
     grid = default() + default()[::-1]
     summary = run_relation(token, grid)
     one_by_one = [run_relation(token, [params]) for params in grid]
@@ -369,8 +371,8 @@ def test_failures_carry_the_failing_points_exactly(monkeypatch, capsys):
 
     A9_grid = [{"m": 2, "k": 1}, {"m": 3, "k": 1}, {"m": 4, "k": 4}]
     a7_grid = [{"k": 1}, {"k": 2}, {"k": 3}]
-    monkeypatch.setitem(relations, IdentityId.A9, (bad_A9, "m>=0 k>=0", lambda: A9_grid))
-    monkeypatch.setitem(relations, GenFunId.a7, (bad_a7, "k>=0", lambda: a7_grid))
+    monkeypatch.setitem(relations, "A9", (bad_A9, "m>=0 k>=0", lambda: A9_grid))
+    monkeypatch.setitem(relations, "a7", (bad_a7, "k>=0", lambda: a7_grid))
     A9, a7 = verify_ids(["A9", "a7"])
 
     assert A9 == CheckSummary("A9", 3, (IdentityResult(IdentityId.A9, {"m": 3, "k": 1}, F(11), F(12)),))

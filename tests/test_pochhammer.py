@@ -205,11 +205,23 @@ class _Twin:
         pole_constant: "Fraction"
         pole_slope: "Fraction"
 
+        def __post_init__(self):
+            for name in ("coefficient", "pole_constant", "pole_slope"):
+                object.__setattr__(self, name, _coerce(getattr(self, name)))
+
     @dataclasses.dataclass(frozen=True)
     class PartialFractionForm:
         constant: "Fraction"
         terms: "tuple"
         scalar: "Fraction" = F(1)
+
+        def __post_init__(self):
+            object.__setattr__(self, "constant", _coerce(self.constant))
+            terms = tuple(_iterable("PartialFractionForm", self.terms, "PFTerm terms"))
+            for term in terms:
+                _typed("PartialFractionForm", PFTerm, term=term)
+            object.__setattr__(self, "terms", terms)
+            object.__setattr__(self, "scalar", _coerce(self.scalar))
 
     @dataclasses.dataclass(frozen=True)
     class SpecOptions:
@@ -330,12 +342,29 @@ _RECORDS = {
         [(), ({},), ([], 0, 0), ({}, -1, 0), ({}, 0, 0.5), ({}, 0, 0, "x")],
     ),
     PFTerm: (
-        [(F(1), F(2), F(1)), (F(3), Dual(1, 1), F(-1))],
-        [(), (1, 2), (1, 2, 3, 4)],
+        [(F(1), F(2), F(1)), (F(3), Dual(1, 1), F(-1)), (1, F(1, 2), -1), (Dual(0, 1), 2, 1)],
+        [(), (1, 2), (1, 2, 3, 4), (0.5, 1, 1), (1, True, 1), (1, 1, "1"), (1, 1, None)],
     ),
     PartialFractionForm: (
-        [(F(0), (PFTerm(1, 1, 1),)), (F(1), (), F(3)), (F(1), (), F(1)), (F(1), ())],
-        [(), (1,), (1, (), 1, 1)],
+        [
+            (F(0), (PFTerm(1, 1, 1),)),
+            (F(1), (), F(3)),
+            (F(1), (), F(1)),
+            (F(1), ()),
+            (1, [PFTerm(1, 1, 1), PFTerm(2, 3, -1)], 2),
+            (Dual(1, 1), (), Dual(2, 0)),
+        ],
+        [
+            (),
+            (1,),
+            (1, (), 1, 1),
+            (0.5, ()),
+            (1, 5),
+            (1, (5,)),
+            (1, [PFTerm(1, 1, 1), "x"]),
+            (1, (), 1.5),
+            (False, ()),
+        ],
     ),
     SpecOptions: ([(), (3, 5, "lattice"), (None, None, None)], [(1, 2, 3, 4)]),
     IdentityResult: (
