@@ -25,16 +25,18 @@ its first error, with its line number, is the one raised.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .hyper_expand import HyperTermSpec, IndexLaw
 from .pochhammer import LinearParam
-from .series import _Record, _typed, parse_rational
+from .series import _count, _Record, _typed, parse_rational
 
 _SECTIONS = ("function", "numerator", "denominator", "options")
 
 
 class SpecOptions(_Record):
-    """Optional [options] block: expansion depth and table keying."""
+    """Optional [options] block: expansion depth and table keying.  Each field is
+    None when unset; eps_order and degree_bound are ints >= 0, and regroup is
+    'lattice' or 'total'."""
 
     def __init__(
         self,
@@ -42,6 +44,12 @@ class SpecOptions(_Record):
         degree_bound: int | None = None,
         regroup: str | None = None,
     ):
+        depths = {"eps_order": eps_order, "degree_bound": degree_bound}
+        _count("SpecOptions", **{name: n for name, n in depths.items() if n is not None})
+        if regroup not in (None, "lattice", "total"):
+            raise DomainError(
+                f"SpecOptions needs a regroup None, 'lattice' or 'total', got {regroup!r}"
+            )
         self._store(eps_order, degree_bound, regroup)
 
 

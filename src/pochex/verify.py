@@ -12,13 +12,14 @@ They are the only list of the tokens: `IdentityId` and `GenFunId` are read from
 them, each member named as its token, and `_RELATIONS` joins the two.  There
 are three entry points: `run_relation` checks one relation over a grid, its
 default grid or one the caller gives (a single point is a grid of one);
-`verify_ids` and `verify_all` run it for each relation they are given.
+`verify_ids` and `verify_all` check each relation they are given over its
+default grid.
 
 Each relation declares its parameters once, in the order they are read and
 passed: `"m>=0 k>=0 alpha:Q"` is two integers of at least 0 and a rational.
 `_read` checks a point against it, and the evaluator takes the plain values
-after the dict of shared calls (an identity) or the series order (a generating
-relation); a default grid's points get their keys in declared order.  A
+after the dict of shared calls and, for a generating relation, the series
+order; a default grid's points get their keys in declared order.  A
 missing or bad parameter is found first, in declared order, then a key not
 declared, then the point's range: an evaluator raises `_OutOfRange` with the
 message's tail (`needs k <= m`), and `run_relation` heads every fault with the
@@ -32,15 +33,18 @@ side that needs a Stirling row or column at one point takes it from one
 `_stirling_walk`.  Only how a side adds up its terms is shared: the two sides
 of every relation still run on their separate routes.
 
-Within one `run_relation` call, the grid points share one dict of the pure
-public calls that the grid repeats, keyed by function and arguments
-(`series._shared`): A27's P and Q values, the modified harmonic numbers of
-A28-A30 and A31's Stirling numbers.  Each distinct call runs once per grid; the
-dict is made by that call and dropped when it returns, so nothing is kept
-between calls.  A repeated call returns what the same code would compute
-again, so no check is weakened.  `run_relation` compares the two sides
-directly and builds an `IdentityResult` or `GenFunResult` only for a point
-that fails.
+Every evaluator takes its calls of seven pure building blocks (`poch_deriv`,
+`recip_poch_deriv`, `pochhammer`, `stirling_s1`, `mod_harmonic`, `binomial`
+and `_stirling_walk`) from one dict keyed by function and arguments
+(`series._shared`).  One `verify_ids` or `verify_all` call resolves each token
+once and runs every relation against one such dict, so each distinct call runs
+once per run, not once per relation or per point; a lone `run_relation` makes
+its own dict for its own grid.  The dict is made by the call and dropped when it
+returns, so nothing is kept between calls.  A repeated call returns what the
+same code would compute again, so no check is weakened: the two sides of every
+relation still run on their own routes.  Each relation compares its two
+sides directly and builds an `IdentityResult` or `GenFunResult` only for a
+point that fails.
 """
 
 from __future__ import annotations
@@ -83,6 +87,8 @@ from .series import (
     _iterable,
     _Record,
     _shared,
+    _signed,
+    _typed,
     polynomial_series,
     series_invert,
 )
@@ -91,12 +97,22 @@ _F = Fraction
 
 
 class IdentityResult(_Record):
-    def __init__(self, identity: IdentityId, params: dict, lhs: Fraction, rhs: Fraction):
-        self._store(identity, params, lhs, rhs)
+    """A point where an identity's two sides differ; each side is an exact scalar."""
+
+    def __init__(self, identity: IdentityId, params: Mapping, lhs: Fraction, rhs: Fraction):
+        _typed("IdentityResult", IdentityId, identity=identity)
+        _typed("IdentityResult", Mapping, params=params)
+        self._store(identity, params, _coerce(lhs), _coerce(rhs))
 
 
 class GenFunResult(_Record):
-    def __init__(self, identity: GenFunId, params: dict, order: int, first_discrepancy: int):
+    """A point where a generating relation's two series differ below `order`."""
+
+    def __init__(self, identity: GenFunId, params: Mapping, order: int, first_discrepancy: int):
+        _typed("GenFunResult", GenFunId, identity=identity)
+        _typed("GenFunResult", Mapping, params=params)
+        _count("GenFunResult", order=order)
+        _signed("GenFunResult", first_discrepancy=first_discrepancy)
         self._store(identity, params, order, first_discrepancy)
 
 
@@ -113,17 +129,19 @@ class _OutOfRange(DomainError):
 def _read(where, params, relation, declared):
     """The values in `params` of the (name, minimum) pairs `declared` for `relation`,
     in order, or a DomainError headed by `where`.  A minimum of None marks a
-    rational, and an integral Fraction counts as its integer."""
+    rational, and an integral Fraction counts as its integer.  An int in range, or
+    a Fraction for a rational, passes on one type test."""
     values = {}
     for name, low in declared:
         if name not in params:
             raise DomainError(f"{where} is missing parameter {name!r}")
         value = params[name]
         if low is not None:
-            if isinstance(value, Fraction) and value.denominator == 1:
-                value = int(value)
-            _count(where, low, **{name: value})
-        else:
+            if type(value) is not int or value < low:
+                if isinstance(value, Fraction) and value.denominator == 1:
+                    value = int(value)
+                _count(where, low, **{name: value})
+        elif type(value) is not Fraction:
             try:
                 value = _coerce(value, rational=True)
             except DomainError:
@@ -168,11 +186,11 @@ def _eval_A5(calls, m, k, alpha):
     plain rising factorial; k > m gives zero."""
     if not (m == 0 or k == 0 or k > m):
         raise _OutOfRange("needs m = 0, k = 0 or k > m")
-    lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, alpha, m, k, PochMethod.RECURRENCE)
     if m == 0:
         rhs = _F(1 if k == 0 else 0)
     elif k == 0:
-        rhs = pochhammer(alpha, m)
+        rhs = _shared(calls, pochhammer, alpha, m)
     else:
         rhs = _F(0)
     return lhs, rhs
@@ -182,15 +200,15 @@ def _eval_A6(calls, m, k):
     """k-th derivative coefficient at argument 0 is a signed Stirling number."""
     if k > m:
         raise _OutOfRange("needs 0 < k <= m")
-    lhs = poch_deriv(_F(0), m, k, PochMethod.RECURRENCE)
-    rhs = _sign(m - k) * stirling_s1(m, k)
+    lhs = _shared(calls, poch_deriv, _F(0), m, k, PochMethod.RECURRENCE)
+    rhs = _sign(m - k) * _shared(calls, stirling_s1, m, k)
     return lhs, rhs
 
 
 def _eval_A8(calls, n, k):
     """Stirling row recurrence expressed as a factorial-weighted column sum."""
-    lhs = stirling_s1(n + 1, k + 1)
-    column = _stirling_walk(n, k)[0]  # s(j, k) for j = 0..n
+    lhs = _shared(calls, stirling_s1, n + 1, k + 1)
+    column = _shared(calls, _stirling_walk, n, k)[0]  # s(j, k) for j = 0..n
     rhs = _sum_of_products(
         (_sign(n - j) * math.perm(n, n - j), column[j])  # perm(n, n - j) = n!/j!
         for j in range(k, n + 1)
@@ -200,8 +218,8 @@ def _eval_A8(calls, n, k):
 
 def _eval_A9(calls, m, k):
     """Derivative coefficient at argument 1 is a shifted signed Stirling number."""
-    lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
-    rhs = _sign(m - k) * stirling_s1(m + 1, k + 1)
+    lhs = _shared(calls, poch_deriv, _F(1), m, k, PochMethod.RECURRENCE)
+    rhs = _sign(m - k) * _shared(calls, stirling_s1, m + 1, k + 1)
     return lhs, rhs
 
 
@@ -209,15 +227,16 @@ def _eval_AA19(calls, m, k):
     """Derivative coefficient at argument 1 via a generalized Bernoulli value."""
     if k > m:
         raise _OutOfRange("needs k <= m")
-    lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
-    rhs = _sign(m - k) * binomial(m, k) * gen_bernoulli_poly(m - k, m + 1, _F(0))
+    lhs = _shared(calls, poch_deriv, _F(1), m, k, PochMethod.RECURRENCE)
+    c = _shared(calls, binomial, m, k)
+    rhs = _sign(m - k) * c * gen_bernoulli_poly(m - k, m + 1, _F(0))
     return lhs, rhs
 
 
 def _eval_A12(calls, m, k):
     """Reciprocal derivative at argument 1 via the modified harmonic numbers."""
-    lhs = recip_poch_deriv(_F(1), m, k, RecipMethod.RECURRENCE)
-    rhs = _F((-1) ** k) / math.factorial(m) * mod_harmonic(m, k)
+    lhs = _shared(calls, recip_poch_deriv, _F(1), m, k, RecipMethod.RECURRENCE)
+    rhs = _F((-1) ** k) / math.factorial(m) * _shared(calls, mod_harmonic, m, k)
     return lhs, rhs
 
 
@@ -225,8 +244,8 @@ def _eval_A13(calls, m, k, alpha):
     """Taylor expansion of the derivative coefficient around argument 1."""
     if k > m:
         raise _OutOfRange("needs k <= m")
-    lhs = poch_deriv(alpha, m, k, PochMethod.RECURRENCE)
-    row = _stirling_walk(m + 1, m + 1)[1]  # s(m+1, i) for i = 0..m+1
+    lhs = _shared(calls, poch_deriv, alpha, m, k, PochMethod.RECURRENCE)
+    row = _shared(calls, _stirling_walk, m + 1, m + 1)[1]  # s(m+1, i) for i = 0..m+1
     shift = alpha - 1
     rhs = _sum_of_products(
         (_sign(m - j) * math.comb(j, k) * row[j + 1], shift ** (j - k))
@@ -238,16 +257,16 @@ def _eval_A13(calls, m, k, alpha):
 def _eval_A14coeff(calls, m, k, j):
     """Taylor coefficients of the reciprocal derivative around argument 1:
     the j-th coefficient of Q_m^(k) is (±) C(k+j, k) Hhat_m^(k+j) / m!."""
-    c = binomial(k + j, k)
-    lhs = c * recip_poch_deriv(_F(1), m, k + j, RecipMethod.RECURRENCE)
-    rhs = _F((-1) ** (k + j)) * c * mod_harmonic(m, k + j) / math.factorial(m)
+    c = _shared(calls, binomial, k + j, k)
+    lhs = c * _shared(calls, recip_poch_deriv, _F(1), m, k + j, RecipMethod.RECURRENCE)
+    rhs = _F((-1) ** (k + j)) * c * _shared(calls, mod_harmonic, m, k + j) / math.factorial(m)
     return lhs, rhs
 
 
 def _eval_A15(calls, m, k):
     """Derivative coefficient at argument 1 equals m! times the strictly
     nested all-ones harmonic sum of depth k."""
-    lhs = poch_deriv(_F(1), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, _F(1), m, k, PochMethod.RECURRENCE)
     rhs = math.factorial(m) * nested_ones_Z(m, k)
     return lhs, _F(rhs)
 
@@ -269,7 +288,7 @@ def _eval_A27(calls, m, k, x):
 def _eval_A28(calls, m, k):
     """Convolution of a Stirling row with the modified harmonic numbers
     telescopes to delta_{k,0} (-1)^m m!."""
-    row = _stirling_walk(m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
+    row = _shared(calls, _stirling_walk, m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
     lhs = _sum_of_products(
         (row[k + 1 - j], _shared(calls, mod_harmonic, m, j)) for j in range(k + 1)
     )
@@ -280,8 +299,8 @@ def _eval_A28(calls, m, k):
 def _eval_A29(calls, m, k, n):
     """Derivative coefficient at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
-    lhs = poch_deriv(_F(n), m, k, PochMethod.RECURRENCE)
-    row = _stirling_walk(m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
+    lhs = _shared(calls, poch_deriv, _F(n), m, k, PochMethod.RECURRENCE)
+    row = _shared(calls, _stirling_walk, m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
     weight = _F(_sign(m + n - 1 - k), math.factorial(n - 1))
     rhs = _sum_of_products(
         (weight, row[k + 1 - j], _shared(calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
@@ -292,8 +311,8 @@ def _eval_A29(calls, m, k, n):
 def _eval_A30(calls, m, k, n):
     """Reciprocal derivative at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
-    lhs = recip_poch_deriv(_F(n), m, k, RecipMethod.RECURRENCE)
-    row = _stirling_walk(n, k + 1)[1]  # s(n, i) for i = 0..k+1
+    lhs = _shared(calls, recip_poch_deriv, _F(n), m, k, RecipMethod.RECURRENCE)
+    row = _shared(calls, _stirling_walk, n, k + 1)[1]  # s(n, i) for i = 0..k+1
     weight = _F(_sign(n - 1 - k), math.factorial(m + n - 1))
     rhs = _sum_of_products(
         (weight, row[k + 1 - j], _shared(calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
@@ -304,9 +323,11 @@ def _eval_A30(calls, m, k, n):
 def _eval_A31(calls, m, k, n):
     """Derivative coefficient at a negative integer argument: a reflection
     when the pole order allows, a finite Stirling double product otherwise."""
-    lhs = poch_deriv(_F(-n), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, _F(-n), m, k, PochMethod.RECURRENCE)
     if m <= n:
-        rhs = _sign(m - k) * poch_deriv(_F(n + 1 - m), m, k, PochMethod.STIRLING_SUM)
+        rhs = _sign(m - k) * _shared(
+            calls, poch_deriv, _F(n + 1 - m), m, k, PochMethod.STIRLING_SUM
+        )
     else:
         acc = sum(
             (-1) ** j
@@ -323,14 +344,14 @@ def _eval_A32(calls, m, k, n):
     positive one while the factorial cast holds (m <= n)."""
     if m > n:
         raise _OutOfRange("needs m <= n")
-    lhs = recip_poch_deriv(_F(-n), m, k, RecipMethod.RECURRENCE)
-    rhs = _sign(m - k) * recip_poch_deriv(
-        _F(n + 1 - m), m, k, RecipMethod.CLOSED_SUM
+    lhs = _shared(calls, recip_poch_deriv, _F(-n), m, k, RecipMethod.RECURRENCE)
+    rhs = _sign(m - k) * _shared(
+        calls, recip_poch_deriv, _F(n + 1 - m), m, k, RecipMethod.CLOSED_SUM
     )
     return lhs, rhs
 
 
-def _pf_sum(A, B, x, m, n):
+def _pf_sum(calls, A, B, x, m, n):
     # sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)), the shared
     # right side of ii16 and ii17; (B)_n must have no zero factor.
     j = _vanishing_shift(B, n)
@@ -340,9 +361,8 @@ def _pf_sum(A, B, x, m, n):
     for j in range(n):
         shifted = B + j
         weight = math.factorial(j) * math.factorial(n - 1 - j) * shifted.numerator
-        terms.append(
-            (_sign(j), pochhammer(A - shifted * x, m), _F(shifted.denominator, weight))
-        )
+        value = _shared(calls, pochhammer, A - shifted * x, m)
+        terms.append((_sign(j), value, _F(shifted.denominator, weight)))
     return _sum_of_products(terms)
 
 
@@ -351,19 +371,19 @@ def _eval_ii16(calls, m, n, A, B, x):
     numerator shorter than denominator; holds for an arbitrary slope ratio x."""
     if m >= n:
         raise _OutOfRange("needs m < n")
-    rhs = _pf_sum(A, B, x, m, n)
-    return pochhammer(A, m) / pochhammer(B, n), rhs
+    rhs = _pf_sum(calls, A, B, x, m, n)
+    return _shared(calls, pochhammer, A, m) / _shared(calls, pochhammer, B, n), rhs
 
 
 def _eval_ii17(calls, n, A, B, x):
     """Equal-length variant of ii16; the free parameter x survives as x**n."""
-    rhs = x**n + _pf_sum(A, B, x, n, n)
-    return pochhammer(A, n) / pochhammer(B, n), rhs
+    rhs = x**n + _pf_sum(calls, A, B, x, n, n)
+    return _shared(calls, pochhammer, A, n) / _shared(calls, pochhammer, B, n), rhs
 
 
 def _eval_iii4(calls, m):
     """First Stirling column: s(m+1, 1) = (-1)^m m!."""
-    return stirling_s1(m + 1, 1), _F((-1) ** m * math.factorial(m))
+    return _shared(calls, stirling_s1, m + 1, 1), _F((-1) ** m * math.factorial(m))
 
 
 def _eval_iii5(calls, m, n):
@@ -372,22 +392,24 @@ def _eval_iii5(calls, m, n):
     if n > m:
         raise _OutOfRange("needs n <= m")
     lhs = 1 - sum(
-        (-1) ** j * binomial(m - j, n) * binomial(n, j) for j in range(1, n + 1)
+        (-1) ** j * _shared(calls, binomial, m - j, n) * _shared(calls, binomial, n, j)
+        for j in range(1, n + 1)
     )
-    return _F(lhs), binomial(m, n)
+    return _F(lhs), _shared(calls, binomial, m, n)
 
 
 def _eval_iii10(calls, m, n):
     """Companion alternating binomial sum with upward-shifted top index."""
     lhs = _F((-1) ** n) - sum(
-        (-1) ** j * binomial(m + j, n) * binomial(n, j) for j in range(1, n + 1)
+        (-1) ** j * _shared(calls, binomial, m + j, n) * _shared(calls, binomial, n, j)
+        for j in range(1, n + 1)
     )
-    return _F(lhs), binomial(m, n)
+    return _F(lhs), _shared(calls, binomial, m, n)
 
 
 def _eval_conjugate_HS(calls, m, k):
     """The modified harmonic number equals the depth-k non-strict nested sum."""
-    return mod_harmonic(m, k), nested_ones_S(m, k)
+    return _shared(calls, mod_harmonic, m, k), nested_ones_S(m, k)
 
 
 # -- generating-relation checks ------------------------------------------------
@@ -432,31 +454,31 @@ def _compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
     return EpsSeries._of(_entries((den_o * scale, acc, None, 0)), 0)
 
 
-def _genfun_a4(order, k, alpha):
+def _genfun_a4(calls, order, k, alpha):
     """Exponential-type generating relation for the derivative coefficients:
     sum_m k! P_m^(k)(alpha) (-t)^m / m! = (-1)^k (1+t)^(-alpha) log(1+t)^k."""
     lhs = EpsSeries(
         [
             _F((-1) ** m * math.factorial(k), math.factorial(m))
-            * poch_deriv(alpha, m, k, PochMethod.STIRLING_SUM)
+            * _shared(calls, poch_deriv, alpha, m, k, PochMethod.STIRLING_SUM)
             for m in range(order + 1)
         ]
     )
-    binom = EpsSeries([binomial(-alpha, l) for l in range(order + 1)])
+    binom = EpsSeries([_shared(calls, binomial, -alpha, l) for l in range(order + 1)])
     rhs = binom * _log1p_power(k, order)
     if k % 2:
         rhs = -rhs
     return lhs, rhs
 
 
-def _genfun_a7(order, k):
+def _genfun_a7(calls, order, k):
     """Powers of log(1+t) generate a Stirling column."""
     lhs = _log1p_power(k, order)
     rhs = EpsSeries(
         [
             _F(0)
             if n < k
-            else _F(math.factorial(k), math.factorial(n)) * stirling_s1(n, k)
+            else _F(math.factorial(k), math.factorial(n)) * _shared(calls, stirling_s1, n, k)
             for n in range(order + 1)
         ]
     )
@@ -474,7 +496,7 @@ def _classical_bernoulli(order):
     return values
 
 
-def _genfun_A18(order, a, x):
+def _genfun_A18(calls, order, a, x):
     """Exponential generating function of the generalized Bernoulli
     polynomials.  The lhs is one Miller core per point, z/(e^z - 1) raised to
     the power a, summed at each n as gen_bernoulli_poly sums it; the reference
@@ -503,7 +525,7 @@ def _genfun_A18(order, a, x):
     return lhs, EpsSeries(shifted)
 
 
-def _genfun_A25(order, k, beta):
+def _genfun_A25(calls, order, k, beta):
     """Composed-series transform of the shifted-pole sum reproduces the
     reciprocal-derivative coefficients of one extra length."""
     j = _vanishing_shift(beta, order + 2)
@@ -515,14 +537,14 @@ def _genfun_A25(order, k, beta):
     rhs = EpsSeries(
         [
             _F((-1) ** k * math.factorial(m))
-            * recip_poch_deriv(beta, m + 1, k, RecipMethod.CLOSED_SUM)
+            * _shared(calls, recip_poch_deriv, beta, m + 1, k, RecipMethod.CLOSED_SUM)
             for m in range(order + 1)
         ]
     )
     return lhs, rhs
 
 
-def _genfun_A26(order, k):
+def _genfun_A26(calls, order, k):
     """Composed-series transform of the polylogarithm sum generates the
     modified harmonic numbers weighted by 1/m."""
     outer = EpsSeries(
@@ -530,7 +552,7 @@ def _genfun_A26(order, k):
     )
     lhs = -_compose(outer, _geometric_minus(order))
     rhs = EpsSeries(
-        [_F(0)] + [mod_harmonic(m, k) / m for m in range(1, order + 1)]
+        [_F(0)] + [_shared(calls, mod_harmonic, m, k) / m for m in range(1, order + 1)]
     )
     return lhs, rhs
 
@@ -541,16 +563,16 @@ def _nueva_product_side(order, m, c):
     return series_invert(product.scaled(_F(1, math.factorial(m))))
 
 
-def _genfun_nueva1(order, m, c):
+def _genfun_nueva1(calls, order, m, c):
     """The inverse of prod_j (1 - (c/j) z) generates c^k Hhat_m^(k) in z^k."""
     if c <= 0:
         raise _OutOfRange("needs c > 0")
     lhs = _nueva_product_side(order, m, c)
-    rhs = EpsSeries([c**k * mod_harmonic(m, k) for k in range(order + 1)])
+    rhs = EpsSeries([c**k * _shared(calls, mod_harmonic, m, k) for k in range(order + 1)])
     return lhs, rhs
 
 
-def _genfun_nueva2(order, m, c):
+def _genfun_nueva2(calls, order, m, c):
     """Same product, decomposed into simple geometric pieces."""
     if c <= 0:
         raise _OutOfRange("needs c > 0")
@@ -693,9 +715,19 @@ _GENFUN_ORDER = 12
 
 
 class CheckSummary(_Record):
-    """Outcome of one relation checked over a whole parameter grid."""
+    """Outcome of one relation checked over a whole parameter grid: its token, the
+    number of points and the result record of each failing point, kept as a tuple."""
 
     def __init__(self, identity: str, points: int, failures: tuple):
+        _typed("CheckSummary", str, identity=identity)
+        _count("CheckSummary", points=points)
+        failures = tuple(_iterable("CheckSummary", failures, "result records"))
+        for failure in failures:
+            if not isinstance(failure, (IdentityResult, GenFunResult)):
+                raise DomainError(
+                    f"CheckSummary needs an IdentityResult or a GenFunResult failure, "
+                    f"got {failure!r}"
+                )
         self._store(identity, points, failures)
 
     @property
@@ -703,53 +735,63 @@ class CheckSummary(_Record):
         return not self.failures
 
 
+def _check(resolved, grid, calls) -> CheckSummary:
+    """Check the relation `resolved` by `_relation` at every point of `grid` (its
+    default grid if None), sharing the pure calls in the dict `calls`; a result
+    record is built only for a point that fails."""
+    relation, evaluate, declared, default = resolved
+    if grid is None:
+        grid = default()
+    at = f"run_relation({relation.value!r}) at grid point"
+    identity = isinstance(relation, IdentityId)
+    first = (calls,) if identity else (calls, _GENFUN_ORDER)
+    failures = []
+    for i, params in enumerate(grid):
+        where = f"{at} {i}"
+        try:
+            lhs, rhs = evaluate(*first, *_read(where, params, relation.value, declared))
+        except _OutOfRange as fault:
+            raise DomainError(f"{where} {fault}") from None
+        if identity:
+            if lhs != rhs:
+                failures.append(IdentityResult(relation, params, lhs, rhs))
+        else:
+            discrepancy = _first_discrepancy(lhs, rhs)
+            if discrepancy is not None:
+                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, discrepancy))
+    return CheckSummary(relation.value, len(grid), failures)
+
+
 def run_relation(token, grid=None) -> CheckSummary:
     """Check one relation at every point of `grid` (its default grid if None).
 
     A generating relation is compared to order _GENFUN_ORDER.  The points share
-    one dict of pure calls, dropped when this call returns; a result record is
-    built only for a point that fails.  A DomainError for a missing, bad,
-    undeclared or out-of-range parameter names the call, the relation and the
-    point.
+    one dict of pure calls, dropped when this call returns.  A DomainError for a
+    missing, bad, undeclared or out-of-range parameter names the call, the
+    relation and the point.
     """
-    relation, evaluate, declared, default = _relation(token)
-    if grid is None:
-        grid = default()
-    else:
+    resolved = _relation(token)
+    if grid is not None:
         grid = list(_iterable("run_relation", grid, "parameter mappings"))
         for i, params in enumerate(grid):
             if not isinstance(params, Mapping):
                 raise DomainError(f"run_relation needs a mapping of parameters, got {params!r}")
             grid[i] = dict(params)
-    at = f"run_relation({relation.value!r}) at grid point"
-    identity = isinstance(relation, IdentityId)
-    first = {} if identity else _GENFUN_ORDER  # the shared calls, or the series order
-    failures = []
-    for i, params in enumerate(grid):
-        where = f"{at} {i}"
-        try:
-            lhs, rhs = evaluate(first, *_read(where, params, relation.value, declared))
-        except _OutOfRange as fault:
-            raise DomainError(f"{where} {fault}") from None
-        if identity:
-            if lhs != rhs:
-                failures.append(IdentityResult(relation, params, _F(lhs), _F(rhs)))
-        else:
-            discrepancy = _first_discrepancy(lhs, rhs)
-            if discrepancy is not None:
-                failures.append(GenFunResult(relation, params, _GENFUN_ORDER, discrepancy))
-    return CheckSummary(relation.value, len(grid), tuple(failures))
+    return _check(resolved, grid, {})
 
 
 def verify_ids(tokens):
-    """Check a list of relation tokens; returns one CheckSummary per token."""
+    """Check a list of relation tokens over their default grids; returns one
+    CheckSummary per token.  Every relation shares one dict of pure calls,
+    dropped when this call returns."""
     if isinstance(tokens, str):
         raise DomainError(
             f"verify_ids takes a list of relation ids: pass [{tokens!r}], not {tokens!r}"
         )
     # Resolve every token before running any, so a bad token costs no work.
-    relations = [_relation(token)[0] for token in _iterable("verify_ids", tokens, "relation ids")]
-    return [run_relation(relation) for relation in relations]
+    relations = [_relation(token) for token in _iterable("verify_ids", tokens, "relation ids")]
+    calls = {}
+    return [_check(relation, None, calls) for relation in relations]
 
 
 def verify_all():

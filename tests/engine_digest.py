@@ -7,10 +7,11 @@ type name and repr of every entry of `delta_dual_expand` on dF7 (K=4, D=10), in
 key order.  The second covers one instance of each public record: its repr, its
 `==` with a copy rebuilt from its fields, whether it hashes as the tuple of its
 fields (or the type of error that hashing raises), its pickle round trip and a
-class pattern that binds every field.  The third covers each call of `sweep()`
-with its arguments and its result's type name and repr (an `EpsSeries` also with
-the type of each coefficient), or its `PochexError`'s type and message.  Standard
-library only; it imports pochex from the checkout's src/:
+class pattern that binds every field.  The third covers each call of `sweep()`,
+the verify calls last, with its arguments and its result's type name and repr
+(an `EpsSeries` also with the type of each coefficient), or its `PochexError`'s
+type and message.  Standard library only; it imports pochex from the checkout's
+src/:
 
     python3 tests/engine_digest.py
 
@@ -60,6 +61,9 @@ from pochex.verify import (  # noqa: E402
     GenFunResult,
     IdentityId,
     IdentityResult,
+    run_relation,
+    verify_all,
+    verify_ids,
 )
 
 TABLES = (("F1", None, 6, 18), ("F5", None, 6, 30), ("F6", Fraction(1, 3), 6, 18))
@@ -165,6 +169,10 @@ ROWS = (
 )
 
 
+# A13's points given as ints, integral Fractions and rationals, repeated.
+GRID = [{"m": 3, "k": 1, "alpha": 2}, {"m": F(4), "k": 2, "alpha": F(1, 3)}] * 2
+
+
 def shown(result) -> str:
     text = f"{type(result).__name__} {result!r}"
     if isinstance(result, EpsSeries):
@@ -258,6 +266,13 @@ def sweep():
     for row in ROWS:
         for order in (0, 2, 5):
             yield "polynomial_series", (row, order), outcome(polynomial_series, row, order)
+    yield "verify_all", (), outcome(
+        lambda: [(summary.identity, summary.points, summary.passed) for summary in verify_all()]
+    )
+    for tokens in (["A9", "a4", "A27", "A25", "A9", "nueva1", "iii5"], ["A9", "zz"]):
+        yield "verify_ids", (tokens,), outcome(verify_ids, tokens)
+    for grid in (GRID, GRID + [{"m": 1, "k": 2, "alpha": 0}]):
+        yield "run_relation", ("A13", grid), outcome(run_relation, "A13", grid)
 
 
 def library_lines():

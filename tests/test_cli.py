@@ -506,7 +506,7 @@ def test_verify_reports_each_failure(capsys, monkeypatch):
     monkeypatch.setitem(relations, "iii4", (lambda calls, m: (1, 2), "m>=0", lambda: [{"m": 1}]))
     sides = (EpsSeries([1, 0, 1]), EpsSeries([1, 0, 0]))
     grid = [{"k": 0}, {"k": 1}]
-    monkeypatch.setitem(relations, "a7", (lambda order, k: sides, "k>=0", lambda: grid))
+    monkeypatch.setitem(relations, "a7", (lambda calls, order, k: sides, "k>=0", lambda: grid))
     code, out, err = run(capsys, "verify", "--id", "iii4", "--id", "a7", "--id", "iii10")
     assert (code, err) == (2, "")
     assert out.splitlines() == [

@@ -554,7 +554,7 @@ def test_closed_tables_keep_their_digest():
 # Python found must print the same digests.
 _ENGINE_DIGEST = "c116219f4b9e568d14ace1ca1acfae651100aa5a7d1bbf13b2d75f87d66332e6"
 _RECORD_DIGEST = "33662b72c35fa7d55337a4e672b3f246ae4d4f3ef66fe38c4e3eb73f8c7e944c"
-_LIBRARY_DIGEST = "3fa15fde51b3c18d9c6c9cb5de0eb5426de5dc65a9a51e87ab6133ebebaafbf0"
+_LIBRARY_DIGEST = "b2f6b25370c843c27733ac3c8c05d9603f7b2b3f4ae48cb350dbbf8e356b6290"
 
 
 def _starts(python):

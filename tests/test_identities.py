@@ -4,6 +4,7 @@ import cProfile
 import hashlib
 import math
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 import pochex
 import pochex.combinatorics
-from pochex.combinatorics import mod_harmonic, stirling_s1
+from pochex.combinatorics import binomial, mod_harmonic, stirling_s1
 from pochex.errors import DomainError
 from pochex.hyper_expand import CLOSED_EXAMPLES
-from pochex.pochhammer import PochMethod, RecipMethod, poch_deriv, recip_poch_deriv
+from pochex.pochhammer import PochMethod, RecipMethod, poch_deriv, pochhammer, recip_poch_deriv
 from pochex.series import EpsSeries
 from pochex.verify import (
     _GENFUN_ORDER,
@@ -50,7 +51,7 @@ def evaluate(token, params, order=_GENFUN_ORDER):
     values = _read(f"{relation.value} at {params}", params, relation.value, declared)
     if isinstance(relation, IdentityId):
         return evaluator({}, *values)
-    return evaluator(order, *values)
+    return evaluator({}, order, *values)
 
 
 def test_identity_spot_values():
@@ -129,16 +130,17 @@ def test_default_grids_are_pinned():
 
 def test_declarations_match_their_evaluators_and_grids():
     # Each relation's declared parameters are, in order, its evaluator's
-    # arguments after the first (the shared calls or the series order) and the
-    # keys of every default grid point.  `_relation` puts a point's keys in
-    # declared order, so every point of the table's own grid must have exactly
-    # the declared keys: a wrong or extra axis would be dropped unseen.
+    # arguments after the shared calls (and, for a generating relation, the
+    # series order) and the keys of every default grid point.  `_relation` puts
+    # a point's keys in declared order, so every point of the table's own grid
+    # must have exactly the declared keys: a wrong or extra axis would be
+    # dropped unseen.
     for relation in (*IdentityId, *GenFunId):
         _, evaluate, declared, default = _relation(relation)
         names = [name for name, _ in declared]
         code = evaluate.__code__
-        first = "calls" if isinstance(relation, IdentityId) else "order"
-        assert code.co_varnames[: code.co_argcount] == (first, *names), relation
+        first = ("calls",) if isinstance(relation, IdentityId) else ("calls", "order")
+        assert code.co_varnames[: code.co_argcount] == (*first, *names), relation
         assert all(list(point) == names for point in default()), relation
         raw = pochex.verify._RELATIONS[relation.value][2]()
         assert all(set(point) == set(names) for point in raw), relation
@@ -203,20 +205,26 @@ def profiled_calls(run, functions):
 # cProfile call counts in one verify_all() of Fraction._add, Fraction._mul and
 # the Stirling walk.  With a Fraction multiply-add per term they were 18,355,
 # 25,046 and 4,108; before each relation shared its repeated calls across its
-# grid, 2,774, 4,507 and 2,392.
-_VERIFY_ALL_WORK = {"_add": 2606, "_mul": 4507, "_stirling_walk": 1280}
+# grid, 2,774, 4,507 and 2,392; before every relation of the run shared one
+# dict, 2,606, 4,507 and 1,280.
+_VERIFY_ALL_WORK = {"_add": 2574, "_mul": 4507, "_stirling_walk": 402}
 
-# Exact call counts of the building blocks in one verify_all().  Each relation
-# computes a repeated (function, arguments) once per grid: without that they
-# were 2,050, 1,645, 2,199 and 945.
+# Exact call counts of the building blocks in one verify_all(), and of the
+# relation lookup.  The whole run computes a repeated (function, arguments)
+# once, and resolves each relation once.  With one dict per relation they were
+# 1,294, 889, 684, 307, 2,178, 1,245 and 56; with none, 2,050 poch_deriv,
+# 1,645 recip_poch_deriv, 2,199 mod_harmonic and 945 stirling_s1 calls.
 _VERIFY_ALL_CALLS = {
-    "poch_deriv": 1294, "recip_poch_deriv": 889, "mod_harmonic": 684, "stirling_s1": 307
+    "poch_deriv": 892, "recip_poch_deriv": 587, "mod_harmonic": 147, "stirling_s1": 108,
+    "pochhammer": 399, "binomial": 157, "_relation": 28,
 }
 
 
 def test_verify_all_sums_in_integers():
     counted = (F._add, F._mul, pochex.combinatorics._stirling_walk)
-    blocks = (poch_deriv, recip_poch_deriv, mod_harmonic, stirling_s1)
+    blocks = (
+        poch_deriv, recip_poch_deriv, mod_harmonic, stirling_s1, pochhammer, binomial, _relation
+    )
     summaries, calls = profiled_calls(verify_all, counted + blocks)
     assert all(summary.passed for summary in summaries)
     assert all(calls[name] <= bound for name, bound in _VERIFY_ALL_WORK.items()), calls
@@ -231,10 +239,65 @@ def test_A27_computes_each_P_and_Q_value_once():
     assert calls == {"poch_deriv": 252, "recip_poch_deriv": 252}
 
 
+def test_one_verify_ids_call_computes_each_distinct_call_once(monkeypatch):
+    # A9, AA19 and A15 each take P_m^(k)(1) by the recurrence at every
+    # k <= m <= 10.  One verify_ids call makes each of those 66 calls once;
+    # three run_relation calls, each with its own dict, make all 198.
+    import pochex.verify
+
+    made = Counter()
+
+    def counted(*args):
+        made[args] += 1
+        return poch_deriv(*args)
+
+    monkeypatch.setattr(pochex.verify, "poch_deriv", counted)
+    tokens = ["A9", "AA19", "A15"]
+    summaries = verify_ids(tokens)
+    assert summaries == [CheckSummary(token, 66, ()) for token in tokens]
+    distinct = {(F(1), m, k, PochMethod.RECURRENCE) for m in range(11) for k in range(m + 1)}
+    assert set(made) == distinct and set(made.values()) == {1}
+    made.clear()
+    assert [run_relation(token) for token in tokens] == summaries
+    assert made.total() == 198
+
+
+def test_back_to_back_verify_ids_calls_each_make_every_call():
+    # Nothing is kept between calls: each makes the full count, for a list that
+    # mixes identities and generating relations and repeats an id.
+    tokens = ["A9", "a4", "A27", "A25", "A9", "nueva1"]
+    blocks = (poch_deriv, recip_poch_deriv, mod_harmonic, _relation)
+    first, calls = profiled_calls(lambda: verify_ids(tokens), blocks)
+    assert all(summary.passed for summary in first)
+    again, calls_again = profiled_calls(lambda: verify_ids(tokens), blocks)
+    assert (again, calls_again) == (first, calls)
+    assert calls["_relation"] == len(tokens)
+
+
 def test_back_to_back_verify_all_calls_agree():
     first = verify_all()
     assert all(summary.passed for summary in first)
     assert verify_all() == first
+
+
+class _Rational(F):
+    """A Fraction subclass, which a rational parameter takes as it is."""
+
+
+@pytest.mark.parametrize(
+    "params, values",
+    [
+        ({"m": 3, "k": 1, "alpha": F(1, 2)}, [(int, 3), (int, 1), (F, F(1, 2))]),
+        ({"m": F(3), "k": 1, "alpha": 2}, [(int, 3), (int, 1), (F, F(2))]),
+        ({"alpha": _Rational(1, 3), "k": F(0), "m": 0}, [(int, 0), (int, 0), (_Rational, F(1, 3))]),
+    ],
+)
+def test_read_takes_an_int_a_fraction_and_what_stands_for_them(params, values):
+    # Refusals (True, 0.5, a float or bool rational) are pinned per relation
+    # in tests/test_argument_contract.py.
+    declared = [("m", 0), ("k", 0), ("alpha", None)]
+    read = list(_read("here", params, "A5", declared))
+    assert [(type(value), value) for value in read] == values
 
 
 @pytest.mark.parametrize("token", ["A27", "A28", "A29", "A30", "A31"])
@@ -346,7 +409,7 @@ def test_verify_ids_resolves_every_token_before_running_any(monkeypatch):
     import pochex.verify
 
     ran = []
-    monkeypatch.setattr(pochex.verify, "run_relation", lambda *args, **kw: ran.append(args))
+    monkeypatch.setattr(pochex.verify, "_check", lambda *args, **kw: ran.append(args))
     with pytest.raises(DomainError, match="unknown relation id 'zz'"):
         verify_ids(["A27", "zz"])
     assert ran == []
@@ -365,8 +428,8 @@ def test_failures_carry_the_failing_points_exactly(monkeypatch, capsys):
         lhs, rhs = eval_A9(calls, m, k)
         return lhs, rhs + int(m == 3)
 
-    def bad_a7(order, k):
-        lhs, rhs = genfun_a7(order, k)
+    def bad_a7(calls, order, k):
+        lhs, rhs = genfun_a7(calls, order, k)
         return lhs, rhs + EpsSeries([0] * 5 + [int(k == 2)] + [0] * (order - 5))
 
     A9_grid = [{"m": 2, "k": 1}, {"m": 3, "k": 1}, {"m": 4, "k": 4}]

@@ -34,7 +34,7 @@ from pochex.pochhammer import (
     recip_poch_deriv,
     recip_poch_laurent,
 )
-from pochex.series import _coerce, _count, _iterable, _typed, series_invert
+from pochex.series import _coerce, _count, _iterable, _signed, _typed, series_invert
 from pochex.specfile import SpecOptions
 from pochex.verify import CheckSummary, GenFunId, GenFunResult, IdentityId, IdentityResult
 
@@ -229,25 +229,59 @@ class _Twin:
         degree_bound: "int | None" = None
         regroup: "str | None" = None
 
+        def __post_init__(self):
+            for name in ("eps_order", "degree_bound"):
+                if getattr(self, name) is not None:
+                    _count("SpecOptions", **{name: getattr(self, name)})
+            if self.regroup not in (None, "lattice", "total"):
+                raise DomainError(
+                    "SpecOptions needs a regroup None, 'lattice' or 'total', "
+                    f"got {self.regroup!r}"
+                )
+
     @dataclasses.dataclass(frozen=True)
     class IdentityResult:
         identity: "IdentityId"
-        params: "dict"
+        params: "Mapping"
         lhs: "Fraction"
         rhs: "Fraction"
+
+        def __post_init__(self):
+            _typed("IdentityResult", IdentityId, identity=self.identity)
+            _typed("IdentityResult", Mapping, params=self.params)
+            object.__setattr__(self, "lhs", _coerce(self.lhs))
+            object.__setattr__(self, "rhs", _coerce(self.rhs))
 
     @dataclasses.dataclass(frozen=True)
     class GenFunResult:
         identity: "GenFunId"
-        params: "dict"
+        params: "Mapping"
         order: "int"
         first_discrepancy: "int"
+
+        def __post_init__(self):
+            _typed("GenFunResult", GenFunId, identity=self.identity)
+            _typed("GenFunResult", Mapping, params=self.params)
+            _count("GenFunResult", order=self.order)
+            _signed("GenFunResult", first_discrepancy=self.first_discrepancy)
 
     @dataclasses.dataclass(frozen=True)
     class CheckSummary:
         identity: "str"
         points: "int"
         failures: "tuple"
+
+        def __post_init__(self):
+            _typed("CheckSummary", str, identity=self.identity)
+            _count("CheckSummary", points=self.points)
+            failures = tuple(_iterable("CheckSummary", self.failures, "result records"))
+            for failure in failures:
+                if not isinstance(failure, (IdentityResult, GenFunResult)):
+                    raise DomainError(
+                        "CheckSummary needs an IdentityResult or a GenFunResult failure, "
+                        f"got {failure!r}"
+                    )
+            object.__setattr__(self, "failures", failures)
 
 
 def _result_or_error(call):
@@ -366,18 +400,48 @@ _RECORDS = {
             (False, ()),
         ],
     ),
-    SpecOptions: ([(), (3, 5, "lattice"), (None, None, None)], [(1, 2, 3, 4)]),
+    SpecOptions: (
+        [(), (3, 5, "lattice"), (None, None, None), (0, None, "total")],
+        [(1, 2, 3, 4), (1.5,), (True,), (None, -1), (None, "2"), (0, 0, "x"), (0, 0, 1)],
+    ),
     IdentityResult: (
-        [(IdentityId.A9, {"m": 2}, F(1), F(2)), (IdentityId.A5, {}, F(0), F(0))],
-        [(), (IdentityId.A9, {}, 1)],
+        [
+            (IdentityId.A9, {"m": 2}, F(1), F(2)),
+            (IdentityId.A5, {}, F(0), F(0)),
+            (IdentityId.A9, {"m": 1}, 1, -2),
+        ],
+        [
+            (),
+            (IdentityId.A9, {}, 1),
+            ("A9", {}, 1, 2),
+            (GenFunId.a7, {}, 1, 2),
+            (IdentityId.A9, 5, 1, 2),
+            (IdentityId.A9, {}, 0.5, 1),
+            (IdentityId.A9, {}, 1, True),
+            (IdentityId.A9, {}, "1", 1),
+        ],
     ),
     GenFunResult: (
-        [(GenFunId.a7, {"k": 0}, 12, 2), (GenFunId.A18, {}, 12, 7)],
-        [(), (GenFunId.a7, {}, 12)],
+        [(GenFunId.a7, {"k": 0}, 12, 2), (GenFunId.A18, {}, 12, 7), (GenFunId.a7, {}, 0, -1)],
+        [
+            (),
+            (GenFunId.a7, {}, 12),
+            (IdentityId.A9, {}, 12, 2),
+            (GenFunId.a7, [], 12, 2),
+            (GenFunId.a7, {}, -1, 2),
+            (GenFunId.a7, {}, 12.0, 2),
+            (GenFunId.a7, {}, 12, 2.5),
+            (GenFunId.a7, {}, 12, False),
+        ],
     ),
     CheckSummary: (
-        [("A9", 2, ()), ("A9", 1, (_IDENTITY,)), ("A9", 2, ())],
-        [(), ("A9", 2)],
+        [
+            ("A9", 2, ()),
+            ("A9", 1, (_IDENTITY,)),
+            ("A9", 2, ()),
+            (IdentityId.A9, 3, [_IDENTITY, GenFunResult(GenFunId.a7, {}, 12, 2)]),
+        ],
+        [(), ("A9", 2), (5, 2, ()), ("A9", 2.5, 5), ("A9", -1, ()), ("A9", 2, 5), ("A9", 2, (5,))],
     ),
 }
 
