@@ -25,18 +25,26 @@ declared, then the point's range: an evaluator raises `_OutOfRange` with the
 message's tail (`needs k <= m`), and `run_relation` heads every fault with the
 call, the relation and the point.
 
-Cost model: a side that is a sum adds its terms as one integer sum.
-`_sum_of_products` makes each term, a product of ints and Fractions, one
-(numerator, denominator) pair, and `series._int_sum` adds the pairs over one
-lcm and reduces by one gcd, in place of a Fraction multiply-add per term.  A
-side that needs a Stirling row or column at one point takes it from one
-`_stirling_walk`.  Only how a side adds up its terms is shared: the two sides
-of every relation still run on their separate routes.
+Cost model: a side that is a sum adds its terms as one integer sum.  Each
+term is one (numerator, denominator) pair of ints, and `series._int_sum` adds
+the pairs over one lcm and reduces by one gcd, in place of a Fraction
+multiply-add per term.  The heavy sides (ii16 and ii17's partial fractions,
+A13's Taylor sum, the weighted sums of A29, A30 and A31, A18's shifted row,
+A25 and A26's outer rows and nueva2's geometric pieces) write each pair from
+the numerators and denominators of their arguments, so they make no Fraction
+per term; `_sum_of_products` makes the pair of a product of ints and Fractions
+for the rest.  A side that needs a Stirling row or column at one point takes it
+from one `_stirling_walk`.  Only how a side adds up its terms is shared: the
+two sides of every relation still run on their separate routes.
 
 Every evaluator takes its calls of seven pure building blocks (`poch_deriv`,
 `recip_poch_deriv`, `pochhammer`, `stirling_s1`, `mod_harmonic`, `binomial`
 and `_stirling_walk`) from one dict keyed by function and arguments
-(`series._shared`).  One `verify_ids` or `verify_all` call resolves each token
+(`series._shared`).  The series that the generating relations repeat come from
+the same dict: A18's classical Bernoulli row, its Miller core per a and its
+convolution level per a (each built from the level below), the product side of
+nueva1 and nueva2, the powers of log(1+z) of a4 and a7, the -z/(1-z) of A25
+and A26 and the 1/(1-z) of A25.  One `verify_ids` or `verify_all` call resolves each token
 once and runs every relation against one such dict, so each distinct call runs
 once per run, not once per relation or per point; a lone `run_relation` makes
 its own dict for its own grid.  The dict is made by the call and dropped when it
@@ -246,10 +254,12 @@ def _eval_A13(calls, m, k, alpha):
         raise _OutOfRange("needs k <= m")
     lhs = _shared(calls, poch_deriv, alpha, m, k, PochMethod.RECURRENCE)
     row = _shared(calls, _stirling_walk, m + 1, m + 1)[1]  # s(m+1, i) for i = 0..m+1
-    shift = alpha - 1
-    rhs = _sum_of_products(
-        (_sign(m - j) * math.comb(j, k) * row[j + 1], shift ** (j - k))
-        for j in range(k, m + 1)
+    p, q = alpha.as_integer_ratio()  # alpha - 1 = (p - q)/q
+    rhs = _int_sum(
+        [
+            (_sign(m - j) * math.comb(j, k) * row[j + 1] * (p - q) ** (j - k), q ** (j - k))
+            for j in range(k, m + 1)
+        ]
     )
     return lhs, rhs
 
@@ -274,6 +284,9 @@ def _eval_A15(calls, m, k):
 def _eval_A27(calls, m, k, x):
     """Cauchy-product orthogonality of derivative and reciprocal-derivative
     coefficients at a common argument."""
+    j = _vanishing_shift(x, m)
+    if j is not None:
+        raise _OutOfRange(f"has x = {x}, which hits a pole at shift {j}")
     lhs = _sum_of_products(
         (
             _shared(calls, poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
@@ -296,14 +309,23 @@ def _eval_A28(calls, m, k):
     return lhs, rhs
 
 
+def _weighted_harmonics(calls, row, k, h, sign, den):
+    # sign/den * sum_{j<=k} row[k+1-j] Hhat_h^(j), the right side of A29 and A30,
+    # as one integer sum.
+    terms = []
+    for j in range(k + 1):
+        harmonic = _shared(calls, mod_harmonic, h, j)
+        terms.append((sign * row[k + 1 - j] * harmonic.numerator, den * harmonic.denominator))
+    return _int_sum(terms)
+
+
 def _eval_A29(calls, m, k, n):
     """Derivative coefficient at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
     lhs = _shared(calls, poch_deriv, _F(n), m, k, PochMethod.RECURRENCE)
     row = _shared(calls, _stirling_walk, m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
-    weight = _F(_sign(m + n - 1 - k), math.factorial(n - 1))
-    rhs = _sum_of_products(
-        (weight, row[k + 1 - j], _shared(calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
+    rhs = _weighted_harmonics(
+        calls, row, k, n - 1, _sign(m + n - 1 - k), math.factorial(n - 1)
     )
     return lhs, rhs
 
@@ -313,9 +335,8 @@ def _eval_A30(calls, m, k, n):
     numbers and modified harmonic numbers."""
     lhs = _shared(calls, recip_poch_deriv, _F(n), m, k, RecipMethod.RECURRENCE)
     row = _shared(calls, _stirling_walk, n, k + 1)[1]  # s(n, i) for i = 0..k+1
-    weight = _F(_sign(n - 1 - k), math.factorial(m + n - 1))
-    rhs = _sum_of_products(
-        (weight, row[k + 1 - j], _shared(calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
+    rhs = _weighted_harmonics(
+        calls, row, k, m + n - 1, _sign(n - 1 - k), math.factorial(m + n - 1)
     )
     return lhs, rhs
 
@@ -325,18 +346,15 @@ def _eval_A31(calls, m, k, n):
     when the pole order allows, a finite Stirling double product otherwise."""
     lhs = _shared(calls, poch_deriv, _F(-n), m, k, PochMethod.RECURRENCE)
     if m <= n:
-        rhs = _sign(m - k) * _shared(
-            calls, poch_deriv, _F(n + 1 - m), m, k, PochMethod.STIRLING_SUM
-        )
-    else:
-        acc = sum(
-            (-1) ** j
-            * _shared(calls, stirling_s1, n + 1, j + 1)
-            * _shared(calls, stirling_s1, m - n, k - j)
-            for j in range(k)
-        )
-        rhs = _F(_sign(m - n - k)) * acc
-    return lhs, _F(rhs)
+        rhs = _shared(calls, poch_deriv, _F(n + 1 - m), m, k, PochMethod.STIRLING_SUM)
+        return lhs, -rhs if (m - k) % 2 else rhs
+    acc = sum(
+        _sign(j)
+        * _shared(calls, stirling_s1, n + 1, j + 1).numerator
+        * _shared(calls, stirling_s1, m - n, k - j).numerator
+        for j in range(k)
+    )
+    return lhs, _F(_sign(m - n - k) * acc)
 
 
 def _eval_A32(calls, m, k, n):
@@ -351,19 +369,27 @@ def _eval_A32(calls, m, k, n):
     return lhs, rhs
 
 
-def _pf_sum(calls, A, B, x, m, n):
-    # sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)), the shared
-    # right side of ii16 and ii17; (B)_n must have no zero factor.
+def _pf_sum(A, B, x, m, n, *pairs):
+    """sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)) plus the integer
+    pairs `pairs`, as one integer sum: the right side of ii16 and ii17.  (B)_n
+    must have no zero factor.
+
+    At A = a/q, B = b/r, x = c/s and D = q r s, A - (B+j) x is u/D with
+    u = a r s - (b + j r) c q, so term j is the pair
+    ((-1)^j r prod(u + i D, i < m), j! (n-1-j)! (b + j r) D^m).
+    """
     j = _vanishing_shift(B, n)
     if j is not None:
         raise _OutOfRange(f"has B = {B}, which puts a zero at shift {j}")
-    terms = []
+    (a, q), (b, r), (c, s) = A.as_integer_ratio(), B.as_integer_ratio(), x.as_integer_ratio()
+    D = q * r * s
+    terms = list(pairs)
     for j in range(n):
-        shifted = B + j
-        weight = math.factorial(j) * math.factorial(n - 1 - j) * shifted.numerator
-        value = _shared(calls, pochhammer, A - shifted * x, m)
-        terms.append((_sign(j), value, _F(shifted.denominator, weight)))
-    return _sum_of_products(terms)
+        shifted = b + j * r
+        u = a * r * s - shifted * c * q
+        weight = math.factorial(j) * math.factorial(n - 1 - j) * shifted
+        terms.append((_sign(j) * r * math.prod(range(u, u + m * D, D)), weight * D**m))
+    return _int_sum(terms)
 
 
 def _eval_ii16(calls, m, n, A, B, x):
@@ -371,13 +397,13 @@ def _eval_ii16(calls, m, n, A, B, x):
     numerator shorter than denominator; holds for an arbitrary slope ratio x."""
     if m >= n:
         raise _OutOfRange("needs m < n")
-    rhs = _pf_sum(calls, A, B, x, m, n)
+    rhs = _pf_sum(A, B, x, m, n)
     return _shared(calls, pochhammer, A, m) / _shared(calls, pochhammer, B, n), rhs
 
 
 def _eval_ii17(calls, n, A, B, x):
     """Equal-length variant of ii16; the free parameter x survives as x**n."""
-    rhs = x**n + _pf_sum(calls, A, B, x, n, n)
+    rhs = _pf_sum(A, B, x, n, n, (x.numerator**n, x.denominator**n))
     return _shared(calls, pochhammer, A, n) / _shared(calls, pochhammer, B, n), rhs
 
 
@@ -430,6 +456,18 @@ def _geometric_minus(order: int) -> EpsSeries:
     return EpsSeries([_F(0)] + [_F(-1)] * order)
 
 
+def _geometric(order: int) -> EpsSeries:
+    # 1/(1-z) = 1 + z + z^2 + ..., by the library's series_invert.
+    return series_invert(polynomial_series([1, -1], order))
+
+
+def _reciprocal_powers(bases, r: int, e: int) -> tuple:
+    # The integer row (den, top) of (r/base)**e for each of `bases`, none of them
+    # 0, over den = lcm(bases)**e.
+    lcm = math.lcm(*bases)
+    return lcm**e, [(r * (lcm // base)) ** e for base in bases]
+
+
 def _log1p_power(k: int, order: int) -> EpsSeries:
     # log(1+z)**k, known at least through z**order, by k plain products.
     log1p = EpsSeries([_F(0)] + [_F(_sign(n - 1), n) for n in range(1, order + 1)])
@@ -439,11 +477,11 @@ def _log1p_power(k: int, order: int) -> EpsSeries:
     return power
 
 
-def _compose(outer: EpsSeries, inner: EpsSeries) -> EpsSeries:
-    # outer(inner(z)) to outer's order by Horner's rule on one integer row, over
-    # den_o * den_i**t after t steps; inner has no constant term, both are rational.
-    order = outer.max_exponent
-    den_o, top, _, _ = _int_row([outer.coefficient(e) for e in range(order + 1)])
+def _compose(den_o: int, top: list, inner: EpsSeries) -> EpsSeries:
+    # outer(inner(z)) for outer = sum(top[e] z**e)/den_o, to outer's order, by
+    # Horner's rule on one integer row, over den_o * den_i**t after t steps;
+    # inner has no constant term and is rational.
+    order = len(top) - 1
     den_i, low, _, _ = _int_row([inner.coefficient(e) for e in range(order + 1)])
     acc = [top[order]] + [0] * order
     scale = 1
@@ -465,7 +503,7 @@ def _genfun_a4(calls, order, k, alpha):
         ]
     )
     binom = EpsSeries([_shared(calls, binomial, -alpha, l) for l in range(order + 1)])
-    rhs = binom * _log1p_power(k, order)
+    rhs = binom * _shared(calls, _log1p_power, k, order)
     if k % 2:
         rhs = -rhs
     return lhs, rhs
@@ -473,7 +511,7 @@ def _genfun_a4(calls, order, k, alpha):
 
 def _genfun_a7(calls, order, k):
     """Powers of log(1+t) generate a Stirling column."""
-    lhs = _log1p_power(k, order)
+    lhs = _shared(calls, _log1p_power, k, order)
     rhs = EpsSeries(
         [
             _F(0)
@@ -496,32 +534,41 @@ def _classical_bernoulli(order):
     return values
 
 
+def _bernoulli_level(calls, order, a):
+    # B_n^(a)(0), n = 0..order: the a-fold binomial convolution of the classical
+    # row.  Each level is built from the one below, once per `calls` dict.
+    level = base = _shared(calls, _classical_bernoulli, order)
+    for b in range(2, a + 1):
+        key = (_bernoulli_level, order, b)
+        if key not in calls:
+            calls[key] = [
+                _sum_of_products((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
+                for n in range(order + 1)
+            ]
+        level = calls[key]
+    return level
+
+
 def _genfun_A18(calls, order, a, x):
     """Exponential generating function of the generalized Bernoulli
-    polynomials.  The lhs is one Miller core per point, z/(e^z - 1) raised to
-    the power a, summed at each n as gen_bernoulli_poly sums it; the reference
-    side is built from the classical first-order recurrence plus binomial
-    convolution."""
-    core = _bernoulli_values(order, a)
+    polynomials.  The lhs is one Miller core per a, z/(e^z - 1) raised to the
+    power a, summed at each n as gen_bernoulli_poly sums it; the reference side
+    is built from the classical first-order recurrence plus binomial
+    convolution, one level per a."""
+    core = _shared(calls, _bernoulli_values, order, a)
     lhs = EpsSeries(
-        [_bernoulli_sum(core, n, x) / _F(math.factorial(n)) for n in range(order + 1)]
+        [_bernoulli_sum(core, n, x) / math.factorial(n) for n in range(order + 1)]
     )
-    level = _classical_bernoulli(order)
-    base = list(level)
-    for _ in range(a - 1):
-        level = [
-            _sum_of_products((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
-            for n in range(order + 1)
-        ]
-    powers = [x**e for e in range(order + 1)]
-    shifted = []
-    for n in range(order + 1):
-        scale = _F(1, math.factorial(n))
-        shifted.append(
-            _sum_of_products(
-                (scale, math.comb(n, i), level[i], powers[n - i]) for i in range(n + 1)
-            )
-        )
+    level = _bernoulli_level(calls, order, a)
+    p, q = x.as_integer_ratio()
+    # B_n^(a)(x)/n! is the Cauchy product of B_i^(a)(0)/i! and x**e/e!, each
+    # coefficient one integer sum.
+    heads = [(b.numerator, b.denominator * math.factorial(i)) for i, b in enumerate(level)]
+    tails = [(p**e, q**e * math.factorial(e)) for e in range(order + 1)]
+    shifted = [
+        _int_sum([(u * s, v * t) for (u, v), (s, t) in zip(heads[: n + 1], tails[n::-1])])
+        for n in range(order + 1)
+    ]
     return lhs, EpsSeries(shifted)
 
 
@@ -531,9 +578,10 @@ def _genfun_A25(calls, order, k, beta):
     j = _vanishing_shift(beta, order + 2)
     if j is not None:
         raise _OutOfRange(f"has beta = {beta}, which hits a pole at shift {j}")
-    outer = EpsSeries([1 / (beta + j) ** (k + 1) for j in range(order + 1)])
-    composed = _compose(outer, _geometric_minus(order))
-    lhs = composed * series_invert(polynomial_series([1, -1], order))
+    b, r = beta.as_integer_ratio()
+    outer = _reciprocal_powers([b + j * r for j in range(order + 1)], r, k + 1)
+    composed = _compose(*outer, _shared(calls, _geometric_minus, order))
+    lhs = composed * _shared(calls, _geometric, order)
     rhs = EpsSeries(
         [
             _F((-1) ** k * math.factorial(m))
@@ -547,10 +595,8 @@ def _genfun_A25(calls, order, k, beta):
 def _genfun_A26(calls, order, k):
     """Composed-series transform of the polylogarithm sum generates the
     modified harmonic numbers weighted by 1/m."""
-    outer = EpsSeries(
-        [_F(0)] + [_F(1) / _F(j) ** (k + 1) for j in range(1, order + 1)]
-    )
-    lhs = -_compose(outer, _geometric_minus(order))
+    den, top = _reciprocal_powers(range(1, order + 1), 1, k + 1)
+    lhs = _compose(den, [0] + [-t for t in top], _shared(calls, _geometric_minus, order))
     rhs = EpsSeries(
         [_F(0)] + [_shared(calls, mod_harmonic, m, k) / m for m in range(1, order + 1)]
     )
@@ -567,7 +613,7 @@ def _genfun_nueva1(calls, order, m, c):
     """The inverse of prod_j (1 - (c/j) z) generates c^k Hhat_m^(k) in z^k."""
     if c <= 0:
         raise _OutOfRange("needs c > 0")
-    lhs = _nueva_product_side(order, m, c)
+    lhs = _shared(calls, _nueva_product_side, order, m, c)
     rhs = EpsSeries([c**k * _shared(calls, mod_harmonic, m, k) for k in range(order + 1)])
     return lhs, rhs
 
@@ -576,11 +622,11 @@ def _genfun_nueva2(calls, order, m, c):
     """Same product, decomposed into simple geometric pieces."""
     if c <= 0:
         raise _OutOfRange("needs c > 0")
-    lhs = _nueva_product_side(order, m, c)
-    ratios = [(_sign(j - 1) * math.comb(m, j), c / j) for j in range(1, m + 1)]
-    rhs = EpsSeries(
-        [_sum_of_products((w, r**k) for w, r in ratios) for k in range(order + 1)]
-    )
+    lhs = _shared(calls, _nueva_product_side, order, m, c)
+    p, q = c.as_integer_ratio()
+    # sum_j (-1)^(j-1) C(m, j) (c/j)^k with c/j = p/(q j), one integer sum per k.
+    weights = [(_sign(j - 1) * math.comb(m, j), q * j) for j in range(1, m + 1)]
+    rhs = EpsSeries([_int_sum([(w * p**k, d**k) for w, d in weights]) for k in range(order + 1)])
     return lhs, rhs
 
 

@@ -594,8 +594,9 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     # No Bernoulli core outlives the call that builds it.  Closed dF7 at D=12
     # builds none, on each of two calls: it is F7's column differentiated at
     # delta = 0.  gen_bernoulli_poly builds one core of length n + 1; A18 one
-    # per point of its default grid, of length _GENFUN_ORDER + 1.  The
-    # bernoulli method builds none.
+    # per distinct a of its default grid (one per point, 10, before its points
+    # shared them), of length _GENFUN_ORDER + 1.  The bernoulli method builds
+    # none.
     calls, lengths = Counter(), []
     build = pochex.combinatorics._bernoulli_values
 
@@ -619,7 +620,7 @@ def test_bernoulli_core_is_built_once_per_order(monkeypatch):
     calls.clear()
     lengths.clear()
     assert pochex.verify.run_relation("A18").passed
-    assert calls["_bernoulli_values"] == 10
+    assert calls["_bernoulli_values"] == 5
     assert set(lengths) == {pochex.verify._GENFUN_ORDER + 1}
     calls.clear()
     for alpha in (F(2, 7), Dual(F(1, 3), 1)):

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pochex
@@ -17,7 +17,7 @@ from pochex.combinatorics import binomial, mod_harmonic, stirling_s1
 from pochex.errors import DomainError
 from pochex.hyper_expand import CLOSED_EXAMPLES
 from pochex.pochhammer import PochMethod, RecipMethod, poch_deriv, pochhammer, recip_poch_deriv
-from pochex.series import EpsSeries
+from pochex.series import EpsSeries, _int_row, _shared, polynomial_series, series_invert
 from pochex.verify import (
     _GENFUN_ORDER,
     CheckSummary,
@@ -25,10 +25,21 @@ from pochex.verify import (
     GenFunResult,
     IdentityId,
     IdentityResult,
+    _bernoulli_sum,
+    _bernoulli_values,
+    _classical_bernoulli,
+    _compose,
     _first_discrepancy,
+    _geometric_minus,
+    _nueva_product_side,
+    _OutOfRange,
+    _pf_sum,
     _read,
     _relation,
+    _sign,
+    _stirling_walk,
     _sum_of_products,
+    _vanishing_shift,
     run_relation,
     verify_all,
     verify_ids,
@@ -203,25 +214,31 @@ def profiled_calls(run, functions):
 
 
 # cProfile call counts in one verify_all() of Fraction._add, Fraction._mul and
-# the Stirling walk.  With a Fraction multiply-add per term they were 18,355,
-# 25,046 and 4,108; before each relation shared its repeated calls across its
-# grid, 2,774, 4,507 and 2,392; before every relation of the run shared one
-# dict, 2,606, 4,507 and 1,280.
-_VERIFY_ALL_WORK = {"_add": 2574, "_mul": 4507, "_stirling_walk": 402}
+# the Stirling walk, and of Fraction.__new__ and Fraction._sub.  With a Fraction
+# multiply-add per term they were 18,355, 25,046 and 4,108; before each relation
+# shared its repeated calls across its grid, 2,774, 4,507 and 2,392; before every
+# relation of the run shared one dict, 2,606, 4,507 and 1,280; before the
+# heaviest relations summed each side as integer pairs and built each repeated
+# series once per run, 2,574, 4,507, 402, 23,775 and 1,594.
+_VERIFY_ALL_WORK = {
+    "_add": 689, "_mul": 2279, "_stirling_walk": 402, "__new__": 12492, "_sub": 118,
+}
 
 # Exact call counts of the building blocks in one verify_all(), and of the
 # relation lookup.  The whole run computes a repeated (function, arguments)
 # once, and resolves each relation once.  With one dict per relation they were
 # 1,294, 889, 684, 307, 2,178, 1,245 and 56; with none, 2,050 poch_deriv,
-# 1,645 recip_poch_deriv, 2,199 mod_harmonic and 945 stirling_s1 calls.
+# 1,645 recip_poch_deriv, 2,199 mod_harmonic and 945 stirling_s1 calls.  While
+# the right side of ii16 and ii17 took each (A - (B+j) x)_m from pochhammer,
+# it made 399 pochhammer calls; now only their left sides call it.
 _VERIFY_ALL_CALLS = {
     "poch_deriv": 892, "recip_poch_deriv": 587, "mod_harmonic": 147, "stirling_s1": 108,
-    "pochhammer": 399, "binomial": 157, "_relation": 28,
+    "pochhammer": 57, "binomial": 157, "_relation": 28,
 }
 
 
 def test_verify_all_sums_in_integers():
-    counted = (F._add, F._mul, pochex.combinatorics._stirling_walk)
+    counted = (F.__new__, F._add, F._sub, F._mul, pochex.combinatorics._stirling_walk)
     blocks = (
         poch_deriv, recip_poch_deriv, mod_harmonic, stirling_s1, pochhammer, binomial, _relation
     )
@@ -229,6 +246,47 @@ def test_verify_all_sums_in_integers():
     assert all(summary.passed for summary in summaries)
     assert all(calls[name] <= bound for name, bound in _VERIFY_ALL_WORK.items()), calls
     assert {name: calls[name] for name in _VERIFY_ALL_CALLS} == _VERIFY_ALL_CALLS
+
+
+def test_verify_all_builds_each_repeated_series_once(monkeypatch):
+    # One run builds one classical Bernoulli row, one Miller core per distinct a
+    # of A18 (5), one product side per distinct (m, c) of nueva1 and nueva2
+    # (12), one power of log(1+z) per distinct k of a4 and a7 (5), and -z/(1-z)
+    # and 1/(1-z) once each.  Before, each point built its own: 10 rows, 10
+    # cores, 23 product sides, 13 log powers and 16 and 12 geometric series.
+    import pochex.verify
+
+    built = Counter()
+
+    def count(name):
+        build = getattr(pochex.verify, name)
+
+        def counted(*args):
+            built[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(pochex.verify, name, counted)
+
+    for name in (
+        "_classical_bernoulli", "_bernoulli_values", "_nueva_product_side", "_log1p_power",
+        "_geometric_minus", "_geometric",
+    ):
+        count(name)
+    assert all(summary.passed for summary in verify_all())
+    assert built == {
+        "_classical_bernoulli": 1, "_bernoulli_values": 5, "_nueva_product_side": 12,
+        "_log1p_power": 5, "_geometric_minus": 1, "_geometric": 1,
+    }
+    # A18 builds the row of the a-fold convolution once per a > 1, from the row
+    # below: 12 sums for the classical row and 13 for each of a = 2..5.  Before,
+    # each point built its own rows and summed its shifted row the same way, in
+    # 510 sums.
+    built.clear()
+    count("_sum_of_products")
+    assert run_relation("A18").passed
+    assert built == {
+        "_classical_bernoulli": 1, "_bernoulli_values": 5, "_sum_of_products": 12 + 4 * 13
+    }
 
 
 def test_A27_computes_each_P_and_Q_value_once():
@@ -360,6 +418,7 @@ _II16_GRID = [{"m": 0, "n": 2, "A": F(1), "B": b, "x": F(0)} for b in (1, 2, 3, 
             "0 has B = 0, which puts a zero at shift 0",
         ),
         (GenFunId.A25, [{"k": 0, "beta": F(-1)}], "0 has beta = -1, which hits a pole at shift 1"),
+        (IdentityId.A27, [{"m": 2, "k": 1, "x": -1}], "0 has x = -1, which hits a pole at shift 1"),
         (GenFunId.nueva1, [{"m": 1, "c": F(0)}], "0 needs c > 0"),
         (GenFunId.nueva2, [{"m": 1, "c": F(-1)}], "0 needs c > 0"),
         # Every parameter is read before any range is checked.
@@ -376,6 +435,236 @@ def test_relation_guards_refuse_points_outside_their_range(relation, grid, messa
     message = f"run_relation({relation.value!r}) at grid point {message}"
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         run_relation(relation, grid)
+
+
+# Small rationals for a drawn point: the integers -4..3, nonpositive ones among
+# them, and fractions with denominators up to 4.
+_small_rationals = st.one_of(
+    st.integers(-4, 3).map(F), st.fractions(min_value=-5, max_value=5, max_denominator=4)
+)
+
+
+def drawn_point(token):
+    """A strategy for points of a relation, read from its declaration: each
+    integer from its minimum up to the minimum + 6, each rational small."""
+    declared = _relation(token)[2]
+    return st.fixed_dictionaries(
+        {
+            name: _small_rationals if low is None else st.integers(low, low + 6)
+            for name, low in declared
+        }
+    )
+
+
+@pytest.mark.parametrize("token", [r.value for r in (*IdentityId, *GenFunId)])
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_drawn_point_passes_or_is_refused_with_its_head(token, data):
+    # Every relation holds wherever it is defined; anywhere else the refusal is a
+    # DomainError headed by the call, the relation and the point, never an error
+    # of a building block (A27 once leaked a PoleError at x = 0, -1, ...).
+    point = data.draw(drawn_point(token))
+    try:
+        summary = run_relation(token, [point])
+    except DomainError as fault:
+        assert str(fault).startswith(f"run_relation({token!r}) at grid point 0 "), fault
+    else:
+        assert summary.passed, point
+
+
+# -- the Fraction definitions of the integer sides ----------------------------------
+# Each side that now sums in integers, as it was computed before: a Fraction per
+# factor, `_sum_of_products` or Fraction arithmetic per term.  Each returns the
+# relation's (lhs, rhs) with the rewritten side(s) from this code and the rest
+# from the evaluator itself.
+
+
+def _fraction_pf_sum(calls, A, B, x, m, n):
+    # sum_{j<n} (-1)^j (A - (B+j) x)_m / (j! (n-1-j)! (B+j)), the shared
+    # right side of ii16 and ii17; (B)_n must have no zero factor.
+    j = _vanishing_shift(B, n)
+    if j is not None:
+        raise _OutOfRange(f"has B = {B}, which puts a zero at shift {j}")
+    terms = []
+    for j in range(n):
+        shifted = B + j
+        weight = math.factorial(j) * math.factorial(n - 1 - j) * shifted.numerator
+        value = _shared(calls, pochhammer, A - shifted * x, m)
+        terms.append((_sign(j), value, F(shifted.denominator, weight)))
+    return _sum_of_products(terms)
+
+
+def _fraction_ii16(calls, m, n, A, B, x):
+    lhs, _ = pochex.verify._eval_ii16(calls, m, n, A, B, x)
+    return lhs, _fraction_pf_sum(calls, A, B, x, m, n)
+
+
+def _fraction_ii17(calls, n, A, B, x):
+    lhs, _ = pochex.verify._eval_ii17(calls, n, A, B, x)
+    return lhs, x**n + _fraction_pf_sum(calls, A, B, x, n, n)
+
+
+def _fraction_A13(calls, m, k, alpha):
+    lhs, _ = pochex.verify._eval_A13(calls, m, k, alpha)
+    row = _shared(calls, _stirling_walk, m + 1, m + 1)[1]
+    shift = alpha - 1
+    rhs = _sum_of_products(
+        (_sign(m - j) * math.comb(j, k) * row[j + 1], shift ** (j - k))
+        for j in range(k, m + 1)
+    )
+    return lhs, rhs
+
+
+def _fraction_A29(calls, m, k, n):
+    lhs, _ = pochex.verify._eval_A29(calls, m, k, n)
+    row = _shared(calls, _stirling_walk, m + n, k + 1)[1]
+    weight = F(_sign(m + n - 1 - k), math.factorial(n - 1))
+    rhs = _sum_of_products(
+        (weight, row[k + 1 - j], _shared(calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
+    )
+    return lhs, rhs
+
+
+def _fraction_A30(calls, m, k, n):
+    lhs, _ = pochex.verify._eval_A30(calls, m, k, n)
+    row = _shared(calls, _stirling_walk, n, k + 1)[1]
+    weight = F(_sign(n - 1 - k), math.factorial(m + n - 1))
+    rhs = _sum_of_products(
+        (weight, row[k + 1 - j], _shared(calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
+    )
+    return lhs, rhs
+
+
+def _fraction_A31(calls, m, k, n):
+    lhs, _ = pochex.verify._eval_A31(calls, m, k, n)
+    if m <= n:
+        rhs = _sign(m - k) * _shared(
+            calls, poch_deriv, F(n + 1 - m), m, k, PochMethod.STIRLING_SUM
+        )
+    else:
+        acc = sum(
+            (-1) ** j
+            * _shared(calls, stirling_s1, n + 1, j + 1)
+            * _shared(calls, stirling_s1, m - n, k - j)
+            for j in range(k)
+        )
+        rhs = F(_sign(m - n - k)) * acc
+    return lhs, F(rhs)
+
+
+def _fraction_compose(outer, inner):
+    # _compose of an outer series of Fractions: its Horner rule is unchanged.
+    return _compose(*_int_row(list(outer.coefficients))[:2], inner)
+
+
+def _fraction_A18(calls, order, a, x):
+    core = _bernoulli_values(order, a)
+    lhs = EpsSeries(
+        [_bernoulli_sum(core, n, x) / F(math.factorial(n)) for n in range(order + 1)]
+    )
+    level = _classical_bernoulli(order)
+    base = list(level)
+    for _ in range(a - 1):
+        level = [
+            _sum_of_products((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
+            for n in range(order + 1)
+        ]
+    powers = [x**e for e in range(order + 1)]
+    shifted = []
+    for n in range(order + 1):
+        scale = F(1, math.factorial(n))
+        shifted.append(
+            _sum_of_products(
+                (scale, math.comb(n, i), level[i], powers[n - i]) for i in range(n + 1)
+            )
+        )
+    return lhs, EpsSeries(shifted)
+
+
+def _fraction_A25(calls, order, k, beta):
+    _, rhs = pochex.verify._genfun_A25(calls, order, k, beta)
+    outer = EpsSeries([1 / (beta + j) ** (k + 1) for j in range(order + 1)])
+    composed = _fraction_compose(outer, _geometric_minus(order))
+    return composed * series_invert(polynomial_series([1, -1], order)), rhs
+
+
+def _fraction_A26(calls, order, k):
+    _, rhs = pochex.verify._genfun_A26(calls, order, k)
+    outer = EpsSeries([F(0)] + [F(1) / F(j) ** (k + 1) for j in range(1, order + 1)])
+    return -_fraction_compose(outer, _geometric_minus(order)), rhs
+
+
+def _fraction_nueva2(calls, order, m, c):
+    if c <= 0:
+        raise _OutOfRange("needs c > 0")
+    ratios = [(_sign(j - 1) * math.comb(m, j), c / j) for j in range(1, m + 1)]
+    rhs = EpsSeries(
+        [_sum_of_products((w, r**k) for w, r in ratios) for k in range(order + 1)]
+    )
+    return _nueva_product_side(order, m, c), rhs
+
+
+_FRACTION_SIDES = {
+    "ii16": _fraction_ii16,
+    "ii17": _fraction_ii17,
+    "A13": _fraction_A13,
+    "A29": _fraction_A29,
+    "A30": _fraction_A30,
+    "A31": _fraction_A31,
+    "A18": _fraction_A18,
+    "A25": _fraction_A25,
+    "A26": _fraction_A26,
+    "nueva2": _fraction_nueva2,
+}
+
+
+def exactly(value):
+    """A value with the type of every scalar in it, so that == compares types too."""
+    if isinstance(value, EpsSeries):
+        return value.min_exponent, [(type(c), c) for c in value.coefficients]
+    return type(value), value
+
+
+def outcome(evaluate, *args):
+    """Both sides, each with its types, or the type and message of the refusal."""
+    try:
+        return [exactly(side) for side in evaluate(*args)]
+    except _OutOfRange as fault:
+        return type(fault), str(fault)
+
+
+@pytest.mark.parametrize("token", list(_FRACTION_SIDES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_integer_sides_match_their_fraction_definitions(token, data):
+    # Drawn points reach past the default grids: larger integers, negative and
+    # non-integral rationals, and the points each relation refuses.
+    point = data.draw(drawn_point(token))
+    relation, evaluate, declared, _ = _relation(token)
+    values = list(_read("here", point, token, declared))
+    first = [] if isinstance(relation, IdentityId) else [data.draw(st.integers(0, 14))]
+    reference = outcome(_FRACTION_SIDES[token], {}, *first, *values)
+    assert outcome(evaluate, {}, *first, *values) == reference
+
+
+_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    A=_rationals,
+    B=st.one_of(_rationals, st.integers(-6, 2).map(F)),
+    x=_rationals,
+    m=st.integers(0, 6),
+    n=st.integers(1, 6),
+)
+@example(A=F(1), B=F(-1), x=F(0), m=0, n=2)
+@example(A=F(-7, 3), B=F(-5, 2), x=F(-3, 4), m=5, n=6)
+def test_partial_fraction_sum_is_its_fraction_definition(A, B, x, m, n):
+    # Value and type, or the same refusal byte for byte where (B)_n has a zero factor.
+    assert outcome(lambda: [_pf_sum(A, B, x, m, n)]) == outcome(
+        lambda: [_fraction_pf_sum({}, A, B, x, m, n)]
+    )
 
 
 def test_run_genfun_low_order_smoke():

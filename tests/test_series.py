@@ -211,21 +211,19 @@ def test_div():
 
 
 def test_compose_monomial():
-    outer = S([0, 0, 1, 0])  # w^2
+    # The outer series is an integer row over a denominator: here w^2.
     inner = S([0, 2, 0, 0])  # 2z
-    assert _compose(outer, inner) == S([0, 0, 4, 0])
+    assert _compose(1, [0, 0, 1, 0], inner) == S([0, 0, 4, 0])
 
 
 def test_compose_euler_transform_style():
-    outer = S([1, 1, 1, 1])  # 1/(1-w)
-    inner = S([0, 1, 1, 1])  # z/(1-z)
-    assert _compose(outer, inner) == S([1, 1, 2, 4])
+    inner = S([0, 1, 1, 1])  # z/(1-z); outer 1/(1-w)
+    assert _compose(1, [1, 1, 1, 1], inner) == S([1, 1, 2, 4])
 
 
 def test_compose_exp_log():
-    outer = S([1, 1, F(1, 2), F(1, 6)])  # exp(w)
-    inner = _log1p_power(1, 3)
-    assert _compose(outer, inner) == S([1, 1, 0, 0])
+    inner = _log1p_power(1, 3)  # outer exp(w)
+    assert _compose(6, [6, 6, 3, 1], inner) == S([1, 1, 0, 0])
 
 
 def test_elementary_log1p():
