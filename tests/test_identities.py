@@ -418,7 +418,6 @@ _II16_GRID = [{"m": 0, "n": 2, "A": F(1), "B": b, "x": F(0)} for b in (1, 2, 3, 
             "0 has B = 0, which puts a zero at shift 0",
         ),
         (GenFunId.A25, [{"k": 0, "beta": F(-1)}], "0 has beta = -1, which hits a pole at shift 1"),
-        (IdentityId.A27, [{"m": 2, "k": 1, "x": -1}], "0 has x = -1, which hits a pole at shift 1"),
         (GenFunId.nueva1, [{"m": 1, "c": F(0)}], "0 needs c > 0"),
         (GenFunId.nueva2, [{"m": 1, "c": F(-1)}], "0 needs c > 0"),
         # Every parameter is read before any range is checked.
@@ -428,6 +427,7 @@ _II16_GRID = [{"m": 0, "n": 2, "A": F(1), "B": b, "x": F(0)} for b in (1, 2, 3, 
             "0 needs a rational A, got 0.5; pass an int or a Fraction",
         ),
         (IdentityId.ii16, [{"m": 2, "n": 2, "B": F(1), "x": F(0)}], "0 is missing parameter 'A'"),
+        (IdentityId.A27, [{"m": 2, "k": 1, "x": -1}], "0 has x = -1, which hits a pole at shift 1"),
     ],
 )
 def test_relation_guards_refuse_points_outside_their_range(relation, grid, message):
