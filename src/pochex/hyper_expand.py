@@ -597,7 +597,7 @@ def expand_closed(
     point is checked for a pole before any is computed.
     """
     _count("expand_closed", eps_order=eps_order, degree_bound=degree_bound)
-    extra = extra or {}
+    extra = {} if extra is None else extra
     _typed("expand_closed", Mapping, extra=extra)
     if set(extra) - {"delta"}:
         raise DomainError(f"expand_closed takes only the extra parameter delta, got {list(extra)}")

@@ -25,17 +25,16 @@ declared, then the point's range: an evaluator raises `_OutOfRange` with the
 message's tail (`needs k <= m`), and `run_relation` heads every fault with the
 call, the relation and the point.
 
-Cost model: a side that is a sum adds its terms as one integer sum.  Each
-term is one (numerator, denominator) pair of ints, and `series._int_sum` adds
-the pairs over one lcm and reduces by one gcd, in place of a Fraction
-multiply-add per term.  The heavy sides (ii16 and ii17's partial fractions,
-A13's Taylor sum, the weighted sums of A29, A30 and A31, A18's shifted row,
-A25 and A26's outer rows and nueva2's geometric pieces) write each pair from
-the numerators and denominators of their arguments, so they make no Fraction
-per term; `_sum_of_products` makes the pair of a product of ints and Fractions
-for the rest.  A side that needs a Stirling row or column at one point takes it
-from one `_stirling_walk`.  Only how a side adds up its terms is shared: the
-two sides of every relation still run on their separate routes.
+Cost model: every side that adds terms adds them as one integer sum.  Each
+term is one (numerator, denominator) pair of ints, written from the numerators
+and denominators of its factors, and `series._int_sum` adds the pairs over one
+lcm and reduces by one gcd; where every term is an int (A8, A31, iii5 and
+iii10), the sum is a plain int sum.  So no side makes a Fraction per term.  A
+side that needs a Stirling row or column at one point takes it from one
+`_stirling_walk`.  An integer argument of a building block is passed as the
+exact int, which keys the same shared call as its equal Fraction, so no point
+builds and hashes a Fraction for it.  Only how a side adds up its terms is
+shared: the two sides of every relation still run on their separate routes.
 
 Every evaluator takes its calls of seven pure building blocks (`poch_deriv`,
 `recip_poch_deriv`, `pochhammer`, `stirling_s1`, `mod_harmonic`, `binomial`
@@ -165,24 +164,6 @@ def _read(where, params, relation, declared):
     return values.values()
 
 
-def _sum_of_products(terms) -> Fraction:
-    """sum(prod(term)) over `terms`, each a tuple of ints and Fractions, as one
-    Fraction (the empty sum is 0).
-
-    Each term becomes one integer pair (the product of its factors' numerators,
-    the product of their denominators), and `_int_sum` adds the pairs over one
-    lcm and reduces once, in place of a Fraction multiply-add per term.
-    """
-    pairs = []
-    for term in terms:
-        n = d = 1
-        for x in term:
-            n *= x.numerator
-            d *= x.denominator
-        pairs.append((n, d))
-    return _int_sum(pairs)
-
-
 # -- scalar identity evaluators ------------------------------------------------
 # Each returns (lhs, rhs) with the two sides computed by independent routes:
 # lhs through the general recurrence-based operation, rhs through the closed
@@ -208,7 +189,7 @@ def _eval_A6(calls, m, k):
     """k-th derivative coefficient at argument 0 is a signed Stirling number."""
     if k > m:
         raise _OutOfRange("needs 0 < k <= m")
-    lhs = _shared(calls, poch_deriv, _F(0), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, 0, m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * _shared(calls, stirling_s1, m, k)
     return lhs, rhs
 
@@ -217,16 +198,14 @@ def _eval_A8(calls, n, k):
     """Stirling row recurrence expressed as a factorial-weighted column sum."""
     lhs = _shared(calls, stirling_s1, n + 1, k + 1)
     column = _shared(calls, _stirling_walk, n, k)[0]  # s(j, k) for j = 0..n
-    rhs = _sum_of_products(
-        (_sign(n - j) * math.perm(n, n - j), column[j])  # perm(n, n - j) = n!/j!
-        for j in range(k, n + 1)
-    )
-    return lhs, rhs
+    # perm(n, n - j) = n!/j!
+    rhs = sum(_sign(n - j) * math.perm(n, n - j) * column[j] for j in range(k, n + 1))
+    return lhs, _F(rhs)
 
 
 def _eval_A9(calls, m, k):
     """Derivative coefficient at argument 1 is a shifted signed Stirling number."""
-    lhs = _shared(calls, poch_deriv, _F(1), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, 1, m, k, PochMethod.RECURRENCE)
     rhs = _sign(m - k) * _shared(calls, stirling_s1, m + 1, k + 1)
     return lhs, rhs
 
@@ -235,16 +214,16 @@ def _eval_AA19(calls, m, k):
     """Derivative coefficient at argument 1 via a generalized Bernoulli value."""
     if k > m:
         raise _OutOfRange("needs k <= m")
-    lhs = _shared(calls, poch_deriv, _F(1), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, 1, m, k, PochMethod.RECURRENCE)
     c = _shared(calls, binomial, m, k)
-    rhs = _sign(m - k) * c * gen_bernoulli_poly(m - k, m + 1, _F(0))
+    rhs = _sign(m - k) * c * gen_bernoulli_poly(m - k, m + 1, 0)
     return lhs, rhs
 
 
 def _eval_A12(calls, m, k):
     """Reciprocal derivative at argument 1 via the modified harmonic numbers."""
-    lhs = _shared(calls, recip_poch_deriv, _F(1), m, k, RecipMethod.RECURRENCE)
-    rhs = _F((-1) ** k) / math.factorial(m) * _shared(calls, mod_harmonic, m, k)
+    lhs = _shared(calls, recip_poch_deriv, 1, m, k, RecipMethod.RECURRENCE)
+    rhs = _sign(k) * _shared(calls, mod_harmonic, m, k) / math.factorial(m)
     return lhs, rhs
 
 
@@ -268,15 +247,15 @@ def _eval_A14coeff(calls, m, k, j):
     """Taylor coefficients of the reciprocal derivative around argument 1:
     the j-th coefficient of Q_m^(k) is (±) C(k+j, k) Hhat_m^(k+j) / m!."""
     c = _shared(calls, binomial, k + j, k)
-    lhs = c * _shared(calls, recip_poch_deriv, _F(1), m, k + j, RecipMethod.RECURRENCE)
-    rhs = _F((-1) ** (k + j)) * c * _shared(calls, mod_harmonic, m, k + j) / math.factorial(m)
+    lhs = c * _shared(calls, recip_poch_deriv, 1, m, k + j, RecipMethod.RECURRENCE)
+    rhs = _sign(k + j) * c * _shared(calls, mod_harmonic, m, k + j) / math.factorial(m)
     return lhs, rhs
 
 
 def _eval_A15(calls, m, k):
     """Derivative coefficient at argument 1 equals m! times the strictly
     nested all-ones harmonic sum of depth k."""
-    lhs = _shared(calls, poch_deriv, _F(1), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, 1, m, k, PochMethod.RECURRENCE)
     rhs = math.factorial(m) * nested_ones_Z(m, k)
     return lhs, _F(rhs)
 
@@ -287,31 +266,19 @@ def _eval_A27(calls, m, k, x):
     j = _vanishing_shift(x, m)
     if j is not None:
         raise _OutOfRange(f"has x = {x}, which hits a pole at shift {j}")
-    lhs = _sum_of_products(
-        (
-            _shared(calls, poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM),
-            _shared(calls, recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM),
-        )
-        for j in range(k + 1)
-    )
+    terms = []
+    for j in range(k + 1):
+        p = _shared(calls, poch_deriv, x, m, k - j, PochMethod.STIRLING_SUM)
+        q = _shared(calls, recip_poch_deriv, x, m, j, RecipMethod.CLOSED_SUM)
+        terms.append((p.numerator * q.numerator, p.denominator * q.denominator))
+    lhs = _int_sum(terms)
     rhs = _F(1 if k == 0 else 0)
     return lhs, rhs
 
 
-def _eval_A28(calls, m, k):
-    """Convolution of a Stirling row with the modified harmonic numbers
-    telescopes to delta_{k,0} (-1)^m m!."""
-    row = _shared(calls, _stirling_walk, m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
-    lhs = _sum_of_products(
-        (row[k + 1 - j], _shared(calls, mod_harmonic, m, j)) for j in range(k + 1)
-    )
-    rhs = _F((-1) ** m * math.factorial(m) if k == 0 else 0)
-    return lhs, rhs
-
-
 def _weighted_harmonics(calls, row, k, h, sign, den):
-    # sign/den * sum_{j<=k} row[k+1-j] Hhat_h^(j), the right side of A29 and A30,
-    # as one integer sum.
+    # sign/den * sum_{j<=k} row[k+1-j] Hhat_h^(j), the left side of A28 and
+    # the right side of A29 and A30, as one integer sum.
     terms = []
     for j in range(k + 1):
         harmonic = _shared(calls, mod_harmonic, h, j)
@@ -319,34 +286,39 @@ def _weighted_harmonics(calls, row, k, h, sign, den):
     return _int_sum(terms)
 
 
+def _eval_A28(calls, m, k):
+    """Convolution of a Stirling row with the modified harmonic numbers
+    telescopes to delta_{k,0} (-1)^m m!."""
+    row = _shared(calls, _stirling_walk, m + 1, k + 1)[1]  # s(m+1, i) for i = 0..k+1
+    lhs = _weighted_harmonics(calls, row, k, m, 1, 1)
+    rhs = _F(_sign(m) * math.factorial(m) if k == 0 else 0)
+    return lhs, rhs
+
+
 def _eval_A29(calls, m, k, n):
     """Derivative coefficient at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
-    lhs = _shared(calls, poch_deriv, _F(n), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, n, m, k, PochMethod.RECURRENCE)
     row = _shared(calls, _stirling_walk, m + n, k + 1)[1]  # s(m+n, i) for i = 0..k+1
-    rhs = _weighted_harmonics(
-        calls, row, k, n - 1, _sign(m + n - 1 - k), math.factorial(n - 1)
-    )
+    rhs = _weighted_harmonics(calls, row, k, n - 1, _sign(m + n - 1 - k), math.factorial(n - 1))
     return lhs, rhs
 
 
 def _eval_A30(calls, m, k, n):
     """Reciprocal derivative at a positive integer argument via Stirling
     numbers and modified harmonic numbers."""
-    lhs = _shared(calls, recip_poch_deriv, _F(n), m, k, RecipMethod.RECURRENCE)
+    lhs = _shared(calls, recip_poch_deriv, n, m, k, RecipMethod.RECURRENCE)
     row = _shared(calls, _stirling_walk, n, k + 1)[1]  # s(n, i) for i = 0..k+1
-    rhs = _weighted_harmonics(
-        calls, row, k, m + n - 1, _sign(n - 1 - k), math.factorial(m + n - 1)
-    )
+    rhs = _weighted_harmonics(calls, row, k, m + n - 1, _sign(n - 1 - k), math.factorial(m + n - 1))
     return lhs, rhs
 
 
 def _eval_A31(calls, m, k, n):
     """Derivative coefficient at a negative integer argument: a reflection
     when the pole order allows, a finite Stirling double product otherwise."""
-    lhs = _shared(calls, poch_deriv, _F(-n), m, k, PochMethod.RECURRENCE)
+    lhs = _shared(calls, poch_deriv, -n, m, k, PochMethod.RECURRENCE)
     if m <= n:
-        rhs = _shared(calls, poch_deriv, _F(n + 1 - m), m, k, PochMethod.STIRLING_SUM)
+        rhs = _shared(calls, poch_deriv, n + 1 - m, m, k, PochMethod.STIRLING_SUM)
         return lhs, -rhs if (m - k) % 2 else rhs
     acc = sum(
         _sign(j)
@@ -362,10 +334,8 @@ def _eval_A32(calls, m, k, n):
     positive one while the factorial cast holds (m <= n)."""
     if m > n:
         raise _OutOfRange("needs m <= n")
-    lhs = _shared(calls, recip_poch_deriv, _F(-n), m, k, RecipMethod.RECURRENCE)
-    rhs = _sign(m - k) * _shared(
-        calls, recip_poch_deriv, _F(n + 1 - m), m, k, RecipMethod.CLOSED_SUM
-    )
+    lhs = _shared(calls, recip_poch_deriv, -n, m, k, RecipMethod.RECURRENCE)
+    rhs = _sign(m - k) * _shared(calls, recip_poch_deriv, n + 1 - m, m, k, RecipMethod.CLOSED_SUM)
     return lhs, rhs
 
 
@@ -409,7 +379,18 @@ def _eval_ii17(calls, n, A, B, x):
 
 def _eval_iii4(calls, m):
     """First Stirling column: s(m+1, 1) = (-1)^m m!."""
-    return _shared(calls, stirling_s1, m + 1, 1), _F((-1) ** m * math.factorial(m))
+    return _shared(calls, stirling_s1, m + 1, 1), _F(_sign(m) * math.factorial(m))
+
+
+def _alternating_binomials(calls, m, n, step):
+    # sum_{j=1..n} (-1)^j C(m + step j, n) C(n, j), the sum of iii5 (step -1) and
+    # iii10 (step 1), as one int sum: every top is >= 0, so each binomial is an int.
+    return sum(
+        _sign(j)
+        * _shared(calls, binomial, m + step * j, n).numerator
+        * _shared(calls, binomial, n, j).numerator
+        for j in range(1, n + 1)
+    )
 
 
 def _eval_iii5(calls, m, n):
@@ -417,19 +398,13 @@ def _eval_iii5(calls, m, n):
     (the eps^0 normalization of the first expansion family)."""
     if n > m:
         raise _OutOfRange("needs n <= m")
-    lhs = 1 - sum(
-        (-1) ** j * _shared(calls, binomial, m - j, n) * _shared(calls, binomial, n, j)
-        for j in range(1, n + 1)
-    )
+    lhs = 1 - _alternating_binomials(calls, m, n, -1)
     return _F(lhs), _shared(calls, binomial, m, n)
 
 
 def _eval_iii10(calls, m, n):
     """Companion alternating binomial sum with upward-shifted top index."""
-    lhs = _F((-1) ** n) - sum(
-        (-1) ** j * _shared(calls, binomial, m + j, n) * _shared(calls, binomial, n, j)
-        for j in range(1, n + 1)
-    )
+    lhs = _sign(n) - _alternating_binomials(calls, m, n, 1)
     return _F(lhs), _shared(calls, binomial, m, n)
 
 
@@ -497,7 +472,7 @@ def _genfun_a4(calls, order, k, alpha):
     sum_m k! P_m^(k)(alpha) (-t)^m / m! = (-1)^k (1+t)^(-alpha) log(1+t)^k."""
     lhs = EpsSeries(
         [
-            _F((-1) ** m * math.factorial(k), math.factorial(m))
+            _F(_sign(m) * math.factorial(k), math.factorial(m))
             * _shared(calls, poch_deriv, alpha, m, k, PochMethod.STIRLING_SUM)
             for m in range(order + 1)
         ]
@@ -527,10 +502,11 @@ def _classical_bernoulli(order):
     # B_0..B_order from the textbook first-order recurrence.
     values = [_F(1)]
     for n in range(1, order + 1):
-        weight = _F(-1, n + 1)
-        values.append(
-            _sum_of_products((weight, math.comb(n + 1, i), values[i]) for i in range(n))
-        )
+        terms = [
+            (-math.comb(n + 1, i) * b.numerator, (n + 1) * b.denominator)
+            for i, b in enumerate(values)
+        ]
+        values.append(_int_sum(terms))
     return values
 
 
@@ -542,7 +518,12 @@ def _bernoulli_level(calls, order, a):
         key = (_bernoulli_level, order, b)
         if key not in calls:
             calls[key] = [
-                _sum_of_products((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
+                _int_sum(
+                    [
+                        (math.comb(n, i) * u.numerator * v.numerator, u.denominator * v.denominator)
+                        for i, (u, v) in enumerate(zip(level[: n + 1], base[n::-1]))
+                    ]
+                )
                 for n in range(order + 1)
             ]
         level = calls[key]
@@ -584,7 +565,8 @@ def _genfun_A25(calls, order, k, beta):
     lhs = composed * _shared(calls, _geometric, order)
     rhs = EpsSeries(
         [
-            _F((-1) ** k * math.factorial(m))
+            _sign(k)
+            * math.factorial(m)
             * _shared(calls, recip_poch_deriv, beta, m + 1, k, RecipMethod.CLOSED_SUM)
             for m in range(order + 1)
         ]

@@ -179,6 +179,15 @@ TYPED = {
         "a HyperTermSpec spec, got 5",
     ),
     "expand_closed-extra": (lambda: pochex.expand_closed("F6", 1, 2, 5), "a Mapping extra, got 5"),
+    # An empty list or False is refused like 5, not read as no extra.
+    "expand_closed-extra_list": (
+        lambda: pochex.expand_closed("F1", 1, 1, []),
+        "a Mapping extra, got []",
+    ),
+    "expand_closed-extra_false": (
+        lambda: pochex.expand_closed("F1", 1, 1, False),
+        "a Mapping extra, got False",
+    ),
     "HyperTermSpec-numer": (
         lambda: pochex.HyperTermSpec("x", numer=5),
         "an iterable of numer factors, got 5",

@@ -281,7 +281,9 @@ def test_result_past_the_digit_limit_is_printed(capsys, argv):
         ("expand", "[denominator]\npoch = 1 1 : 0 1 0\npoch = 1/{big} 1 : 0 0 1\n", 3),
     ],
 )
-def test_spec_literal_past_the_digit_limit_is_a_parse_error(capsys, tmp_path, command, text, lineno):
+def test_spec_literal_past_the_digit_limit_is_a_parse_error(
+    capsys, tmp_path, command, text, lineno
+):
     spec = tmp_path / "spec.txt"
     spec.write_text(text.format(big="7" * 5000))
     code, out, err = run(capsys, command, "--spec", str(spec))
@@ -532,7 +534,9 @@ def test_verify_id_and_all_conflict(capsys):
 
 
 def test_verify_id_and_all_is_a_verify_usage_error(capsys):
-    assert_usage_error(capsys, "--id and --all are mutually exclusive", "verify", "--id", "A5", "--all")
+    assert_usage_error(
+        capsys, "--id and --all are mutually exclusive", "verify", "--id", "A5", "--all"
+    )
 
 
 # -- top-level behavior --------------------------------------------------------------

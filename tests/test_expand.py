@@ -1015,7 +1015,10 @@ def test_delta_dual_expand_is_the_delta_part_of_the_engine_table():
     seen = Counter()
 
     def scalar(dual):
-        x = F(rng.randint(-4, 3)) if rng.random() < 0.3 else F(rng.randint(-9, 9), rng.randint(1, 4))
+        if rng.random() < 0.3:
+            x = F(rng.randint(-4, 3))
+        else:
+            x = F(rng.randint(-9, 9), rng.randint(1, 4))
         if rng.random() < dual:
             return Dual(x, F(rng.randint(-3, 3), rng.randint(1, 3)))
         return x

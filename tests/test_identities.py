@@ -25,6 +25,7 @@ from pochex.verify import (
     GenFunResult,
     IdentityId,
     IdentityResult,
+    _bernoulli_level,
     _bernoulli_sum,
     _bernoulli_values,
     _classical_bernoulli,
@@ -38,7 +39,6 @@ from pochex.verify import (
     _relation,
     _sign,
     _stirling_walk,
-    _sum_of_products,
     _vanishing_shift,
     run_relation,
     verify_all,
@@ -183,20 +183,6 @@ def test_relation_values_are_pinned():
     assert (len(lines), digest) == _RELATION_VALUES
 
 
-_factors = st.one_of(
-    st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4, min_value=-50, max_value=50)
-)
-
-
-@given(st.lists(st.lists(_factors, max_size=4).map(tuple), max_size=8))
-@example([])
-@example([()])
-@example([(F(1, 3), -3), (0,)])
-def test_sum_of_products_is_the_fraction_sum(terms):
-    expected = sum((math.prod(term, start=F(1)) for term in terms), F(0))
-    assert repr(_sum_of_products(terms)) == repr(expected)
-
-
 def profiled_calls(run, functions):
     """run()'s result and the cProfile call count of each of `functions`, by name."""
     counted = {function.__code__: function.__name__ for function in functions}
@@ -214,14 +200,17 @@ def profiled_calls(run, functions):
 
 
 # cProfile call counts in one verify_all() of Fraction._add, Fraction._mul and
-# the Stirling walk, and of Fraction.__new__ and Fraction._sub.  With a Fraction
-# multiply-add per term they were 18,355, 25,046 and 4,108; before each relation
-# shared its repeated calls across its grid, 2,774, 4,507 and 2,392; before every
-# relation of the run shared one dict, 2,606, 4,507 and 1,280; before the
-# heaviest relations summed each side as integer pairs and built each repeated
-# series once per run, 2,574, 4,507, 402, 23,775 and 1,594.
+# the Stirling walk, and of Fraction.__new__, Fraction._sub and Fraction.__hash__.
+# With a Fraction multiply-add per term they were 18,355, 25,046 and 4,108;
+# before each relation shared its repeated calls across its grid, 2,774, 4,507
+# and 2,392; before every relation of the run shared one dict, 2,606, 4,507 and
+# 1,280; before the heaviest relations summed each side as integer pairs and
+# built each repeated series once per run, 2,574, 4,507, 402, 23,775 and 1,594;
+# before every side that adds terms summed them as integers and the building
+# blocks took integer arguments as ints, 689, 2,279, 402, 12,492, 118 and 6,314.
 _VERIFY_ALL_WORK = {
-    "_add": 689, "_mul": 2279, "_stirling_walk": 402, "__new__": 12492, "_sub": 118,
+    "_add": 280, "_mul": 1461, "_stirling_walk": 402, "__new__": 10249, "_sub": 0,
+    "__hash__": 4640,
 }
 
 # Exact call counts of the building blocks in one verify_all(), and of the
@@ -238,7 +227,7 @@ _VERIFY_ALL_CALLS = {
 
 
 def test_verify_all_sums_in_integers():
-    counted = (F.__new__, F._add, F._sub, F._mul, pochex.combinatorics._stirling_walk)
+    counted = (F.__new__, F._add, F._sub, F._mul, F.__hash__, pochex.combinatorics._stirling_walk)
     blocks = (
         poch_deriv, recip_poch_deriv, mod_harmonic, stirling_s1, pochhammer, binomial, _relation
     )
@@ -278,14 +267,14 @@ def test_verify_all_builds_each_repeated_series_once(monkeypatch):
         "_log1p_power": 5, "_geometric_minus": 1, "_geometric": 1,
     }
     # A18 builds the row of the a-fold convolution once per a > 1, from the row
-    # below: 12 sums for the classical row and 13 for each of a = 2..5.  Before,
-    # each point built its own rows and summed its shifted row the same way, in
-    # 510 sums.
+    # below: 12 sums for the classical row and 13 for each of a = 2..5, besides
+    # the 13 sums of each point's shifted row.  Before, each point built its own
+    # rows and summed them the same way, in 510 sums besides the shifted rows.
     built.clear()
-    count("_sum_of_products")
+    count("_int_sum")
     assert run_relation("A18").passed
     assert built == {
-        "_classical_bernoulli": 1, "_bernoulli_values": 5, "_sum_of_products": 12 + 4 * 13
+        "_classical_bernoulli": 1, "_bernoulli_values": 5, "_int_sum": 12 + 4 * 13 + 10 * 13
     }
 
 
@@ -444,13 +433,13 @@ _small_rationals = st.one_of(
 )
 
 
-def drawn_point(token):
+def drawn_point(token, reach=6):
     """A strategy for points of a relation, read from its declaration: each
-    integer from its minimum up to the minimum + 6, each rational small."""
+    integer from its minimum up to the minimum + `reach`, each rational small."""
     declared = _relation(token)[2]
     return st.fixed_dictionaries(
         {
-            name: _small_rationals if low is None else st.integers(low, low + 6)
+            name: _small_rationals if low is None else st.integers(low, low + reach)
             for name, low in declared
         }
     )
@@ -474,9 +463,15 @@ def test_a_drawn_point_passes_or_is_refused_with_its_head(token, data):
 
 # -- the Fraction definitions of the integer sides ----------------------------------
 # Each side that now sums in integers, as it was computed before: a Fraction per
-# factor, `_sum_of_products` or Fraction arithmetic per term.  Each returns the
-# relation's (lhs, rhs) with the rewritten side(s) from this code and the rest
-# from the evaluator itself.
+# factor and a Fraction multiply-add per term.  Each returns the relation's
+# (lhs, rhs) with the rewritten side(s) from this code and the rest from the
+# evaluator itself.
+
+
+def fraction_sum(terms):
+    """sum(prod(term)) over `terms`, each a tuple of ints and Fractions, by one
+    Fraction multiply per factor and one Fraction add per term."""
+    return sum((math.prod(term, start=F(1)) for term in terms), F(0))
 
 
 def _fraction_pf_sum(calls, A, B, x, m, n):
@@ -491,7 +486,7 @@ def _fraction_pf_sum(calls, A, B, x, m, n):
         weight = math.factorial(j) * math.factorial(n - 1 - j) * shifted.numerator
         value = _shared(calls, pochhammer, A - shifted * x, m)
         terms.append((_sign(j), value, F(shifted.denominator, weight)))
-    return _sum_of_products(terms)
+    return fraction_sum(terms)
 
 
 def _fraction_ii16(calls, m, n, A, B, x):
@@ -504,14 +499,41 @@ def _fraction_ii17(calls, n, A, B, x):
     return lhs, x**n + _fraction_pf_sum(calls, A, B, x, n, n)
 
 
+def _fraction_A8(calls, n, k):
+    lhs, _ = pochex.verify._eval_A8(calls, n, k)
+    rhs = fraction_sum(
+        (_sign(n - j), F(math.factorial(n), math.factorial(j)), stirling_s1(j, k))
+        for j in range(k, n + 1)
+    )
+    return lhs, rhs
+
+
 def _fraction_A13(calls, m, k, alpha):
     lhs, _ = pochex.verify._eval_A13(calls, m, k, alpha)
     row = _shared(calls, _stirling_walk, m + 1, m + 1)[1]
     shift = alpha - 1
-    rhs = _sum_of_products(
+    rhs = fraction_sum(
         (_sign(m - j) * math.comb(j, k) * row[j + 1], shift ** (j - k))
         for j in range(k, m + 1)
     )
+    return lhs, rhs
+
+
+def _fraction_A27(calls, m, k, x):
+    _, rhs = pochex.verify._eval_A27(calls, m, k, x)
+    lhs = fraction_sum(
+        (
+            poch_deriv(x, m, k - j, PochMethod.STIRLING_SUM),
+            recip_poch_deriv(x, m, j, RecipMethod.CLOSED_SUM),
+        )
+        for j in range(k + 1)
+    )
+    return lhs, rhs
+
+
+def _fraction_A28(calls, m, k):
+    _, rhs = pochex.verify._eval_A28(calls, m, k)
+    lhs = fraction_sum((stirling_s1(m + 1, k + 1 - j), mod_harmonic(m, j)) for j in range(k + 1))
     return lhs, rhs
 
 
@@ -519,7 +541,7 @@ def _fraction_A29(calls, m, k, n):
     lhs, _ = pochex.verify._eval_A29(calls, m, k, n)
     row = _shared(calls, _stirling_walk, m + n, k + 1)[1]
     weight = F(_sign(m + n - 1 - k), math.factorial(n - 1))
-    rhs = _sum_of_products(
+    rhs = fraction_sum(
         (weight, row[k + 1 - j], _shared(calls, mod_harmonic, n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
@@ -529,7 +551,7 @@ def _fraction_A30(calls, m, k, n):
     lhs, _ = pochex.verify._eval_A30(calls, m, k, n)
     row = _shared(calls, _stirling_walk, n, k + 1)[1]
     weight = F(_sign(n - 1 - k), math.factorial(m + n - 1))
-    rhs = _sum_of_products(
+    rhs = fraction_sum(
         (weight, row[k + 1 - j], _shared(calls, mod_harmonic, m + n - 1, j)) for j in range(k + 1)
     )
     return lhs, rhs
@@ -552,6 +574,38 @@ def _fraction_A31(calls, m, k, n):
     return lhs, F(rhs)
 
 
+def _fraction_iii5(calls, m, n):
+    _, rhs = pochex.verify._eval_iii5(calls, m, n)
+    terms = ((F(-1) ** j, binomial(m - j, n), binomial(n, j)) for j in range(1, n + 1))
+    return 1 - fraction_sum(terms), rhs
+
+
+def _fraction_iii10(calls, m, n):
+    _, rhs = pochex.verify._eval_iii10(calls, m, n)
+    terms = ((F(-1) ** j, binomial(m + j, n), binomial(n, j)) for j in range(1, n + 1))
+    return F(-1) ** n - fraction_sum(terms), rhs
+
+
+def _fraction_classical_bernoulli(order):
+    # B_0..B_order by B_n = -1/(n+1) sum_{i<n} C(n+1, i) B_i.
+    values = [F(1)]
+    for n in range(1, order + 1):
+        weight = F(-1, n + 1)
+        values.append(fraction_sum((weight, math.comb(n + 1, i), values[i]) for i in range(n)))
+    return values
+
+
+def _fraction_bernoulli_level(order, a):
+    # B_n^(a)(0), n = 0..order: the classical row convolved with itself a times.
+    level = base = _fraction_classical_bernoulli(order)
+    for _ in range(a - 1):
+        level = [
+            fraction_sum((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
+            for n in range(order + 1)
+        ]
+    return level
+
+
 def _fraction_compose(outer, inner):
     # _compose of an outer series of Fractions: its Horner rule is unchanged.
     return _compose(*_int_row(list(outer.coefficients))[:2], inner)
@@ -562,21 +616,13 @@ def _fraction_A18(calls, order, a, x):
     lhs = EpsSeries(
         [_bernoulli_sum(core, n, x) / F(math.factorial(n)) for n in range(order + 1)]
     )
-    level = _classical_bernoulli(order)
-    base = list(level)
-    for _ in range(a - 1):
-        level = [
-            _sum_of_products((math.comb(n, i), level[i], base[n - i]) for i in range(n + 1))
-            for n in range(order + 1)
-        ]
+    level = _fraction_bernoulli_level(order, a)
     powers = [x**e for e in range(order + 1)]
     shifted = []
     for n in range(order + 1):
         scale = F(1, math.factorial(n))
         shifted.append(
-            _sum_of_products(
-                (scale, math.comb(n, i), level[i], powers[n - i]) for i in range(n + 1)
-            )
+            fraction_sum((scale, math.comb(n, i), level[i], powers[n - i]) for i in range(n + 1))
         )
     return lhs, EpsSeries(shifted)
 
@@ -598,23 +644,54 @@ def _fraction_nueva2(calls, order, m, c):
     if c <= 0:
         raise _OutOfRange("needs c > 0")
     ratios = [(_sign(j - 1) * math.comb(m, j), c / j) for j in range(1, m + 1)]
-    rhs = EpsSeries(
-        [_sum_of_products((w, r**k) for w, r in ratios) for k in range(order + 1)]
-    )
+    rhs = EpsSeries([fraction_sum((w, r**k) for w, r in ratios) for k in range(order + 1)])
     return _nueva_product_side(order, m, c), rhs
 
 
+@st.composite
+def evaluator_args(draw, token):
+    """The arguments of a relation's evaluator after its dict of calls, at a
+    drawn point: integers up to 12 above their minimum, which reach past every
+    default grid, small rationals and, for a generating relation, an order."""
+    relation, _, declared, _ = _relation(token)
+    values = list(_read("here", draw(drawn_point(token, reach=12)), token, declared))
+    first = [] if isinstance(relation, IdentityId) else [draw(st.integers(0, 14))]
+    return [*first, *values]
+
+
+def _relation_side(token, reference):
+    return reference, _relation(token)[1], evaluator_args(token)
+
+
+# Each integer side by name: its Fraction definition, the code under test and a
+# strategy for their arguments after the dict of calls.  A row (the classical
+# Bernoulli numbers, one convolution level) is compared entry by entry.
 _FRACTION_SIDES = {
-    "ii16": _fraction_ii16,
-    "ii17": _fraction_ii17,
-    "A13": _fraction_A13,
-    "A29": _fraction_A29,
-    "A30": _fraction_A30,
-    "A31": _fraction_A31,
-    "A18": _fraction_A18,
-    "A25": _fraction_A25,
-    "A26": _fraction_A26,
-    "nueva2": _fraction_nueva2,
+    "ii16": _relation_side("ii16", _fraction_ii16),
+    "ii17": _relation_side("ii17", _fraction_ii17),
+    "A13": _relation_side("A13", _fraction_A13),
+    "A29": _relation_side("A29", _fraction_A29),
+    "A30": _relation_side("A30", _fraction_A30),
+    "A31": _relation_side("A31", _fraction_A31),
+    "A18": _relation_side("A18", _fraction_A18),
+    "A25": _relation_side("A25", _fraction_A25),
+    "A26": _relation_side("A26", _fraction_A26),
+    "nueva2": _relation_side("nueva2", _fraction_nueva2),
+    "A8": _relation_side("A8", _fraction_A8),
+    "A27": _relation_side("A27", _fraction_A27),
+    "A28": _relation_side("A28", _fraction_A28),
+    "iii5": _relation_side("iii5", _fraction_iii5),
+    "iii10": _relation_side("iii10", _fraction_iii10),
+    "classical_bernoulli": (
+        lambda calls, order: _fraction_classical_bernoulli(order),
+        lambda calls, order: _classical_bernoulli(order),
+        st.tuples(st.integers(0, 24)),
+    ),
+    "bernoulli_level": (
+        lambda calls, order, a: _fraction_bernoulli_level(order, a),
+        _bernoulli_level,
+        st.tuples(st.integers(0, 14), st.integers(2, 6)),
+    ),
 }
 
 
@@ -626,7 +703,8 @@ def exactly(value):
 
 
 def outcome(evaluate, *args):
-    """Both sides, each with its types, or the type and message of the refusal."""
+    """Both sides (or each entry of a row), each with its types, or the type and
+    message of the refusal."""
     try:
         return [exactly(side) for side in evaluate(*args)]
     except _OutOfRange as fault:
@@ -639,12 +717,9 @@ def outcome(evaluate, *args):
 def test_integer_sides_match_their_fraction_definitions(token, data):
     # Drawn points reach past the default grids: larger integers, negative and
     # non-integral rationals, and the points each relation refuses.
-    point = data.draw(drawn_point(token))
-    relation, evaluate, declared, _ = _relation(token)
-    values = list(_read("here", point, token, declared))
-    first = [] if isinstance(relation, IdentityId) else [data.draw(st.integers(0, 14))]
-    reference = outcome(_FRACTION_SIDES[token], {}, *first, *values)
-    assert outcome(evaluate, {}, *first, *values) == reference
+    reference, evaluate, arguments = _FRACTION_SIDES[token]
+    args = data.draw(arguments)
+    assert outcome(evaluate, {}, *args) == outcome(reference, {}, *args)
 
 
 _rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -727,7 +802,9 @@ def test_failures_carry_the_failing_points_exactly(monkeypatch, capsys):
     monkeypatch.setitem(relations, "a7", (bad_a7, "k>=0", lambda: a7_grid))
     A9, a7 = verify_ids(["A9", "a7"])
 
-    assert A9 == CheckSummary("A9", 3, (IdentityResult(IdentityId.A9, {"m": 3, "k": 1}, F(11), F(12)),))
+    assert A9 == CheckSummary(
+        "A9", 3, (IdentityResult(IdentityId.A9, {"m": 3, "k": 1}, F(11), F(12)),)
+    )
     (failure,) = A9.failures
     assert failure.identity is IdentityId.A9 and failure.lhs != failure.rhs
     assert (type(failure.lhs), type(failure.rhs)) == (F, F)

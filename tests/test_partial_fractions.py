@@ -360,7 +360,9 @@ def test_render_prints_a_dual_coefficient_whole():
     form = decompose_single(LinearParam(Dual(1, 1), 1), 1, LinearParam(2, 1), 1)
     assert str(form) == "1 + Dual(-1, 1)/(2+eps)"
     form = decompose_multi(
-        PochProductQuotient([(LinearParam(Dual(1, 1), 1), 1)], [(LinearParam(2, 1), 1), (LinearParam(3, 1), 1)])
+        PochProductQuotient(
+            [(LinearParam(Dual(1, 1), 1), 1)], [(LinearParam(2, 1), 1), (LinearParam(3, 1), 1)]
+        )
     )
     assert str(form) == "Dual(-1, 1)/(2+eps) + Dual(2, -1)/(3+eps)"
 

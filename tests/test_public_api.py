@@ -139,12 +139,20 @@ def test_public_calls_leave_no_module_state():
     assert after_containers == containers
 
 
-def test_src_lines_are_at_most_100_characters():
-    # The source's line limit, checked here since no linter runs in tier-1.
-    long = [
+def long_lines(directory):
+    """Every line over 100 characters in the .py files of `directory`, as path:line."""
+    return [
         f"{path.relative_to(ROOT)}:{lineno}"
-        for path in sorted((ROOT / "src" / "pochex").glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > 100
     ]
-    assert long == []
+
+
+def test_src_lines_are_at_most_100_characters():
+    # The source's line limit, checked here since no linter runs in tier-1.
+    assert long_lines(ROOT / "src" / "pochex") == []
+
+
+def test_test_lines_are_at_most_100_characters():
+    assert long_lines(ROOT / "tests") == []
